@@ -21,7 +21,7 @@ from .distributions import Distribution, MaxExp
 from .errors import ClassifierDisagreement, TailUnderflow
 from .exppoly import ExpPoly
 from .iteration import iterate, residual_partial_moment
-from .patterns import EXACT, SAMPLED, ScanConfig, SignPattern
+from .patterns import DEFAULT_X_MAX, EXACT, SAMPLED, ScanConfig, SignPattern
 from .signscan import scan
 
 __all__ = ["MonotoneClass", "failure_rate", "classify_ifr", "classify_ifra",
@@ -115,7 +115,7 @@ def _rate_slope_poly(d: Distribution, s: int) -> ExpPoly | None | str:
 
 def _default_cfg(d: Distribution, s: int, cfg: ScanConfig | None) -> ScanConfig:
     if cfg is not None:
-        return cfg
+        return cfg.with_x_max(DEFAULT_X_MAX)
     poly = d.exp_poly_tail()
     if poly is not None:
         x_max = max(50.0, 20.0 / min(poly.rates))

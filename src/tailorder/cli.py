@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="PATH", help="write scan traces to PATH")
     parser.add_argument("--trace", action="store_true", help="collect scan traces")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sweeps (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify rate monotonicity per order")

@@ -34,7 +34,7 @@ _EXP_LO, _EXP_HI = -745.0, 709.0
 
 
 def _exp(z):
-    return np.exp(np.clip(z, _EXP_LO, _EXP_HI))
+    return np.exp(np.minimum(np.maximum(z, _EXP_LO), _EXP_HI))
 
 
 def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
@@ -169,9 +169,11 @@ class ExpPoly:
             if ratio > 1.0:
                 x = max(x, math.log(ratio) / (r - r0))
         # verify relative to the head term (immune to underflow), nudging
-        # rightward until the bound actually holds
+        # rightward until the bound actually holds (np.exp, not math.exp:
+        # see the bit-exactness note above _terms)
         for _ in range(200):
-            rel = sum(abs(c / c0) * _exp(-(r - r0) * x) for c, r in rest)
+            rel = sum(abs(c / c0) * np.exp(min(max(-(r - r0) * x, _EXP_LO), _EXP_HI))
+                      for c, r in rest)
             if rel < 1.0:
                 return x
             x += max(1.0, 0.5 * abs(x))
@@ -186,9 +188,8 @@ class ExpPoly:
         """
         if not lo < hi:
             raise ValueError("domain must be a nondegenerate interval")
-        coefs = np.array(self.coefficients)
-        rates = np.array(self.rates)
-        roots, uncertain = _isolate(coefs, rates, float(lo), float(hi), tol)
+        roots, uncertain = _isolate(list(self.coefficients), list(self.rates),
+                                    float(lo), float(hi), tol)
         bound = self.sign_change_bound()
         if len(roots) > bound:
             # mathematically impossible; only numerical duplication can do it
@@ -209,8 +210,7 @@ class ExpPoly:
         hi = max(horizon + 1.0, lo + 1.0)
         report = self.isolate_roots(lo, hi, ROOT_WIDTH)
 
-        coefs = np.array(self.coefficients)
-        rates = np.array(self.rates)
+        terms = _terms(self.coefficients, self.rates)
         cuts = [lo] + [0.5 * (a + b) for a, b in report.isolated_roots] + [hi]
         regions = list(zip(cuts, cuts[1:]))
         signs: list[str] = []
@@ -223,9 +223,9 @@ class ExpPoly:
             vals = self.eval(xs)
             idx = int(np.argmax(np.abs(vals)))
             v = vals[idx]
-            if abs(v) <= TOUCH_REL * _local_scale(coefs, rates, xs[idx]):
+            if abs(v) <= TOUCH_REL * _eval_scale(terms, xs[idx])[1]:
                 # whole region below the noise floor: decide by derivatives
-                sn = _sign_near(coefs, rates, 0.5 * (a + b), +1)
+                sn = _one_sided_signs(terms, 0.5 * (a + b))[3]
                 if sn == 0.0:
                     uncertain = True
                     prev_root = root
@@ -255,6 +255,11 @@ class RootReport:
     isolated_roots are disjoint intervals each containing exactly one root;
     residual_uncertainty flags candidates that could not be separated at
     working precision (they are retained, never dropped).
+
+    An interval around a root of multiplicity >= 3 is noise-limited: the
+    bisection stops at the first midpoint whose value is within 1e-16 of
+    the local term scale, which near such a root can lie outside the
+    ROOT_WIDTH neighbourhood of the root, so the interval may miss it.
     """
 
     sign_change_bound: int
@@ -266,56 +271,73 @@ class RootReport:
             raise ValueError("more isolated roots than the sign-change bound allows")
 
 
-def _kahan_eval(coefs, rates, x):
-    total = 0.0
-    comp = 0.0
-    for c, r in zip(coefs, rates):
-        term = c * math.exp(min(max(-r * x, _EXP_LO), _EXP_HI))
-        y = term - comp
+# Bit-exactness: the scalar core below runs on Python floats with math.exp,
+# one term at a time in increasing-rate order.  Swapping in np.exp, which
+# differs from math.exp in the last ulp on a few percent of inputs, or
+# summing in another order (numpy batching does both) would move isolated
+# roots and, with them, the verdict documents.  The same holds for the
+# np.exp calls in ExpPoly.eval and dominance_horizon.
+
+
+def _terms(coefs, rates):
+    """Terms as (c, -r, |c|) triples, the form _eval_scale reads."""
+    return [(c, -r, abs(c)) for c, r in zip(coefs, rates)]
+
+
+def _eval_scale(terms, x):
+    """(Kahan-compensated value, sum of |terms|) of sum c exp(-r x) in one
+    pass; the second is the local scale that noise floors refer to."""
+    total = comp = scale = 0.0
+    for c, nr, ac in terms:
+        z = nr * x
+        if z < _EXP_LO:
+            z = _EXP_LO
+        elif z > _EXP_HI:
+            z = _EXP_HI
+        e = math.exp(z)
+        y = c * e - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    return total
+        scale += ac * e
+    return total, scale
 
 
-def _local_scale(coefs, rates, x):
-    return sum(abs(c) * math.exp(min(max(-r * x, _EXP_LO), _EXP_HI))
-               for c, r in zip(coefs, rates))
+def _one_sided_signs(terms, x):
+    """(value at x, whether it is below the noise floor, sign just left of
+    x, sign just right of x).
 
-
-def _sign_near(coefs, rates, x, side):
-    """Sign of the function just to one side of x (side = +1 right, -1 left).
-
-    When the value at x sits below the roundoff floor, the sign follows
+    When the value at x sits below the roundoff floor, the signs follow
     from the first Taylor derivative that is resolvable; derivatives are
     exact coefficient arithmetic, so a root of any finite order at x is
-    handled without sampling inside the noise.  Returns 0.0 when the
+    handled without sampling inside the noise.  Both signs are 0.0 when the
     function is numerically flat to high order.
     """
-    val = _kahan_eval(coefs, rates, x)
-    if abs(val) > TOUCH_REL * _local_scale(coefs, rates, x):
-        return 1.0 if val > 0 else -1.0
-    dc = np.asarray(coefs, dtype=float)
-    dr = np.asarray(rates, dtype=float)
-    for k in range(1, len(dc) + 3):
-        dc = dc * (-dr)
-        dval = _kahan_eval(dc, dr, x)
-        dscale = _local_scale(dc, dr, x)
+    val, scale = _eval_scale(terms, x)
+    floor = TOUCH_REL * scale
+    if abs(val) > floor:
+        s = 1.0 if val > 0 else -1.0
+        return val, False, s, s
+    touch = abs(val) <= floor  # False for a nan val, which also lands here
+    dt = terms
+    for k in range(1, len(terms) + 3):
+        dt = [(c * nr, nr, abs(c * nr)) for c, nr, _ in dt]
+        dval, dscale = _eval_scale(dt, x)
         if dscale > 0 and abs(dval) > 1e-12 * dscale:
             s = 1.0 if dval > 0 else -1.0
-            return s if side > 0 else s * (-1.0) ** k
-    return 0.0
+            return val, touch, s * (-1.0) ** k, s
+    return val, touch, 0.0, 0.0
 
 
-def _bisect_root(coefs, rates, a, b, sa, tol):
+def _bisect_root(terms, a, b, sa, tol):
     """One certified root in (a, b) where the function is monotone and the
     side-corrected signs at the endpoints differ."""
     while b - a > tol:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
-        fm = _kahan_eval(coefs, rates, m)
-        if abs(fm) <= 1e-16 * _local_scale(coefs, rates, m):
+        fm, scale = _eval_scale(terms, m)
+        if abs(fm) <= 1e-16 * scale:
             w = max(tol / 4, abs(m) * 1e-16)
             return (max(a, m - w), min(b, m + w))
         if (fm > 0) == (sa > 0):
@@ -326,44 +348,43 @@ def _bisect_root(coefs, rates, a, b, sa, tol):
 
 
 def _isolate(coefs, rates, lo, hi, tol):
-    """Roots of sum c_i exp(-r_i x) on [lo, hi] as (intervals, uncertain)."""
-    n = len(coefs)
-    if n == 1:
+    """Roots of sum c_i exp(-r_i x) on [lo, hi] as (intervals, uncertain).
+
+    coefs and rates are lists of Python floats."""
+    if len(coefs) == 1:
         return [], False
     # factor out the slowest exponential: same roots, derivative loses a term
-    shifted = rates - rates[0]
-    dcoefs = -shifted[1:] * coefs[1:]
-    drates = shifted[1:]
+    r0 = rates[0]
+    drates = [r - r0 for r in rates[1:]]
+    dcoefs = [-d * c for d, c in zip(drates, coefs[1:])]
     crit_iv, uncertain = _isolate(dcoefs, drates, lo, hi, tol)
-    crit = [0.5 * (a + b) for a, b in crit_iv]
+    q = _terms(coefs, [0.0] + drates)
 
-    qc = np.concatenate(([coefs[0]], coefs[1:]))
-    qr = np.concatenate(([0.0], shifted[1:]))
-
-    pts = [lo] + crit + [hi]
+    pts = [lo] + [0.5 * (a + b) for a, b in crit_iv] + [hi]
+    # every partition point is evaluated once; an interval's end signs are
+    # the inner one-sided signs of the points around it
+    sided = [_one_sided_signs(q, p) for p in pts]
     roots: list[tuple[float, float]] = []
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        if i > 0 and abs(_kahan_eval(qc, qr, a)) <= TOUCH_REL * _local_scale(qc, qr, a):
+        val, touch, sl, sa = sided[i]
+        sb = sided[i + 1][2]
+        if i > 0 and touch:
             # value below the noise floor at a critical point: a crossing or
             # tangential root, or a mere noise plateau.  The one-sided signs
             # from exact Taylor derivatives decide which.
-            sl = _sign_near(qc, qr, a, -1)
-            sr = _sign_near(qc, qr, a, +1)
-            if sl == 0.0 or sr == 0.0:
+            if sl == 0.0 or sa == 0.0:
                 uncertain = True
-            elif sl != sr or _kahan_eval(qc, qr, a) == 0.0:
+            elif sl != sa or val == 0.0:
                 w = max(tol / 2, abs(a) * 1e-15)
                 iv = (a - w, a + w)
                 if not roots or roots[-1][1] < iv[0]:
                     roots.append(iv)
-        sa = _sign_near(qc, qr, a, +1)
-        sb = _sign_near(qc, qr, b, -1)
         if sa == 0.0 or sb == 0.0:
             uncertain = True
             continue
         if sa != sb:
-            iv = _bisect_root(qc, qr, a, b, sa, tol)
+            iv = _bisect_root(q, a, b, sa, tol)
             if roots and iv[0] - roots[-1][1] < tol:
                 uncertain = True
             if not roots or roots[-1] != iv:

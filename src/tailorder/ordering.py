@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -198,25 +198,30 @@ def _cell_breakpoints(TX: IteratedTail, TY: IteratedTail, a: float, b: float):
     return sorted(pts)
 
 
-def _cell_scan_config(TX: IteratedTail, TY: IteratedTail, a: float, b: float,
-                      template: ScanConfig | None) -> ScanConfig:
-    # tail-mass horizons explode for polynomial tails; cap the window so the
-    # log grid keeps resolution where the tails actually interact
-    raw = max(TY.quantile_horizon(1e-10),
-              (TX.quantile_horizon(1e-10) - b) / a,
-              1.0)
-    cap = 1e4 * (1.0 + TX.base.mean() + TY.base.mean())
-    x_max = min(raw, cap)
-    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
-    if template is None:
-        return ScanConfig(x_max=x_max, deadband_abs=dead_abs)
-    # the template's default x_max (50.0) means "compute per cell"; any
-    # other value is an explicit caller override
-    return ScanConfig(x_max=template.x_max if template.x_max != 50.0 else x_max,
-                      initial_grid=template.initial_grid,
-                      deadband=template.deadband,
-                      max_refinement_depth=template.max_refinement_depth,
-                      deadband_abs=max(template.deadband_abs, dead_abs))
+def _scan_config_per_cell(x_side, y_side, X: Distribution, Y: Distribution,
+                          template: ScanConfig | None, dead_abs: float = 0.0):
+    """(a, b) -> scan configuration for a sweep comparing the X side at
+    a x + b with the Y side at x.  x_side and y_side (distributions or
+    iterated tails) supply the tail-mass horizons, computed once, on first
+    use; a template's x_max of None means "resolve per cell"."""
+    horizons = None
+
+    def config(a: float, b: float) -> ScanConfig:
+        nonlocal horizons
+        if horizons is None:
+            horizons = (x_side.quantile_horizon(1e-10), y_side.quantile_horizon(1e-10),
+                        1e4 * (1.0 + X.mean() + Y.mean()))
+        hx, hy, cap = horizons
+        # tail-mass horizons explode for polynomial tails; cap the window so
+        # the log grid keeps resolution where the tails actually interact
+        x_max = min(max(hy, (hx - b) / a, 1.0), cap)
+        if template is None:
+            return ScanConfig(x_max=x_max, deadband_abs=dead_abs)
+        return replace(template,
+                       x_max=x_max if template.x_max is None else template.x_max,
+                       deadband_abs=max(template.deadband_abs, dead_abs))
+
+    return config
 
 
 def _exact_cell_pattern(TX: IteratedTail, TY: IteratedTail,
@@ -246,10 +251,10 @@ class _CellResult:
     uncertain: bool = False
 
 
-def _evaluate_cell(TX, TY, a, b, template) -> _CellResult:
+def _evaluate_cell(TX, TY, a, b, cell_cfg) -> _CellResult:
     pattern = _exact_cell_pattern(TX, TY, a, b)
     if pattern is None:
-        cfg = _cell_scan_config(TX, TY, a, b, template)
+        cfg = cell_cfg(a, b)
         V = _cell_function(TX, TY, a, b)
         try:
             pattern = scan(V, cfg, _cell_breakpoints(TX, TY, a, b))
@@ -280,8 +285,10 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdic
     """Scan V over the grid; first disallowed cell in (a, b) lexicographic
     order refutes.  Cells where V is identically zero within the deadband
     (X and Y indistinguishable) pass degenerately."""
+    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
+    cell_cfg = _scan_config_per_cell(TX, TY, TX.base, TY.base, grid.scan, dead_abs)
     cells = [(a, b) for a in grid.a_values for b in grid.b_values]
-    results = _run_cells(cells, lambda a, b: _evaluate_cell(TX, TY, a, b, grid.scan),
+    results = _run_cells(cells, lambda a, b: _evaluate_cell(TX, TY, a, b, cell_cfg),
                          grid.threads)
     worst = math.inf
     first_uncertain = None
@@ -357,10 +364,8 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
 _H_FORMS = ("hs", "hs1", "ps", "ps1")
 
 
-def _h_function(X, Y, s, form, a, b):
-    ex = X.raw_moment(s - 1)
-    ey = Y.raw_moment(s - 1)
-
+def _h_function(X, Y, s, form, a, b, ex, ey):
+    """H form at cell (a, b); ex, ey are E X^{s-1}, E Y^{s-1}."""
     def dens(d, arg):
         arg = np.asarray(arg, dtype=float)
         out = np.zeros(arg.shape)
@@ -405,16 +410,21 @@ def _h_function(X, Y, s, form, a, b):
     raise ValueError(f"form must be one of {_H_FORMS}")
 
 
-def _h_exact_poly(X, Y, s, form, a, b) -> ExpPoly | None | str:
-    if form != "hs":
-        return None
+def _h_exact_parts(X, Y, ey):
+    """The (a, b)-free pieces of the closed "hs" form: f_Y / E Y^{s-1} and
+    f_X, as exponential polynomials; None unless both tails are ones."""
     px, py = X.exp_poly_tail(), Y.exp_poly_tail()
-    if px is None or py is None or b < 0:
+    if px is None or py is None:
         return None
-    ex = X.raw_moment(s - 1)
-    ey = Y.raw_moment(s - 1)
-    fy = py.differentiate(1).scaled(-1.0 / ey)
-    fx = px.differentiate(1).scaled(-1.0).compose_affine(a, b).scaled(a ** s / ex)
+    return py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0)
+
+
+def _h_exact_poly(parts, s, ex, a, b) -> ExpPoly | None | str:
+    """The "hs" form at cell (a, b) from _h_exact_parts, for b >= 0."""
+    if parts is None or b < 0:
+        return None
+    fy, fx_base = parts
+    fx = fx_base.compose_affine(a, b).scaled(a ** s / ex)
     diff = ExpPoly.maybe(list(fy.terms) + [(-c, r) for c, r in fx.terms])
     return diff if diff is not None else "zero"
 
@@ -442,26 +452,23 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
         raise ValueError("log forms need b >= 0 so densities stay positive")
     criterion = "criterion-p" if form.startswith("p") else "criterion-h"
 
-    cap = 1e4 * (1.0 + X.mean() + Y.mean())
-    horizon = max(min(Y.quantile_horizon(1e-10), cap), 1.0)
+    ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+    exact_parts = _h_exact_parts(X, Y, ey) if form in ("hs", "hs1") else None
+    cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
 
     def evaluate_form(use_form, a, b):
-        closed = _h_exact_poly(X, Y, s, use_form, a, b)
+        closed = _h_exact_poly(exact_parts, s, ex, a, b) if use_form == "hs" else None
         if closed == "zero":
             return _CellResult(a, b, None, degenerate=True)
         if isinstance(closed, ExpPoly):
             pat = closed.sign_pattern_exact(0.0)
             return _CellResult(a, b, pat, uncertain=pat.uncertain)
-        x_max = max(horizon, min((X.quantile_horizon(1e-10) - b) / a, cap))
-        cfg = grid.scan or ScanConfig(x_max=x_max)
-        if cfg.x_max == 50.0 and grid.scan is None:
-            cfg = ScanConfig(x_max=x_max)
-        fn = _h_function(X, Y, s, use_form, a, b)
+        fn = _h_function(X, Y, s, use_form, a, b, ex, ey)
         bps = sorted(list(Y.breakpoints()) +
                      [(p - b) / a for p in X.breakpoints() if (p - b) / a > 0] +
                      ([-b / a] if b < 0 else []))
         try:
-            pat = scan(fn, cfg, bps)
+            pat = scan(fn, cell_cfg(a, b), bps)
         except IndeterminateFunction:
             return _CellResult(a, b, None, degenerate=True)
         except ZeroDivisionError:

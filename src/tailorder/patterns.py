@@ -8,7 +8,7 @@ intervals for each sign change.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 PLUS = "+"
@@ -23,6 +23,10 @@ ALLOWED_IFR: tuple[tuple[str, ...], ...] = ((PLUS, MINUS, PLUS), (PLUS, MINUS))
 #: Admissible patterns for the star-shape (s-IFRA) comparisons: at most one
 #: sign change and, when it occurs, in the order "-,+".
 ALLOWED_IFRA: tuple[tuple[str, ...], ...] = ((MINUS, PLUS), (MINUS,))
+
+#: Scan window used where a ScanConfig leaves x_max as None and the caller
+#: has no horizon of its own.
+DEFAULT_X_MAX = 50.0
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -42,20 +46,22 @@ def _normalize(seq: Iterable[str]) -> tuple[str, ...]:
 class ScanConfig:
     """Controls for adaptive sign scanning on (0, x_max].
 
+    x_max None leaves the window to the caller: the order sweeps resolve it
+    per cell from tail-mass horizons, everything else uses DEFAULT_X_MAX.
     deadband is relative to the largest sampled |f|; samples inside the
     deadband carry no sign evidence.  deadband_abs adds an absolute floor
     for functions whose evaluation noise is not tied to their magnitude
     (quadrature-backed tails).
     """
 
-    x_max: float = 50.0
+    x_max: float | None = None
     initial_grid: int = 512
     deadband: float = 1e-11
     max_refinement_depth: int = 12
     deadband_abs: float = 0.0
 
     def __post_init__(self):
-        if self.x_max <= 0:
+        if self.x_max is not None and self.x_max <= 0:
             raise ValueError("x_max must be positive")
         if self.initial_grid < 64:
             raise ValueError("initial_grid must be at least 64")
@@ -63,6 +69,10 @@ class ScanConfig:
             raise ValueError("deadband must be positive")
         if self.max_refinement_depth < 0:
             raise ValueError("max_refinement_depth must be nonnegative")
+
+    def with_x_max(self, x_max: float) -> "ScanConfig":
+        """This configuration, with x_max filled in when it is None."""
+        return self if self.x_max is not None else replace(self, x_max=x_max)
 
 
 @dataclass(frozen=True)

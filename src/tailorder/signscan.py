@@ -12,9 +12,9 @@ import numpy as np
 
 from .errors import IndeterminateFunction, ResidualUncertainty
 from .exppoly import ExpPoly
-from .patterns import SAMPLED, ScanConfig, SignPattern, matches  # noqa: F401 (re-export)
+from .patterns import DEFAULT_X_MAX, SAMPLED, ScanConfig, SignPattern, matches
 
-__all__ = ["scan", "matches", "check_integration_lemma", "ScanConfig", "SignPattern"]
+__all__ = ["scan", "check_integration_lemma"]
 
 
 def _classify(values, eps):
@@ -34,7 +34,7 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
     if it differs from the last sampled evidence.  trace, when given a list,
     receives (x, value, sign) rows for every evaluated sample.
     """
-    cfg = cfg or ScanConfig()
+    cfg = (cfg or ScanConfig()).with_x_max(DEFAULT_X_MAX)
     lo = cfg.x_max * 1e-10 if lo is None else float(lo)
     if not 0 < lo < cfg.x_max:
         raise ValueError("scan lower bound must be inside (0, x_max)")

@@ -79,6 +79,12 @@ class TestClassifyIfr:
             lo, hi = brackets[0]
             assert hi - lo < 1e-6
 
+    def test_unset_window_reads_as_fifty(self):
+        d = PolyExpExample(1.0)
+        unset = classify_ifr(d, 1, ScanConfig(max_refinement_depth=24))
+        assert unset == classify_ifr(d, 1, ScanConfig(x_max=50.0, max_refinement_depth=24))
+        assert classify_ifra(d, 1, ScanConfig()) == classify_ifra(d, 1, ScanConfig(x_max=50.0))
+
     def test_exponential_constant(self):
         cls = classify_ifr(Exponential(1.0), 3)
         assert cls.verdict == CONSTANT

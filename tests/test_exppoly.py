@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tailorder import exppoly
 from tailorder.exppoly import ExpPoly
 from tailorder.patterns import EXACT
 
@@ -165,6 +166,87 @@ class TestIsolateRoots:
         lo, hi = rep.isolated_roots[0]
         assert lo <= -math.log(0.9) <= hi
         assert hi - lo <= 1e-12
+
+
+LN2 = math.log(2.0)
+#: e^{-2x} (1 - 2 e^{-x})^2: a double root at ln 2, no crossing
+DOUBLE_ROOT = ((1.0, 2.0), (-4.0, 3.0), (4.0, 4.0))
+#: e^{-3x} (1 - 2 e^{-x})^3: a triple root at ln 2, one crossing
+TRIPLE_ROOT = ((1.0, 3.0), (-6.0, 4.0), (12.0, 5.0), (-8.0, 6.0))
+
+
+class TestTouchBranch:
+    """Critical points whose value sits below TOUCH_REL of the local term
+    scale: the one-sided signs come from exact Taylor derivatives."""
+
+    def test_double_root_reaches_touch_branch(self, monkeypatch):
+        touched = []
+        inner = exppoly._one_sided_signs
+
+        def spy(terms, x):
+            out = inner(terms, x)
+            if out[1]:
+                touched.append(x)
+            return out
+
+        monkeypatch.setattr(exppoly, "_one_sided_signs", spy)
+        ExpPoly(DOUBLE_ROOT).isolate_roots(0.01, 10.0)
+        assert any(abs(x - LN2) < 1e-9 for x in touched)
+
+    def test_double_root_is_not_isolated(self):
+        p = ExpPoly(DOUBLE_ROOT)
+        rep = p.isolate_roots(0.01, 10.0)
+        assert rep.isolated_roots == ()
+        assert not rep.residual_uncertainty
+        assert p.sign_pattern_exact(0.0).signs == ("+",)
+
+    def test_negated_double_root(self):
+        pat = (-ExpPoly(DOUBLE_ROOT)).sign_pattern_exact(0.0)
+        assert pat.signs == ("-",)
+        assert not pat.uncertain
+
+    def test_triple_root_crosses_once(self):
+        p = ExpPoly(TRIPLE_ROOT)
+        rep = p.isolate_roots(0.01, 10.0)
+        assert len(rep.isolated_roots) == 1
+        assert not rep.residual_uncertainty
+        pat = p.sign_pattern_exact(0.0)
+        assert pat.signs == ("-", "+")
+        assert not pat.uncertain
+
+    @pytest.mark.xfail(strict=True, reason="_bisect_root stops at the first "
+                       "midpoint with |f| <= 1e-16 of the local scale; around a "
+                       "triple root that happens ~8e-6 short of the root")
+    def test_triple_root_interval_contains_root(self):
+        (lo, hi), = ExpPoly(TRIPLE_ROOT).isolate_roots(0.01, 10.0).isolated_roots
+        assert lo <= LN2 <= hi
+
+
+class TestEvalScale:
+    def test_matches_two_loop_reference_bit_for_bit(self):
+        """The one-pass helper keeps the term order, clamp and math.exp of
+        separate Kahan and |term| sums, so it must agree exactly."""
+        def reference(coefs, rates, x):
+            total = comp = 0.0
+            for c, r in zip(coefs, rates):
+                term = c * math.exp(min(max(-r * x, -745.0), 709.0))
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            scale = sum(abs(c) * math.exp(min(max(-r * x, -745.0), 709.0))
+                        for c, r in zip(coefs, rates))
+            return total, scale
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            coefs = [float(c) for c in rng.uniform(-5.0, 5.0, n)]
+            rates = [float(r) for r in np.sort(rng.uniform(0.0, 9.0, n))]
+            x = float(rng.choice([rng.uniform(-200.0, 200.0), rng.uniform(-1.0, 1.0)]))
+            got = exppoly._eval_scale(exppoly._terms(coefs, rates), x)
+            # hex strings: bit equality, with nan equal to nan
+            assert [v.hex() for v in got] == [v.hex() for v in reference(coefs, rates, x)]
 
 
 class TestSignPatternExact:

@@ -18,7 +18,9 @@ from tailorder import (
     exponential_reference,
     newcrit,
 )
+from tailorder import ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
+from tailorder.patterns import ScanConfig
 
 SMALL = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)),
                  tuple(-np.geomspace(5.0, 0.05, 6)) + tuple(np.linspace(0.0, 6.0, 8)))
@@ -228,3 +230,33 @@ class TestGridSpec:
         v1 = compare_ifr(X, Y, 2, g1)
         v4 = compare_ifr(X, Y, 2, g4)
         assert v1.to_dict() == v4.to_dict()
+
+
+class TestScanWindow:
+    """A grid's scan template with x_max None is resolved per cell from the
+    tail-mass horizons; an explicit x_max, 50.0 included, is used as is."""
+
+    CELLS = ((0.5, 2.0), (0.0, 1.0))
+
+    def _scanned_x_max(self, monkeypatch, check, template):
+        seen = []
+        inner = ordering.scan
+
+        def spy(fn, cfg, *args, **kwargs):
+            seen.append(cfg.x_max)
+            return inner(fn, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(ordering, "scan", spy)
+        check(GridSpec(*self.CELLS, scan=template))
+        assert seen
+        return seen
+
+    @pytest.mark.parametrize("check", [
+        lambda g: compare_ifr(Weibull(1.5, 1.0), Gamma(1.5, 1.0), 1, g),
+        lambda g: criterion_h(Weibull(1.5, 1.0), Gamma(1.5, 1.0), 1, g, form="hs1"),
+    ], ids=["compare_ifr", "criterion_h"])
+    def test_explicit_fifty_is_honoured(self, monkeypatch, check):
+        explicit = self._scanned_x_max(monkeypatch, check, ScanConfig(x_max=50.0))
+        assert set(explicit) == {50.0}
+        resolved = self._scanned_x_max(monkeypatch, check, ScanConfig())
+        assert None not in resolved and 50.0 not in resolved

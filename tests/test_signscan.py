@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tailorder import ExpPoly, IndeterminateFunction, ScanConfig, check_integration_lemma, scan
-from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, SignPattern, matches
+from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, DEFAULT_X_MAX, SignPattern, matches
 
 
 class TestScan:
@@ -79,6 +79,15 @@ class TestScan:
         pat = scan(lambda x: np.exp(-x), ScanConfig(x_max=10.0), limit_sign="-")
         assert pat.signs == ("+", "-")
         assert math.isinf(pat.change_points[-1][1])
+
+    def test_unset_window_defaults_to_fifty(self):
+        rows = []
+        scan(lambda x: x - 1.0, ScanConfig(initial_grid=64), trace=rows)
+        assert max(x for x, _, _ in rows) == DEFAULT_X_MAX == 50.0
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ScanConfig(x_max=0.0)
 
     def test_trace_rows_collected(self):
         rows = []
