@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="PATH", help="write the report to PATH")
     parser.add_argument("--csv", metavar="PATH", help="write scan traces to PATH")
     parser.add_argument("--trace", action="store_true", help="collect scan traces")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify rate monotonicity per order")
@@ -182,7 +181,7 @@ def _cmd_compare(args) -> int:
         verdict = convexity_check(X, Y, args.s)
     else:
         grid = GridSpec.default(X, Y, negative_b=args.criterion in ("ifr", "hs", "hs1"),
-                                na=args.a_grid, nb=args.b_grid, threads=args.threads)
+                                na=args.a_grid, nb=args.b_grid)
         if args.criterion == "ifr":
             verdict = compare_ifr(X, Y, args.s, grid)
         elif args.criterion == "ifra":

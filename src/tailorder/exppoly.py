@@ -142,10 +142,6 @@ class ExpPoly:
     def subtract(self, other: "ExpPoly") -> "ExpPoly | None":
         return ExpPoly.maybe(list(self.terms) + [(-c, r) for c, r in other.terms])
 
-    def multiply(self, other: "ExpPoly") -> "ExpPoly | None":
-        prods = [(c1 * c2, r1 + r2) for c1, r1 in self.terms for c2, r2 in other.terms]
-        return ExpPoly.maybe(prods)
-
     # ------------------------------------------------------------------
     # sign-variation bound and root isolation
     # ------------------------------------------------------------------

@@ -19,15 +19,14 @@ witness, and Inconclusive reports unresolved evidence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from .distributions import Distribution, Exponential
 from .errors import IndeterminateFunction
-from .exppoly import ExpPoly
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 from .signscan import scan
@@ -127,7 +126,6 @@ class GridSpec:
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
     scan: ScanConfig | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if not self.a_values or any(a <= 0 for a in self.a_values):
@@ -144,7 +142,7 @@ class GridSpec:
     @classmethod
     def default(cls, X: Distribution, Y: Distribution, *, negative_b: bool = True,
                 na: int = 64, nb: int = 32, a_min: float = 0.05, a_max: float = 20.0,
-                scan: ScanConfig | None = None, threads: int = 1) -> "GridSpec":
+                scan: ScanConfig | None = None) -> "GridSpec":
         """Log-spaced slopes; intercepts cover [0, 5 E Y] plus, when the full
         two-parameter criterion demands them, negatives down to -5 E X."""
         a_vals = tuple(np.geomspace(a_min, a_max, na))
@@ -157,11 +155,11 @@ class GridSpec:
             b_vals = tuple(np.concatenate([neg, pos]))
         else:
             b_vals = tuple(np.linspace(0.0, b_max, nb))
-        return cls(a_vals, b_vals, scan, threads)
+        return cls(a_vals, b_vals, scan)
 
     def restricted_nonnegative_b(self) -> "GridSpec":
         kept = tuple(b for b in self.b_values if b >= 0.0) or (0.0,)
-        return GridSpec(self.a_values, kept, self.scan, self.threads)
+        return GridSpec(self.a_values, kept, self.scan)
 
     def to_dict(self) -> dict:
         doc = {"a_values": list(self.a_values), "b_values": list(self.b_values)}
@@ -190,9 +188,11 @@ def _cell_function(TX: IteratedTail, TY: IteratedTail, a: float, b: float):
     return V
 
 
-def _cell_breakpoints(TX: IteratedTail, TY: IteratedTail, a: float, b: float):
-    pts = list(TY.breakpoints())
-    pts += [(p - b) / a for p in TX.breakpoints() if (p - b) / a > 0]
+def _cell_breakpoints(X, Y, a: float, b: float):
+    """Kinks of a cell function comparing the X side (distribution or
+    iterated tail) at a x + b with the Y side at x."""
+    pts = list(Y.breakpoints())
+    pts += [(p - b) / a for p in X.breakpoints() if (p - b) / a > 0]
     if b < 0:
         pts.append(-b / a)
     return sorted(pts)
@@ -232,8 +232,7 @@ def _exact_cell_pattern(TX: IteratedTail, TY: IteratedTail,
     same negative sign, so it is the full pattern."""
     if TX.poly is None or TY.poly is None:
         return None
-    shifted = TX.poly.compose_affine(a, b)
-    diff = ExpPoly.maybe(list(TY.poly.terms) + [(-c, r) for c, r in shifted.terms])
+    diff = TY.poly.subtract(TX.poly.compose_affine(a, b))
     start = max(0.0, -b / a)
     if diff is None:
         if b >= 0:
@@ -242,84 +241,78 @@ def _exact_cell_pattern(TX: IteratedTail, TY: IteratedTail,
     return diff.sign_pattern_exact(start)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CellResult:
+    """One evaluated cell.  fn is the function whose pattern was taken, so
+    a disallowed pattern can be re-verified at its witnesses; margin, when
+    the evaluator reports one, is the smallest |fn| at the witnesses of a
+    passing cell.  A degenerate cell (fn zero within the deadband: X and Y
+    indistinguishable there) passes with margin 0."""
+
     a: float
     b: float
     pattern: SignPattern | None
+    fn: Callable | None = None
     degenerate: bool = False
     uncertain: bool = False
+    margin: float | None = None
 
 
-def _evaluate_cell(TX, TY, a, b, cell_cfg) -> _CellResult:
+def _degenerate(a: float, b: float) -> _CellResult:
+    return _CellResult(a, b, None, degenerate=True, margin=0.0)
+
+
+def _evaluate_cell(TX, TY, a, b, cell_cfg, allowed) -> _CellResult:
+    V = _cell_function(TX, TY, a, b)
     pattern = _exact_cell_pattern(TX, TY, a, b)
     if pattern is None:
-        cfg = cell_cfg(a, b)
-        V = _cell_function(TX, TY, a, b)
         try:
-            pattern = scan(V, cfg, _cell_breakpoints(TX, TY, a, b))
+            pattern = scan(V, cell_cfg(a, b), _cell_breakpoints(TX, TY, a, b))
         except IndeterminateFunction:
-            return _CellResult(a, b, None, degenerate=True)
-    return _CellResult(a, b, pattern, uncertain=pattern.uncertain)
+            return _degenerate(a, b)
+    margin = None
+    if pattern.witnesses and not pattern.uncertain and matches(pattern, allowed):
+        vals = np.asarray(V(np.asarray(pattern.witnesses)), dtype=float)
+        margin = float(np.min(np.abs(vals)))
+    return _CellResult(a, b, pattern, V, uncertain=pattern.uncertain, margin=margin)
 
 
-def _reverify(fn, pattern: SignPattern, deadband: float) -> bool:
-    vals = np.asarray(fn(np.asarray(pattern.witnesses)), dtype=float)
-    for v, sg in zip(vals, pattern.signs):
-        if sg == "+" and not v > deadband:
-            return False
-        if sg == "-" and not v < -deadband:
-            return False
-    return True
+def _witness(res: _CellResult) -> RefutationWitness | None:
+    """Witness of a disallowed cell pattern, or None unless evaluating the
+    scanned function again at the pattern's witnesses shows every sign
+    beyond the deadband."""
+    pat = res.pattern
+    vals = np.asarray(res.fn(np.asarray(pat.witnesses)), dtype=float)
+    dead = 1e-11 * float(np.max(np.abs(vals))) if len(vals) else 0.0
+    for v, sg in zip(vals, pat.signs):
+        if not (v > dead if sg == "+" else v < -dead):
+            return None
+    return RefutationWitness(res.a, res.b, pat.signs, pat.witnesses, tuple(vals), dead)
 
 
-def _run_cells(cells: Iterable[tuple[float, float]], evaluate, threads: int):
-    cells = list(cells)
-    if threads <= 1:
-        return [evaluate(a, b) for a, b in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ab: evaluate(*ab), cells))
-
-
-def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
-    """Scan V over the grid; first disallowed cell in (a, b) lexicographic
-    order refutes.  Cells where V is identically zero within the deadband
-    (X and Y indistinguishable) pass degenerately."""
-    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
-    cell_cfg = _scan_config_per_cell(TX, TY, TX.base, TY.base, grid.scan, dead_abs)
-    cells = [(a, b) for a in grid.a_values for b in grid.b_values]
-    results = _run_cells(cells, lambda a, b: _evaluate_cell(TX, TY, a, b, cell_cfg),
-                         grid.threads)
+def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
+    """Evaluate cells lazily in (a, b) lexicographic order; the first
+    disallowed pattern that re-verifies refutes and ends the sweep.  A
+    disallowed pattern that does not re-verify counts as uncertain."""
     worst = math.inf
     first_uncertain = None
     scanned = 0
-    for res in results:
+    for a, b in product(grid.a_values, grid.b_values):
         scanned += 1
+        res = evaluate(a, b)
+        if res.margin is not None:
+            worst = min(worst, res.margin)
         if res.degenerate:
-            worst = 0.0
             continue
-        pat = res.pattern
-        if res.uncertain:
-            if first_uncertain is None:
-                first_uncertain = res
-            continue
-        if not matches(pat, allowed):
-            fn = _cell_function(TX, TY, res.a, res.b)
-            vals = np.asarray(fn(np.asarray(pat.witnesses)), dtype=float)
-            dead = 1e-11 * float(np.max(np.abs(vals))) if len(vals) else 0.0
-            if _reverify(fn, pat, dead):
-                witness = RefutationWitness(res.a, res.b, pat.signs,
-                                            pat.witnesses, tuple(vals), dead)
+        if not res.uncertain:
+            if matches(res.pattern, allowed):
+                continue
+            witness = _witness(res)
+            if witness is not None:
                 return Verdict(REFUTED, criterion, s, cells_scanned=scanned,
                                witness=witness, grid=grid.to_dict())
-            if first_uncertain is None:
-                first_uncertain = res
-            continue
-        if pat.witnesses:
-            fn = _cell_function(TX, TY, res.a, res.b)
-            vals = np.abs(np.asarray(fn(np.asarray(pat.witnesses)), dtype=float))
-            if vals.size:
-                worst = min(worst, float(np.min(vals)))
+        if first_uncertain is None:
+            first_uncertain = res
     if first_uncertain is not None:
         return Verdict(INCONCLUSIVE, criterion, s, cells_scanned=scanned,
                        reason=f"unresolved scan at a={first_uncertain.a:.6g}, "
@@ -328,6 +321,15 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdic
     return Verdict(SUPPORTED, criterion, s, cells_scanned=scanned,
                    worst_margin=None if worst is math.inf else worst,
                    grid=grid.to_dict())
+
+
+def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
+    """Sweep V over the grid.  Quadrature-backed tails get an absolute
+    deadband so integration noise cannot fabricate signs."""
+    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
+    cell_cfg = _scan_config_per_cell(TX, TY, TX.base, TY.base, grid.scan, dead_abs)
+    return _sweep(grid, lambda a, b: _evaluate_cell(TX, TY, a, b, cell_cfg, allowed),
+                  allowed, criterion, s)
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +354,8 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
                  grid: GridSpec | None = None) -> Verdict:
     """Star-shape order check (b = 0): V(x) = tail_{Y,s}(x) - tail_{X,s}(a x)
     may change sign at most once, in the order "-,+"."""
-    if grid is None:
-        base = GridSpec.default(X, Y, negative_b=False)
-        grid = GridSpec(base.a_values, (0.0,), base.scan, base.threads)
-    else:
-        grid = GridSpec(grid.a_values, (0.0,), grid.scan, grid.threads)
+    grid = grid or GridSpec.default(X, Y, negative_b=False)
+    grid = GridSpec(grid.a_values, (0.0,), grid.scan)
     TX, TY = iterate(X, s), iterate(Y, s)
     return _pattern_sweep(TX, TY, s, grid, ALLOWED_IFRA, "pattern-ifra")
 
@@ -419,16 +418,6 @@ def _h_exact_parts(X, Y, ey):
     return py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0)
 
 
-def _h_exact_poly(parts, s, ex, a, b) -> ExpPoly | None | str:
-    """The "hs" form at cell (a, b) from _h_exact_parts, for b >= 0."""
-    if parts is None or b < 0:
-        return None
-    fy, fx_base = parts
-    fx = fx_base.compose_affine(a, b).scaled(a ** s / ex)
-    diff = ExpPoly.maybe(list(fy.terms) + [(-c, r) for c, r in fx.terms])
-    return diff if diff is not None else "zero"
-
-
 #: per-cell partner: the criterion asks for an admissible pattern from
 #: EITHER the density form or the survival form, per (a, b)
 _PARTNER_FORM = {"hs": "hs1", "hs1": "hs", "ps": "ps1", "ps1": "ps"}
@@ -457,25 +446,22 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
 
     def evaluate_form(use_form, a, b):
-        closed = _h_exact_poly(exact_parts, s, ex, a, b) if use_form == "hs" else None
-        if closed == "zero":
-            return _CellResult(a, b, None, degenerate=True)
-        if isinstance(closed, ExpPoly):
+        # closed form only where a x + b >= 0 on all of x > 0
+        if use_form == "hs" and exact_parts is not None and b >= 0:
+            fy, fx = exact_parts
+            closed = fy.subtract(fx.compose_affine(a, b).scaled(a ** s / ex))
+            if closed is None:
+                return _degenerate(a, b)
             pat = closed.sign_pattern_exact(0.0)
-            return _CellResult(a, b, pat, uncertain=pat.uncertain)
+            return _CellResult(a, b, pat, closed.eval, uncertain=pat.uncertain)
         fn = _h_function(X, Y, s, use_form, a, b, ex, ey)
-        bps = sorted(list(Y.breakpoints()) +
-                     [(p - b) / a for p in X.breakpoints() if (p - b) / a > 0] +
-                     ([-b / a] if b < 0 else []))
         try:
-            pat = scan(fn, cell_cfg(a, b), bps)
+            pat = scan(fn, cell_cfg(a, b), _cell_breakpoints(X, Y, a, b))
         except IndeterminateFunction:
-            return _CellResult(a, b, None, degenerate=True)
+            return _degenerate(a, b)
         except ZeroDivisionError:
-            res = _CellResult(a, b, None)
-            res.uncertain = True
-            return res
-        return _CellResult(a, b, pat, uncertain=pat.uncertain)
+            return _CellResult(a, b, None, uncertain=True)
+        return _CellResult(a, b, pat, fn, uncertain=pat.uncertain)
 
     def evaluate(a, b):
         res = evaluate_form(form, a, b)
@@ -488,34 +474,10 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
             return other
         return res
 
-    cells = [(a, b) for a in grid.a_values for b in grid.b_values]
-    results = _run_cells(cells, evaluate, grid.threads)
-    scanned = 0
-    first_uncertain = None
-    worst = math.inf
-    for res in results:
-        scanned += 1
-        if res.degenerate:
-            worst = 0.0
-            continue
-        if res.pattern is None or res.uncertain:
-            if first_uncertain is None:
-                first_uncertain = res
-            continue
-        if not matches(res.pattern, ALLOWED_IFR):
-            witness = RefutationWitness(res.a, res.b, res.pattern.signs,
-                                        res.pattern.witnesses, (), 0.0)
-            return Verdict(REFUTED, criterion, s, cells_scanned=scanned,
-                           witness=witness, grid=grid.to_dict(),
-                           reason="criterion pattern inadmissible; order undecided")
-    if first_uncertain is not None:
-        return Verdict(INCONCLUSIVE, criterion, s, cells_scanned=scanned,
-                       reason=f"unresolved scan at a={first_uncertain.a:.6g}, "
-                              f"b={first_uncertain.b:.6g}",
-                       grid=grid.to_dict())
-    return Verdict(SUPPORTED, criterion, s, cells_scanned=scanned,
-                   worst_margin=None if worst is math.inf else worst,
-                   grid=grid.to_dict())
+    verdict = _sweep(grid, evaluate, ALLOWED_IFR, criterion, s)
+    if verdict.refuted:
+        return replace(verdict, reason="criterion pattern inadmissible; order undecided")
+    return verdict
 
 
 def newcrit(X: Distribution, Y: Distribution, s: int,
@@ -744,8 +706,8 @@ def exponential_reference(X: Distribution, s: int,
     b_aug = tuple(sorted(set(base.b_values)
                          | {b for _, b in cells_extra} | {0.0}))
     grid_full = GridSpec(tuple(sorted(set(a_aug) | {a for a, _ in cells_extra})),
-                         b_aug, base.scan, base.threads)
-    grid_star = GridSpec(a_aug, (0.0,), base.scan, base.threads)
+                         b_aug, base.scan)
+    grid_star = GridSpec(a_aug, (0.0,), base.scan)
 
     below = compare_ifr(X, E, s, grid_full)
     above = compare_ifr(E, X, s, grid_full)

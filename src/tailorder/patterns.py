@@ -105,10 +105,6 @@ class SignPattern:
         if any(b < a for a, b in zip(self.witnesses, self.witnesses[1:])):
             raise ValueError("witnesses must be increasing")
 
-    @property
-    def n_changes(self) -> int:
-        return max(0, len(self.signs) - 1)
-
     def negated(self) -> "SignPattern":
         flip = {PLUS: MINUS, MINUS: PLUS}
         return SignPattern(

@@ -25,14 +25,11 @@ def _classify(values, eps):
 
 
 def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
-         lo: float | None = None, limit_sign: str | None = None,
-         trace: list | None = None) -> SignPattern:
+         lo: float | None = None, trace: list | None = None) -> SignPattern:
     """Sign pattern of f on (lo, x_max], sampled-confidence.
 
-    limit_sign, when supplied by a caller that knows the analytic sign of f
-    beyond x_max, appends a trailing sign (with an unbounded change bracket)
-    if it differs from the last sampled evidence.  trace, when given a list,
-    receives (x, value, sign) rows for every evaluated sample.
+    trace, when given a list, receives (x, value, sign) rows for every
+    evaluated sample.
     """
     cfg = (cfg or ScanConfig()).with_x_max(DEFAULT_X_MAX)
     lo = cfg.x_max * 1e-10 if lo is None else float(lo)
@@ -94,11 +91,6 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
         if j + 1 < len(runs):
             nxt = runs[j + 1][0]
             changes.append((float(dx[b - 1]), float(dx[nxt])))
-
-    if limit_sign is not None and limit_sign != out_signs[-1]:
-        out_signs.append(limit_sign)
-        witnesses.append(2.0 * cfg.x_max)
-        changes.append((float(dx[-1]), float("inf")))
 
     return SignPattern(tuple(out_signs), tuple(witnesses), tuple(changes), SAMPLED)
 

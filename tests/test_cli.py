@@ -119,17 +119,6 @@ class TestExecution:
                      "--exppoly", "1*e(-1)+(-1)*e(-2)", "--lo", "-5", "--hi", "5"])
         assert code == EXIT_IO
 
-    def test_threads_do_not_change_document(self, tmp_path):
-        base_args = ["compare", "--x", "maxexp(1,1)", "--y", "maxexp(1,2)",
-                     "--s", "1", "--criterion", "ifra", "--a-grid", "12"]
-        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-        assert main(["--json", str(out1), "--threads", "1"] + base_args) == EXIT_OK
-        assert main(["--json", str(out4), "--threads", "4"] + base_args) == EXIT_OK
-        d1 = json.loads(out1.read_text())
-        d4 = json.loads(out4.read_text())
-        d1.pop("runtime_ms"), d4.pop("runtime_ms")
-        assert d1 == d4
-
     def test_verdict_documents_rerun_identically(self, tmp_path):
         # re-running the embedded grid reproduces the outcome
         out = tmp_path / "verdict.json"

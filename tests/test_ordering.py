@@ -91,6 +91,21 @@ class TestCompareIfra:
         assert v.witness.pattern == ("-", "+", "-")
         assert v.witness.a == pytest.approx(2.89)
 
+    def test_sweep_stops_at_refuting_cell(self, monkeypatch):
+        calls = []
+        inner = ordering._exact_cell_pattern
+
+        def spy(*args):
+            calls.append(args[2:])
+            return inner(*args)
+
+        monkeypatch.setattr(ordering, "_exact_cell_pattern", spy)
+        X, Y = MaxExp(0.34, 1.0), MaxExp(1.0, 11.0)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 24)) + (2.89,), (0.0,))
+        v = compare_ifra(X, Y, 2, grid)
+        assert v.refuted
+        assert len(calls) == v.cells_scanned == 17 < len(grid.a_values)
+
 
 class TestCriterionH:
     def test_gamma_pair_log_form(self):
@@ -118,6 +133,23 @@ class TestCriterionH:
         for X, Y in pairs:
             if criterion_h(X, Y, 1, SMALL_POS, form="hs").supported:
                 assert not compare_ifr(X, Y, 1, SMALL_POS).refuted, (X, Y)
+
+    def test_refutation_witness_reverifies(self):
+        X, Y, s = MaxExp(1.0, 2.0), MaxExp(1.0, 1.0), 2
+        v = criterion_h(X, Y, s, SMALL_POS, form="hs")
+        assert v.refuted and v.cells_scanned == 89
+        w = v.witness
+        assert w.pattern == ("-", "+", "-")
+        assert w.a == pytest.approx(0.90474, abs=1e-5) and w.b == 0.0
+        assert len(w.values) == len(w.pattern)
+        assert w.deadband > 0
+        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+        for x, sign in zip(w.abscissae, w.pattern):
+            h = float(Y.density(x)) / ey - w.a ** s * float(X.density(w.a * x + w.b)) / ex
+            if sign == "+":
+                assert h > w.deadband
+            else:
+                assert h < -w.deadband
 
     def test_log_form_rejects_negative_intercepts(self):
         with pytest.raises(ValueError):
@@ -222,14 +254,6 @@ class TestGridSpec:
     def test_roundtrip_dict(self):
         doc = SMALL.to_dict()
         assert doc["a_values"] == list(SMALL.a_values)
-
-    def test_threaded_sweep_matches_serial(self):
-        X, Y = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0)
-        g1 = GridSpec(SMALL_POS.a_values, SMALL_POS.b_values, threads=1)
-        g4 = GridSpec(SMALL_POS.a_values, SMALL_POS.b_values, threads=4)
-        v1 = compare_ifr(X, Y, 2, g1)
-        v4 = compare_ifr(X, Y, 2, g4)
-        assert v1.to_dict() == v4.to_dict()
 
 
 class TestScanWindow:

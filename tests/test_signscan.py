@@ -1,5 +1,4 @@
 """Adaptive sign scanning, pattern matching, and the integration lemma."""
-import math
 
 import numpy as np
 import pytest
@@ -74,11 +73,6 @@ class TestScan:
         cfg = ScanConfig(x_max=10.0, initial_grid=64)
         with_bp = scan(f, cfg, breakpoints=(3.0,))
         assert "+" in with_bp.signs
-
-    def test_limit_sign_appended(self):
-        pat = scan(lambda x: np.exp(-x), ScanConfig(x_max=10.0), limit_sign="-")
-        assert pat.signs == ("+", "-")
-        assert math.isinf(pat.change_points[-1][1])
 
     def test_unset_window_defaults_to_fifty(self):
         rows = []
