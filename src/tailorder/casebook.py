@@ -55,8 +55,9 @@ class CaseResult:
         }
 
     def documents_json(self) -> str:
-        """Verdict documents only, stable across runs (no timing)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Verdict documents only, stable across runs (no timing); strict
+        JSON, so a NaN or infinite number raises ValueError."""
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 class _Recorder:

@@ -78,7 +78,7 @@ def _float17(obj):
 
 def _emit(doc: dict, json_path: str | None) -> None:
     doc = {"schema": SCHEMA_VERSION, **_float17(doc)}
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)  # strict JSON (RFC 8259)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text + "\n")

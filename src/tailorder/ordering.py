@@ -27,6 +27,7 @@ import numpy as np
 
 from .distributions import Distribution, Exponential
 from .errors import IndeterminateFunction
+from .exppoly import RATE_MERGE_REL
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 from .signscan import scan
@@ -59,10 +60,11 @@ _QUAD_DEADBAND = 1e-9
 class RefutationWitness:
     """Re-checkable evidence for a refutation: re-evaluating the scanned
     function at the abscissae reproduces the disallowed pattern beyond the
-    deadband."""
+    deadband.  a and b are None for a monotonicity check, which has no
+    affine cell."""
 
-    a: float
-    b: float
+    a: float | None
+    b: float | None
     pattern: tuple[str, ...]
     abscissae: tuple[float, ...]
     values: tuple[float, ...]
@@ -409,13 +411,44 @@ def _h_function(X, Y, s, form, a, b, ex, ey):
     raise ValueError(f"form must be one of {_H_FORMS}")
 
 
-def _h_exact_parts(X, Y, ey):
-    """The (a, b)-free pieces of the closed "hs" form: f_Y / E Y^{s-1} and
-    f_X, as exponential polynomials; None unless both tails are ones."""
+def _h_exact_parts(X, Y, s, ey):
+    """The (a, b)-free pieces of both closed H forms, keyed by form, as
+    (Y term, X term, k): the form at (a, b) is
+    Y term(x) - a^k X term(a x + b) / E X^{s-1}, with f_Y / E Y^{s-1}, f_X
+    and k = s for "hs", and tail_Y / E Y^{s-1}, tail_X and k = s - 1 for
+    "hs1", all exponential polynomials.  None unless both tails are
+    exponential polynomials."""
     px, py = X.exp_poly_tail(), Y.exp_poly_tail()
     if px is None or py is None:
         return None
-    return py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0)
+    return {"hs": (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0), s),
+            "hs1": (py.scaled(1.0 / ey), px, s - 1)}
+
+
+def _closed_h_cell(part, a, b, ex) -> _CellResult | None:
+    """Certified cell of a closed H form at b >= 0, where a x + b >= 0 on
+    all of x > 0: Y term(x) - a^k X term(a x + b) / E X^{s-1} is an
+    exponential polynomial (see _h_exact_parts).  None, so that the cell
+    keeps the sampled scan, when every X coefficient underflows or when a
+    term slower than every kept one was pruned as negligible (say, X
+    shrunk by a large b): it would have decided the sign of the tail.
+    Only terms of both sides can cancel, so a missing term of one side
+    alone was pruned."""
+    hy, hx, k = part
+    try:
+        xpart = hx.compose_affine(a, b).scaled(a ** k / ex)
+    except ValueError:
+        return None
+    closed = hy.subtract(xpart)
+    if closed is None:
+        return _degenerate(a, b)
+    tol = RATE_MERGE_REL * max(hy.rates[-1], xpart.rates[-1])
+    slowest = closed.rates[0]
+    for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
+        if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
+            return None
+    pat = closed.sign_pattern_exact(0.0)
+    return _CellResult(a, b, pat, closed.eval, uncertain=pat.uncertain)
 
 
 #: per-cell partner: the criterion asks for an admissible pattern from
@@ -433,6 +466,11 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     evidence for the order.  Refuted here refutes the criterion only: the
     order itself may still hold (one-directional test), which is why
     newcrit falls back to the characterization function when this fails.
+
+    When both tails are exponential polynomials (Exponential, MaxExp,
+    ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is decided by
+    certified root isolation (_closed_h_cell) unless its closed form cannot
+    be built without losing a term; cells with b < 0 take the sampled scan.
     """
     if form not in _H_FORMS:
         raise ValueError(f"form must be one of {_H_FORMS}")
@@ -442,18 +480,15 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     criterion = "criterion-p" if form.startswith("p") else "criterion-h"
 
     ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-    exact_parts = _h_exact_parts(X, Y, ey) if form in ("hs", "hs1") else None
+    exact_parts = _h_exact_parts(X, Y, s, ey) if form in ("hs", "hs1") else None
     cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
 
     def evaluate_form(use_form, a, b):
         # closed form only where a x + b >= 0 on all of x > 0
-        if use_form == "hs" and exact_parts is not None and b >= 0:
-            fy, fx = exact_parts
-            closed = fy.subtract(fx.compose_affine(a, b).scaled(a ** s / ex))
-            if closed is None:
-                return _degenerate(a, b)
-            pat = closed.sign_pattern_exact(0.0)
-            return _CellResult(a, b, pat, closed.eval, uncertain=pat.uncertain)
+        if exact_parts is not None and b >= 0:
+            res = _closed_h_cell(exact_parts[use_form], a, b, ex)
+            if res is not None:
+                return res
         fn = _h_function(X, Y, s, use_form, a, b, ex, ey)
         try:
             pat = scan(fn, cell_cfg(a, b), _cell_breakpoints(X, Y, a, b))
@@ -563,8 +598,7 @@ def _monotone_verdict(fn, criterion: str, s, lo: float, hi: float,
     pair_x = (float(xs[worst]), float(xs[worst + 1]))
     pair_v = (float(vals[worst]), float(vals[worst + 1]))
     wrong = "+" if want == "-" else "-"
-    witness = RefutationWitness(float("nan"), float("nan"), (wrong,),
-                                pair_x, pair_v, tol)
+    witness = RefutationWitness(None, None, (wrong,), pair_x, pair_v, tol)
     return Verdict(REFUTED, criterion, s, cells_scanned=1, witness=witness)
 
 

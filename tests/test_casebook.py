@@ -1,8 +1,10 @@
 """Casebook registry: known ids, expected outcomes, idempotence."""
+import json
+
 import pytest
 
-from tailorder import UnknownCase, run_all, run_case
-from tailorder.casebook import case_ids
+from tailorder import Exponential, UnknownCase, Weibull, convexity_check, run_all, run_case
+from tailorder.casebook import CaseResult, CheckResult, case_ids
 
 FAST_CASES = [
     "EX_POLYEXP",
@@ -39,6 +41,28 @@ def test_branched_pareto_case():
 def test_unknown_case_rejected():
     with pytest.raises(UnknownCase):
         run_case("NO_SUCH_CASE")
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")
+
+
+def _one_check(document):
+    return CaseResult("ID", "", False, (CheckResult("check", False, "", document),), 0.0)
+
+
+def test_monotone_witness_document_is_strict_json():
+    # a monotonicity check has no cell (a, b): its witness writes null
+    v = convexity_check(Exponential(1.0), Weibull(2.0, 1.0), 1)
+    assert v.refuted
+    doc = json.loads(_one_check(v.to_dict()).documents_json(), parse_constant=_reject_constant)
+    witness = doc["checks"][0]["document"]["witness"]
+    assert witness["a"] is None and witness["b"] is None
+
+
+def test_documents_json_rejects_non_finite_numbers():
+    with pytest.raises(ValueError):
+        _one_check({"value": float("nan")}).documents_json()
 
 
 def test_case_runs_are_idempotent():

@@ -69,6 +69,18 @@ class TestExecution:
             assert code == EXIT_REFUTED
             assert "witness" in doc
 
+    def test_monotone_refutation_document_is_strict_json(self, tmp_path):
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "exp(1)", "--y", "weibull(2,1)",
+                     "--s", "1", "--criterion", "convexity"])
+        assert code == EXIT_REFUTED
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON (RFC 8259)")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["witness"]["a"] is None and doc["witness"]["b"] is None
+
     def test_analyze_document(self, tmp_path):
         out = tmp_path / "classes.json"
         code = main(["--json", str(out), "analyze", "--dist", "polyexp(1)", "--s-max", "2"])

@@ -20,7 +20,7 @@ from tailorder import (
 )
 from tailorder import ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
-from tailorder.patterns import ScanConfig
+from tailorder.patterns import SAMPLED, ScanConfig
 
 SMALL = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)),
                  tuple(-np.geomspace(5.0, 0.05, 6)) + tuple(np.linspace(0.0, 6.0, 8)))
@@ -158,6 +158,101 @@ class TestCriterionH:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             criterion_h(Exponential(1.0), Exponential(1.0), 1, SMALL_POS, form="zs")
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    inner = ordering.scan
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ordering, "scan", spy)
+    return calls
+
+
+class TestClosedCriterionH:
+    """Exponential-polynomial pairs: both H forms are certified at every
+    nonnegative intercept, without sampled scans."""
+
+    PAIRS = [(MaxExp(1.0, 2.0), MaxExp(1.0, 1.0)),
+             (Exponential(1.0), MaxExp(1.0, 2.0)),
+             (MaxExp(1.0, 1.0), MaxExp(1.0, 2.0))]
+
+    @pytest.mark.parametrize("lam,s", [(0.5, 1), (2.0, 2), (3.0, 3)])
+    def test_newcrit_on_parallel_systems_makes_no_scan(self, monkeypatch, lam, s):
+        calls = _count_scans(monkeypatch)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+        v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, lam), s, grid)
+        assert v.outcome in ("supported", "refuted")
+        assert calls == []
+
+    @pytest.mark.parametrize("form", ["hs", "hs1"])
+    def test_nonnegative_intercepts_make_no_scan(self, monkeypatch, form):
+        calls = _count_scans(monkeypatch)
+        X, Y = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0)
+        grid = GridSpec.default(X, Y, negative_b=False)
+        v = criterion_h(X, Y, 2, grid, form=form)
+        assert v.supported and v.cells_scanned == len(grid.a_values) * len(grid.b_values)
+        assert calls == []
+
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("form", ["hs", "hs1"])
+    def test_closed_form_agrees_with_direct_form(self, form, s):
+        X, Y = MaxExp(1.0, 3.0), MaxExp(0.5, 2.0)
+        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+        part = ordering._h_exact_parts(X, Y, s, ey)[form]
+        xs = np.geomspace(0.01, 12.0, 15)
+        for a, b in ((0.7, 0.0), (2.5, 0.2), (1.3, 3.0)):
+            res = ordering._closed_h_cell(part, a, b, ex)
+            direct = ordering._h_function(X, Y, s, form, a, b, ex, ey)
+            np.testing.assert_allclose(res.fn(xs), direct(xs), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("form", ["hs", "hs1"])
+    @pytest.mark.parametrize("pair", range(3))
+    def test_same_verdict_as_sampled_path(self, monkeypatch, form, pair):
+        X, Y = self.PAIRS[pair]
+        closed = criterion_h(X, Y, 2, SMALL, form=form)
+        monkeypatch.setattr(ordering, "_h_exact_parts", lambda *args: None)
+        sampled = criterion_h(X, Y, 2, SMALL, form=form)
+        assert closed.outcome == sampled.outcome
+        assert closed.cells_scanned == sampled.cells_scanned
+        if sampled.witness is not None:
+            assert (closed.witness.a, closed.witness.b, closed.witness.pattern) == \
+                (sampled.witness.a, sampled.witness.b, sampled.witness.pattern)
+
+    @pytest.mark.parametrize("form", ["hs", "hs1"])
+    def test_fast_rates_at_far_negative_intercept(self, form):
+        # nothing is composed at b < 0, where exp(-r b) would overflow
+        grid = GridSpec((0.5, 1.0, 4.0), (-30.0, 0.0))
+        for X, Y in ((MaxExp(12.0, 13.0), MaxExp(1.0, 2.0)),
+                     (MaxExp(1.0, 2.0), MaxExp(12.0, 13.0))):
+            v = criterion_h(X, Y, 2, grid, form=form)
+            assert v.cells_scanned == 6
+
+    @pytest.mark.parametrize("form", ["hs", "hs1"])
+    def test_underflowing_x_term_keeps_sampled_scan(self, form):
+        # at b = 800 every X coefficient exp(-r b) underflows to 0
+        v = criterion_h(Exponential(1.0), Exponential(2.0), 1, GridSpec((1.0,), (800.0,)),
+                        form=form)
+        assert v.supported
+
+    def test_pruned_slow_term_keeps_sampled_scan(self, monkeypatch):
+        # hs1 at s = 1, a = 0.05, b = 40: e^{-10x} - e^{-40} e^{-0.05x}; the
+        # X term is below the prune threshold, yet it decides the tail, so
+        # the closed path must not certify the "+" left without it; the scan
+        # reads the same "+", but as a sampled pattern, its tail inside the
+        # deadband
+        X, Y, a, b = Exponential(1.0), Exponential(10.0), 0.05, 40.0
+        h = ordering._h_function(X, Y, 1, "hs1", a, b, 1.0, 1.0)
+        assert h(1.0) > 0 > h(10.0)
+        part = ordering._h_exact_parts(X, Y, 1, 1.0)["hs1"]
+        assert ordering._closed_h_cell(part, a, b, 1.0) is None
+        calls = _count_scans(monkeypatch)
+        assert criterion_h(X, Y, 1, GridSpec((a,), (b,)), form="hs1").supported
+        assert len(calls) == 1
+        assert ordering.scan(*calls[0]).confidence == SAMPLED
 
 
 class TestNewcrit:
