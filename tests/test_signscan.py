@@ -5,6 +5,7 @@ import pytest
 
 from tailorder import ExpPoly, IndeterminateFunction, ScanConfig, check_integration_lemma, scan
 from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, DEFAULT_X_MAX, SignPattern, matches
+from tailorder.signscan import _merged, _scan_row, _stable_slots
 
 
 class TestScan:
@@ -89,6 +90,53 @@ class TestScan:
         assert len(rows) >= 64
         xs = [r[0] for r in rows]
         assert all(s in ("+", "-", "0") for _, _, s in rows)
+
+
+class TestRowScan:
+    def test_cells_keep_their_own_grid_deadband_and_depth(self):
+        def F(x, c, r):
+            return c * (x - r) * (x - 2.0 * r)
+
+        cells = [((1.0, 1.0), ScanConfig(x_max=10.0), ()),
+                 ((1e-15, 0.5), ScanConfig(x_max=4.0, initial_grid=64), (0.7,)),
+                 ((1e6, 3.0), ScanConfig(x_max=50.0, max_refinement_depth=2), ()),
+                 ((0.0, 1.0), ScanConfig(x_max=10.0), ()),
+                 ((-2.0, 0.25), ScanConfig(x_max=10.0, deadband_abs=1e-3), (0.3, 0.6))]
+        row = _scan_row(F, cells)
+        assert isinstance(row[3], IndeterminateFunction)
+        for (params, cfg, bps), got in zip(cells, row):
+            try:
+                alone = scan(lambda x: F(x, *params), cfg, bps)
+            except IndeterminateFunction:
+                assert isinstance(got, IndeterminateFunction)
+                continue
+            assert got == alone
+            assert len(got.signs) == 3
+
+
+class TestRowMerge:
+    def test_midpoints_merge_like_a_stable_lexsort(self):
+        # samples sorted by (cell, x) with repeated abscissae; each midpoint
+        # lies between the samples at a boundary and may tie either one
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            sizes = rng.integers(2, 9, 3)
+            cell = np.repeat(np.arange(3), sizes)
+            xs = np.concatenate([np.sort(rng.integers(0, 6, n)).astype(float) for n in sizes])
+            edges = np.nonzero((cell[:-1] == cell[1:]) & (xs[:-1] < xs[1:]))[0]
+            if not edges.size:
+                continue
+            boundary = np.sort(rng.choice(edges, rng.integers(1, edges.size + 1), replace=False))
+            pick = rng.integers(0, 3, boundary.size)
+            mids = np.choose(pick, [xs[boundary], xs[boundary + 1],
+                                    0.5 * (xs[boundary] + xs[boundary + 1])])
+            mcell = cell[boundary]
+            origin = np.arange(xs.size + mids.size)
+            slots = _stable_slots(xs, cell, boundary + 1, mids, mcell)
+            got = _merged(((xs, mids), (cell, mcell), (origin[:xs.size], origin[xs.size:])),
+                          slots)
+            order = np.lexsort((np.concatenate([xs, mids]), np.concatenate([cell, mcell])))
+            assert np.array_equal(got[2], order)
 
 
 class TestMatches:
