@@ -46,7 +46,6 @@ from .errors import (
 from .exppoly import ExpPoly, RootReport
 from .iteration import IteratedTail, iterate, iterated_moment, residual_partial_moment
 from .ordering import (
-    ExponentialReference,
     GridSpec,
     RefutationWitness,
     Verdict,
@@ -55,7 +54,6 @@ from .ordering import (
     compare_ifra,
     convexity_check,
     criterion_h,
-    exponential_reference,
     newcrit,
 )
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, ScanConfig, SignPattern, matches
@@ -75,7 +73,6 @@ __all__ = [
     "ExpPoly",
     "ExpPolyTail",
     "Exponential",
-    "ExponentialReference",
     "Gamma",
     "GridSpec",
     "HolderBounds",
@@ -108,7 +105,6 @@ __all__ = [
     "convexity_check",
     "criterion_h",
     "dfr_onset",
-    "exponential_reference",
     "failure_rate",
     "holder_bounds",
     "iterate",

@@ -3,7 +3,9 @@
 Terms are kept sorted by increasing decay rate, so the first term is the
 slowest-decaying one and fixes the sign at +infinity.  The number of real
 zeros of such a sum is bounded by the number of strict sign alternations in
-the coefficient sequence taken in that order; root isolation below uses a
+the coefficient sequence taken in that order, and the number on x > 0 also
+by those of its partial sums; where these bounds fix the sign sequence, it
+is read off them without isolating a root.  Root isolation below uses a
 Rolle-style recursion whose depth equals the term count minus one, with no
 numerical differentiation anywhere.
 """
@@ -31,6 +33,7 @@ ROOT_WIDTH = 1e-12
 TOUCH_REL = 5e-13
 
 _EXP_LO, _EXP_HI = -745.0, 709.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _exp(z):
@@ -62,7 +65,7 @@ def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
         if abs(c) < PRUNE_REL * top:
             # pure cancellation residue (a few ulps) is routine; anything
             # larger deserves attention
-            level = logging.DEBUG if abs(c) < 100 * np.finfo(float).eps * top \
+            level = logging.DEBUG if abs(c) < 100 * _EPS * top \
                 else logging.WARNING
             logger.log(level, "pruning negligible coefficient %.3e at rate %.6g", c, r)
             continue
@@ -149,8 +152,7 @@ class ExpPoly:
     def sign_change_bound(self) -> int:
         """Strict alternations of coefficient signs, terms ordered by
         increasing rate.  Bounds the number of real zeros."""
-        signs = [math.copysign(1.0, c) for c in self.coefficients]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes(self.coefficients)
 
     def dominance_horizon(self, start: float = 0.0) -> float:
         """Smallest verified x >= start beyond which the slowest-decaying
@@ -243,6 +245,40 @@ class ExpPoly:
         return SignPattern(tuple(signs), tuple(witnesses), tuple(changes),
                            EXACT, uncertain)
 
+    def sign_pattern_by_rule(self) -> SignPattern | None:
+        """Sign sequence on (0, inf) read off the coefficient signs, or None
+        when they do not fix it.  No root is isolated.
+
+        The zeros on (0, inf), counted with multiplicity, number at most the
+        sign changes of the coefficients (Descartes' rule for exponential
+        sums) and at most those of the partial sums A_k = c_0 + ... + c_k
+        (Laguerre): f(x) = x * integral of A(mu) exp(-mu x) dmu, A the step
+        function equal to A_k on [r_k, r_{k+1}), and the Laplace kernel
+        diminishes variation.  Their count on (lo, inf), lo the left end
+        sign_pattern_exact(0.0) uses, has the parity of a sign change
+        between f(lo) and c_0, the sign at infinity.  A bound below that
+        parity plus 2 leaves the parity as the count: no zero, or one
+        crossing, bracketed by lo and a point beyond the dominance horizon.
+        """
+        coefs = self.coefficients
+        bound = self.sign_change_bound()
+        partial = _partial_sum_changes(coefs)
+        if partial is not None:
+            bound = min(bound, partial)
+        lo = ROOT_WIDTH
+        val, scale = _eval_scale(_terms(coefs, self.rates), lo)
+        if not abs(val) > TOUCH_REL * scale:  # a nan value lands here too
+            return None
+        head = "+" if val > 0 else "-"
+        tail = "+" if coefs[0] > 0 else "-"
+        crossing = head != tail
+        if bound >= crossing + 2:
+            return None
+        if not crossing:
+            return SignPattern((tail,), (lo,), (), EXACT)
+        hi = max(self.dominance_horizon(0.0) + 1.0, lo + 1.0)
+        return SignPattern((head, tail), (lo, hi), ((lo, hi),), EXACT)
+
 
 @dataclass(frozen=True)
 class RootReport:
@@ -273,6 +309,27 @@ class RootReport:
 # summing in another order (numpy batching does both) would move isolated
 # roots and, with them, the verdict documents.  The same holds for the
 # np.exp calls in ExpPoly.eval and dominance_horizon.
+
+
+def _sign_changes(values) -> int:
+    """Strict sign alternations along a sequence of nonzero numbers."""
+    signs = [math.copysign(1.0, v) for v in values]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _partial_sum_changes(coefs) -> int | None:
+    """Sign changes of the partial sums c_0 + ... + c_k, or None when one
+    of them lies within the rounding noise of its summation (k + 1 ulps of
+    the running sum of |c_j|), so that its sign is unknown."""
+    sums = []
+    total = size = 0.0
+    for k, c in enumerate(coefs):
+        total += c
+        size += abs(c)
+        if abs(total) <= (k + 1) * _EPS * size:
+            return None
+        sums.append(total)
+    return _sign_changes(sums)
 
 
 def _terms(coefs, rates):

@@ -25,15 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution, Exponential
+from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import RATE_MERGE_REL
+from .exppoly import RATE_MERGE_REL, ExpPoly
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
 # benchmark's tracer (perfbench/tracing.py) wraps and checks that binding
 from .signscan import _scan_row, scan  # noqa: F401
-from . import ageing
 
 __all__ = [
     "Verdict",
@@ -45,8 +44,6 @@ __all__ = [
     "newcrit",
     "compare_dmrl",
     "convexity_check",
-    "exponential_reference",
-    "ExponentialReference",
 ]
 
 SUPPORTED = "supported"
@@ -432,15 +429,15 @@ def _h_exact_parts(X, Y, s, ey):
             "hs1": (py.scaled(1.0 / ey), px, s - 1)}
 
 
-def _closed_h_cell(part, a, b, ex) -> _CellResult | None:
-    """Certified cell of a closed H form at b >= 0, where a x + b >= 0 on
-    all of x > 0: Y term(x) - a^k X term(a x + b) / E X^{s-1} is an
-    exponential polynomial (see _h_exact_parts).  None, so that the cell
-    keeps the sampled scan, when every X coefficient underflows or when a
-    term slower than every kept one was pruned as negligible (say, X
-    shrunk by a large b): it would have decided the sign of the tail.
-    Only terms of both sides can cancel, so a missing term of one side
-    alone was pruned."""
+def _closed_h_form(part, a, b, ex) -> ExpPoly | _CellResult | None:
+    """Closed H form at b >= 0, where a x + b >= 0 on all of x > 0:
+    Y term(x) - a^k X term(a x + b) / E X^{s-1} as an exponential
+    polynomial (see _h_exact_parts), or a degenerate cell when it cancels.
+    None, so that the cell keeps the sampled scan, when every X coefficient
+    underflows or when a term slower than every kept one was pruned as
+    negligible (say, X shrunk by a large b): it would have decided the sign
+    of the tail.  Only terms of both sides can cancel, so a missing term of
+    one side alone was pruned."""
     hy, hx, k = part
     try:
         xpart = hx.compose_affine(a, b).scaled(a ** k / ex)
@@ -454,8 +451,7 @@ def _closed_h_cell(part, a, b, ex) -> _CellResult | None:
     for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
         if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
             return None
-    pat = closed.sign_pattern_exact(0.0)
-    return _CellResult(a, b, pat, closed.eval, uncertain=pat.uncertain)
+    return closed
 
 
 #: per-cell partner: the criterion asks for an admissible pattern from
@@ -475,9 +471,12 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     newcrit falls back to the characterization function when this fails.
 
     When both tails are exponential polynomials (Exponential, MaxExp,
-    ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is decided by
-    certified root isolation (_closed_h_cell) unless its closed form cannot
-    be built without losing a term; cells with b < 0 take the sampled scan.
+    ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is certified on
+    its closed form (_closed_h_form) unless that cannot be built without
+    losing a term; cells with b < 0 take the sampled scan.  A closed cell
+    passes on the coefficient signs of the chosen form, or else of its
+    partner, where they fix the pattern (ExpPoly.sign_pattern_by_rule);
+    only the other closed cells isolate roots, the chosen form first.
     """
     if form not in _H_FORMS:
         raise ValueError(f"form must be one of {_H_FORMS}")
@@ -487,29 +486,58 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     exact_parts = _h_exact_parts(X, Y, s, ey)
     cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
     rows = {f: _h_row(X, Y, s, f, ex, ey) for f in _H_FORMS}
-
-    def evaluate_form(use_form, a, bs):
-        # closed form only where a x + b >= 0 on all of x > 0; one row scan
-        # for the other cells
-        out = [_closed_h_cell(exact_parts[use_form], a, b, ex)
-               if exact_parts is not None and b >= 0 else None for b in bs]
-        rest = [i for i, res in enumerate(out) if res is None]
-        if rest:
-            H, k = rows[use_form]
-            coef = a ** k
-            scanned = _scan_row(H, [((a, bs[i], coef), cell_cfg(a, bs[i]),
-                                     _cell_breakpoints(X, Y, a, bs[i])) for i in rest])
-            for i, pat in zip(rest, scanned):
-                out[i] = _scanned_cell(a, bs[i], pat,
-                                       _h_function(X, Y, s, use_form, a, bs[i], ex, ey))
-        return out
+    forms = (form, _PARTNER_FORM[form])
 
     def evaluate(a, bs):
-        out = evaluate_form(form, a, bs)
-        failed = [i for i, res in enumerate(out) if not (
-            res.degenerate or res.uncertain or matches(res.pattern, ALLOWED_IFR))]
+        built = {}
+
+        def closed(use_form, b):
+            # the closed form, where a x + b >= 0 on all of x > 0, built at
+            # most once per cell and form
+            if (use_form, b) not in built:
+                built[use_form, b] = None if exact_parts is None or b < 0 \
+                    else _closed_h_form(exact_parts[use_form], a, b, ex)
+            return built[use_form, b]
+
+        def by_rule(b):
+            # the first form whose coefficient signs fix its pattern decides
+            # the cell; every pattern they fix is admissible
+            for use_form in forms:
+                c = closed(use_form, b)
+                if not isinstance(c, ExpPoly):
+                    return None
+                pat = c.sign_pattern_by_rule()
+                if pat is not None:
+                    return _CellResult(a, b, pat, c.eval)
+            return None
+
+        def evaluate_form(use_form, cell_bs):
+            # closed forms by root isolation, one row scan for the others
+            out = [closed(use_form, b) for b in cell_bs]
+            for i, c in enumerate(out):
+                if isinstance(c, ExpPoly):
+                    pat = c.sign_pattern_exact(0.0)
+                    out[i] = _CellResult(a, cell_bs[i], pat, c.eval, uncertain=pat.uncertain)
+            rest = [i for i, res in enumerate(out) if res is None]
+            if rest:
+                H, k = rows[use_form]
+                coef = a ** k
+                scanned = _scan_row(H, [((a, cell_bs[i], coef), cell_cfg(a, cell_bs[i]),
+                                         _cell_breakpoints(X, Y, a, cell_bs[i]))
+                                        for i in rest])
+                for i, pat in zip(rest, scanned):
+                    out[i] = _scanned_cell(a, cell_bs[i], pat, _h_function(
+                        X, Y, s, use_form, a, cell_bs[i], ex, ey))
+            return out
+
+        out = [by_rule(b) for b in bs]
+        rest = [i for i, res in enumerate(out) if res is None]
+        for i, res in zip(rest, evaluate_form(form, [bs[i] for i in rest])):
+            out[i] = res
+        failed = [i for i in rest if not (
+            out[i].degenerate or out[i].uncertain or matches(out[i].pattern, ALLOWED_IFR))]
         if failed:
-            partner = evaluate_form(_PARTNER_FORM[form], a, [bs[i] for i in failed])
+            partner = evaluate_form(forms[1], [bs[i] for i in failed])
             for i, other in zip(failed, partner):
                 if other.degenerate or (not other.uncertain
                                         and matches(other.pattern, ALLOWED_IFR)):
@@ -671,101 +699,3 @@ def convexity_check(X: Distribution, Y: Distribution, s: int,
 
     return _monotone_verdict(slope_at_level, "convexity", s, 1e-6, 1.0 - 1e-6, "-",
                              cfg=cfg)
-
-
-@dataclass(frozen=True)
-class ExponentialReference:
-    """Order-vs-exponential checks cross-validated against the classifier."""
-
-    s: int
-    below: Verdict
-    above: Verdict
-    below_star: Verdict
-    above_star: Verdict
-    ifr_class: "ageing.MonotoneClass"
-    ifra_class: "ageing.MonotoneClass"
-    consistent: bool
-    discrepancy: str | None = None
-
-
-def _reference_candidates(X: Distribution, s: int, cls_ifr, cls_ifra):
-    """Slopes and cells, derived from classifier turning points, at which
-    the order-vs-exponential scans can falsify a non-monotone instance.
-
-    Against a unit exponential the transform is c(x) = -log tail_s(x) with
-    slope equal to the iterated rate, and the averaged rate t = c(x)/x is
-    the star-shape profile; levels between consecutive local extremes of t
-    give refuting slopes a = 1/level, and secants through turning points of
-    c give refuting (a, b) lines."""
-    it = iterate(X, s)
-
-    def c(x):
-        return -float(it.log_tail(np.asarray(x, dtype=float)))
-
-    a_extra: list[float] = []
-    cells_extra: list[tuple[float, float]] = []
-    turn_x = [w for w, _ in cls_ifra.turning_witnesses]
-    turn_x += [0.5 * (lo + hi) for lo, hi in cls_ifra.change_points]
-    if turn_x:
-        turn_x = sorted(set(turn_x))
-        hi = it.quantile_horizon(1e-8)
-        levels = [c(x) / x for x in turn_x] + [c(hi) / hi]
-        levels = sorted(levels)
-        mids = [0.5 * (u + v) for u, v in zip(levels, levels[1:])]
-        a_extra = [1.0 / m for m in mids if m > 0]
-    rate_turns = sorted({w for w, _ in cls_ifr.turning_witnesses}
-                        | {0.5 * (lo + hi) for lo, hi in cls_ifr.change_points})
-    for x1, x2 in zip(rate_turns, rate_turns[1:]):
-        if x2 - x1 <= 0:
-            continue
-        a = (c(x2) - c(x1)) / (x2 - x1)
-        if a <= 0:
-            continue
-        b = c(x1) - a * x1
-        for jitter in (0.0, 1e-3, -1e-3):
-            cells_extra.append((a, b + jitter * max(1.0, abs(b))))
-    return a_extra, cells_extra
-
-
-def exponential_reference(X: Distribution, s: int,
-                          cfg: ScanConfig | None = None,
-                          grid: GridSpec | None = None) -> ExponentialReference:
-    """Compare X with the unit exponential in both directions and check the
-    outcomes against the monotonicity classifier: being below (above) the
-    exponential is equivalent to increasing (decreasing) iterated rate.
-
-    The grids are augmented with slopes and secant lines derived from the
-    classifier's turning points, because the refuting windows against an
-    exponential reference can be arbitrarily narrow."""
-    E = Exponential(1.0)
-    cls_ifr = ageing.classify_ifr(X, s, cfg)
-    cls_ifra = ageing.classify_ifra(X, s, cfg)
-    a_extra, cells_extra = _reference_candidates(X, s, cls_ifr, cls_ifra)
-
-    base = grid or GridSpec.default(X, E)
-    a_aug = tuple(sorted(set(base.a_values) | set(a_extra)))
-    b_aug = tuple(sorted(set(base.b_values)
-                         | {b for _, b in cells_extra} | {0.0}))
-    grid_full = GridSpec(tuple(sorted(set(a_aug) | {a for a, _ in cells_extra})),
-                         b_aug, base.scan)
-    grid_star = GridSpec(a_aug, (0.0,), base.scan)
-
-    below = compare_ifr(X, E, s, grid_full)
-    above = compare_ifr(E, X, s, grid_full)
-    below_star = compare_ifra(X, E, s, grid_star)
-    above_star = compare_ifra(E, X, s, grid_star)
-
-    expect = {
-        ageing.INCREASING: (True, False),
-        ageing.DECREASING: (False, True),
-        ageing.CONSTANT: (True, True),
-        ageing.NON_MONOTONE: (False, False),
-    }[cls_ifr.verdict]
-    got = (below.supported, above.supported)
-    consistent = got == expect
-    note = None
-    if not consistent:
-        note = (f"classifier says {cls_ifr.verdict} but order-vs-exponential "
-                f"gave below={below.outcome}, above={above.outcome}")
-    return ExponentialReference(s, below, above, below_star, above_star,
-                                cls_ifr, cls_ifra, consistent, note)

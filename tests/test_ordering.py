@@ -1,24 +1,28 @@
 """Pairwise order checks: pattern sweeps, criteria, DMRL, convexity."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from tailorder import (
     BranchedPareto,
+    Distribution,
+    ExpPoly,
     Exponential,
     Gamma,
     GridSpec,
     MaxExp,
     PolyExpExample,
+    Verdict,
     Weibull,
     compare_dmrl,
     compare_ifr,
     compare_ifra,
     convexity_check,
     criterion_h,
-    exponential_reference,
     newcrit,
 )
-from tailorder import ordering
+from tailorder import ageing, ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
 from tailorder.errors import IndeterminateFunction
 from tailorder.iteration import iterate
@@ -189,13 +193,70 @@ def _count_scans(monkeypatch):
     return calls
 
 
+def _count_isolations(monkeypatch):
+    """A one-entry list counting ExpPoly.sign_pattern_exact calls."""
+    calls = [0]
+    inner = ExpPoly.sign_pattern_exact
+
+    def spy(self, *args, **kwargs):
+        calls[0] += 1
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExpPoly, "sign_pattern_exact", spy)
+    return calls
+
+
 class TestClosedCriterionH:
     """Exponential-polynomial pairs: both H forms are certified at every
     nonnegative intercept, without sampled scans."""
 
     PAIRS = [(MaxExp(1.0, 2.0), MaxExp(1.0, 1.0)),
              (Exponential(1.0), MaxExp(1.0, 2.0)),
-             (MaxExp(1.0, 1.0), MaxExp(1.0, 2.0))]
+             (MaxExp(1.0, 1.0), MaxExp(1.0, 2.0)),
+             (MaxExp(1.0, 2.0), Exponential(1.0)),
+             (MaxExp(1.0, 1.0), MaxExp(1.0, 4.0)),
+             (MaxExp(0.5, 2.0), MaxExp(1.0, 3.0))]
+    #: 0.905 is a slope at which several pairs refute, at b < 0 on sampled
+    #: cells and at b = 0 on closed ones
+    SLOPES = tuple(np.geomspace(0.25, 4.0, 9)) + (0.905,)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_newcrit_isolates_few_cells(self, monkeypatch, s):
+        # the 12 x 4 grid of the certified benchmark workload: 12 star-shape
+        # cells, then the criterion-h cells whose coefficient signs do not
+        # fix a pattern in either form (before the rule: 78 isolations)
+        calls = _count_isolations(monkeypatch)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+        v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
+        assert v.supported and v.cells_scanned == 60
+        assert calls[0] <= 16
+
+    @pytest.mark.parametrize("b_values", [(-0.16, -0.05, -0.01, 0.0, 1.0, 4.0),
+                                          (0.0, 1.0, 4.0)])
+    @pytest.mark.parametrize("pair", range(6))
+    def test_sign_rule_keeps_every_verdict(self, monkeypatch, pair, b_values):
+        # the rule passes cells only; every refutation, its cell and its
+        # witness come from root isolation or the sampled scan as before
+        X, Y = self.PAIRS[pair]
+        grid = GridSpec(self.SLOPES, b_values)
+        cases = [(s, form) for s in (1, 2, 3) for form in ("hs", "hs1")]
+        with_rule = [criterion_h(X, Y, s, grid, form=form) for s, form in cases]
+        monkeypatch.setattr(ExpPoly, "sign_pattern_by_rule", lambda self: None)
+        for (s, form), v in zip(cases, with_rule):
+            assert v.to_dict() == criterion_h(X, Y, s, grid, form=form).to_dict(), (s, form)
+
+    def test_partner_signs_pass_a_cell_the_chosen_form_must_isolate(self, monkeypatch):
+        X, Y, s, a, b = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, 0.05, 8.0 / 3.0
+        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+        parts = ordering._h_exact_parts(X, Y, s, ey)
+        hs = ordering._closed_h_form(parts["hs"], a, b, ex)
+        hs1 = ordering._closed_h_form(parts["hs1"], a, b, ex)
+        assert hs.sign_pattern_by_rule() is None
+        assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
+        assert hs1.sign_pattern_by_rule().signs == ("+", "-")
+        calls = _count_isolations(monkeypatch)
+        assert criterion_h(X, Y, s, GridSpec((a,), (b,)), form="hs").supported
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("lam,s", [(0.5, 1), (2.0, 2), (3.0, 3)])
     def test_newcrit_on_parallel_systems_makes_no_scan(self, monkeypatch, lam, s):
@@ -222,9 +283,9 @@ class TestClosedCriterionH:
         part = ordering._h_exact_parts(X, Y, s, ey)[form]
         xs = np.geomspace(0.01, 12.0, 15)
         for a, b in ((0.7, 0.0), (2.5, 0.2), (1.3, 3.0)):
-            res = ordering._closed_h_cell(part, a, b, ex)
+            closed = ordering._closed_h_form(part, a, b, ex)
             direct = ordering._h_function(X, Y, s, form, a, b, ex, ey)
-            np.testing.assert_allclose(res.fn(xs), direct(xs), rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(closed.eval(xs), direct(xs), rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("form", ["hs", "hs1"])
     @pytest.mark.parametrize("pair", range(3))
@@ -265,7 +326,7 @@ class TestClosedCriterionH:
         h = ordering._h_function(X, Y, 1, "hs1", a, b, 1.0, 1.0)
         assert h(1.0) > 0 > h(10.0)
         part = ordering._h_exact_parts(X, Y, 1, 1.0)["hs1"]
-        assert ordering._closed_h_cell(part, a, b, 1.0) is None
+        assert ordering._closed_h_form(part, a, b, 1.0) is None
         calls = _count_scans(monkeypatch)
         assert criterion_h(X, Y, 1, GridSpec((a,), (b,)), form="hs1").supported
         assert len(calls) == 1
@@ -328,6 +389,109 @@ class TestConvexity:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             convexity_check(Exponential(1.0), Exponential(1.0), 1, mode="affine")
+
+
+# ----------------------------------------------------------------------
+# order against a unit exponential, cross-checked with the classifier
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExponentialReference:
+    """Order-vs-exponential checks cross-validated against the classifier."""
+
+    s: int
+    below: Verdict
+    above: Verdict
+    below_star: Verdict
+    above_star: Verdict
+    ifr_class: ageing.MonotoneClass
+    ifra_class: ageing.MonotoneClass
+    consistent: bool
+    discrepancy: str | None = None
+
+
+def _reference_candidates(X: Distribution, s: int, cls_ifr, cls_ifra):
+    """Slopes and cells, derived from classifier turning points, at which
+    the order-vs-exponential scans can falsify a non-monotone instance.
+
+    Against a unit exponential the transform is c(x) = -log tail_s(x) with
+    slope equal to the iterated rate, and the averaged rate t = c(x)/x is
+    the star-shape profile; levels between consecutive local extremes of t
+    give refuting slopes a = 1/level, and secants through turning points of
+    c give refuting (a, b) lines."""
+    it = iterate(X, s)
+
+    def c(x):
+        return -float(it.log_tail(np.asarray(x, dtype=float)))
+
+    a_extra: list[float] = []
+    cells_extra: list[tuple[float, float]] = []
+    turn_x = [w for w, _ in cls_ifra.turning_witnesses]
+    turn_x += [0.5 * (lo + hi) for lo, hi in cls_ifra.change_points]
+    if turn_x:
+        turn_x = sorted(set(turn_x))
+        hi = it.quantile_horizon(1e-8)
+        levels = [c(x) / x for x in turn_x] + [c(hi) / hi]
+        levels = sorted(levels)
+        mids = [0.5 * (u + v) for u, v in zip(levels, levels[1:])]
+        a_extra = [1.0 / m for m in mids if m > 0]
+    rate_turns = sorted({w for w, _ in cls_ifr.turning_witnesses}
+                        | {0.5 * (lo + hi) for lo, hi in cls_ifr.change_points})
+    for x1, x2 in zip(rate_turns, rate_turns[1:]):
+        if x2 - x1 <= 0:
+            continue
+        a = (c(x2) - c(x1)) / (x2 - x1)
+        if a <= 0:
+            continue
+        b = c(x1) - a * x1
+        for jitter in (0.0, 1e-3, -1e-3):
+            cells_extra.append((a, b + jitter * max(1.0, abs(b))))
+    return a_extra, cells_extra
+
+
+def exponential_reference(X: Distribution, s: int,
+                          cfg: ScanConfig | None = None,
+                          grid: GridSpec | None = None) -> ExponentialReference:
+    """Compare X with the unit exponential in both directions and check the
+    outcomes against the monotonicity classifier: being below (above) the
+    exponential is equivalent to increasing (decreasing) iterated rate.
+
+    The grids are augmented with slopes and secant lines derived from the
+    classifier's turning points, because the refuting windows against an
+    exponential reference can be arbitrarily narrow."""
+    E = Exponential(1.0)
+    cls_ifr = ageing.classify_ifr(X, s, cfg)
+    cls_ifra = ageing.classify_ifra(X, s, cfg)
+    a_extra, cells_extra = _reference_candidates(X, s, cls_ifr, cls_ifra)
+
+    base = grid or GridSpec.default(X, E)
+    a_aug = tuple(sorted(set(base.a_values) | set(a_extra)))
+    b_aug = tuple(sorted(set(base.b_values)
+                         | {b for _, b in cells_extra} | {0.0}))
+    grid_full = GridSpec(tuple(sorted(set(a_aug) | {a for a, _ in cells_extra})),
+                         b_aug, base.scan)
+    grid_star = GridSpec(a_aug, (0.0,), base.scan)
+
+    below = compare_ifr(X, E, s, grid_full)
+    above = compare_ifr(E, X, s, grid_full)
+    below_star = compare_ifra(X, E, s, grid_star)
+    above_star = compare_ifra(E, X, s, grid_star)
+
+    expect = {
+        ageing.INCREASING: (True, False),
+        ageing.DECREASING: (False, True),
+        ageing.CONSTANT: (True, True),
+        ageing.NON_MONOTONE: (False, False),
+    }[cls_ifr.verdict]
+    got = (below.supported, above.supported)
+    consistent = got == expect
+    note = None
+    if not consistent:
+        note = (f"classifier says {cls_ifr.verdict} but order-vs-exponential "
+                f"gave below={below.outcome}, above={above.outcome}")
+    return ExponentialReference(s, below, above, below_star, above_star,
+                                cls_ifr, cls_ifra, consistent, note)
 
 
 class TestExponentialReference:
