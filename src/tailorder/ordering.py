@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
 from typing import Callable
 
@@ -176,19 +177,34 @@ class GridSpec:
 
 
 # ----------------------------------------------------------------------
-# cell machinery
+# comparison forms and cell machinery
 # ----------------------------------------------------------------------
 
 
-def _v_row(TX: IteratedTail, TY: IteratedTail):
-    """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b) of many cells at once: a
-    and b hold each point's cell (scalars for one cell)."""
-    def V(x, a, b):
+def _difference(fy, fx, ey: float, ex: float):
+    """F(x, a, b, coef) = fy(x)/ey - coef fx(a x + b)/ex of many cells at
+    once: a, b and coef hold each point's cell (scalars for one cell)."""
+    def F(x, a, b, coef):
         xa = np.asarray(x, dtype=float)
-        return np.asarray(TY.eval_tail(xa), dtype=float) \
-            - np.asarray(TX.eval_tail(a * xa + b), dtype=float)
+        y = np.asarray(fy(xa), dtype=float)
+        xs = coef * np.asarray(fx(a * xa + b), dtype=float)
+        # dividing by a normalizer of 1 (V's, the H forms' at s = 1) is exact: skip it
+        return (y if ey == 1.0 else y / ey) - (xs if ex == 1.0 else xs / ex)
 
-    return V
+    return F
+
+
+def _density(d: Distribution):
+    """The density of d, vectorized, 0 at negative arguments."""
+    def f(arg):
+        arg = np.asarray(arg, dtype=float)
+        out = np.zeros(arg.shape)
+        pos = arg >= 0
+        if np.any(pos):
+            out[pos] = d.density(arg[pos])
+        return out
+
+    return f
 
 
 def _cell_breakpoints(X, Y, a: float, b: float):
@@ -227,58 +243,146 @@ def _scan_config_per_cell(x_side, y_side, X: Distribution, Y: Distribution,
     return config
 
 
-def _exact_cell_pattern(TX: IteratedTail, TY: IteratedTail,
-                        a: float, b: float) -> SignPattern | None:
-    """Certified pattern of V when both iterated tails are exponential
-    polynomials.  For b < 0 the X side is identically 1 on (0, -b/a], where
-    V < 0 strictly; the polynomial pattern started at -b/a begins with that
-    same negative sign, so it is the full pattern."""
-    if TX.poly is None or TY.poly is None:
-        return None
-    diff = TY.poly.subtract(TX.poly.compose_affine(a, b))
-    start = max(0.0, -b / a)
-    if diff is None:
-        if b >= 0:
-            return SignPattern((), (), (), EXACT)
-        return SignPattern(("-",), (start / 2.0,), (), EXACT)
-    return diff.sign_pattern_exact(start)
+@dataclass(frozen=True)
+class _Form:
+    """A comparison function of the one shape every sweep scans: the Y side
+    at x minus a^k times the X side at a x + b, each side over its
+    normalizer.  At cell (a, b) it is x -> F(x, a, b, a ** k); V is the
+    tail case, with k = 0 and both normalizers 1.
+
+    sides is (Y side / its normalizer, X side) as exponential polynomials,
+    or None unless both are; ex is the X side's normalizer.  left is the
+    sign of the form on (0, -b/a] at b < 0, where a x + b <= 0, when it is
+    fixed there and the form's pattern from -b/a on begins with it: "-"
+    for V, whose X side is 1 there.  None leaves the cells with b < 0 to
+    the sampled scan.  cfg(a, b) and bps(a, b) are a cell's scan
+    configuration and breakpoints."""
+
+    F: Callable
+    k: int
+    ex: float
+    sides: tuple[ExpPoly, ExpPoly] | None
+    left: str | None
+    cfg: Callable
+    bps: Callable
+
+    def __call__(self, x, a: float, b: float):
+        return self.F(x, a, b, a ** self.k)
+
+
+def _v_form(TX: IteratedTail, TY: IteratedTail, template: ScanConfig | None) -> _Form:
+    """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b).  Quadrature-backed tails
+    get an absolute deadband so integration noise cannot fabricate signs."""
+    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
+    sides = None if TX.poly is None or TY.poly is None else (TY.poly, TX.poly)
+    return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), 0, 1.0, sides, "-",
+                 _scan_config_per_cell(TX, TY, TX.base, TY.base, template, dead_abs),
+                 partial(_cell_breakpoints, TX.base, TY.base))
+
+
+def _h_forms(X: Distribution, Y: Distribution, s: int,
+             template: ScanConfig | None) -> dict[str, _Form]:
+    """The density form "hs", H_s(x) = f_Y(x)/E Y^{s-1} - a^s f_X(a x + b)
+    /E X^{s-1}, and the survival form "hs1", the same with tails and
+    a^{s-1}; their sides are f_Y, f_X and tail_Y, tail_X, exponential
+    polynomials when both tails are."""
+    ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
+    px, py = X.exp_poly_tail(), Y.exp_poly_tail()
+    closed = px is not None and py is not None
+    cfg = _scan_config_per_cell(X, Y, X, Y, template)
+    bps = partial(_cell_breakpoints, X, Y)
+    return {
+        "hs": _Form(_difference(_density(Y), _density(X), ey, ex), s, ex,
+                    (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0))
+                    if closed else None, None, cfg, bps),
+        "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), s - 1, ex,
+                     (py.scaled(1.0 / ey), px) if closed else None, None, cfg, bps),
+    }
 
 
 @dataclass(frozen=True)
 class _CellResult:
-    """One evaluated cell.  fn is the function whose pattern was taken, so
-    a disallowed pattern can be re-verified at its witnesses; margin, when
-    the evaluator reports one, is the smallest |fn| at the witnesses of a
-    passing cell.  A degenerate cell (fn zero within the deadband: X and Y
-    indistinguishable there) passes with margin 0."""
+    """One evaluated cell.  form is the function whose pattern was taken,
+    so a disallowed pattern can be re-verified, and a passing one measured,
+    at its witnesses.  A degenerate cell (form zero within the deadband: X
+    and Y indistinguishable there) passes with margin 0."""
 
     a: float
     b: float
     pattern: SignPattern | None
-    fn: Callable | None = None
+    form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
-    margin: float | None = None
 
 
 def _degenerate(a: float, b: float) -> _CellResult:
-    return _CellResult(a, b, None, degenerate=True, margin=0.0)
+    return _CellResult(a, b, None, degenerate=True)
 
 
-def _scanned_cell(a: float, b: float, pattern, fn, margin=None) -> _CellResult:
-    """Cell result of a pattern, or of the IndeterminateFunction of a cell
-    zero within the deadband."""
-    if isinstance(pattern, IndeterminateFunction):
-        return _degenerate(a, b)
-    return _CellResult(a, b, pattern, fn, uncertain=pattern.uncertain, margin=margin)
+def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | None:
+    """The form at (a, b) as an exponential polynomial on x > max(0, -b/a),
+    or a decided cell when its sides cancel there: degenerate at b >= 0,
+    of sign left alone at b < 0.  None keeps the cell on the sampled scan:
+    when the sides are not exponential polynomials, at b < 0 without a
+    left sign, when composing at a x + b overflows or every X coefficient
+    underflows, and when a term slower than every kept one was pruned as
+    negligible (say, X shrunk by a large b): it would have decided the
+    sign of the tail.  Only terms of both sides can cancel, so a missing
+    term of one side alone was pruned."""
+    if form.sides is None or (b < 0 and form.left is None):
+        return None
+    hy, hx = form.sides
+    scale = a ** form.k / form.ex
+    try:
+        xpart = hx.compose_affine(a, b)
+        if scale != 1.0:  # rescaling by 1 (V's scale) changes nothing
+            xpart = xpart.scaled(scale)
+    except (ValueError, OverflowError):
+        return None
+    closed = hy.subtract(xpart)
+    if closed is None:
+        if b >= 0:
+            return _degenerate(a, b)
+        return _CellResult(a, b, SignPattern((form.left,), (-b / a / 2.0,), (), EXACT), form)
+    slowest = closed.terms[0][1]
+    if min(hy.terms[0][1], xpart.terms[0][1]) < slowest:
+        tol = RATE_MERGE_REL * max(hy.terms[-1][1], xpart.terms[-1][1])
+        for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
+            if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
+                return None
+    return closed
+
+
+def _evaluate_row(form: _Form, a: float, bs, closed) -> list[_CellResult]:
+    """The cells (a, b), b in bs, given closed, _closed_cell's outcome per
+    cell: closed forms by root isolation from max(0, -b/a), where at b < 0
+    the pattern begins with the left sign, and one row scan for the cells
+    left to sampling."""
+    out, rest = [], []
+    for i, (b, c) in enumerate(zip(bs, closed)):
+        if isinstance(c, ExpPoly):
+            pat = c.sign_pattern_exact(max(0.0, -b / a))
+            c = _CellResult(a, b, pat, form, uncertain=pat.uncertain)
+        elif c is None:
+            rest.append(i)
+        out.append(c)
+    if rest:
+        coef = a ** form.k
+        scanned = _scan_row(form.F, [((a, bs[i], coef), form.cfg(a, bs[i]), form.bps(a, bs[i]))
+                                     for i in rest])
+        for i, pat in zip(rest, scanned):
+            # a cell zero within the deadband scans as IndeterminateFunction
+            out[i] = _degenerate(a, bs[i]) if isinstance(pat, IndeterminateFunction) \
+                else _CellResult(a, bs[i], pat, form, uncertain=pat.uncertain)
+    return out
 
 
 def _witness(res: _CellResult) -> RefutationWitness | None:
     """Witness of a disallowed cell pattern, or None unless evaluating the
-    scanned function again at the pattern's witnesses shows every sign
-    beyond the deadband."""
+    form again at the pattern's witnesses shows every sign beyond the
+    deadband."""
     pat = res.pattern
-    vals = np.asarray(res.fn(np.asarray(pat.witnesses)), dtype=float)
+    vals = np.asarray(res.form(np.asarray(pat.witnesses), res.a, res.b), dtype=float)
     dead = 1e-11 * float(np.max(np.abs(vals))) if len(vals) else 0.0
     for v, sg in zip(vals, pat.signs):
         if not (v > dead if sg == "+" else v < -dead):
@@ -286,23 +390,28 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
     return RefutationWitness(res.a, res.b, pat.signs, pat.witnesses, tuple(vals), dead)
 
 
-def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
+def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
+           margins: bool = False) -> Verdict:
     """Evaluate the grid a row at a time, evaluate(a, b_values) giving the
     cells of one slope, and read the cells in (a, b) lexicographic order;
     the first disallowed pattern that re-verifies refutes and ends the
     sweep, so at most the rest of its row is evaluated in vain.  A
-    disallowed pattern that does not re-verify counts as uncertain."""
+    disallowed pattern that does not re-verify counts as uncertain.  The
+    worst margin is 0 on a degenerate cell and, with margins, the smallest
+    |form| at the witnesses of a passing cell."""
     worst = math.inf
     first_uncertain = None
     scanned = 0
     for res in chain.from_iterable(evaluate(a, grid.b_values) for a in grid.a_values):
         scanned += 1
-        if res.margin is not None:
-            worst = min(worst, res.margin)
         if res.degenerate:
+            worst = 0.0
             continue
         if not res.uncertain:
             if matches(res.pattern, allowed):
+                if margins and res.pattern.witnesses:
+                    vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
+                    worst = min(worst, float(np.min(np.abs(vals))))
                 continue
             witness = _witness(res)
             if witness is not None:
@@ -321,34 +430,15 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
-    """Sweep V over the grid: certified patterns where both tails are
-    exponential polynomials, one row scan for the other cells of a row.  A
-    passing cell's margin is the smallest |V| at its witnesses.
-    Quadrature-backed tails get an absolute deadband so integration noise
-    cannot fabricate signs."""
-    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
-    cell_cfg = _scan_config_per_cell(TX, TY, TX.base, TY.base, grid.scan, dead_abs)
-    V = _v_row(TX, TY)
-
-    def cell(a, b, pattern) -> _CellResult:
-        fn = lambda x: V(x, a, b)  # noqa: E731
-        margin = None
-        if (isinstance(pattern, SignPattern) and pattern.witnesses
-                and not pattern.uncertain and matches(pattern, allowed)):
-            margin = float(np.min(np.abs(fn(np.asarray(pattern.witnesses)))))
-        return _scanned_cell(a, b, pattern, fn, margin)
+    """Sweep V over the grid, with margins: certified patterns where both
+    tails are exponential polynomials, one row scan for the other cells of
+    a row."""
+    form = _v_form(TX, TY, grid.scan)
 
     def evaluate(a, bs):
-        patterns = [_exact_cell_pattern(TX, TY, a, b) for b in bs]
-        rest = [i for i, p in enumerate(patterns) if p is None]
-        if rest:
-            scanned = _scan_row(V, [((a, bs[i]), cell_cfg(a, bs[i]),
-                                     _cell_breakpoints(TX, TY, a, bs[i])) for i in rest])
-            for i, p in zip(rest, scanned):
-                patterns[i] = p
-        return [cell(a, b, p) for b, p in zip(bs, patterns)]
+        return _evaluate_row(form, a, bs, [_closed_cell(form, a, b) for b in bs])
 
-    return _sweep(grid, evaluate, allowed, criterion, s)
+    return _sweep(grid, evaluate, allowed, criterion, s, margins=True)
 
 
 # ----------------------------------------------------------------------
@@ -379,81 +469,6 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
     return _pattern_sweep(TX, TY, s, grid, ALLOWED_IFRA, "pattern-ifra")
 
 
-_H_FORMS = ("hs", "hs1")
-
-
-def _h_row(X, Y, s, form, ex, ey):
-    """(H form of many cells at once, its power k): the form at (a, b) is
-    x -> H(x, a, b, a ** k), a, b and a ** k holding each point's cell
-    (scalars for one cell); ex, ey are E X^{s-1}, E Y^{s-1}."""
-    def dens(d, arg):
-        arg = np.asarray(arg, dtype=float)
-        out = np.zeros(arg.shape)
-        pos = arg >= 0
-        if np.any(pos):
-            out[pos] = d.density(arg[pos])
-        return out
-
-    if form == "hs":
-        def H(x, a, b, coef):
-            xa = np.asarray(x, dtype=float)
-            return dens(Y, xa) / ey - coef * dens(X, a * xa + b) / ex
-        return H, s
-    if form == "hs1":
-        def H(x, a, b, coef):
-            xa = np.asarray(x, dtype=float)
-            return np.asarray(Y.tail(xa), dtype=float) / ey \
-                - coef * np.asarray(X.tail(a * xa + b), dtype=float) / ex
-        return H, s - 1
-    raise ValueError(f"form must be one of {_H_FORMS}")
-
-
-def _h_function(X, Y, s, form, a, b, ex, ey):
-    """H form at cell (a, b); ex, ey are E X^{s-1}, E Y^{s-1}."""
-    H, k = _h_row(X, Y, s, form, ex, ey)
-    coef = a ** k
-    return lambda x: H(x, a, b, coef)
-
-
-def _h_exact_parts(X, Y, s, ey):
-    """The (a, b)-free pieces of both closed H forms, keyed by form, as
-    (Y term, X term, k): the form at (a, b) is
-    Y term(x) - a^k X term(a x + b) / E X^{s-1}, with f_Y / E Y^{s-1}, f_X
-    and k = s for "hs", and tail_Y / E Y^{s-1}, tail_X and k = s - 1 for
-    "hs1", all exponential polynomials.  None unless both tails are
-    exponential polynomials."""
-    px, py = X.exp_poly_tail(), Y.exp_poly_tail()
-    if px is None or py is None:
-        return None
-    return {"hs": (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0), s),
-            "hs1": (py.scaled(1.0 / ey), px, s - 1)}
-
-
-def _closed_h_form(part, a, b, ex) -> ExpPoly | _CellResult | None:
-    """Closed H form at b >= 0, where a x + b >= 0 on all of x > 0:
-    Y term(x) - a^k X term(a x + b) / E X^{s-1} as an exponential
-    polynomial (see _h_exact_parts), or a degenerate cell when it cancels.
-    None, so that the cell keeps the sampled scan, when every X coefficient
-    underflows or when a term slower than every kept one was pruned as
-    negligible (say, X shrunk by a large b): it would have decided the sign
-    of the tail.  Only terms of both sides can cancel, so a missing term of
-    one side alone was pruned."""
-    hy, hx, k = part
-    try:
-        xpart = hx.compose_affine(a, b).scaled(a ** k / ex)
-    except ValueError:
-        return None
-    closed = hy.subtract(xpart)
-    if closed is None:
-        return _degenerate(a, b)
-    tol = RATE_MERGE_REL * max(hy.rates[-1], xpart.rates[-1])
-    slowest = closed.rates[0]
-    for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
-        if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
-            return None
-    return closed
-
-
 #: per-cell partner: the criterion asks for an admissible pattern from
 #: EITHER the density form or the survival form, per (a, b)
 _PARTNER_FORM = {"hs": "hs1", "hs1": "hs"}
@@ -472,72 +487,50 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
 
     When both tails are exponential polynomials (Exponential, MaxExp,
     ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is certified on
-    its closed form (_closed_h_form) unless that cannot be built without
+    its closed form (_closed_cell) unless that cannot be built without
     losing a term; cells with b < 0 take the sampled scan.  A closed cell
     passes on the coefficient signs of the chosen form, or else of its
     partner, where they fix the pattern (ExpPoly.sign_pattern_by_rule);
     only the other closed cells isolate roots, the chosen form first.
     """
-    if form not in _H_FORMS:
-        raise ValueError(f"form must be one of {_H_FORMS}")
+    if form not in _PARTNER_FORM:
+        raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
-
-    ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-    exact_parts = _h_exact_parts(X, Y, s, ey)
-    cell_cfg = _scan_config_per_cell(X, Y, X, Y, grid.scan)
-    rows = {f: _h_row(X, Y, s, f, ex, ey) for f in _H_FORMS}
-    forms = (form, _PARTNER_FORM[form])
+    forms = _h_forms(X, Y, s, grid.scan)
+    names = (form, _PARTNER_FORM[form])
 
     def evaluate(a, bs):
         built = {}
 
-        def closed(use_form, b):
-            # the closed form, where a x + b >= 0 on all of x > 0, built at
-            # most once per cell and form
-            if (use_form, b) not in built:
-                built[use_form, b] = None if exact_parts is None or b < 0 \
-                    else _closed_h_form(exact_parts[use_form], a, b, ex)
-            return built[use_form, b]
+        def closed(name, b):
+            # built at most once per cell and form
+            if (name, b) not in built:
+                built[name, b] = _closed_cell(forms[name], a, b)
+            return built[name, b]
 
         def by_rule(b):
             # the first form whose coefficient signs fix its pattern decides
             # the cell; every pattern they fix is admissible
-            for use_form in forms:
-                c = closed(use_form, b)
+            for name in names:
+                c = closed(name, b)
                 if not isinstance(c, ExpPoly):
                     return None
                 pat = c.sign_pattern_by_rule()
                 if pat is not None:
-                    return _CellResult(a, b, pat, c.eval)
+                    return _CellResult(a, b, pat, forms[name])
             return None
 
-        def evaluate_form(use_form, cell_bs):
-            # closed forms by root isolation, one row scan for the others
-            out = [closed(use_form, b) for b in cell_bs]
-            for i, c in enumerate(out):
-                if isinstance(c, ExpPoly):
-                    pat = c.sign_pattern_exact(0.0)
-                    out[i] = _CellResult(a, cell_bs[i], pat, c.eval, uncertain=pat.uncertain)
-            rest = [i for i, res in enumerate(out) if res is None]
-            if rest:
-                H, k = rows[use_form]
-                coef = a ** k
-                scanned = _scan_row(H, [((a, cell_bs[i], coef), cell_cfg(a, cell_bs[i]),
-                                         _cell_breakpoints(X, Y, a, cell_bs[i]))
-                                        for i in rest])
-                for i, pat in zip(rest, scanned):
-                    out[i] = _scanned_cell(a, cell_bs[i], pat, _h_function(
-                        X, Y, s, use_form, a, cell_bs[i], ex, ey))
-            return out
+        def evaluate_form(name, cell_bs):
+            return _evaluate_row(forms[name], a, cell_bs, [closed(name, b) for b in cell_bs])
 
         out = [by_rule(b) for b in bs]
         rest = [i for i, res in enumerate(out) if res is None]
-        for i, res in zip(rest, evaluate_form(form, [bs[i] for i in rest])):
+        for i, res in zip(rest, evaluate_form(names[0], [bs[i] for i in rest])):
             out[i] = res
         failed = [i for i in rest if not (
             out[i].degenerate or out[i].uncertain or matches(out[i].pattern, ALLOWED_IFR))]
         if failed:
-            partner = evaluate_form(forms[1], [bs[i] for i in failed])
+            partner = evaluate_form(names[1], [bs[i] for i in failed])
             for i, other in zip(failed, partner):
                 if other.degenerate or (not other.uncertain
                                         and matches(other.pattern, ALLOWED_IFR)):

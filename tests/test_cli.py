@@ -69,6 +69,15 @@ class TestExecution:
             assert code == EXIT_REFUTED
             assert "witness" in doc
 
+    def test_compare_overflowing_intercept_writes_verdict(self, tmp_path):
+        # composing maxexp(1,200) at the grid's most negative intercepts
+        # overflows; those cells take the sampled scan
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "maxexp(1,200)", "--y", "exp(1)",
+                     "--s", "1", "--criterion", "ifr", "--a-grid", "8", "--b-grid", "8"])
+        doc = json.loads(out.read_text())
+        assert doc["outcome"] == "supported" and code == EXIT_OK
+
     def test_monotone_refutation_document_is_strict_json(self, tmp_path):
         out = tmp_path / "verdict.json"
         code = main(["--json", str(out), "compare", "--x", "exp(1)", "--y", "weibull(2,1)",

@@ -56,6 +56,11 @@ class TestCompareIfr:
         e = Exponential(1.0)
         for s in (1, 3):
             assert compare_ifr(e, e, s, SMALL).supported
+        # V vanishes on the cell a = 1, b = 0, closed or sampled alike
+        grid = GridSpec((0.5, 1.0, 2.0), (0.0, 1.0))
+        for X in (e, MaxExp(1.0, 2.0), Weibull(2.0)):
+            v = compare_ifr(X, X, 2, grid)
+            assert v.supported and v.worst_margin == 0.0, X
 
     def test_weibull_below_gamma(self):
         v = compare_ifr(Weibull(1.5, 1.0), Gamma(1.5, 1.0), 2, SMALL)
@@ -128,13 +133,13 @@ class TestCompareIfra:
 
     def test_sweep_stops_at_refuting_cell(self, monkeypatch):
         calls = []
-        inner = ordering._exact_cell_pattern
+        inner = ordering._closed_cell
 
         def spy(*args):
-            calls.append(args[2:])
+            calls.append(args[1:])
             return inner(*args)
 
-        monkeypatch.setattr(ordering, "_exact_cell_pattern", spy)
+        monkeypatch.setattr(ordering, "_closed_cell", spy)
         X, Y = MaxExp(0.34, 1.0), MaxExp(1.0, 11.0)
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 24)) + (2.89,), (0.0,))
         v = compare_ifra(X, Y, 2, grid)
@@ -247,10 +252,9 @@ class TestClosedCriterionH:
 
     def test_partner_signs_pass_a_cell_the_chosen_form_must_isolate(self, monkeypatch):
         X, Y, s, a, b = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, 0.05, 8.0 / 3.0
-        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-        parts = ordering._h_exact_parts(X, Y, s, ey)
-        hs = ordering._closed_h_form(parts["hs"], a, b, ex)
-        hs1 = ordering._closed_h_form(parts["hs1"], a, b, ex)
+        forms = ordering._h_forms(X, Y, s, None)
+        hs = ordering._closed_cell(forms["hs"], a, b)
+        hs1 = ordering._closed_cell(forms["hs1"], a, b)
         assert hs.sign_pattern_by_rule() is None
         assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
         assert hs1.sign_pattern_by_rule().signs == ("+", "-")
@@ -279,20 +283,18 @@ class TestClosedCriterionH:
     @pytest.mark.parametrize("form", ["hs", "hs1"])
     def test_closed_form_agrees_with_direct_form(self, form, s):
         X, Y = MaxExp(1.0, 3.0), MaxExp(0.5, 2.0)
-        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-        part = ordering._h_exact_parts(X, Y, s, ey)[form]
+        h = ordering._h_forms(X, Y, s, None)[form]
         xs = np.geomspace(0.01, 12.0, 15)
         for a, b in ((0.7, 0.0), (2.5, 0.2), (1.3, 3.0)):
-            closed = ordering._closed_h_form(part, a, b, ex)
-            direct = ordering._h_function(X, Y, s, form, a, b, ex, ey)
-            np.testing.assert_allclose(closed.eval(xs), direct(xs), rtol=1e-9, atol=1e-15)
+            closed = ordering._closed_cell(h, a, b)
+            np.testing.assert_allclose(closed.eval(xs), h(xs, a, b), rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("form", ["hs", "hs1"])
     @pytest.mark.parametrize("pair", range(3))
     def test_same_verdict_as_sampled_path(self, monkeypatch, form, pair):
         X, Y = self.PAIRS[pair]
         closed = criterion_h(X, Y, 2, SMALL, form=form)
-        monkeypatch.setattr(ordering, "_h_exact_parts", lambda *args: None)
+        monkeypatch.setattr(ordering, "_closed_cell", lambda *args: None)
         sampled = criterion_h(X, Y, 2, SMALL, form=form)
         assert closed.outcome == sampled.outcome
         assert closed.cells_scanned == sampled.cells_scanned
@@ -300,37 +302,50 @@ class TestClosedCriterionH:
             assert (closed.witness.a, closed.witness.b, closed.witness.pattern) == \
                 (sampled.witness.a, sampled.witness.b, sampled.witness.pattern)
 
-    @pytest.mark.parametrize("form", ["hs", "hs1"])
-    def test_fast_rates_at_far_negative_intercept(self, form):
-        # nothing is composed at b < 0, where exp(-r b) would overflow
+    #: the closed-cell fallbacks are shared by criterion-h and V
+    CHECKS = {"hs": lambda X, Y, s, g: criterion_h(X, Y, s, g, form="hs"),
+              "hs1": lambda X, Y, s, g: criterion_h(X, Y, s, g, form="hs1"),
+              "ifr": compare_ifr}
+
+    @pytest.mark.parametrize("check", ["hs", "hs1", "ifr"])
+    def test_fast_rates_at_far_negative_intercept(self, check):
+        # H composes nothing at b < 0; V composes there, and its cells where
+        # exp(-r b) would overflow keep the sampled scan
         grid = GridSpec((0.5, 1.0, 4.0), (-30.0, 0.0))
         for X, Y in ((MaxExp(12.0, 13.0), MaxExp(1.0, 2.0)),
                      (MaxExp(1.0, 2.0), MaxExp(12.0, 13.0))):
-            v = criterion_h(X, Y, 2, grid, form=form)
+            v = self.CHECKS[check](X, Y, 2, grid)
             assert v.cells_scanned == 6
 
-    @pytest.mark.parametrize("form", ["hs", "hs1"])
-    def test_underflowing_x_term_keeps_sampled_scan(self, form):
+    @pytest.mark.parametrize("check", ["hs", "hs1", "ifr"])
+    def test_underflowing_x_term_keeps_sampled_scan(self, check):
         # at b = 800 every X coefficient exp(-r b) underflows to 0
-        v = criterion_h(Exponential(1.0), Exponential(2.0), 1, GridSpec((1.0,), (800.0,)),
-                        form=form)
+        v = self.CHECKS[check](Exponential(1.0), Exponential(2.0), 1, GridSpec((1.0,), (800.0,)))
         assert v.supported
 
     def test_pruned_slow_term_keeps_sampled_scan(self, monkeypatch):
-        # hs1 at s = 1, a = 0.05, b = 40: e^{-10x} - e^{-40} e^{-0.05x}; the
-        # X term is below the prune threshold, yet it decides the tail, so
-        # the closed path must not certify the "+" left without it; the scan
-        # reads the same "+", but as a sampled pattern, its tail inside the
-        # deadband
-        X, Y, a, b = Exponential(1.0), Exponential(10.0), 0.05, 40.0
-        h = ordering._h_function(X, Y, 1, "hs1", a, b, 1.0, 1.0)
-        assert h(1.0) > 0 > h(10.0)
-        part = ordering._h_exact_parts(X, Y, 1, 1.0)["hs1"]
-        assert ordering._closed_h_form(part, a, b, 1.0) is None
+        # hs1 at s = 1 and V alike, a = 0.05, b = 40: e^{-10x} - e^{-40}
+        # e^{-0.05x}; the X term is below the prune threshold, yet it decides
+        # the tail, so the closed path must not certify the "+" left without
+        # it; the scan reads the same "+", but as a sampled pattern, its tail
+        # inside the deadband.  V of Exp(1) against Exp(0.5) at a = 1,
+        # b = -40 is the mirror case: the Y term is pruned against
+        # e^{40} e^{-x}, yet V > 0 beyond x = 80
+        X, Y, Y2 = Exponential(1.0), Exponential(10.0), Exponential(0.5)
+        cases = [(ordering._h_forms(X, Y, 1, None)["hs1"], 0.05, 40.0, 10.0,
+                  lambda g: criterion_h(X, Y, 1, g, form="hs1")),
+                 (ordering._v_form(iterate(X, 1), iterate(Y, 1), None), 0.05, 40.0, 10.0,
+                  lambda g: compare_ifr(X, Y, 1, g)),
+                 (ordering._v_form(iterate(X, 1), iterate(Y2, 1), None), 1.0, -40.0, 100.0,
+                  lambda g: compare_ifr(X, Y2, 1, g))]
         calls = _count_scans(monkeypatch)
-        assert criterion_h(X, Y, 1, GridSpec((a,), (b,)), form="hs1").supported
-        assert len(calls) == 1
-        assert calls[0][1].confidence == SAMPLED
+        for form, a, b, far, check in cases:
+            assert form(1.0, a, b) * form(far, a, b) < 0
+            assert ordering._closed_cell(form, a, b) is None
+            calls.clear()
+            assert check(GridSpec((a,), (b,))).supported
+            assert len(calls) == 1
+            assert calls[0][1].confidence == SAMPLED
 
 
 class TestNewcrit:
@@ -552,28 +567,19 @@ class TestRowScan:
             assert got == alone, (a, b)
         return row
 
-    def _v_rows(self, X, Y, s, a_values, bs=BS):
-        TX, TY = iterate(X, s), iterate(Y, s)
-        V = ordering._v_row(TX, TY)
-        cfg_of = ordering._scan_config_per_cell(TX, TY, X, Y, None)
+    def _rows(self, form, a_values, bs):
         out = []
         for a in a_values:
             out += self._same_as_alone(
-                V, lambda b: (a, b), lambda b: (lambda x: V(x, a, b)), cfg_of,
-                lambda a, b: ordering._cell_breakpoints(TX, TY, a, b), a, bs)
+                form.F, lambda b: (a, b, a ** form.k), lambda b: (lambda x: form(x, a, b)),
+                form.cfg, form.bps, a, bs)
         return out
 
+    def _v_rows(self, X, Y, s, a_values, bs=BS):
+        return self._rows(ordering._v_form(iterate(X, s), iterate(Y, s), None), a_values, bs)
+
     def _h_rows(self, X, Y, s, form, a_values, bs=BS):
-        ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
-        H, k = ordering._h_row(X, Y, s, form, ex, ey)
-        cfg_of = ordering._scan_config_per_cell(X, Y, X, Y, None)
-        out = []
-        for a in a_values:
-            out += self._same_as_alone(
-                H, lambda b: (a, b, a ** k),
-                lambda b: ordering._h_function(X, Y, s, form, a, b, ex, ey), cfg_of,
-                lambda a, b: ordering._cell_breakpoints(X, Y, a, b), a, bs)
-        return out
+        return self._rows(ordering._h_forms(X, Y, s, None)[form], a_values, bs)
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("kind", ["V", "hs", "hs1"])
