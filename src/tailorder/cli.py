@@ -14,8 +14,8 @@ literals.  Exponential-polynomial expressions are sums of COEF*e(-RATE)
 terms, e.g. "1*e(-1)+(-1)*e(-2)".
 
 Exit codes: 0 supported/pass, 1 refuted/fail, 2 usage error, 3
-inconclusive, 4 I/O error.  JSON documents carry a schema field and all
-floats are serialized with 17 significant digits.
+inconclusive, 4 I/O error, 5 internal error.  JSON documents carry a
+schema field and all floats are serialized with 17 significant digits.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 _TERM = re.compile(r"^\s*([+-]?\s*\(?[^*]+?\)?)\s*\*\s*e\(\s*-\s*([0-9.eE+-]+)\s*\)\s*$")
 
@@ -104,7 +105,8 @@ exponential-polynomial expressions:
   sums of COEF*e(-RATE) terms, e.g. "1*e(-1)+(-1)*e(-2)".
 
 exit codes:
-  0 supported/pass, 1 refuted/fail, 2 usage error, 3 inconclusive, 4 I/O error.
+  0 supported/pass, 1 refuted/fail, 2 usage error, 3 inconclusive, 4 I/O error,
+  5 internal error (a fault of tailorder, not of the input).
 """
 
 
@@ -283,6 +285,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # not the refuted code: a crash is no verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import chain
+from functools import cache, lru_cache, partial
+from itertools import chain, product
 from typing import Callable
 
 import numpy as np
@@ -217,19 +217,27 @@ def _cell_breakpoints(X, Y, a: float, b: float):
     return sorted(pts)
 
 
+@lru_cache(maxsize=512)
+def _horizon(side) -> float:
+    """side.quantile_horizon(1e-10), computed once per side: distributions
+    hash by value and iterate caches its tails by value, so fresh but equal
+    sides share it across sweeps."""
+    return side.quantile_horizon(1e-10)
+
+
 def _scan_config_per_cell(x_side, y_side, X: Distribution, Y: Distribution,
                           template: ScanConfig | None, dead_abs: float = 0.0):
     """(a, b) -> scan configuration for a sweep comparing the X side at
     a x + b with the Y side at x.  x_side and y_side (distributions or
-    iterated tails) supply the tail-mass horizons, computed once, on first
-    use; a template's x_max of None means "resolve per cell"."""
+    iterated tails) supply the tail-mass horizons, memoized by _horizon and
+    read on first use; a template's x_max of None means "resolve per
+    cell"."""
     horizons = None
 
     def config(a: float, b: float) -> ScanConfig:
         nonlocal horizons
         if horizons is None:
-            horizons = (x_side.quantile_horizon(1e-10), y_side.quantile_horizon(1e-10),
-                        1e4 * (1.0 + X.mean() + Y.mean()))
+            horizons = (_horizon(x_side), _horizon(y_side), 1e4 * (1.0 + X.mean() + Y.mean()))
         hx, hy, cap = horizons
         # tail-mass horizons explode for polynomial tails; cap the window so
         # the log grid keeps resolution where the tails actually interact
@@ -353,13 +361,13 @@ def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | Non
     return closed
 
 
-def _evaluate_row(form: _Form, a: float, bs, closed) -> list[_CellResult]:
-    """The cells (a, b), b in bs, given closed, _closed_cell's outcome per
+def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
+    """The cells (a, b) of cells, given closed, _closed_cell's outcome per
     cell: closed forms by root isolation from max(0, -b/a), where at b < 0
-    the pattern begins with the left sign, and one row scan for the cells
-    left to sampling."""
+    the pattern begins with the left sign, and one _scan_row call for the
+    cells left to sampling."""
     out, rest = [], []
-    for i, (b, c) in enumerate(zip(bs, closed)):
+    for i, ((a, b), c) in enumerate(zip(cells, closed)):
         if isinstance(c, ExpPoly):
             pat = c.sign_pattern_exact(max(0.0, -b / a))
             c = _CellResult(a, b, pat, form, uncertain=pat.uncertain)
@@ -367,13 +375,12 @@ def _evaluate_row(form: _Form, a: float, bs, closed) -> list[_CellResult]:
             rest.append(i)
         out.append(c)
     if rest:
-        coef = a ** form.k
-        scanned = _scan_row(form.F, [((a, bs[i], coef), form.cfg(a, bs[i]), form.bps(a, bs[i]))
-                                     for i in rest])
+        scanned = _scan_row(form.F, [((a, b, a ** form.k), form.cfg(a, b), form.bps(a, b))
+                                     for a, b in (cells[i] for i in rest)])
         for i, pat in zip(rest, scanned):
             # a cell zero within the deadband scans as IndeterminateFunction
-            out[i] = _degenerate(a, bs[i]) if isinstance(pat, IndeterminateFunction) \
-                else _CellResult(a, bs[i], pat, form, uncertain=pat.uncertain)
+            out[i] = _degenerate(*cells[i]) if isinstance(pat, IndeterminateFunction) \
+                else _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
     return out
 
 
@@ -390,19 +397,30 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
     return RefutationWitness(res.a, res.b, pat.signs, pat.witnesses, tuple(vals), dead)
 
 
+#: Cells per evaluation of a sweep: as many whole rows as fit, at least
+#: one row.  A cap rather than the whole grid, since a batch is evaluated in
+#: full: a larger one evaluates more cells past a refutation in vain and
+#: holds more samples in memory at once.
+_BATCH_CELLS = 64
+
+
 def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
            margins: bool = False) -> Verdict:
-    """Evaluate the grid a row at a time, evaluate(a, b_values) giving the
-    cells of one slope, and read the cells in (a, b) lexicographic order;
-    the first disallowed pattern that re-verifies refutes and ends the
-    sweep, so at most the rest of its row is evaluated in vain.  A
+    """Evaluate the grid in batches of whole rows, up to _BATCH_CELLS cells
+    (at least one row) each, evaluate(cells) giving the cells of a list of
+    (a, b) pairs, and read the cells one at a time in (a, b) lexicographic
+    order; the first disallowed pattern that re-verifies refutes and ends
+    the sweep, so at most the rest of its batch is evaluated in vain.  A
     disallowed pattern that does not re-verify counts as uncertain.  The
     worst margin is 0 on a degenerate cell and, with margins, the smallest
     |form| at the witnesses of a passing cell."""
+    cells = list(product(grid.a_values, grid.b_values))
+    size = max(1, _BATCH_CELLS // len(grid.b_values)) * len(grid.b_values)
+    batches = (cells[i:i + size] for i in range(0, len(cells), size))
     worst = math.inf
     first_uncertain = None
     scanned = 0
-    for res in chain.from_iterable(evaluate(a, grid.b_values) for a in grid.a_values):
+    for res in chain.from_iterable(map(evaluate, batches)):
         scanned += 1
         if res.degenerate:
             worst = 0.0
@@ -431,12 +449,12 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
     """Sweep V over the grid, with margins: certified patterns where both
-    tails are exponential polynomials, one row scan for the other cells of
-    a row."""
+    tails are exponential polynomials, one _scan_row call for the other
+    cells of a batch."""
     form = _v_form(TX, TY, grid.scan)
 
-    def evaluate(a, bs):
-        return _evaluate_row(form, a, bs, [_closed_cell(form, a, b) for b in bs])
+    def evaluate(cells):
+        return _evaluate_cells(form, cells, [_closed_cell(form, a, b) for a, b in cells])
 
     return _sweep(grid, evaluate, allowed, criterion, s, margins=True)
 
@@ -499,20 +517,16 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     forms = _h_forms(X, Y, s, grid.scan)
     names = (form, _PARTNER_FORM[form])
 
-    def evaluate(a, bs):
-        built = {}
+    def evaluate(cells):
+        @cache  # built at most once per form and cell of the batch
+        def closed(name, a, b):
+            return _closed_cell(forms[name], a, b)
 
-        def closed(name, b):
-            # built at most once per cell and form
-            if (name, b) not in built:
-                built[name, b] = _closed_cell(forms[name], a, b)
-            return built[name, b]
-
-        def by_rule(b):
+        def by_rule(a, b):
             # the first form whose coefficient signs fix its pattern decides
             # the cell; every pattern they fix is admissible
             for name in names:
-                c = closed(name, b)
+                c = closed(name, a, b)
                 if not isinstance(c, ExpPoly):
                     return None
                 pat = c.sign_pattern_by_rule()
@@ -520,18 +534,18 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
                     return _CellResult(a, b, pat, forms[name])
             return None
 
-        def evaluate_form(name, cell_bs):
-            return _evaluate_row(forms[name], a, cell_bs, [closed(name, b) for b in cell_bs])
+        def evaluate_form(name, idx):
+            part = [cells[i] for i in idx]
+            return _evaluate_cells(forms[name], part, [closed(name, a, b) for a, b in part])
 
-        out = [by_rule(b) for b in bs]
+        out = [by_rule(a, b) for a, b in cells]
         rest = [i for i, res in enumerate(out) if res is None]
-        for i, res in zip(rest, evaluate_form(names[0], [bs[i] for i in rest])):
+        for i, res in zip(rest, evaluate_form(names[0], rest)):
             out[i] = res
         failed = [i for i in rest if not (
             out[i].degenerate or out[i].uncertain or matches(out[i].pattern, ALLOWED_IFR))]
         if failed:
-            partner = evaluate_form(names[1], [bs[i] for i in failed])
-            for i, other in zip(failed, partner):
+            for i, other in zip(failed, evaluate_form(names[1], failed)):
                 if other.degenerate or (not other.uncertain
                                         and matches(other.pattern, ALLOWED_IFR)):
                     out[i] = other

@@ -4,8 +4,8 @@ Samples on a log grid (plus declared breakpoints), treats values inside the
 deadband as carrying no sign evidence, and bisects every classification
 boundary to the configured depth.  A function that dips to zero without
 crossing produces no sign change.  Scanned functions must be vectorized
-(accept and return numpy arrays).  The order sweeps scan a whole row of
-cells per function evaluation (_scan_row); scan is its one-cell case.
+(accept and return numpy arrays).  The order sweeps scan a batch of cells
+per function evaluation (_scan_row); scan is its one-cell case.
 """
 from __future__ import annotations
 

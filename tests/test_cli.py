@@ -140,6 +140,18 @@ class TestExecution:
                      "--exppoly", "1*e(-1)+(-1)*e(-2)", "--lo", "-5", "--hi", "5"])
         assert code == EXIT_IO
 
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
+        from tailorder import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_compare", broken)
+        code = main(["compare", "--x", "exp(1)", "--y", "exp(1)"])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert code not in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE, EXIT_INCONCLUSIVE, cli.EXIT_IO)
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
     def test_verdict_documents_rerun_identically(self, tmp_path):
         # re-running the embedded grid reproduces the outcome
         out = tmp_path / "verdict.json"

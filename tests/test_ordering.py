@@ -12,9 +12,11 @@ from tailorder import (
     Gamma,
     GridSpec,
     MaxExp,
+    NumericDensity,
     PolyExpExample,
     Verdict,
     Weibull,
+    classify_ifr,
     compare_dmrl,
     compare_ifr,
     compare_ifra,
@@ -37,7 +39,7 @@ SMALL_POS = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)), tuple(np.linspace(0.0, 
 @pytest.fixture(scope="module")
 def bp_order_two():
     """compare_ifr on the branched-Pareto pair at s = 2, with the cells the
-    row scanner saw, one list per row."""
+    row scanner saw, one list per call."""
     rows = []
     inner = ordering._scan_row
 
@@ -87,14 +89,16 @@ class TestCompareIfr:
                 assert val < -w.deadband
 
     def test_refuting_row_is_scanned_whole_but_not_counted(self, bp_order_two):
-        # the refuting cell is cell 14 of row 29: the row scanner sees all
-        # 29 cells of that row, cells_scanned stops at the refuting one
+        # the refuting cell is cell 14 of row 29: rows of 29 cells go to the
+        # row scanner two at a time (58 of the 64 cells a batch may hold),
+        # so it sees the whole batch of rows 29 and 30, while cells_scanned
+        # stops at the refuting cell
         v, rows = bp_order_two
         nb = len(_BP_GRID_S2.b_values)
         assert v.refuted and v.cells_scanned == 826
         assert len(_BP_GRID_S2.a_values) * nb == 1479
-        assert [len(r) for r in rows] == [nb] * 29
-        assert sum(len(r) for r in rows) == 29 * nb > v.cells_scanned
+        assert [len(r) for r in rows] == [2 * nb] * 15
+        assert sum(len(r) for r in rows) == 30 * nb > v.cells_scanned
         assert (v.witness.a, v.witness.b) == (_BP_GRID_S2.a_values[28], _BP_GRID_S2.b_values[13])
 
     def test_strict_order_not_mutual(self):
@@ -141,10 +145,19 @@ class TestCompareIfra:
 
         monkeypatch.setattr(ordering, "_closed_cell", spy)
         X, Y = MaxExp(0.34, 1.0), MaxExp(1.0, 11.0)
+        # the 25-cell column is one batch, built whole
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 24)) + (2.89,), (0.0,))
         v = compare_ifra(X, Y, 2, grid)
-        assert v.refuted
-        assert len(calls) == v.cells_scanned == 17 < len(grid.a_values)
+        assert v.refuted and v.cells_scanned == 17
+        assert len(calls) == len(grid.a_values) == 25
+        # a column of 75 slopes is two batches; the refutation lies in the
+        # first, so the second is never built
+        calls.clear()
+        long = GridSpec(grid.a_values + tuple(np.geomspace(21.0, 400.0, 50)), (0.0,))
+        v = compare_ifra(X, Y, 2, long)
+        assert v.refuted and v.cells_scanned == 17
+        assert v.witness.a == pytest.approx(2.89)
+        assert calls == [(a, 0.0) for a in long.a_values[:ordering._BATCH_CELLS]]
 
 
 class TestCriterionH:
@@ -363,6 +376,48 @@ class TestNewcrit:
         v = newcrit(X, Y, 2, grid)
         assert v.refuted
         assert v.reason == "star-shape step failed"
+
+
+class TestBatchInvariance:
+    """The sweeps evaluate whole rows in batches of up to 64 cells; with a
+    budget of one cell every batch is one row.  The verdict document is the
+    same under both schedules: cells are read one at a time either way."""
+
+    SAMPLED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
+
+    @staticmethod
+    def _same_one_row_at_a_time(monkeypatch, check, *args, verdict=None):
+        verdict = verdict or check(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(ordering, "_BATCH_CELLS", 1)
+            assert check(*args).to_dict() == verdict.to_dict()
+        return verdict
+
+    def test_branched_pareto_refutation(self, monkeypatch, bp_order_two):
+        v = self._same_one_row_at_a_time(
+            monkeypatch, compare_ifr, BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0), 2,
+            _BP_GRID_S2, verdict=bp_order_two[0])
+        assert v.refuted
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_reversed_newcrit_star_shape_column(self, monkeypatch, s):
+        v = self._same_one_row_at_a_time(
+            monkeypatch, newcrit, Gamma(2.0), Weibull(2.0), s, self.SAMPLED_GRID)
+        assert v.refuted and v.reason == "star-shape step failed"
+
+    def test_closed_criterion_h_refutation(self, monkeypatch):
+        v = self._same_one_row_at_a_time(
+            monkeypatch, criterion_h, MaxExp(1.0, 2.0), MaxExp(1.0, 1.0), 2, SMALL_POS)
+        assert v.refuted and v.cells_scanned == 89
+
+    def test_sampled_criterion_h_with_partner_form(self, monkeypatch):
+        # hs fails on many cells that hs1 then passes: in each of the two
+        # runs the scanner sees more cells than the grid holds
+        calls = _count_scans(monkeypatch)
+        v = self._same_one_row_at_a_time(
+            monkeypatch, criterion_h, Gamma(2.0), Weibull(2.0), 1, SMALL_POS)
+        assert v.supported
+        assert len(calls) > 2 * len(SMALL_POS.a_values) * len(SMALL_POS.b_values)
 
 
 class TestDmrl:
@@ -636,3 +691,40 @@ class TestScanWindow:
         assert set(explicit) == {50.0}
         resolved = self._scanned_x_max(monkeypatch, check, ScanConfig())
         assert None not in resolved and 50.0 not in resolved
+
+    # a numeric density's own horizon is its declared truncation point,
+    # while its first iterate inverts the tail: V windows and the
+    # IFR classification use the latter, the H forms the former
+    NUMERIC = NumericDensity(lambda x: np.exp(-np.asarray(x, dtype=float)), x_max=60.0)
+
+    @staticmethod
+    def _windows(horizon_x):
+        horizon_y = np.log(1e10)  # the exponential's tail-inverse horizon
+        return sorted(max(horizon_y, (horizon_x - b) / a, 1.0)
+                      for a in TestScanWindow.CELLS[0] for b in TestScanWindow.CELLS[1])
+
+    def test_numeric_density_v_window_ends_at_its_tail_horizon(self, monkeypatch):
+        seen = self._scanned_x_max(
+            monkeypatch, lambda g: compare_ifr(self.NUMERIC, Exponential(1.0), 1, g), None)
+        assert sorted(seen) == pytest.approx(self._windows(np.log(1e10)), rel=1e-9)
+
+    def test_numeric_density_h_window_ends_at_its_truncation_point(self, monkeypatch):
+        seen = self._scanned_x_max(
+            monkeypatch,
+            lambda g: criterion_h(self.NUMERIC, Exponential(1.0), 1, g, form="hs1"), None)
+        assert sorted(seen) == pytest.approx(self._windows(60.0), rel=1e-9)
+
+    def test_numeric_density_first_iterate_classifies_constant(self):
+        # on a window reaching x_max = 60 the rate e^-x / (e^-x - e^-60)
+        # would climb to infinity and read increasing
+        assert classify_ifr(self.NUMERIC, 1).verdict == "constant"
+
+    def test_horizons_shared_by_equal_distributions(self):
+        grid = GridSpec((1.0,), (0.0,))
+        ordering._horizon.cache_clear()
+        for check in (compare_ifr, criterion_h):
+            check(Gamma(2.0), Weibull(2.0), 2, grid)
+        misses = ordering._horizon.cache_info().misses
+        for check in (compare_ifr, criterion_h):
+            check(Gamma(2.0), Weibull(2.0), 2, grid)
+        assert ordering._horizon.cache_info().misses == misses == 4
