@@ -195,13 +195,18 @@ def _difference(fy, fx, ey: float, ex: float):
 
 
 def _density(d: Distribution):
-    """The density of d, vectorized, 0 at negative arguments."""
+    """The density of d, vectorized, 0 at negative arguments.  Calls the
+    kernel d._density directly, on all of arg when no argument is negative:
+    Distribution.density would only check the sign again and unwrap
+    scalars."""
     def f(arg):
         arg = np.asarray(arg, dtype=float)
-        out = np.zeros(arg.shape)
         pos = arg >= 0
-        if np.any(pos):
-            out[pos] = d.density(arg[pos])
+        if pos.all():
+            return d._density(arg)
+        out = np.zeros(arg.shape)
+        if pos.any():
+            out[pos] = d._density(arg[pos])
         return out
 
     return f

@@ -8,6 +8,7 @@ intervals for each sign change.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -61,12 +62,15 @@ class ScanConfig:
     deadband_abs: float = 0.0
 
     def __post_init__(self):
-        if self.x_max is not None and self.x_max <= 0:
-            raise ValueError("x_max must be positive")
+        # each check is a negated comparison, so NaN fails it too
+        if self.x_max is not None and not (0 < self.x_max < math.inf):
+            raise ValueError("x_max must be positive and finite")
         if self.initial_grid < 64:
             raise ValueError("initial_grid must be at least 64")
-        if self.deadband <= 0:
-            raise ValueError("deadband must be positive")
+        if not (0 < self.deadband < math.inf):
+            raise ValueError("deadband must be positive and finite")
+        if not (0 <= self.deadband_abs < math.inf):
+            raise ValueError("deadband_abs must be nonnegative and finite")
         if self.max_refinement_depth < 0:
             raise ValueError("max_refinement_depth must be nonnegative")
 

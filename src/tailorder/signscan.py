@@ -5,7 +5,10 @@ deadband as carrying no sign evidence, and bisects every classification
 boundary to the configured depth.  A function that dips to zero without
 crossing produces no sign change.  Scanned functions must be vectorized
 (accept and return numpy arrays).  The order sweeps scan a batch of cells
-per function evaluation (_scan_row); scan is its one-cell case.
+per function evaluation (_scan_row); scan is its one-cell case.  A
+refinement round evaluates and classifies the midpoints of the boundary
+brackets only; the samples are merged once, after the last round, by a
+stable sort on (cell, x), so ties keep their evaluation order.
 """
 from __future__ import annotations
 
@@ -46,31 +49,38 @@ def _run_starts(*keys):
     return np.nonzero(new)[0]
 
 
-def _stable_slots(xs, cell, at, mids, mcell):
-    """Where a stable sort by (cell, x) of xs followed by mids puts each
-    midpoint, given xs sorted so and each midpoint no smaller than the
-    sample before at and no larger than the one at it: after every sample
-    of its cell equal to it.  The slots index the merged arrays."""
-    while True:
-        nxt = np.minimum(at, xs.size - 1)
-        tie = (at < xs.size) & (xs[nxt] == mids) & (cell[nxt] == mcell)
-        if not tie.any():
-            return at + np.arange(at.size)
-        at = at + tie
+def _brackets(xs, signs, cell):
+    """Every pair of adjacent, differently-classified samples of one cell,
+    as (abscissae, classes), each of shape (k, 2), and cells, in order."""
+    at = np.nonzero((signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:]))[0]
+    pair = np.stack((at, at + 1), axis=1)
+    return xs[pair], signs[pair], cell[at]
 
 
-def _merged(pairs, slots):
-    """Each (old, new) pair as one array: new's values at slots, old's in
-    order around them."""
-    rest = np.ones(slots.size + pairs[0][0].size, dtype=bool)
-    rest[slots] = False
-    out = []
-    for old, new in pairs:
-        both = np.empty(rest.size, old.dtype)
-        both[rest] = old
-        both[slots] = new
-        out.append(both)
-    return out
+def _split(ends, mid):
+    """Each row [l, r] of ends as its two children [l, mid], [mid, r]."""
+    out = np.empty((mid.size, 4), ends.dtype)
+    out[:, 0] = ends[:, 0]
+    out[:, 1] = out[:, 2] = mid
+    out[:, 3] = ends[:, 1]
+    return out.reshape(-1, 2)
+
+
+def _in_order(seen):
+    """The (xs, vals, cell) chunks of seen, given in evaluation order with
+    the first sorted by (cell, x), as three arrays sorted stably by
+    (cell, x): the later samples, sorted so, each go after every earlier
+    sample of their cell and abscissa.  Complex keys compare by real part,
+    then imaginary part."""
+    xs, vals, cell = seen[0]
+    if len(seen) == 1:
+        return xs, vals, cell
+    mx, mv, mc = (np.concatenate(col) for col in zip(*seen[1:]))
+    key = mc + 1j * mx
+    order = np.argsort(key, kind="stable")
+    at = np.searchsorted(cell + 1j * xs, key[order], side="right")
+    return tuple(np.insert(old, at, new[order])
+                 for old, new in ((xs, mx), (vals, mv), (cell, mc)))
 
 
 @lru_cache(maxsize=256)
@@ -101,11 +111,11 @@ def _scan_row(F, cells, *, lo: float | None = None,
     cells holds one (params, cfg, breakpoints) triple per cell; the cell's
     function is x -> F(x, *params).  F is called on one flat array of
     abscissae with one array per parameter, holding each point's cell
-    parameters, so each refinement round is one call for every cell still
-    refining.  Each cell keeps its own grid, deadband and refinement depth,
-    and the flat arrays stay sorted by (cell, x) with ties in evaluation
-    order, so each cell gets exactly the pattern, or the
-    IndeterminateFunction, that scanning it alone would give.
+    parameters, so each refinement round is one call for the midpoints of
+    every cell still refining (see _refine).  Each cell keeps its own grid,
+    deadband and refinement depth, and the samples end sorted by (cell, x)
+    with ties in evaluation order, so each cell gets exactly the pattern,
+    or the IndeterminateFunction, that scanning it alone would give.
     """
     cfgs, grids = [], []
     for _, cfg, breakpoints in cells:
@@ -125,35 +135,16 @@ def _scan_row(F, cells, *, lo: float | None = None,
     deadband = np.asarray([cfg.deadband for cfg in cfgs])
     deadband_abs = np.asarray([cfg.deadband_abs for cfg in cfgs])
     depth = np.asarray([cfg.max_refinement_depth for cfg in cfgs])
-    cell = np.repeat(np.arange(n), [len(xs) for xs in grids])
+    sizes = [len(xs) for xs in grids]
+    cell = np.repeat(np.arange(n), sizes)
     xs = np.concatenate(grids)
-    vals = np.asarray(F(xs, *(p[cell] for p in params)), dtype=float)
+    vals = np.asarray(F(xs, *(np.repeat(p, sizes) for p in params)), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("scanned function must be vectorized")
 
     scale = _largest_finite(vals, np.searchsorted(cell, np.arange(n)))
-    eps = np.maximum(deadband * scale, deadband_abs)
-    signs = _classify(vals, eps[cell])
-
-    # bisect every boundary between differently-classified neighbours of
-    # one cell, while the cell has depth left
-    for depth_done in range(int(depth.max(initial=0))):
-        flip = (signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:])
-        if depth_done >= depth.min():
-            flip &= depth[cell[:-1]] > depth_done
-        boundary = np.nonzero(flip)[0]
-        if boundary.size == 0:
-            break
-        mids = 0.5 * (xs[boundary] + xs[boundary + 1])
-        mcell = cell[boundary]
-        mvals = np.asarray(F(mids, *(p[mcell] for p in params)), dtype=float)
-        first = _run_starts(mcell)
-        touched = mcell[first]
-        scale[touched] = np.maximum(scale[touched], _largest_finite(mvals, first))
-        eps = np.maximum(deadband * scale, deadband_abs)
-        slots = _stable_slots(xs, cell, boundary + 1, mids, mcell)
-        xs, vals, cell = _merged(((xs, mids), (vals, mvals), (cell, mcell)), slots)
-        signs = _classify(vals, eps[cell])
+    xs, vals, cell, signs = _refine(F, params, xs, vals, cell, scale,
+                                    deadband, deadband_abs, depth)
 
     if trace is not None:
         trace.extend((float(x), float(v), "+" if s > 0 else "-" if s < 0 else "0")
@@ -187,6 +178,67 @@ def _scan_row(F, cells, *, lo: float | None = None,
     return [SignPattern(tuple(sg), tuple(w), tuple(ch), SAMPLED) if sg
             else IndeterminateFunction(_NO_SIGN)
             for sg, w, ch in zip(out_signs, witnesses, changes)]
+
+
+def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
+    """Bisect every boundary between differently-classified neighbours of
+    one cell, while the cell has depth left.
+
+    xs, vals and cell are the initial samples, sorted by (cell, x); scale
+    holds each cell's largest finite |value| and is raised in place.  Each
+    round evaluates the midpoints of the live brackets only; all samples
+    are merged once, at the end, by a stable sort on (cell, x), so ties
+    keep evaluation order.  A bracket's children stand for the new
+    neighbours unless a midpoint changed its cell's eps, which reclassifies
+    every sample of the cell, or equals its bracket's right end, in which
+    case the sort puts it after that end; such a cell's brackets are
+    rebuilt from all its samples.  Returns xs, vals, cell and their classes
+    under the final eps, in that merged order.
+    """
+    eps = np.maximum(deadband * scale, deadband_abs)
+    signs = _classify(vals, eps[cell])
+    seen = [(xs, vals, cell)]  # every sample so far, in evaluation order
+    ends, classes, bcell = _brackets(xs, signs, cell)
+    shallowest = depth.min(initial=0)
+    for depth_done in range(int(depth.max(initial=0))):
+        if depth_done >= shallowest:
+            live = depth[bcell] > depth_done
+            ends, classes, bcell = ends[live], classes[live], bcell[live]
+        if bcell.size == 0:
+            break
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        mvals = np.asarray(F(mids, *(p[bcell] for p in params)), dtype=float)
+        seen.append((mids, mvals, bcell))
+        grew = bcell[:0]  # cells whose eps the midpoints changed
+        if (np.abs(mvals) > scale[bcell]).any():
+            first = _run_starts(bcell)
+            touched = bcell[first]
+            scale[touched] = np.maximum(scale[touched], _largest_finite(mvals, first))
+            was = eps[touched]
+            eps = np.maximum(deadband * scale, deadband_abs)
+            grew = touched[eps[touched] != was]
+        tie = mids == ends[:, 1]
+
+        ends = _split(ends, mids)
+        classes = _split(classes, _classify(mvals, eps[bcell]))
+        bcell = np.repeat(bcell, 2)
+        keep = classes[:, 0] != classes[:, 1]
+        if grew.size or tie.any():
+            redo = np.union1d(grew, bcell[1::2][tie])
+            keep &= ~np.isin(bcell, redo)
+            x, v, c = _in_order(seen)
+            mine = np.isin(c, redo)
+            x, v, c = x[mine], v[mine], c[mine]
+            again = _brackets(x, _classify(v, eps[c]), c)
+            ends, classes, bcell = (np.concatenate((old[keep], new))
+                                    for old, new in zip((ends, classes, bcell), again))
+            order = np.argsort(bcell, kind="stable")
+            ends, classes, bcell = ends[order], classes[order], bcell[order]
+        else:
+            ends, classes, bcell = ends[keep], classes[keep], bcell[keep]
+
+    xs, vals, cell = _in_order(seen)
+    return xs, vals, cell, _classify(vals, eps[cell])
 
 
 def check_integration_lemma(f: ExpPoly, cfg: ScanConfig | None = None) -> bool:

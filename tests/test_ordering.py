@@ -377,6 +377,12 @@ class TestNewcrit:
         assert v.refuted
         assert v.reason == "star-shape step failed"
 
+    def test_nan_deadband_cannot_turn_a_refutation_into_support(self):
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
+        assert newcrit(Gamma(2.0), Weibull(2.0), 1, grid).refuted
+        with pytest.raises(ValueError, match="deadband"):
+            GridSpec(grid.a_values, grid.b_values, scan=ScanConfig(deadband=float("nan")))
+
 
 class TestBatchInvariance:
     """The sweeps evaluate whole rows in batches of up to 64 cells; with a

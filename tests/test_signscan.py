@@ -4,8 +4,63 @@ import numpy as np
 import pytest
 
 from tailorder import ExpPoly, IndeterminateFunction, ScanConfig, check_integration_lemma, scan
+from tailorder import signscan
 from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, DEFAULT_X_MAX, SignPattern, matches
-from tailorder.signscan import _merged, _scan_row, _stable_slots
+from tailorder.signscan import _classify, _largest_finite, _run_starts, _scan_row
+
+
+# Reference refinement: every round merges its midpoints into the whole
+# batch and reclassifies every sample.  Slow, but each round's state is the
+# plain sorted sample list, so it defines what _refine must return.
+
+def _stable_slots(xs, cell, at, mids, mcell):
+    """Where a stable sort by (cell, x) of xs followed by mids puts each
+    midpoint, given xs sorted so and each midpoint no smaller than the
+    sample before at and no larger than the one at it: after every sample
+    of its cell equal to it.  The slots index the merged arrays."""
+    while True:
+        nxt = np.minimum(at, xs.size - 1)
+        tie = (at < xs.size) & (xs[nxt] == mids) & (cell[nxt] == mcell)
+        if not tie.any():
+            return at + np.arange(at.size)
+        at = at + tie
+
+
+def _merged(pairs, slots):
+    """Each (old, new) pair as one array: new's values at slots, old's in
+    order around them."""
+    rest = np.ones(slots.size + pairs[0][0].size, dtype=bool)
+    rest[slots] = False
+    out = []
+    for old, new in pairs:
+        both = np.empty(rest.size, old.dtype)
+        both[rest] = old
+        both[slots] = new
+        out.append(both)
+    return out
+
+
+def _refine_batch(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
+    eps = np.maximum(deadband * scale, deadband_abs)
+    signs = _classify(vals, eps[cell])
+    for depth_done in range(int(depth.max(initial=0))):
+        flip = (signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:])
+        if depth_done >= depth.min():
+            flip &= depth[cell[:-1]] > depth_done
+        boundary = np.nonzero(flip)[0]
+        if boundary.size == 0:
+            break
+        mids = 0.5 * (xs[boundary] + xs[boundary + 1])
+        mcell = cell[boundary]
+        mvals = np.asarray(F(mids, *(p[mcell] for p in params)), dtype=float)
+        first = _run_starts(mcell)
+        touched = mcell[first]
+        scale[touched] = np.maximum(scale[touched], _largest_finite(mvals, first))
+        eps = np.maximum(deadband * scale, deadband_abs)
+        slots = _stable_slots(xs, cell, boundary + 1, mids, mcell)
+        xs, vals, cell = _merged(((xs, mids), (vals, mvals), (cell, mcell)), slots)
+        signs = _classify(vals, eps[cell])
+    return xs, vals, cell, signs
 
 
 class TestScan:
@@ -84,6 +139,17 @@ class TestScan:
         with pytest.raises(ValueError):
             ScanConfig(x_max=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x_max", float("nan")), ("x_max", float("inf")), ("x_max", -1.0),
+        ("deadband", float("nan")), ("deadband", float("inf")), ("deadband", 0.0),
+        ("deadband_abs", float("nan")), ("deadband_abs", float("inf")), ("deadband_abs", -1e-9),
+    ])
+    def test_invalid_settings_are_rejected(self, field, value):
+        # a NaN deadband would put every sample inside it, so every cell
+        # would scan as degenerate and pass
+        with pytest.raises(ValueError, match=field):
+            ScanConfig(**{field: value})
+
     def test_trace_rows_collected(self):
         rows = []
         scan(lambda x: x - 1.0, ScanConfig(x_max=10.0, initial_grid=64), trace=rows)
@@ -112,6 +178,66 @@ class TestRowScan:
                 continue
             assert got == alone
             assert len(got.signs) == 3
+
+
+def _random_row(x, root1, root2, sign, kind, spike_at, spike_width, spike_height, hole):
+    """Two roots, or a unit step at root1 (kind 1), plus a narrow spike and
+    a tiny window of non-finite values; the cell's parameters are arrays."""
+    with np.errstate(all="ignore"):
+        smooth = (x - root1) * (x - root2) * np.exp(-0.2 * x)
+        base = sign * np.where(kind == 0, smooth, np.where(x < root1, -1.0, 1.0))
+        out = base + spike_height * np.exp(-((x - spike_at) / spike_width) ** 2)
+        bad = np.abs(x - hole) < 1e-3 * hole
+        return np.where(bad, np.where(kind == 0, np.nan, np.inf * sign), out)
+
+
+def _random_cell(rng):
+    x_max = float(rng.uniform(2.0, 50.0))
+    root1, root2 = np.sort(rng.uniform(0.02, 1.0, 2)) * x_max
+    # the spike sits just beside a root, where the midpoints go, and is
+    # often far above the cell's grid maximum
+    near = root1 if rng.random() < 0.5 else root2
+    width = float(10.0 ** rng.uniform(-6, -2)) * x_max
+    params = (root1, root2, float(rng.choice([-1.0, 1.0])), float(rng.integers(0, 2)),
+              near + float(rng.uniform(-3.0, 3.0)) * width, width,
+              float(rng.choice([0.0, 1.0, 1e3, -1e6])) * x_max ** 2,
+              float(rng.uniform(0.01, 1.0)) * x_max if rng.random() < 0.3 else -1.0)
+    cfg = ScanConfig(x_max=x_max, initial_grid=int(rng.integers(64, 97)),
+                     deadband=float(rng.choice([1e-11, 1e-6, 1e-2])),
+                     max_refinement_depth=int(rng.choice([0, 2, 12, 60])),
+                     deadband_abs=float(rng.choice([0.0, 0.0, 1e-9, 1e-3])))
+    bps = tuple(float(b) for b in rng.uniform(0.0, 1.1, int(rng.integers(0, 3))) * x_max)
+    if rng.random() < 0.2:
+        bps += (params[4],)
+    return params, cfg, bps
+
+
+class TestRowRefinement:
+    def test_brackets_match_whole_batch_refinement(self, monkeypatch):
+        # patterns and traces of random batches, refined by brackets and by
+        # the reference; spikes raise a cell's eps mid-refinement, depth 60
+        # bisects down to adjacent floats
+        rng = np.random.default_rng(1111)
+        built = []
+        brackets = signscan._brackets
+        monkeypatch.setattr(signscan, "_brackets",
+                            lambda *a: built.append(1) or brackets(*a))
+
+        def run(refine, cells):
+            monkeypatch.setattr(signscan, "_refine", refine)
+            trace = []
+            out = _scan_row(_random_row, cells, trace=trace)
+            return ([repr(o) if isinstance(o, IndeterminateFunction) else o for o in out],
+                    [repr(r) for r in trace])
+
+        fast = signscan._refine
+        batches = 300
+        for _ in range(batches):
+            cells = [_random_cell(rng) for _ in range(rng.integers(1, 9))]
+            expected = run(_refine_batch, cells)
+            assert run(fast, cells) == expected, cells
+        # brackets rebuilt from a cell's samples, beyond one set per batch
+        assert len(built) > batches + 50
 
 
 class TestRowMerge:
