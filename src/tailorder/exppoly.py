@@ -7,7 +7,10 @@ the coefficient sequence taken in that order, and the number on x > 0 also
 by those of its partial sums; where these bounds fix the sign sequence, it
 is read off them without isolating a root.  Root isolation below uses a
 Rolle-style recursion whose depth equals the term count minus one, with no
-numerical differentiation anywhere.
+numerical differentiation anywhere.  Only the top level's roots are bisected
+down to ROOT_WIDTH; the roots of each inner level, the critical points of
+the level above, are bisected only until that level provably keeps one sign
+across them.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ ROOT_WIDTH = 1e-12
 TOUCH_REL = 5e-13
 
 _EXP_LO, _EXP_HI = -745.0, 709.0
+#: Below this exponent exp() leaves the normal floats and loses precision.
+_EXP_TINY = math.log(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -88,7 +93,13 @@ class ExpPoly:
     def maybe(pairs) -> "ExpPoly | None":
         """Build from (coefficient, rate) pairs; None if everything cancels."""
         merged = _merge_terms(pairs)
-        return ExpPoly(merged) if merged else None
+        if not merged:
+            return None
+        # merging is idempotent (kept rates lie beyond the merge tolerance and
+        # the largest coefficient is never pruned), so skip __post_init__'s
+        poly = object.__new__(ExpPoly)
+        object.__setattr__(poly, "terms", merged)
+        return poly
 
     # ------------------------------------------------------------------
     # basic algebra
@@ -186,8 +197,11 @@ class ExpPoly:
         """
         if not lo < hi:
             raise ValueError("domain must be a nondegenerate interval")
-        roots, uncertain = _isolate(list(self.coefficients), list(self.rates),
-                                    float(lo), float(hi), tol)
+        brackets, q, uncertain = _isolate(list(self.coefficients), list(self.rates),
+                                          float(lo), float(hi), tol)
+        settled, close = _settle(brackets, q, tol)
+        roots = [(a, b) for a, b, _ in settled]
+        uncertain = uncertain or close
         bound = self.sign_change_bound()
         if len(roots) > bound:
             # mathematically impossible; only numerical duplication can do it
@@ -201,6 +215,12 @@ class ExpPoly:
         Roots are isolated on a bounded window ending at the dominance
         horizon; beyond it the sign is the analytic limit sign (slowest
         term).  A tangential root (no crossing) yields no sign change.
+
+        A region where the head (slowest) term underflows at its samples,
+        or the fastest one overflows, is read from f e^{r_0 x}, relative to
+        the head term: it has f's sign and keeps its terms apart far beyond
+        where f's clamp to one value.  Its witness must still show that
+        sign by direct evaluation, or the pattern is uncertain.
         """
         horizon = self.dominance_horizon(start)
         shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
@@ -208,7 +228,9 @@ class ExpPoly:
         hi = max(horizon + 1.0, lo + 1.0)
         report = self.isolate_roots(lo, hi, ROOT_WIDTH)
 
-        terms = _terms(self.coefficients, self.rates)
+        rates = self.rates
+        terms = _terms(self.coefficients, rates)
+        head = _terms(self.coefficients, [r - rates[0] for r in rates])
         cuts = [lo] + [0.5 * (a + b) for a, b in report.isolated_roots] + [hi]
         regions = list(zip(cuts, cuts[1:]))
         signs: list[str] = []
@@ -218,12 +240,14 @@ class ExpPoly:
         prev_root = None
         for (a, b), root in zip(regions, list(report.isolated_roots) + [None]):
             xs = np.linspace(a, b, 9)[1:-1]
-            vals = self.eval(xs)
+            far = -rates[0] * xs[-1] < _EXP_TINY or -rates[-1] * xs[0] > _EXP_HI
+            form = head if far else terms
+            vals = np.array([_eval_scale(head, x)[0] for x in xs]) if far else self.eval(xs)
             idx = int(np.argmax(np.abs(vals)))
             v = vals[idx]
-            if abs(v) <= TOUCH_REL * _eval_scale(terms, xs[idx])[1]:
+            if abs(v) <= TOUCH_REL * _eval_scale(form, xs[idx])[1]:
                 # whole region below the noise floor: decide by derivatives
-                sn = _one_sided_signs(terms, 0.5 * (a + b))[3]
+                sn = _one_sided_signs(form, 0.5 * (a + b))[3]
                 if sn == 0.0:
                     uncertain = True
                     prev_root = root
@@ -237,6 +261,10 @@ class ExpPoly:
                 changes.append(prev_root if prev_root is not None else (a, a))
             signs.append(s)
             witnesses.append(float(xs[idx]))
+            if far:
+                direct = self.eval(witnesses[-1])
+                if not (direct > 0 if v > 0 else direct < 0):
+                    uncertain = True
             prev_root = root
         if not signs:
             # single-term polynomials and degenerate windows: limit sign only
@@ -382,42 +410,170 @@ def _one_sided_signs(terms, x):
     return val, touch, 0.0, 0.0
 
 
-def _bisect_root(terms, a, b, sa, tol):
-    """One certified root in (a, b) where the function is monotone and the
-    side-corrected signs at the endpoints differ."""
+def _eval_slope(c0, slope, x):
+    """(q, its term scale, q', its term scale, whether an exponent clamped)
+    at x for q = c0 + sum c exp(-r x), in one pass over the exponentials the
+    two share.  slope holds (c, -r, |c|, -r c, |r c|) tuples.
+
+    Each sum runs as in _eval_scale, so q and q' agree bit for bit with
+    _eval_scale over the terms of q and of q'.  Every rate of q' is positive,
+    so its term scale at x bounds |q'| on [x, inf) unless an exponent clamped
+    there."""
+    total, scale = c0, abs(c0)
+    comp = dtotal = dcomp = dscale = 0.0
+    clamped = False
+    for c, nr, ac, dc, adc in slope:
+        z = nr * x
+        if z < _EXP_LO:
+            z, clamped = _EXP_LO, True
+        elif z > _EXP_HI:
+            z, clamped = _EXP_HI, True
+        e = math.exp(z)
+        y = c * e - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        scale += ac * e
+        y = dc * e - dcomp
+        t = dtotal + y
+        dcomp = (t - dtotal) - y
+        dtotal = t
+        dscale += adc * e
+    return total, scale, dtotal, dscale, clamped
+
+
+def _keeps_sign(at_a, at_b, width):
+    """Whether q keeps one sign on [a, b], from _eval_slope at both ends.
+
+    |q'| <= D, its term scale at a, on the whole bracket, so every point lies
+    within width / 2 of an end where |q| exceeds width * D, and |q| stays
+    above half of that.  Both values must also clear q's noise floor.  A
+    clamped exponent at a leaves D no bound, and the answer is no."""
+    qa, scale_a, _, da, clamped = at_a
+    qb, scale_b = at_b[:2]
+    if clamped or (qa > 0) != (qb > 0):
+        return False
+    bound = width * da
+    return abs(qa) > max(bound, TOUCH_REL * scale_a) \
+        and abs(qb) > max(bound, TOUCH_REL * scale_b)
+
+
+def _bisect_root(terms, a, b, sa, tol, outer=None):
+    """Halve (a, b), where the function of terms is monotone and the
+    side-corrected signs at the ends differ, down to tol around its root, as
+    (a, b, None).
+
+    outer = (c0, slope), the level above, makes the halving lazy.  Its q has
+    this function's sign as its derivative, so one _eval_slope pass per
+    midpoint gives both the halving sign (from q', or from terms where an
+    exponent clamped) and q; the halving stops as soon as q keeps one sign on
+    [a, b], and returns (a, b, (q(a), q(b))).
+    """
+    if outer is not None:
+        at_a = _eval_slope(*outer, a)
+        at_b = _eval_slope(*outer, b)
     while b - a > tol:
+        if outer is not None and _keeps_sign(at_a, at_b, b - a):
+            return a, b, (at_a[0], at_b[0])
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
-        fm, scale = _eval_scale(terms, m)
+        if outer is None:
+            fm, scale = _eval_scale(terms, m)
+        else:
+            at_m = _eval_slope(*outer, m)
+            fm, scale = _eval_scale(terms, m) if at_m[4] else at_m[2:4]
         if abs(fm) <= 1e-16 * scale:
             w = max(tol / 4, abs(m) * 1e-16)
-            return (max(a, m - w), min(b, m + w))
+            return max(a, m - w), min(b, m + w), None
         if (fm > 0) == (sa > 0):
             a = m
+            if outer is not None:
+                at_a = at_m
         else:
             b = m
-    return (a, b)
+            if outer is not None:
+                at_b = at_m
+    return a, b, None
+
+
+def _settle(brackets, terms, tol, outer=None):
+    """Refine the root brackets (a, b, s) of the function of terms in order
+    with _bisect_root, as ([(a, b, ends)], uncertain).
+
+    A bracket with s = 0.0 is already an interval of width about tol and is
+    kept unless it overlaps the interval kept before it.  Of the intervals
+    refined down to tol, one equal to the one before is dropped, and two that
+    lie within tol of each other make the roots uncertain.  A bracket that
+    stopped early (ends not None) shows a function without a root there, so
+    it never counts as close to another."""
+    out = []
+    last = None
+    uncertain = False
+    for a, b, s in brackets:
+        if s == 0.0:
+            if last is None or last[1] < a:
+                last = (a, b)
+                out.append((a, b, None))
+            continue
+        a, b, ends = _bisect_root(terms, a, b, s, tol, outer)
+        if ends is not None:
+            out.append((a, b, ends))
+            continue
+        if last is not None and a - last[1] < tol:
+            uncertain = True
+        if last != (a, b):
+            last = (a, b)
+            out.append((a, b, None))
+    return out, uncertain
 
 
 def _isolate(coefs, rates, lo, hi, tol):
-    """Roots of sum c_i exp(-r_i x) on [lo, hi] as (intervals, uncertain).
+    """Root brackets of f = sum c_i exp(-r_i x) on [lo, hi], as (brackets,
+    q, uncertain).  coefs and rates are lists of Python floats.
 
-    coefs and rates are lists of Python floats."""
-    if len(coefs) == 1:
-        return [], False
-    # factor out the slowest exponential: same roots, derivative loses a term
+    q is f with the slowest exponential factored out, as _eval_scale terms:
+    it has f's sign and roots, and its derivative has one term fewer, so
+    between the roots of that derivative (the next level down) q is
+    monotone.  Each bracket (a, b, s) holds one root of q, s the sign of q
+    just right of a, or is an interval of width about tol around a
+    critical point where q touches zero, with s = 0.0.
+
+    Only the top level's roots need to be narrow; isolate_roots refines
+    them to tol.  The brackets of the derivative are refined here lazily:
+    only until q keeps one sign across one, whose two ends then both become
+    partition points; only where q stays too close to zero to tell does a
+    bracket go down to tol, and its midpoint becomes the partition point,
+    checked by the touch rule below.
+    """
     r0 = rates[0]
     drates = [r - r0 for r in rates[1:]]
-    dcoefs = [-d * c for d, c in zip(drates, coefs[1:])]
-    crit_iv, uncertain = _isolate(dcoefs, drates, lo, hi, tol)
     q = _terms(coefs, [0.0] + drates)
+    if not drates:
+        return [], q, False
+    dcoefs = [-d * c for d, c in zip(drates, coefs[1:])]
+    crit, dq, uncertain = _isolate(dcoefs, drates, lo, hi, tol)
+    slope = [(c, nr, ac, c * nr, abs(c * nr)) for c, nr, ac in q[1:]]
+    crit, close = _settle(crit, dq, tol, (coefs[0], slope))
+    uncertain = uncertain or close
 
-    pts = [lo] + [0.5 * (a + b) for a, b in crit_iv] + [hi]
     # every partition point is evaluated once; an interval's end signs are
     # the inner one-sided signs of the points around it
-    sided = [_one_sided_signs(q, p) for p in pts]
-    roots: list[tuple[float, float]] = []
+    pts = [lo]
+    sided = [_one_sided_signs(q, lo)]
+    for a, b, ends in crit:
+        if ends is None:
+            pts.append(0.5 * (a + b))
+            sided.append(_one_sided_signs(q, pts[-1]))
+            continue
+        for p, v in zip((a, b), ends):
+            s = 1.0 if v > 0 else -1.0
+            pts.append(p)
+            sided.append((v, False, s, s))
+    pts.append(hi)
+    sided.append(_one_sided_signs(q, hi))
+
+    brackets = []
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
         val, touch, sl, sa = sided[i]
@@ -430,16 +586,10 @@ def _isolate(coefs, rates, lo, hi, tol):
                 uncertain = True
             elif sl != sa or val == 0.0:
                 w = max(tol / 2, abs(a) * 1e-15)
-                iv = (a - w, a + w)
-                if not roots or roots[-1][1] < iv[0]:
-                    roots.append(iv)
+                brackets.append((a - w, a + w, 0.0))
         if sa == 0.0 or sb == 0.0:
             uncertain = True
             continue
         if sa != sb:
-            iv = _bisect_root(q, a, b, sa, tol)
-            if roots and iv[0] - roots[-1][1] < tol:
-                uncertain = True
-            if not roots or roots[-1] != iv:
-                roots.append(iv)
-    return roots, uncertain
+            brackets.append((a, b, sa))
+    return brackets, q, uncertain

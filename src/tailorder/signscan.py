@@ -206,7 +206,9 @@ def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
             ends, classes, bcell = ends[live], classes[live], bcell[live]
         if bcell.size == 0:
             break
-        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        # halving each end first cannot overflow, and for normal floats
+        # gives the same bits as halving their sum
+        mids = 0.5 * ends[:, 0] + 0.5 * ends[:, 1]
         mvals = np.asarray(F(mids, *(p[bcell] for p in params)), dtype=float)
         seen.append((mids, mvals, bcell))
         grew = bcell[:0]  # cells whose eps the midpoints changed

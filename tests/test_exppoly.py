@@ -255,6 +255,184 @@ class TestEvalScale:
             assert [v.hex() for v in got] == [v.hex() for v in reference(coefs, rates, x)]
 
 
+def _reference_bisect(terms, a, b, sa, tol):
+    """The halving loop before the inner levels were refined lazily."""
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        fm, scale = exppoly._eval_scale(terms, m)
+        if abs(fm) <= 1e-16 * scale:
+            w = max(tol / 4, abs(m) * 1e-16)
+            return (max(a, m - w), min(b, m + w))
+        if (fm > 0) == (sa > 0):
+            a = m
+        else:
+            b = m
+    return (a, b)
+
+
+def _reference_isolate(coefs, rates, lo, hi, tol):
+    """Full-refinement Rolle recursion: every level bisects each of its
+    roots down to tol, and the level above partitions at their midpoints."""
+    if len(coefs) == 1:
+        return [], False
+    r0 = rates[0]
+    drates = [r - r0 for r in rates[1:]]
+    dcoefs = [-d * c for d, c in zip(drates, coefs[1:])]
+    crit_iv, uncertain = _reference_isolate(dcoefs, drates, lo, hi, tol)
+    q = exppoly._terms(coefs, [0.0] + drates)
+    pts = [lo] + [0.5 * (a + b) for a, b in crit_iv] + [hi]
+    sided = [exppoly._one_sided_signs(q, p) for p in pts]
+    roots = []
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        val, touch, sl, sa = sided[i]
+        sb = sided[i + 1][2]
+        if i > 0 and touch:
+            if sl == 0.0 or sa == 0.0:
+                uncertain = True
+            elif sl != sa or val == 0.0:
+                w = max(tol / 2, abs(a) * 1e-15)
+                iv = (a - w, a + w)
+                if not roots or roots[-1][1] < iv[0]:
+                    roots.append(iv)
+        if sa == 0.0 or sb == 0.0:
+            uncertain = True
+            continue
+        if sa != sb:
+            iv = _reference_bisect(q, a, b, sa, tol)
+            if roots and iv[0] - roots[-1][1] < tol:
+                uncertain = True
+            if not roots or roots[-1] != iv:
+                roots.append(iv)
+    return roots, uncertain
+
+
+def _reference_report(p, lo, hi, tol=exppoly.ROOT_WIDTH):
+    """isolate_roots on the full-refinement recursion."""
+    roots, uncertain = _reference_isolate(list(p.coefficients), list(p.rates),
+                                          float(lo), float(hi), tol)
+    bound = p.sign_change_bound()
+    if len(roots) > bound:
+        uncertain = True
+        roots = roots[:bound]
+    return exppoly.RootReport(bound, tuple(roots), uncertain)
+
+
+def _near_critical_polys(seed, count):
+    """e^{-r x} P(e^{-d x}) where P' has two roots within 1e-14 to 1e-2 of
+    each other, so the level below the top has two nearly coincident
+    critical points, and P a root at a random t."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tau = rng.uniform(0.05, 0.95)
+        crit = [tau, tau + 10.0 ** rng.uniform(-14.0, -2.0)]
+        crit += list(rng.uniform(0.02, 1.5, int(rng.integers(0, 3))))
+        dp = np.poly(crit)[::-1]
+        coefs = np.concatenate([[0.0], dp / np.arange(1, len(dp) + 1)])
+        coefs[0] = -np.polyval(coefs[::-1], rng.uniform(0.02, 1.2))
+        coefs *= rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        r, d = rng.uniform(0.1, 2.0), rng.uniform(0.2, 2.0)
+        p = ExpPoly.maybe([(float(c), r + i * d) for i, c in enumerate(coefs) if c != 0.0])
+        if p is not None:
+            yield p
+
+
+class TestLazyInnerLevels:
+    """Inner Rolle levels are refined only until the level above keeps one
+    sign across each bracket; the top level's roots still go down to
+    ROOT_WIDTH.  The full-refinement recursion above is the reference."""
+
+    def test_matches_full_refinement(self, monkeypatch):
+        polys = list(_random_polys(20261019, 1000)) + list(_near_critical_polys(11, 1000))
+        assert len(polys) > 1900
+        lazy_signs = []
+        for p in polys:
+            lo, hi = exppoly.ROOT_WIDTH, p.dominance_horizon(0.0) + 1.0
+            rep, ref = p.isolate_roots(lo, hi), _reference_report(p, lo, hi)
+            assert len(rep.isolated_roots) == len(ref.isolated_roots), p.terms
+            assert rep.residual_uncertainty == ref.residual_uncertainty, p.terms
+            q = exppoly._terms(p.coefficients, [r - p.rates[0] for r in p.rates])
+            for a, b in rep.isolated_roots:
+                assert b - a <= 2 * exppoly.ROOT_WIDTH
+                # a sign change across the interval, unless an end lies
+                # within the noise floor (a noise-limited interval)
+                (va, sa), (vb, sb) = exppoly._eval_scale(q, a), exppoly._eval_scale(q, b)
+                assert va * vb <= 0 or min(abs(va) / sa, abs(vb) / sb) <= exppoly.TOUCH_REL, p.terms
+            lazy_signs.append(p.sign_pattern_exact(0.0).signs)
+        monkeypatch.setattr(ExpPoly, "isolate_roots", _reference_report)
+        reference = [p.sign_pattern_exact(0.0).signs for p in polys]
+        assert lazy_signs == reference
+
+    def test_inner_evaluations_drop_below_half(self, monkeypatch):
+        # e^{-x} P(e^{-0.7 x}), P with five roots in (0, 1): five levels of
+        # critical points below five top-level roots
+        coefs = np.poly([0.2, 0.45, 0.6, 0.8, 0.9])[::-1]
+        p = ExpPoly(tuple((float(c), 1.0 + 0.7 * i) for i, c in enumerate(coefs)))
+        top = len(p.terms)
+        counts = {"inner": 0, "top": 0}
+        for name in ("_eval_scale", "_eval_slope"):
+            def spy(*args, _inner=getattr(exppoly, name), _slope=name == "_eval_slope"):
+                # _eval_slope evaluates a level for the brackets of the one
+                # below; _eval_scale evaluates the level its terms belong to
+                inner = _slope or len(args[0]) < top
+                counts["inner" if inner else "top"] += 1
+                return _inner(*args)
+            monkeypatch.setattr(exppoly, name, spy)
+
+        lo, hi = exppoly.ROOT_WIDTH, p.dominance_horizon(0.0) + 1.0
+        rep = p.isolate_roots(lo, hi)
+        lazy = dict(counts)
+        counts.update(inner=0, top=0)
+        ref = _reference_report(p, lo, hi)
+        assert len(rep.isolated_roots) == len(ref.isolated_roots) == 5
+        # the top level still bisects its roots down to ROOT_WIDTH, from
+        # slightly different brackets
+        assert abs(lazy["top"] - counts["top"]) < 0.1 * counts["top"]
+        assert lazy["inner"] < 0.5 * counts["inner"]
+
+    def test_clamped_start_keeps_bisecting(self, monkeypatch):
+        # at lo = -80 the exponents of q, 10 * 80 and 10.2 * 80, clamp at
+        # 709, so the term scale there bounds nothing and no bracket may
+        # stop on it
+        p = ExpPoly(((-1e-6, 1.0), (1e-10, 11.0), (-8.152242344152627e-17, 11.2)))
+        stops = []
+        keeps = exppoly._keeps_sign
+
+        def spy(at_a, at_b, width):
+            stops.append((at_a[4], keeps(at_a, at_b, width)))
+            return stops[-1][1]
+
+        monkeypatch.setattr(exppoly, "_keeps_sign", spy)
+        rep = p.isolate_roots(-80.0, 10.0)
+        assert any(clamped for clamped, _ in stops)
+        assert not any(clamped and kept for clamped, kept in stops)
+        ref = _reference_report(p, -80.0, 10.0)
+        assert rep == ref
+        # near ln(1e-4) / 10, where -1e-6 + 1e-10 e^{-10 x} vanishes
+        assert any(abs(a - math.log(1e-4) / 10) < 1e-6
+                   and p.eval(a - 1e-9) * p.eval(b + 1e-9) < 0
+                   for a, b in rep.isolated_roots)
+
+    def test_two_slopes_in_one_pass(self):
+        """q and q' from _eval_slope agree bit for bit with _eval_scale over
+        the terms of q and of its derivative."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            coefs = [float(c) for c in rng.uniform(-5.0, 5.0, n + 1)]
+            rates = [0.0] + [float(r) for r in np.sort(rng.uniform(0.01, 9.0, n))]
+            x = float(rng.choice([rng.uniform(-200.0, 200.0), rng.uniform(-1.0, 1.0)]))
+            q = exppoly._terms(coefs, rates)
+            slope = [(c, nr, ac, c * nr, abs(c * nr)) for c, nr, ac in q[1:]]
+            got = exppoly._eval_slope(coefs[0], slope, x)
+            dq = exppoly._terms([c * -r for c, r in zip(coefs[1:], rates[1:])], rates[1:])
+            want = exppoly._eval_scale(q, x) + exppoly._eval_scale(dq, x)
+            assert [v.hex() for v in got[:4]] == [v.hex() for v in want]
+            assert got[4] == any(not -745.0 <= -r * x <= 709.0 for r in rates)
+
+
 class TestSignPatternExact:
     def test_tail_dominance_difference_is_positive(self):
         pat = u_poly(2, 2.0).sign_pattern_exact(0.0)
@@ -284,11 +462,21 @@ class TestSignPatternExact:
         assert base.signs == scaled.signs
         assert base.witnesses == scaled.witnesses
 
-    @pytest.mark.xfail(strict=True, reason="the evaluation clamps every exponent "
-                       "at -745, so beyond x = 745 / rate all terms take the same "
-                       "underflowed value and a crossing there is invisible")
-    def test_far_crossing_is_missed(self):
-        assert ExpPoly(FAR_CROSSING).sign_pattern_exact(0.0).signs == ("+", "-")
+    def test_far_crossing_is_found(self):
+        # beyond x = 745 / rate every direct term clamps to the same value;
+        # relative to the head term the crossing at x = 4777.8 shows
+        p = ExpPoly(FAR_CROSSING)
+        pat = p.sign_pattern_exact(0.0)
+        assert pat.signs == ("+", "-")
+        x = math.log(FAR_CROSSING[1][0] / -FAR_CROSSING[0][0]) \
+            / (FAR_CROSSING[1][1] - FAR_CROSSING[0][1])
+        (lo, hi), = pat.change_points
+        assert abs(0.5 * (lo + hi) - x) < 1e-9
+        # the direct value at the far witness is an underflowed clamp, which
+        # cannot show "-": the pattern is uncertain, never a refutation
+        assert p.eval(pat.witnesses[0]) > 0
+        assert not p.eval(pat.witnesses[1]) < 0
+        assert pat.uncertain
 
     def test_negation_flips_all_signs(self):
         p = ExpPoly(((1.0, 0.5), (-3.0, 1.5), (1.0, 2.5)))
@@ -353,15 +541,15 @@ class TestSignPatternByRule:
             decided += 1
             assert rule.confidence == EXACT and not rule.uncertain
             assert len(rule.signs) <= 2
-            if p.dominance_horizon(0.0) * p.rates[0] > 700.0:
-                # isolation cannot see a crossing where every term
-                # underflows (see test_far_crossing_is_missed)
-                beyond += 1
-                continue
             exact = p.sign_pattern_exact(0.0)
-            if not exact.uncertain:
+            if p.dominance_horizon(0.0) * p.rates[0] > 700.0:
+                # every direct term underflows there; the signs are read
+                # relative to the head term (see test_far_crossing_is_found)
+                beyond += 1
                 assert rule.signs == exact.signs, p.terms
-        assert decided > 500 and beyond < 10
+            elif not exact.uncertain:
+                assert rule.signs == exact.signs, p.terms
+        assert decided > 500 and 0 < beyond < 10
 
     def test_far_crossing(self):
         # two nearly equal rates: the one crossing lies at x = 4777.8

@@ -157,6 +157,16 @@ class TestScan:
         xs = [r[0] for r in rows]
         assert all(s in ("+", "-", "0") for _, _, s in rows)
 
+    def test_midpoints_of_a_huge_window_stay_finite(self):
+        # the two ends of a bracket near 1.7e308 sum past the largest float
+        rows = []
+        pat = scan(lambda x: x - 1.5e308, ScanConfig(x_max=1.7e308), trace=rows)
+        assert pat.signs == ("-", "+")
+        assert all(np.isfinite(pat.witnesses))
+        (lo, hi), = pat.change_points
+        assert lo <= 1.5e308 <= hi < 1.7e308
+        assert all(0.0 < x <= 1.7e308 for x, _, _ in rows)
+
 
 class TestRowScan:
     def test_cells_keep_their_own_grid_deadband_and_depth(self):
