@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,24 +51,33 @@ def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
     for _, r in pairs:
         if not r > 0:
             raise ValueError("rates must be strictly positive")
-    pairs.sort(key=lambda t: t[1])
+    pairs.sort(key=itemgetter(1))
     if not pairs:
         raise ValueError("at least one term is required")
+    return _merge_sorted(pairs)
+
+
+def _merge_sorted(pairs) -> tuple[tuple[float, float], ...]:
+    """_merge_terms of a nonempty list of float (coefficient, rate) pairs
+    with positive rates, already in stable order of increasing rate."""
     tol = RATE_MERGE_REL * pairs[-1][1]
-    merged: list[list[float]] = []
+    coefs: list[float] = []
+    rates: list[float] = []
     for c, r in pairs:
-        if merged and abs(r - merged[-1][1]) <= tol:
-            merged[-1][0] += c
+        if rates and abs(r - rates[-1]) <= tol:
+            coefs[-1] += c
         else:
-            merged.append([c, r])
-    top = max(abs(c) for c, _ in merged)
+            coefs.append(c)
+            rates.append(r)
+    top = max(map(abs, coefs))
     if top == 0.0:
         return ()
+    floor = PRUNE_REL * top
     kept = []
-    for c, r in merged:
+    for c, r in zip(coefs, rates):
         if c == 0.0:
             continue
-        if abs(c) < PRUNE_REL * top:
+        if abs(c) < floor:
             # pure cancellation residue (a few ulps) is routine; anything
             # larger deserves attention
             level = logging.DEBUG if abs(c) < 100 * _EPS * top \

@@ -22,13 +22,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import chain, product
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import RATE_MERGE_REL, ExpPoly
+from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -183,10 +184,11 @@ class GridSpec:
 
 def _difference(fy, fx, ey: float, ex: float):
     """F(x, a, b, coef) = fy(x)/ey - coef fx(a x + b)/ex of many cells at
-    once: a, b and coef hold each point's cell (scalars for one cell)."""
-    def F(x, a, b, coef):
+    once: a, b and coef hold each point's cell (scalars for one cell).  y,
+    when given, holds fy(x), which reads x alone (see _scan_row)."""
+    def F(x, a, b, coef, y=None):
         xa = np.asarray(x, dtype=float)
-        y = np.asarray(fy(xa), dtype=float)
+        y = np.asarray(fy(xa) if y is None else y, dtype=float)
         xs = coef * np.asarray(fx(a * xa + b), dtype=float)
         # dividing by a normalizer of 1 (V's, the H forms' at s = 1) is exact: skip it
         return (y if ey == 1.0 else y / ey) - (xs if ex == 1.0 else xs / ex)
@@ -263,15 +265,18 @@ class _Form:
     normalizer.  At cell (a, b) it is x -> F(x, a, b, a ** k); V is the
     tail case, with k = 0 and both normalizers 1.
 
-    sides is (Y side / its normalizer, X side) as exponential polynomials,
-    or None unless both are; ex is the X side's normalizer.  left is the
-    sign of the form on (0, -b/a] at b < 0, where a x + b <= 0, when it is
-    fixed there and the form's pattern from -b/a on begins with it: "-"
-    for V, whose X side is 1 there.  None leaves the cells with b < 0 to
-    the sampled scan.  cfg(a, b) and bps(a, b) are a cell's scan
-    configuration and breakpoints."""
+    fy is the Y side, which reads x alone; F takes its values as an
+    optional last argument (see _scan_row).  sides is (Y side / its
+    normalizer, X side) as exponential polynomials, or None unless both
+    are; ex is the X side's normalizer.  left is the sign of the form on
+    (0, -b/a] at b < 0, where a x + b <= 0, when it is fixed there and the
+    form's pattern from -b/a on begins with it: "-" for V, whose X side is
+    1 there.  None leaves the cells with b < 0 to the sampled scan.
+    cfg(a, b) and bps(a, b) are a cell's scan configuration and
+    breakpoints."""
 
     F: Callable
+    fy: Callable
     k: int
     ex: float
     sides: tuple[ExpPoly, ExpPoly] | None
@@ -288,7 +293,8 @@ def _v_form(TX: IteratedTail, TY: IteratedTail, template: ScanConfig | None) -> 
     get an absolute deadband so integration noise cannot fabricate signs."""
     dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
     sides = None if TX.poly is None or TY.poly is None else (TY.poly, TX.poly)
-    return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), 0, 1.0, sides, "-",
+    return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), TY.eval_tail, 0, 1.0,
+                 sides, "-",
                  _scan_config_per_cell(TX, TY, TX.base, TY.base, template, dead_abs),
                  partial(_cell_breakpoints, TX.base, TY.base))
 
@@ -304,11 +310,12 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
     closed = px is not None and py is not None
     cfg = _scan_config_per_cell(X, Y, X, Y, template)
     bps = partial(_cell_breakpoints, X, Y)
+    fy = _density(Y)
     return {
-        "hs": _Form(_difference(_density(Y), _density(X), ey, ex), s, ex,
+        "hs": _Form(_difference(fy, _density(X), ey, ex), fy, s, ex,
                     (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0))
                     if closed else None, None, cfg, bps),
-        "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), s - 1, ex,
+        "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), Y.tail, s - 1, ex,
                      (py.scaled(1.0 / ey), px) if closed else None, None, cfg, bps),
     }
 
@@ -317,8 +324,9 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
 class _CellResult:
     """One evaluated cell.  form is the function whose pattern was taken,
     so a disallowed pattern can be re-verified, and a passing one measured,
-    at its witnesses.  A degenerate cell (form zero within the deadband: X
-    and Y indistinguishable there) passes with margin 0."""
+    at its witnesses: margin, when measured, is the smallest |form| there.
+    A degenerate cell (form zero within the deadband: X and Y
+    indistinguishable there) passes with margin 0."""
 
     a: float
     b: float
@@ -326,6 +334,7 @@ class _CellResult:
     form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
+    margin: float | None = None
 
 
 def _degenerate(a: float, b: float) -> _CellResult:
@@ -341,28 +350,43 @@ def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | Non
     underflows, and when a term slower than every kept one was pruned as
     negligible (say, X shrunk by a large b): it would have decided the
     sign of the tail.  Only terms of both sides can cancel, so a missing
-    term of one side alone was pruned."""
+    term of one side alone was pruned.
+
+    The X side is composed, scaled and subtracted as term lists, each step
+    merged and pruned as ExpPoly.compose_affine, scaled and subtract would,
+    in that order, and only the difference is built as an ExpPoly."""
     if form.sides is None or (b < 0 and form.left is None):
         return None
     hy, hx = form.sides
     scale = a ** form.k / form.ex
-    try:
-        xpart = hx.compose_affine(a, b)
-        if scale != 1.0:  # rescaling by 1 (V's scale) changes nothing
-            xpart = xpart.scaled(scale)
-    except (ValueError, OverflowError):
+    if scale == 0.0:  # the X side collapses, as ExpPoly.scaled refuses it
         return None
-    closed = hy.subtract(xpart)
-    if closed is None:
+    try:
+        xterms = [(c * math.exp(-r * b), r * a) for c, r in hx.terms]
+    except OverflowError:
+        return None
+    # a x + b keeps hx's rate order; a rate lost to underflow (or a NaN
+    # slope) fails the positivity check compose_affine makes
+    if not xterms[0][1] > 0:
+        return None
+    xterms = _merge_sorted(xterms)
+    if xterms and scale != 1.0:  # rescaling by 1 (V's scale) changes nothing
+        xterms = _merge_sorted([(c * scale, r) for c, r in xterms])
+    if not xterms:  # every X coefficient underflowed
+        return None
+    terms = _merge_sorted(sorted(hy.terms + tuple((-c, r) for c, r in xterms), key=itemgetter(1)))
+    if not terms:
         if b >= 0:
             return _degenerate(a, b)
         return _CellResult(a, b, SignPattern((form.left,), (-b / a / 2.0,), (), EXACT), form)
-    slowest = closed.terms[0][1]
-    if min(hy.terms[0][1], xpart.terms[0][1]) < slowest:
-        tol = RATE_MERGE_REL * max(hy.terms[-1][1], xpart.terms[-1][1])
-        for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
-            if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
+    slowest = terms[0][1]
+    if min(hy.terms[0][1], xterms[0][1]) < slowest:
+        tol = RATE_MERGE_REL * max(hy.terms[-1][1], xterms[-1][1])
+        for own, other in ((hy.terms, xterms), (xterms, hy.terms)):
+            if any(r < slowest and all(abs(r - q) > tol for _, q in other) for _, r in own):
                 return None
+    closed = object.__new__(ExpPoly)
+    object.__setattr__(closed, "terms", terms)
     return closed
 
 
@@ -381,11 +405,34 @@ def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
         out.append(c)
     if rest:
         scanned = _scan_row(form.F, [((a, b, a ** form.k), form.cfg(a, b), form.bps(a, b))
-                                     for a, b in (cells[i] for i in rest)])
+                                     for a, b in (cells[i] for i in rest)], fy=form.fy)
         for i, pat in zip(rest, scanned):
             # a cell zero within the deadband scans as IndeterminateFunction
             out[i] = _degenerate(*cells[i]) if isinstance(pat, IndeterminateFunction) \
                 else _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
+    return out
+
+
+def _with_margins(form: _Form, results: list[_CellResult], allowed) -> list[_CellResult]:
+    """results, each passing cell with its margin: the form is evaluated
+    once, at the witnesses of every passing cell of the batch, on flat
+    arrays of each point's x, a, b and a^k.  Every side is evaluated
+    elementwise, so each value is the one the cell alone would give."""
+    passing = [i for i, res in enumerate(results)
+               if not (res.degenerate or res.uncertain) and res.pattern.witnesses
+               and matches(res.pattern, allowed)]
+    if not passing:
+        return results
+    cells = [results[i] for i in passing]
+    sizes = [len(res.pattern.witnesses) for res in cells]
+    x = np.fromiter(chain.from_iterable(res.pattern.witnesses for res in cells), float)
+    a, b, coef = (np.repeat(np.asarray(col, dtype=float), sizes)
+                  for col in zip(*((res.a, res.b, res.a ** form.k) for res in cells)))
+    vals = np.abs(np.asarray(form.F(x, a, b, coef), dtype=float))
+    starts = np.cumsum([0] + sizes[:-1])
+    out = list(results)
+    for i, res, m in zip(passing, cells, np.minimum.reduceat(vals, starts).tolist()):
+        out[i] = replace(res, margin=m)
     return out
 
 
@@ -409,16 +456,15 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
 _BATCH_CELLS = 64
 
 
-def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
-           margins: bool = False) -> Verdict:
+def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
     """Evaluate the grid in batches of whole rows, up to _BATCH_CELLS cells
     (at least one row) each, evaluate(cells) giving the cells of a list of
     (a, b) pairs, and read the cells one at a time in (a, b) lexicographic
     order; the first disallowed pattern that re-verifies refutes and ends
     the sweep, so at most the rest of its batch is evaluated in vain.  A
     disallowed pattern that does not re-verify counts as uncertain.  The
-    worst margin is 0 on a degenerate cell and, with margins, the smallest
-    |form| at the witnesses of a passing cell."""
+    worst margin is the smallest of the passing cells' margins, 0 on a
+    degenerate cell."""
     cells = list(product(grid.a_values, grid.b_values))
     size = max(1, _BATCH_CELLS // len(grid.b_values)) * len(grid.b_values)
     batches = (cells[i:i + size] for i in range(0, len(cells), size))
@@ -432,9 +478,8 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
             continue
         if not res.uncertain:
             if matches(res.pattern, allowed):
-                if margins and res.pattern.witnesses:
-                    vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
-                    worst = min(worst, float(np.min(np.abs(vals))))
+                if res.margin is not None:
+                    worst = min(worst, res.margin)
                 continue
             witness = _witness(res)
             if witness is not None:
@@ -455,13 +500,15 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s,
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
     """Sweep V over the grid, with margins: certified patterns where both
     tails are exponential polynomials, one _scan_row call for the other
-    cells of a batch."""
+    cells of a batch, and one evaluation of V for the margins of its
+    passing cells."""
     form = _v_form(TX, TY, grid.scan)
 
     def evaluate(cells):
-        return _evaluate_cells(form, cells, [_closed_cell(form, a, b) for a, b in cells])
+        return _with_margins(form, _evaluate_cells(
+            form, cells, [_closed_cell(form, a, b) for a, b in cells]), allowed)
 
-    return _sweep(grid, evaluate, allowed, criterion, s, margins=True)
+    return _sweep(grid, evaluate, allowed, criterion, s)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 PLUS = "+"
@@ -33,7 +34,14 @@ EXACT = "exact"
 SAMPLED = "sampled"
 
 
+_SIGNS = frozenset((PLUS, MINUS))
+
+
 def _normalize(seq: Iterable[str]) -> tuple[str, ...]:
+    """seq as a tuple of strict signs, each stripped of whitespace; a tuple
+    of plain signs, as the library builds them, is returned as it is."""
+    if type(seq) is tuple and _SIGNS.issuperset(seq):
+        return seq
     out = []
     for s in seq:
         s = s.strip()
@@ -123,6 +131,12 @@ class SignPattern:
         return ",".join(self.signs) if self.signs else "(none)"
 
 
+@lru_cache(maxsize=64)
+def _normalized_set(allowed: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
+    """Each sequence of an allowed set normalized, once per distinct set."""
+    return tuple(_normalize(cand) for cand in allowed)
+
+
 def matches(pattern: SignPattern | Sequence[str], allowed: Iterable[Sequence[str]]) -> bool:
     """True iff the pattern is a final part (suffix) of some allowed sequence.
 
@@ -133,8 +147,7 @@ def matches(pattern: SignPattern | Sequence[str], allowed: Iterable[Sequence[str
     n = len(signs)
     if n == 0:
         return True
-    for cand in allowed:
-        cand = _normalize(cand)
+    for cand in _normalized_set(tuple(map(tuple, allowed))):
         if n <= len(cand) and cand[len(cand) - n:] == signs:
             return True
     return False

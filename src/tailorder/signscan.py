@@ -104,7 +104,7 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
     return result
 
 
-def _scan_row(F, cells, *, lo: float | None = None,
+def _scan_row(F, cells, *, fy=None, lo: float | None = None,
               trace: list | None = None) -> list[SignPattern | IndeterminateFunction]:
     """scan, run on many cells at once.
 
@@ -116,6 +116,12 @@ def _scan_row(F, cells, *, lo: float | None = None,
     deadband and refinement depth, and the samples end sorted by (cell, x)
     with ties in evaluation order, so each cell gets exactly the pattern,
     or the IndeterminateFunction, that scanning it alone would give.
+
+    fy, when given, is a part of F that reads x alone, and F takes its
+    values at x as one more argument, after the parameters.  The initial
+    evaluation computes fy once per distinct grid of the row: cells with
+    equal windows and no breakpoints inside share one (see _log_grid).
+    Refinement rounds leave fy to F.
     """
     cfgs, grids = [], []
     for _, cfg, breakpoints in cells:
@@ -138,7 +144,8 @@ def _scan_row(F, cells, *, lo: float | None = None,
     sizes = [len(xs) for xs in grids]
     cell = np.repeat(np.arange(n), sizes)
     xs = np.concatenate(grids)
-    vals = np.asarray(F(xs, *(np.repeat(p, sizes) for p in params)), dtype=float)
+    shared = () if fy is None else (_per_grid(fy, grids),)
+    vals = np.asarray(F(xs, *(np.repeat(p, sizes) for p in params), *shared), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("scanned function must be vectorized")
 
@@ -178,6 +185,17 @@ def _scan_row(F, cells, *, lo: float | None = None,
     return [SignPattern(tuple(sg), tuple(w), tuple(ch), SAMPLED) if sg
             else IndeterminateFunction(_NO_SIGN)
             for sg, w, ch in zip(out_signs, witnesses, changes)]
+
+
+def _per_grid(fy, grids):
+    """fy at the concatenated grids, evaluated once per distinct grid
+    object: fy reads each x alone, so every value is the one it gives at
+    all the points at once."""
+    done = {}
+    for xs in grids:
+        if id(xs) not in done:
+            done[id(xs)] = np.asarray(fy(xs), dtype=float)
+    return np.concatenate([done[id(xs)] for xs in grids])
 
 
 def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):

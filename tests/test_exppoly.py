@@ -222,6 +222,43 @@ class TestTouchBranch:
         assert lo <= LN2 <= hi
 
 
+#: Positive on [1.2, 1.3], where it falls to about 4e-17, some 1e-16 of its
+#: term scale (50-digit evaluation: +5.5e-17 at 1.2548, +3.9e-17 at 1.2553,
+#: +5.3e-17 at 1.2556); its one root on (0, horizon] lies near 2.929.
+NOISE_FLOOR_DIP = ((-0.040513131177633825, 0.449154129591689),
+                   (0.4008576232753653, 0.8524463744950669),
+                   (-1.5450556990545752, 1.2557386193984448),
+                   (2.9199487091210443, 1.6590308643018226),
+                   (-2.7179808046354137, 2.0623231092052006),
+                   (1.0, 2.4656153541085786))
+#: Changes sign between x = -71 (50 digits: -3.0e328) and x = -70
+#: (+5.0e322), where f e^{x} is about 1e300 and representable, and again
+#: near -0.921.
+CLAMPED_CROSSING = ((-1e-6, 1.0), (1e-10, 11.0), (-8.152242344152627e-17, 11.2))
+
+
+class TestKnownDefects:
+    """Open root-isolation defects, pinned until they are mended."""
+
+    @pytest.mark.xfail(strict=True, reason="the bisected value has no noise "
+                       "floor: two roots are certified where f dips to about "
+                       "1e-16 of its term scale without crossing")
+    def test_dip_to_the_noise_floor_is_not_a_root(self):
+        p = ExpPoly(NOISE_FLOOR_DIP)
+        rep = p.isolate_roots(1e-12, p.dominance_horizon(0.0) + 1.0)
+        dips = [iv for iv in rep.isolated_roots if 1.2 < iv[0] and iv[1] < 1.3]
+        assert rep.residual_uncertainty or not dips
+        assert any(iv[0] <= 2.93 and 2.92 <= iv[1] for iv in rep.isolated_roots)
+
+    @pytest.mark.xfail(strict=True, reason="_eval_scale clamps exponents at "
+                       "709 before c e^z overflows, so the far crossing reads "
+                       "as one sign")
+    def test_crossing_past_the_exponent_clamp_is_found(self):
+        rep = ExpPoly(CLAMPED_CROSSING).isolate_roots(-80.0, 10.0)
+        far = [iv for iv in rep.isolated_roots if -71.0 <= iv[0] and iv[1] <= -70.0]
+        assert rep.residual_uncertainty or len(far) == 1
+
+
 #: -1.26e-4 e^{-0.97190 x} + 164.8 e^{-0.97484 x}: one crossing, at
 #: x = 4777.8, where both terms lie far below the smallest double
 FAR_CROSSING = ((-0.00012590443351662647, 0.9718961351191255),

@@ -416,6 +416,24 @@ class TestBatchInvariance:
             monkeypatch, criterion_h, MaxExp(1.0, 2.0), MaxExp(1.0, 1.0), 2, SMALL_POS)
         assert v.refuted and v.cells_scanned == 89
 
+    #: the certified benchmark workload's grid
+    CERTIFIED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("pair", ["sampled", "certified"])
+    def test_star_shape_margin_is_bit_equal(self, monkeypatch, pair, s):
+        # one margin evaluation per batch of sampled or certified cells gives
+        # the worst margin of one cell per batch to the last bit
+        X, Y, grid = ((Weibull(2.0), Gamma(2.0), self.SAMPLED_GRID) if pair == "sampled"
+                      else (MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), self.CERTIFIED_GRID))
+        v = compare_ifra(X, Y, s, grid)
+        assert v.supported and v.worst_margin > 0.0
+        with monkeypatch.context() as mp:
+            mp.setattr(ordering, "_BATCH_CELLS", 1)
+            one = compare_ifra(X, Y, s, grid)
+        assert one.to_dict() == v.to_dict()
+        assert one.worst_margin.hex() == v.worst_margin.hex()
+
     def test_sampled_criterion_h_with_partner_form(self, monkeypatch):
         # hs fails on many cells that hs1 then passes: in each of the two
         # runs the scanner sees more cells than the grid holds
@@ -424,6 +442,143 @@ class TestBatchInvariance:
             monkeypatch, criterion_h, Gamma(2.0), Weibull(2.0), 1, SMALL_POS)
         assert v.supported
         assert len(calls) > 2 * len(SMALL_POS.a_values) * len(SMALL_POS.b_values)
+
+
+class TestMargins:
+    """A V sweep measures each passing cell at its witnesses, with one
+    evaluation of the form per batch."""
+
+    @staticmethod
+    def _cells(monkeypatch):
+        seen = []
+        inner = ordering._with_margins
+
+        def spy(form, results, allowed):
+            out = inner(form, results, allowed)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(ordering, "_with_margins", spy)
+        return seen
+
+    @pytest.mark.parametrize("check,X,Y,s,grid", [
+        (compare_ifr, Weibull(2.0), Gamma(2.0), 1, SMALL),
+        (compare_ifra, Weibull(1.5), Gamma(1.5), 2, SMALL_POS),
+        (compare_ifr, MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, SMALL),
+        (compare_ifra, MaxExp(1.0, 1.0), MaxExp(1.0, 4.0), 3, SMALL_POS),
+    ], ids=["ifr-sampled", "ifra-sampled", "ifr-certified", "ifra-certified"])
+    def test_worst_margin_is_the_least_per_cell_evaluation(self, monkeypatch, check,
+                                                           X, Y, s, grid):
+        cells = self._cells(monkeypatch)
+        v = check(X, Y, s, grid)
+        assert v.supported and len(cells) == v.cells_scanned
+        margins = []
+        for res in cells:
+            if res.margin is None:
+                assert res.degenerate or not res.pattern.witnesses
+                continue
+            vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
+            alone = float(np.min(np.abs(vals)))
+            assert res.margin.hex() == alone.hex(), (res.a, res.b)
+            margins.append(alone)
+        assert len(margins) > len(cells) // 2
+        assert v.worst_margin == min(margins)
+
+    def test_criterion_h_cells_carry_no_margin(self, monkeypatch):
+        calls = self._cells(monkeypatch)
+        v = criterion_h(Weibull(2.0), Gamma(2.0), 1, SMALL_POS)
+        assert v.supported and v.worst_margin is None and calls == []
+
+
+def _reference_closed_cell(form, a, b):
+    """_closed_cell built from whole ExpPoly steps: compose_affine, scaled
+    and subtract, with the same fallbacks and pruning guard."""
+    if form.sides is None or (b < 0 and form.left is None):
+        return None
+    hy, hx = form.sides
+    scale = a ** form.k / form.ex
+    try:
+        xpart = hx.compose_affine(a, b)
+        if scale != 1.0:
+            xpart = xpart.scaled(scale)
+    except (ValueError, OverflowError):
+        return None
+    closed = hy.subtract(xpart)
+    if closed is None:
+        return "degenerate" if b >= 0 else "left"
+    slowest = closed.terms[0][1]
+    if min(hy.terms[0][1], xpart.terms[0][1]) < slowest:
+        tol = ordering.RATE_MERGE_REL * max(hy.terms[-1][1], xpart.terms[-1][1])
+        for own, other in ((hy.rates, xpart.rates), (xpart.rates, hy.rates)):
+            if any(r < slowest and all(abs(r - q) > tol for q in other) for r in own):
+                return "pruned"
+    return closed
+
+
+class TestClosedCell:
+    """_closed_cell composes, scales and subtracts on term lists, building
+    one ExpPoly; its terms are those of the whole-polynomial steps to the
+    bit, and it falls back where they do."""
+
+    @staticmethod
+    def _forms(X, Y, s):
+        return [ordering._v_form(iterate(X, s), iterate(Y, s), None),
+                *ordering._h_forms(X, Y, s, None).values()]
+
+    @staticmethod
+    def _bits(poly):
+        return [(c.hex(), r.hex()) for c, r in poly.terms]
+
+    def _agree(self, form, a, b):
+        got, want = ordering._closed_cell(form, a, b), _reference_closed_cell(form, a, b)
+        if isinstance(want, ExpPoly):
+            assert isinstance(got, ExpPoly), (a, b)
+            assert all(type(c) is float and type(r) is float for c, r in got.terms)
+            assert self._bits(got) == self._bits(want), (a, b)
+            return "closed"
+        if want in ("degenerate", "left"):
+            assert isinstance(got, ordering._CellResult), (a, b)
+            assert got.degenerate == (want == "degenerate")
+            return want
+        assert got is None, (a, b)
+        return "none" if want is None else want
+
+    def test_terms_are_bit_identical_on_random_cells(self):
+        rng = np.random.default_rng(1301)
+        seen = {}
+        for _ in range(60):
+            rates = np.sort(rng.uniform(0.2, 15.0, 2)).tolist()
+            X = MaxExp(*rates) if rng.random() < 0.8 else Exponential(rates[0])
+            Y = MaxExp(*np.sort(rng.uniform(0.2, 15.0, 2)).tolist())
+            for form in self._forms(X, Y, int(rng.integers(1, 5))):
+                for _ in range(8):
+                    a = float(10.0 ** rng.uniform(-1.5, 1.5))
+                    b = float(rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(-60.0, 0.0),
+                                          rng.uniform(20.0, 120.0)]))
+                    kind = self._agree(form, a, b)
+                    seen[kind] = seen.get(kind, 0) + 1
+        assert seen.get("closed", 0) > 600
+        assert seen.get("none", 0) > 20 and seen.get("pruned", 0) > 0
+
+    def test_pruned_overflowing_and_cancelling_cells(self):
+        X, Y = Exponential(1.0), Exponential(10.0)
+        # a = 0.05, b = 40: the X term falls below the prune threshold
+        hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
+        assert self._agree(hs1, 0.05, 40.0) == "pruned"
+        # b = -60 on rates up to 25: exp(-r b) overflows
+        v = self._forms(MaxExp(12.0, 13.0), MaxExp(1.0, 2.0), 2)[0]
+        assert self._agree(v, 0.5, -60.0) == "none"
+        # b = 800: every X coefficient underflows
+        assert self._agree(self._forms(X, Y, 1)[0], 1.0, 800.0) == "none"
+        # at b = 690 it survives composing (about 1e-300), but not the scale
+        # a^4 / E X^3 of hs at s = 4, a = 1e-6; against a Y side slower than
+        # the composed X side no pruning guard would catch the loss
+        hs = ordering._h_forms(X, Exponential(1e-7), 4, None)["hs"]
+        assert self._agree(hs, 1e-6, 690.0) == "none"
+        # equal sides cancel at a = 1, b = 0, and only there
+        same = self._forms(MaxExp(1.0, 2.0), MaxExp(1.0, 2.0), 2)[0]
+        assert self._agree(same, 1.0, 0.0) == "degenerate"
+        assert self._agree(same, 1.0, -0.5) == "closed"
 
 
 class TestDmrl:

@@ -189,6 +189,43 @@ class TestRowScan:
             assert got == alone
             assert len(got.signs) == 3
 
+    def test_x_only_side_once_per_shared_window(self):
+        # four cells share one window, one of them with a breakpoint inside
+        # (so its grid differs), and a fifth has a window of its own: the
+        # initial evaluation reads the x-only side on three grids, and each
+        # cell gets the pattern, witnesses and trace of scanning it alone
+        def fy(x):
+            seen.append(np.asarray(x).size)
+            return np.exp(-np.asarray(x))
+
+        def F(x, c, r, y=None):
+            return (np.exp(-x) if y is None else y) - c * np.exp(-r * x)
+
+        shared, own = ScanConfig(x_max=12.0), ScanConfig(x_max=7.5, initial_grid=96)
+        cells = [((0.5, 0.4), shared, ()), ((2.0, 1.5), shared, ()),
+                 ((3.0, 1.25), shared, (0.7,)), ((1.0, 1.0), shared, ()),
+                 ((0.25, 0.5), own, ())]
+        seen, trace = [], []
+        row = _scan_row(F, cells, fy=fy, trace=trace)
+        assert seen == [512, 513, 96]
+        assert isinstance(row[3], IndeterminateFunction)
+        alone_trace = []
+        for (params, cfg, bps), got in zip(cells, row):
+            rows = []
+            try:
+                alone = scan(lambda x: F(x, *params), cfg, bps, trace=rows)
+            except IndeterminateFunction:
+                alone = None
+            alone_trace += rows
+            if alone is None:
+                assert isinstance(got, IndeterminateFunction)
+            else:
+                assert (got.signs, got.witnesses, got.change_points) == \
+                    (alone.signs, alone.witnesses, alone.change_points)
+                assert got == alone
+        assert [repr(r) for r in trace] == [repr(r) for r in alone_trace]
+        assert sum(len(p.signs) > 1 for p in row if isinstance(p, SignPattern)) >= 3
+
 
 def _random_row(x, root1, root2, sign, kind, spike_at, spike_width, spike_height, hole):
     """Two roots, or a unit step at root1 (kind 1), plus a narrow spike and
@@ -295,6 +332,21 @@ class TestMatches:
         for pat in (("-", "+", "-"), ("+", "-", "+", "-"), ("-", "+", "-", "+")):
             assert not matches(pat, ALLOWED_IFR), pat
 
+    def test_invalid_sign_in_a_pattern_or_an_allowed_set_is_rejected(self):
+        with pytest.raises(ValueError, match="invalid sign"):
+            matches(("+", "?"), ALLOWED_IFR)
+        for allowed in ([("+", "?")], [("+", "-"), ["-", "+", "x"]]):
+            with pytest.raises(ValueError, match="invalid sign"):
+                matches(("+",), allowed)
+        # a rejected set is not remembered as valid
+        with pytest.raises(ValueError, match="invalid sign"):
+            matches(("+",), [("+", "?")])
+
+    def test_allowed_sets_of_any_shape_are_normalized(self):
+        for allowed in ([[" + ", "-"]], ((" +", "- "),), [("+", "-")], ["+-"]):
+            assert matches(("-",), allowed)
+            assert not matches(("-", "+"), allowed)
+
     def test_star_shape_admissible_set(self):
         for pat in (("-",), ("+",), ("-", "+")):
             assert matches(pat, ALLOWED_IFRA), pat
@@ -314,6 +366,19 @@ class TestSignPatternInvariants:
     def test_exact_confidence_survives_negation(self):
         pat = SignPattern(("+", "-"), (1.0, 3.0), ((2.0, 2.1),), "exact")
         assert pat.negated().confidence == "exact"
+
+    def test_invalid_sign_from_a_caller_is_rejected(self):
+        for signs in (("+", "x"), ("+", ""), ["-", "*"], ("+-",)):
+            with pytest.raises(ValueError, match="invalid sign"):
+                SignPattern(signs, (1.0,) * len(signs), ((1.5, 1.6),) * (len(signs) - 1))
+
+    def test_caller_signs_are_normalized(self):
+        pat = SignPattern([" + ", "-\n"], (1.0, 3.0), ((2.0, 2.1),))
+        assert pat.signs == ("+", "-") and type(pat.signs) is tuple
+
+    def test_plain_sign_tuples_are_kept_as_built(self):
+        signs = ("-", "+", "-")
+        assert SignPattern(signs, (1.0, 2.0, 3.0), ((1.5, 1.6), (2.5, 2.6))).signs is signs
 
 
 class TestSampledAgainstExact:
