@@ -5,12 +5,14 @@ slowest-decaying one and fixes the sign at +infinity.  The number of real
 zeros of such a sum is bounded by the number of strict sign alternations in
 the coefficient sequence taken in that order, and the number on x > 0 also
 by those of its partial sums; where these bounds fix the sign sequence, it
-is read off them without isolating a root.  Root isolation below uses a
-Rolle-style recursion whose depth equals the term count minus one, with no
-numerical differentiation anywhere.  Only the top level's roots are bisected
-down to ROOT_WIDTH; the roots of each inner level, the critical points of
-the level above, are bisected only until that level provably keeps one sign
-across them.
+is read off them without isolating a root (_rule).  Where the signs of f,
+or of f' with Rolle's theorem, prove that f has no zero on x > 0, its sign
+pattern is sampled without isolating one either (_root_free).  Root
+isolation below uses a Rolle-style recursion whose depth equals the term
+count minus one, with no numerical differentiation anywhere.  Only the top
+level's roots are bisected down to ROOT_WIDTH; the roots of each inner
+level, the critical points of the level above, are bisected only until that
+level provably keeps one sign across them.
 """
 from __future__ import annotations
 
@@ -48,9 +50,13 @@ def _exp(z):
 
 def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
     pairs = [(float(c), float(r)) for c, r in pairs]
-    for _, r in pairs:
+    for c, r in pairs:
         if not r > 0:
             raise ValueError("rates must be strictly positive")
+        # an infinite rate makes the merge tolerance infinite, an infinite
+        # coefficient the pruning floor: either would drop finite terms
+        if not (math.isfinite(c) and math.isfinite(r)):
+            raise ValueError("coefficients and rates must be finite")
     pairs.sort(key=itemgetter(1))
     if not pairs:
         raise ValueError("at least one term is required")
@@ -225,6 +231,11 @@ class ExpPoly:
         Roots are isolated on a bounded window ending at the dominance
         horizon; beyond it the sign is the analytic limit sign (slowest
         term).  A tangential root (no crossing) yields no sign change.
+        At start 0 the isolation is skipped where the coefficient signs of
+        f or of f' prove that f has no zero past the window's left end
+        (_root_free); a value there below the noise floor is read as zero,
+        as isolation reads it.  Either way the signs and witnesses come
+        from the samples of each region between the roots.
 
         A region where the head (slowest) term underflows at its samples,
         or the fastest one overflows, is read from f e^{r_0 x}, relative to
@@ -236,19 +247,22 @@ class ExpPoly:
         shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
         lo = start + shift
         hi = max(horizon + 1.0, lo + 1.0)
-        report = self.isolate_roots(lo, hi, ROOT_WIDTH)
+        if start == 0.0 and _root_free(self.terms):
+            roots, uncertain = (), False
+        else:
+            report = self.isolate_roots(lo, hi, ROOT_WIDTH)
+            roots, uncertain = report.isolated_roots, report.residual_uncertainty
 
         rates = self.rates
         terms = _terms(self.coefficients, rates)
         head = _terms(self.coefficients, [r - rates[0] for r in rates])
-        cuts = [lo] + [0.5 * (a + b) for a, b in report.isolated_roots] + [hi]
+        cuts = [lo] + [0.5 * (a + b) for a, b in roots] + [hi]
         regions = list(zip(cuts, cuts[1:]))
         signs: list[str] = []
         witnesses: list[float] = []
         changes: list[tuple[float, float]] = []
-        uncertain = report.residual_uncertainty
         prev_root = None
-        for (a, b), root in zip(regions, list(report.isolated_roots) + [None]):
+        for (a, b), root in zip(regions, list(roots) + [None]):
             xs = np.linspace(a, b, 9)[1:-1]
             far = -rates[0] * xs[-1] < _EXP_TINY or -rates[-1] * xs[0] > _EXP_HI
             form = head if far else terms
@@ -284,35 +298,16 @@ class ExpPoly:
                            EXACT, uncertain)
 
     def sign_pattern_by_rule(self) -> SignPattern | None:
-        """Sign sequence on (0, inf) read off the coefficient signs, or None
-        when they do not fix it.  No root is isolated.
-
-        The zeros on (0, inf), counted with multiplicity, number at most the
-        sign changes of the coefficients (Descartes' rule for exponential
-        sums) and at most those of the partial sums A_k = c_0 + ... + c_k
-        (Laguerre): f(x) = x * integral of A(mu) exp(-mu x) dmu, A the step
-        function equal to A_k on [r_k, r_{k+1}), and the Laplace kernel
-        diminishes variation.  Their count on (lo, inf), lo the left end
-        sign_pattern_exact(0.0) uses, has the parity of a sign change
-        between f(lo) and c_0, the sign at infinity.  A bound below that
-        parity plus 2 leaves the parity as the count: no zero, or one
-        crossing, bracketed by lo and a point beyond the dominance horizon.
-        """
-        coefs = self.coefficients
-        bound = self.sign_change_bound()
-        partial = _partial_sum_changes(coefs)
-        if partial is not None:
-            bound = min(bound, partial)
+        """Sign sequence on (0, inf) read off the coefficient signs (_rule),
+        or None when they do not fix it.  No root is isolated.  A crossing
+        is bracketed by lo, the left end sign_pattern_exact(0.0) uses, and a
+        point beyond the dominance horizon, the two witnesses."""
+        rule = _rule(self.terms)
+        if rule is None:
+            return None
+        head, tail = rule
         lo = ROOT_WIDTH
-        val, scale = _eval_scale(_terms(coefs, self.rates), lo)
-        if not abs(val) > TOUCH_REL * scale:  # a nan value lands here too
-            return None
-        head = "+" if val > 0 else "-"
-        tail = "+" if coefs[0] > 0 else "-"
-        crossing = head != tail
-        if bound >= crossing + 2:
-            return None
-        if not crossing:
+        if head == tail:
             return SignPattern((tail,), (lo,), (), EXACT)
         hi = max(self.dominance_horizon(0.0) + 1.0, lo + 1.0)
         return SignPattern((head, tail), (lo, hi), ((lo, hi),), EXACT)
@@ -355,19 +350,102 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _partial_sum_changes(coefs) -> int | None:
-    """Sign changes of the partial sums c_0 + ... + c_k, or None when one
-    of them lies within the rounding noise of its summation (k + 1 ulps of
-    the running sum of |c_j|), so that its sign is unknown."""
-    sums = []
-    total = size = 0.0
-    for k, c in enumerate(coefs):
-        total += c
-        size += abs(c)
-        if abs(total) <= (k + 1) * _EPS * size:
-            return None
-        sums.append(total)
-    return _sign_changes(sums)
+def _rule_parts(terms):
+    """(value at ROOT_WIDTH, term scale there, bound on the zeros on x > 0)
+    of f = sum c exp(-r x), terms its (c, r) pairs in increasing-rate order,
+    in one pass.
+
+    The value and scale are _eval_scale's, by the same operations in the
+    same order.  The bound counts zeros with multiplicity: the sign changes
+    of the coefficients bound them (Descartes' rule for exponential sums),
+    and so do those of the partial sums A_k = c_0 + ... + c_k (Laguerre):
+    f(x) = x * integral of A(mu) exp(-mu x) dmu, A the step function equal
+    to A_k on [r_k, r_{k+1}), and the Laplace kernel diminishes variation.
+    A partial sum within the rounding noise of its summation (k + 1 ulps
+    of the running sum of |c_j|) has no known sign, and drops the second
+    bound."""
+    x = ROOT_WIDTH
+    total = comp = scale = 0.0
+    psum = size = 0.0
+    pos = ppos = terms[0][0] > 0
+    changes = pchanges = 0
+    partial = True
+    for k, (c, r) in enumerate(terms, 1):
+        z = -r * x
+        if z < _EXP_LO:
+            z = _EXP_LO
+        elif z > _EXP_HI:
+            z = _EXP_HI
+        e = math.exp(z)
+        y = c * e - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        scale += abs(c) * e
+        if (c > 0) != pos:
+            pos = not pos
+            changes += 1
+        if partial:
+            psum += c
+            size += abs(c)
+            if abs(psum) <= k * _EPS * size:
+                partial = False
+            elif (psum > 0) != ppos:
+                ppos = not ppos
+                pchanges += 1
+    return total, scale, min(changes, pchanges) if partial else changes
+
+
+def _rule(terms):
+    """(sign at 0+, sign at infinity) of f = sum c exp(-r x), terms its
+    (c, r) pairs in increasing-rate order, where the coefficient signs fix
+    its sign sequence on (ROOT_WIDTH, inf), or None.
+
+    The zeros there number at most _rule_parts' bound, and their count has
+    the parity of a sign change between f(ROOT_WIDTH) and c_0, the sign at
+    infinity.  A bound below that parity plus 2 leaves the parity as the
+    count: no zero, or one crossing.  A value at ROOT_WIDTH inside the
+    noise floor (TOUCH_REL of the term scale) has no parity."""
+    val, scale, bound = _rule_parts(terms)
+    if not abs(val) > TOUCH_REL * scale:  # a nan value lands here too
+        return None
+    head = "+" if val > 0 else "-"
+    tail = "+" if terms[0][0] > 0 else "-"
+    if bound >= (head != tail) + 2:
+        return None
+    return head, tail
+
+
+def _root_free(terms):
+    """Whether the coefficient signs prove that f = sum c exp(-r x), terms
+    its (c, r) pairs in increasing-rate order, has no zero on (ROOT_WIDTH,
+    inf), so that isolation there finds none (Rolle's theorem):
+
+    (a) _rule(f) fixes no crossing;
+    (b) _rule(f') fixes no crossing, f' = sum -r c exp(-r x): f is monotone
+        and tends to 0, so it keeps one sign;
+    (c) _rule(f') fixes one crossing x*: f keeps the sign of c_0, the one it
+        tends to, on [x*, inf), and moves towards that sign on (ROOT_WIDTH,
+        x*], where it starts with that sign or within the noise floor
+        (TOUCH_REL of the term scale), read as zero as isolation's touch
+        rule reads it.
+
+    f(ROOT_WIDTH) beyond the floor with the other sign than c_0 shows a
+    zero, (b) being impossible then; such a value, a nan one and a
+    derivative coefficient that overflows or underflows to zero leave f to
+    isolation."""
+    val, scale, bound = _rule_parts(terms)
+    floor = TOUCH_REL * scale
+    touch = abs(val) <= floor
+    same = abs(val) > floor and (val > 0) == (terms[0][0] > 0)
+    if not (touch or same):
+        return False
+    if same and bound < 2:
+        return True  # (a)
+    slope = [(-r * c, r) for c, r in terms]
+    if not all(0.0 < abs(d) < math.inf for d, _ in slope):
+        return False
+    return _rule(slope) is not None  # (b) or (c)
 
 
 def _terms(coefs, rates):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted
+from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted, _rule
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -326,11 +326,16 @@ class _CellResult:
     so a disallowed pattern can be re-verified, and a passing one measured,
     at its witnesses: margin, when measured, is the smallest |form| there.
     A degenerate cell (form zero within the deadband: X and Y
-    indistinguishable there) passes with margin 0."""
+    indistinguishable there) passes with margin 0.
+
+    A criterion_h cell decided from coefficient signs (exppoly._rule)
+    carries its sign tuple alone as its pattern: with at most one sign
+    change it is admissible, so it is never re-verified, and criterion_h
+    measures no margins."""
 
     a: float
     b: float
-    pattern: SignPattern | None
+    pattern: SignPattern | tuple[str, ...] | None
     form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
@@ -560,8 +565,9 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     its closed form (_closed_cell) unless that cannot be built without
     losing a term; cells with b < 0 take the sampled scan.  A closed cell
     passes on the coefficient signs of the chosen form, or else of its
-    partner, where they fix the pattern (ExpPoly.sign_pattern_by_rule);
-    only the other closed cells isolate roots, the chosen form first.
+    partner, where they fix the pattern (exppoly._rule), and carries its
+    signs alone; only the other closed cells take sign_pattern_exact, the
+    chosen form first.
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
@@ -581,9 +587,10 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
                 c = closed(name, a, b)
                 if not isinstance(c, ExpPoly):
                     return None
-                pat = c.sign_pattern_by_rule()
-                if pat is not None:
-                    return _CellResult(a, b, pat, forms[name])
+                rule = _rule(c.terms)
+                if rule is not None:
+                    head, tail = rule
+                    return _CellResult(a, b, (tail,) if head == tail else rule, forms[name])
             return None
 
         def evaluate_form(name, idx):

@@ -130,6 +130,12 @@ class TestExecution:
         doc = json.loads(out.read_text())
         assert doc["passed"] == 1 and doc["failed"] == 0
 
+    def test_roots_of_a_non_finite_polynomial_exit_usage(self, capsys):
+        # inf*e(-2) once pruned the finite term and reported "no roots"
+        code = main(["roots", "--exppoly", "inf*e(-2)+1*e(-1)", "--lo", "0.01", "--hi", "10"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_casebook_unknown_id(self):
         assert main(["casebook", "--id", "NOPE"]) == EXIT_USAGE
 

@@ -206,6 +206,12 @@ class TestParameterValidation:
         d = ExpPolyTail(ExpPoly(((2.0, 1.0), (-1.0, 2.0))))
         assert d.tail(0.0) == 1.0
 
+    def test_exppoly_tail_rejects_a_nan_coefficient(self):
+        # tail(0) = 1 is checked as |sum - 1| > 1e-9, which a nan passes;
+        # the polynomial itself refuses the term
+        with pytest.raises(ValueError, match="finite"):
+            ExpPolyTail(ExpPoly(((float("nan"), 1.0), (1.0, 2.0))))
+
 
 class TestNumericDensity:
     def test_matches_exponential(self):

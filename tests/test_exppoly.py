@@ -68,6 +68,25 @@ class TestConstruction:
         p = ExpPoly(((1.0, 5.0), (2.0, 1.0)))
         assert p.rates == (1.0, 5.0)
 
+    @pytest.mark.parametrize("terms", [
+        # an infinite rate made the merge tolerance infinite: every term
+        # merged into (-1.0, 1.0), certified "-" where f > 0
+        ((1.0, 1.0), (-2.0, math.inf)),
+        # an infinite coefficient made the pruning floor infinite
+        ((1.0, 1.0), (math.inf, 2.0)),
+        ((1.0, 1.0), (-math.inf, 2.0)),
+        ((math.nan, 1.0), (1.0, 2.0)),
+    ])
+    def test_non_finite_terms_rejected(self, terms):
+        with pytest.raises(ValueError, match="finite"):
+            ExpPoly(terms)
+        with pytest.raises(ValueError, match="finite"):
+            ExpPoly.maybe(terms)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError):
+            ExpPoly(((1.0, math.nan),))
+
 
 class TestDifferentiate:
     def test_single_term(self):
@@ -566,6 +585,175 @@ def _random_polys(seed, count):
         yield ExpPoly(tuple(zip(coefs, rates)))
 
 
+def _near_cancelling_polys(seed, count):
+    """Like _random_polys, with c_0 chosen so that f vanishes, up to
+    rounding, at a point x0 between 1e-13 and 1e-11, around ROOT_WIDTH, the
+    left end of sign_pattern_exact(0.0)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        rates = np.sort(10.0 ** rng.uniform(-1.0, 1.0, n)) + np.arange(n) * 1e-3
+        coefs = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, 4.0, n)
+        x0 = 10.0 ** rng.uniform(-13.0, -11.0)
+        coefs[0] = -np.sum(coefs[1:] * np.exp(-(rates[1:] - rates[0]) * x0))
+        yield ExpPoly(tuple(zip(coefs, rates)))
+
+
+def _reference_partial_sum_changes(coefs):
+    """Sign changes of the partial sums c_0 + ... + c_k, or None when one
+    of them lies within the rounding noise of its summation (k + 1 ulps of
+    the running sum of |c_j|): the bound as computed before the one-pass
+    rule core."""
+    sums = []
+    total = size = 0.0
+    for k, c in enumerate(coefs):
+        total += c
+        size += abs(c)
+        if abs(total) <= (k + 1) * exppoly._EPS * size:
+            return None
+        sums.append(total)
+    return exppoly._sign_changes(sums)
+
+
+def _reference_rule(p):
+    """(sign at 0+, sign at infinity) or None, decided as before the
+    one-pass rule core: coefficient bound, partial-sum bound and the value
+    at ROOT_WIDTH each in a pass of its own."""
+    coefs = p.coefficients
+    bound = p.sign_change_bound()
+    partial = _reference_partial_sum_changes(coefs)
+    if partial is not None:
+        bound = min(bound, partial)
+    val, scale = exppoly._eval_scale(exppoly._terms(coefs, p.rates), exppoly.ROOT_WIDTH)
+    if not abs(val) > exppoly.TOUCH_REL * scale:
+        return None
+    head = "+" if val > 0 else "-"
+    tail = "+" if coefs[0] > 0 else "-"
+    if bound >= (head != tail) + 2:
+        return None
+    return head, tail
+
+
+class TestRuleCore:
+    """exppoly._rule, the one-pass core of the coefficient-sign rule."""
+
+    def test_decides_as_the_reference(self):
+        decided = 0
+        polys = list(_random_polys(20261018, 2000)) + list(_near_cancelling_polys(31, 1000))
+        for p in polys:
+            rule = exppoly._rule(p.terms)
+            assert rule == _reference_rule(p), p.terms
+            decided += rule is not None
+        assert decided > 1000
+
+    def test_value_and_scale_are_eval_scale_bit_for_bit(self):
+        for p in _random_polys(5, 300):
+            val, scale, _ = exppoly._rule_parts(p.terms)
+            assert (val, scale) == exppoly._eval_scale(
+                exppoly._terms(p.coefficients, p.rates), exppoly.ROOT_WIDTH)
+
+    def test_bound_is_the_smaller_of_both_counts(self):
+        for p in _random_polys(6, 300):
+            partial = _reference_partial_sum_changes(p.coefficients)
+            coef = p.sign_change_bound()
+            want = coef if partial is None else min(coef, partial)
+            assert exppoly._rule_parts(p.terms)[2] == want
+
+    def test_by_rule_pattern_wraps_the_core(self):
+        for p in _random_polys(8, 300):
+            rule, pat = exppoly._rule(p.terms), p.sign_pattern_by_rule()
+            assert (rule is None) == (pat is None)
+            if pat is not None:
+                assert pat.signs == (rule[1:] if rule[0] == rule[1] else rule)
+
+
+class TestRootFreeStep:
+    """sign_pattern_exact(0.0) skips isolation where the signs of f or f'
+    prove f root-free (exppoly._root_free), with the pattern unchanged."""
+
+    def test_skipped_isolation_matches_forced_isolation(self, monkeypatch):
+        random = list(_random_polys(20261019, 2500))
+        near = list(_near_cancelling_polys(20261020, 2500))
+        free = [p for p in random + near if exppoly._root_free(p.terms)]
+        # past case (a), where the signs of f' decide
+        by_slope = [p for p in near if exppoly._root_free(p.terms)
+                    and exppoly._rule(p.terms) is None]
+        skipped = [p.sign_pattern_exact(0.0) for p in free]
+        monkeypatch.setattr(exppoly, "_root_free", lambda terms: False)
+        for p, pat in zip(free, skipped):
+            assert pat == p.sign_pattern_exact(0.0), p.terms
+        assert len(free) > 2500 and len(by_slope) > 500
+
+    def test_isolation_is_skipped_on_a_root_free_cell(self, monkeypatch):
+        # e^{-x} - 0.5 e^{-2x} + 0.2 e^{-3x}: partial sums 1, 0.5, 0.7
+        p = ExpPoly(((1.0, 1.0), (-0.5, 2.0), (0.2, 3.0)))
+        assert exppoly._root_free(p.terms)
+        calls = []
+        monkeypatch.setattr(ExpPoly, "isolate_roots", lambda *args: calls.append(args))
+        assert p.sign_pattern_exact(0.0).signs == ("+",)
+        assert calls == []
+
+    def test_value_at_left_end_inside_the_floor(self):
+        # e^{-x} - e^{-1.5x} vanishes at 0, inside the floor at ROOT_WIDTH;
+        # f' = -e^{-x} + 1.5 e^{-1.5x} crosses once, so (c) holds
+        p = ExpPoly(((1.0, 1.0), (-1.0, 1.5)))
+        assert exppoly._rule(p.terms) is None
+        assert exppoly._rule([(-r * c, r) for c, r in p.terms]) == ("+", "-")
+        assert exppoly._root_free(p.terms)
+
+    def test_crossing_is_isolated(self):
+        # e^{-x} - 2 e^{-2x}: one crossing at ln 2
+        assert not exppoly._root_free(((1.0, 1.0), (-2.0, 2.0)))
+
+    @staticmethod
+    def _isolations(monkeypatch):
+        calls = [0]
+        inner = ExpPoly.isolate_roots
+
+        def spy(self, *args, **kwargs):
+            calls[0] += 1
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExpPoly, "isolate_roots", spy)
+        return calls
+
+    def test_overflowing_slope_coefficient_falls_back(self, monkeypatch):
+        # t - 3 t^2 + 2.5 t^3 + 39 t^47 with t = e^{-x}, scaled by 1e305:
+        # positive, two coefficient changes, and -47 c overflows (where
+        # _rule, with an infinite term scale, would decide nothing either)
+        terms = ((1e305, 1.0), (-3e305, 2.0), (2.5e305, 3.0), (3.9e306, 47.0))
+        p = ExpPoly(terms)
+        assert p.terms == terms and math.isinf(-47.0 * 3.9e306)
+        assert exppoly._rule_parts(p.terms)[2] == 2
+        assert not exppoly._root_free(p.terms)
+        calls = self._isolations(monkeypatch)
+        p.sign_pattern_exact(0.0)
+        assert calls[0] == 1
+
+    def test_underflowing_slope_coefficient_falls_back(self, monkeypatch):
+        # at subnormal scale the head term's -r c, a tiny positive number,
+        # rounds to +0.0; read as a sign, that zero would let the signs of
+        # f' fix one crossing, (c), where f' = +tiny, -, -, + may cross twice
+        terms = ((-5e-324, 0.25), (1e-311, 1.0), (5e-312, 2.0), (-2e-311, 3.0))
+        p = ExpPoly(terms)
+        assert p.terms == terms
+        val, _, bound = exppoly._rule_parts(p.terms)
+        assert val < 0 and bound == 2
+        slope = [(-r * c, r) for c, r in p.terms]
+        assert slope[0][0] == 0.0 and exppoly._rule(slope) == ("+", "-")
+        assert not exppoly._root_free(p.terms)
+        calls = self._isolations(monkeypatch)
+        p.sign_pattern_exact(0.0)
+        assert calls[0] == 1
+
+    def test_positive_start_always_isolates(self, monkeypatch):
+        p = ExpPoly(((1.0, 1.0), (2.0, 3.0)))
+        assert exppoly._root_free(p.terms)
+        calls = self._isolations(monkeypatch)
+        p.sign_pattern_exact(0.5)
+        assert calls[0] == 1
+
+
 class TestSignPatternByRule:
     """Patterns fixed by the coefficient and partial-sum signs alone."""
 
@@ -600,18 +788,20 @@ class TestSignPatternByRule:
 
     def test_partial_sum_count_bounds_isolated_roots(self):
         for p in _random_polys(77, 2000):
-            changes = exppoly._partial_sum_changes(p.coefficients)
+            changes = _reference_partial_sum_changes(p.coefficients)
             if changes is None:
                 continue
             rep = p.isolate_roots(exppoly.ROOT_WIDTH, p.dominance_horizon(0.0) + 1.0)
             if not rep.residual_uncertainty:
                 assert len(rep.isolated_roots) <= changes, p.terms
+                assert len(rep.isolated_roots) <= exppoly._rule_parts(p.terms)[2]
 
     def test_partial_sums_decide_where_coefficients_do_not(self):
         # coefficients +,-,+ allow two zeros; partial sums 1, 0.5, 0.7 none
         p = ExpPoly(((1.0, 1.0), (-0.5, 2.0), (0.2, 3.0)))
         assert p.sign_change_bound() == 2
-        assert exppoly._partial_sum_changes(p.coefficients) == 0
+        assert _reference_partial_sum_changes(p.coefficients) == 0
+        assert exppoly._rule_parts(p.terms)[2] == 0
         pat = p.sign_pattern_by_rule()
         assert pat.signs == ("+",) and pat.witnesses == (exppoly.ROOT_WIDTH,)
 
@@ -629,7 +819,8 @@ class TestSignPatternByRule:
         # partial sums 1, 0, 0.5: the zero has no sign, so only the
         # coefficient bound 2 is left, and it does not decide
         p = ExpPoly(((1.0, 1.0), (-1.0, 2.0), (0.5, 3.0)))
-        assert exppoly._partial_sum_changes(p.coefficients) is None
+        assert _reference_partial_sum_changes(p.coefficients) is None
+        assert exppoly._rule_parts(p.terms)[2] == 2
         assert p.sign_pattern_by_rule() is None
         assert p.sign_pattern_exact(0.0).signs == ("+",)
 
@@ -638,8 +829,9 @@ class TestSignPatternByRule:
         # of its summation, so its sign is not trusted
         coefs = (0.1, 0.2, -0.3, 1.0)
         assert 0.0 < sum(coefs[:3]) < 1e-16
-        assert exppoly._partial_sum_changes(coefs) is None
+        assert _reference_partial_sum_changes(coefs) is None
         p = ExpPoly(tuple(zip(coefs, (1.0, 2.0, 3.0, 4.0))))
+        assert exppoly._rule_parts(p.terms)[2] == 2
         assert p.sign_pattern_by_rule() is None
 
     def test_value_at_left_end_inside_the_floor(self):

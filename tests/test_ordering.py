@@ -249,6 +249,38 @@ class TestClosedCriterionH:
         assert v.supported and v.cells_scanned == 60
         assert calls[0] <= 16
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_newcrit_isolates_few_roots(self, monkeypatch, s):
+        # the certified workload's grid: of the closed cells that take
+        # sign_pattern_exact (16 at s = 1, 13 above), all but 8 and 2 are
+        # root-free by their signs and skip isolation
+        counts = {}
+        for name in ("isolate_roots", "sign_pattern_exact", "dominance_horizon"):
+            inner = getattr(ExpPoly, name)
+
+            def spy(self, *args, _name=name, _inner=inner, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(ExpPoly, name, spy)
+        decided = []
+        rule = ordering._rule
+
+        def rule_spy(terms):
+            out = rule(terms)
+            decided.append(out is not None and out[0] != out[1])
+            return out
+
+        monkeypatch.setattr(ordering, "_rule", rule_spy)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+        v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
+        assert v.supported and v.cells_scanned == 60
+        assert counts["isolate_roots"] <= (8 if s == 1 else 2)
+        # every horizon is sign_pattern_exact's own: a cell decided by the
+        # rule, crossing or not, computes none
+        assert counts["dominance_horizon"] == counts["sign_pattern_exact"]
+        assert sum(decided) > 10
+
     @pytest.mark.parametrize("b_values", [(-0.16, -0.05, -0.01, 0.0, 1.0, 4.0),
                                           (0.0, 1.0, 4.0)])
     @pytest.mark.parametrize("pair", range(6))
@@ -259,7 +291,7 @@ class TestClosedCriterionH:
         grid = GridSpec(self.SLOPES, b_values)
         cases = [(s, form) for s in (1, 2, 3) for form in ("hs", "hs1")]
         with_rule = [criterion_h(X, Y, s, grid, form=form) for s, form in cases]
-        monkeypatch.setattr(ExpPoly, "sign_pattern_by_rule", lambda self: None)
+        monkeypatch.setattr(ordering, "_rule", lambda terms: None)
         for (s, form), v in zip(cases, with_rule):
             assert v.to_dict() == criterion_h(X, Y, s, grid, form=form).to_dict(), (s, form)
 
