@@ -118,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--json", metavar="PATH", help="write the report to PATH")
-    parser.add_argument("--csv", metavar="PATH", help="write scan traces to PATH")
-    parser.add_argument("--trace", action="store_true", help="collect scan traces")
+    parser.add_argument("--csv", metavar="PATH", help="write the scan trace to PATH (scan only)")
+    parser.add_argument("--trace", action="store_true",
+                        help="collect the scan trace (needs --csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify rate monotonicity per order")
@@ -240,10 +241,9 @@ def _cmd_casebook(args) -> int:
 
 def _cmd_scan(args) -> int:
     poly = parse_exppoly(args.exppoly)
-    x_max = args.x_max or max(50.0, 20.0 / poly.rates[0])
-    cfg = ScanConfig(x_max=x_max, initial_grid=max(64, args.grid),
-                     max_refinement_depth=args.depth)
-    rows: list | None = [] if (args.trace or args.csv) else None
+    x_max = max(50.0, 20.0 / poly.rates[0]) if args.x_max is None else args.x_max
+    cfg = ScanConfig(x_max=x_max, initial_grid=args.grid, max_refinement_depth=args.depth)
+    rows: list | None = [] if args.csv else None
     pattern = scan(poly.eval, cfg, trace=rows)
     _emit({
         "command": "scan",
@@ -253,7 +253,7 @@ def _cmd_scan(args) -> int:
         "change_points": [list(c) for c in pattern.change_points],
         "confidence": pattern.confidence,
     }, args.json)
-    if args.csv and rows is not None:
+    if args.csv:
         _write_trace(rows, args.csv)
     return EXIT_OK
 
@@ -262,6 +262,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # the trace options act on scan alone; anywhere else they would be
+        # accepted and do nothing
+        if args.csv and args.command != "scan":
+            parser.error(f"--csv writes scan traces; {args.command} makes none")
+        if args.trace and not args.csv:
+            parser.error("--trace needs --csv PATH to write the trace to")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

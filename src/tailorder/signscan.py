@@ -5,10 +5,13 @@ deadband as carrying no sign evidence, and bisects every classification
 boundary to the configured depth.  A function that dips to zero without
 crossing produces no sign change.  Scanned functions must be vectorized
 (accept and return numpy arrays).  The order sweeps scan a batch of cells
-per function evaluation (_scan_row); scan is its one-cell case.  A
-refinement round evaluates and classifies the midpoints of the boundary
-brackets only; the samples are merged once, after the last round, by a
-stable sort on (cell, x), so ties keep their evaluation order.
+per function evaluation (_scan_row); scan is its one-cell case.  Each
+refinement evaluation takes the next few bisection levels of every
+boundary bracket at once, and a walk down those levels keeps as samples
+only the midpoints of intervals whose end classes differ; the other
+points are never seen, so they reach no trace, deadband scale or pattern.
+The samples are merged once, after the last walk, by a stable sort on
+(cell, x), so ties keep their evaluation order.
 """
 from __future__ import annotations
 
@@ -25,11 +28,20 @@ __all__ = ["scan", "check_integration_lemma"]
 _NO_SIGN = "every sample lies inside the deadband"
 
 
+#: bisection levels of every live bracket evaluated per call of F
+_LEVELS = 4
+_SPAN = 1 << _LEVELS  # a bracket's ends sit at positions 0 and _SPAN
+_STEPS = tuple(_SPAN >> j for j in range(_LEVELS))  # interval widths, level by level
+_LEVEL = np.zeros(_SPAN + 1, dtype=int)  # each position's level, 0 at the ends
+_HALF = np.zeros(_SPAN + 1, dtype=int)  # a midpoint's distance to its interval's ends
+for _j, _step in enumerate(_STEPS, 1):
+    _LEVEL[_step // 2::_step], _HALF[_step // 2::_step] = _j, _step // 2
+del _j, _step
+
+
 def _classify(values, eps):
-    signs = np.zeros(values.shape, dtype=int)
-    signs[values > eps] = 1
-    signs[values < -eps] = -1
-    return signs
+    """+1, -1 or 0 (int8) for values above eps, below -eps, or neither."""
+    return (values > eps).view(np.int8) - (values < -eps).view(np.int8)
 
 
 def _largest_finite(values, starts):
@@ -57,30 +69,31 @@ def _brackets(xs, signs, cell):
     return xs[pair], signs[pair], cell[at]
 
 
-def _split(ends, mid):
-    """Each row [l, r] of ends as its two children [l, mid], [mid, r]."""
-    out = np.empty((mid.size, 4), ends.dtype)
-    out[:, 0] = ends[:, 0]
-    out[:, 1] = out[:, 2] = mid
-    out[:, 3] = ends[:, 1]
-    return out.reshape(-1, 2)
-
-
 def _in_order(seen):
-    """The (xs, vals, cell) chunks of seen, given in evaluation order with
-    the first sorted by (cell, x), as three arrays sorted stably by
+    """The (xs, cell, *columns) chunks of seen, given in evaluation order
+    with the first sorted by (cell, x), as arrays sorted stably by
     (cell, x): the later samples, sorted so, each go after every earlier
     sample of their cell and abscissa.  Complex keys compare by real part,
     then imaginary part."""
-    xs, vals, cell = seen[0]
+    first = seen[0]
     if len(seen) == 1:
-        return xs, vals, cell
-    mx, mv, mc = (np.concatenate(col) for col in zip(*seen[1:]))
-    key = mc + 1j * mx
+        return first
+    later = [np.concatenate(col) for col in zip(*seen[1:])]
+    key = later[1] + 1j * later[0]
     order = np.argsort(key, kind="stable")
-    at = np.searchsorted(cell + 1j * xs, key[order], side="right")
-    return tuple(np.insert(old, at, new[order])
-                 for old, new in ((xs, mx), (vals, mv), (cell, mc)))
+    old_key = np.empty(first[0].size, dtype=complex)
+    old_key.real, old_key.imag = first[1], first[0]
+    # the merged index of each later sample, and the slots left to the rest
+    at = np.searchsorted(old_key, key[order], side="right") + np.arange(order.size)
+    rest = np.ones(old_key.size + at.size, dtype=bool)
+    rest[at] = False
+    merged = []
+    for old, new in zip(first, later):
+        both = np.empty(rest.size, old.dtype)
+        both[at] = new[order]
+        both[rest] = old
+        merged.append(both)
+    return tuple(merged)
 
 
 @lru_cache(maxsize=256)
@@ -96,7 +109,8 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
     """Sign pattern of f on (lo, x_max], sampled-confidence.
 
     trace, when given a list, receives (x, value, sign) rows for every
-    evaluated sample.
+    sample, in (x, evaluation) order; points that refinement evaluates but
+    leaves unseen are not samples.
     """
     (result,) = _scan_row(f, [((), cfg, breakpoints)], lo=lo, trace=trace)
     if isinstance(result, IndeterminateFunction):
@@ -111,7 +125,7 @@ def _scan_row(F, cells, *, fy=None, lo: float | None = None,
     cells holds one (params, cfg, breakpoints) triple per cell; the cell's
     function is x -> F(x, *params).  F is called on one flat array of
     abscissae with one array per parameter, holding each point's cell
-    parameters, so each refinement round is one call for the midpoints of
+    parameters, so each refinement walk is one call for the next levels of
     every cell still refining (see _refine).  Each cell keeps its own grid,
     deadband and refinement depth, and the samples end sorted by (cell, x)
     with ties in evaluation order, so each cell gets exactly the pattern,
@@ -121,7 +135,7 @@ def _scan_row(F, cells, *, fy=None, lo: float | None = None,
     values at x as one more argument, after the parameters.  The initial
     evaluation computes fy once per distinct grid of the row: cells with
     equal windows and no breakpoints inside share one (see _log_grid).
-    Refinement rounds leave fy to F.
+    Refinement walks leave fy to F.
     """
     cfgs, grids = [], []
     for _, cfg, breakpoints in cells:
@@ -204,61 +218,110 @@ def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
 
     xs, vals and cell are the initial samples, sorted by (cell, x); scale
     holds each cell's largest finite |value| and is raised in place.  Each
-    round evaluates the midpoints of the live brackets only; all samples
-    are merged once, at the end, by a stable sort on (cell, x), so ties
-    keep evaluation order.  A bracket's children stand for the new
-    neighbours unless a midpoint changed its cell's eps, which reclassifies
-    every sample of the cell, or equals its bracket's right end, in which
-    case the sort puts it after that end; such a cell's brackets are
-    rebuilt from all its samples.  Returns xs, vals, cell and their classes
-    under the final eps, in that merged order.
+    call of F evaluates the next _LEVELS bisection levels of every live
+    bracket (fewer where its cell's depth runs out): its 2**_LEVELS - 1
+    dyadic midpoints, each built by the same halving of its two ends that
+    bisecting one level at a time takes, so every abscissa has the same
+    bits.  A walk then goes down the levels on those values: a level's
+    live intervals are the ones whose end classes differ, and only their
+    midpoints become samples.  The other points are dropped unseen: they
+    reach neither the samples nor scale.  A midpoint that changes its
+    cell's eps, or equals its interval's right end (the stable sort puts
+    it after that end), stops the cell's walk at its level; the cell's
+    deeper points go unseen, and its brackets are rebuilt from all its
+    samples under the new eps.  The other cells' new brackets are their
+    adjacent seen points whose classes differ.  All samples are merged
+    once, at the end, by a stable sort on (cell, x), so ties keep
+    evaluation order (walk by walk, and within a walk by bracket and
+    position), and their classes travel with them: only the cells whose
+    eps changed are classified again.  Returns xs, vals, cell and their
+    classes under the final eps, in that merged order.
     """
     eps = np.maximum(deadband * scale, deadband_abs)
     signs = _classify(vals, eps[cell])
-    seen = [(xs, vals, cell)]  # every sample so far, in evaluation order
+    seen = [(xs, cell, vals, signs)]  # every sample so far, in evaluation order
     ends, classes, bcell = _brackets(xs, signs, cell)
-    shallowest = depth.min(initial=0)
-    for depth_done in range(int(depth.max(initial=0))):
-        if depth_done >= shallowest:
-            live = depth[bcell] > depth_done
-            ends, classes, bcell = ends[live], classes[live], bcell[live]
+    done = np.zeros(depth.size, dtype=int)  # levels walked per cell
+    regrown = np.zeros(depth.size, dtype=bool)  # cells whose eps changed
+    while True:
+        reach = np.minimum(depth - done, _LEVELS)  # levels of this walk
+        levels = reach[bcell]
+        if not levels.all():
+            ends, classes, bcell, levels = (a[levels > 0] for a in (ends, classes, bcell, levels))
         if bcell.size == 0:
             break
-        # halving each end first cannot overflow, and for normal floats
-        # gives the same bits as halving their sum
-        mids = 0.5 * ends[:, 0] + 0.5 * ends[:, 1]
-        mvals = np.asarray(F(mids, *(p[bcell] for p in params)), dtype=float)
-        seen.append((mids, mvals, bcell))
-        grew = bcell[:0]  # cells whose eps the midpoints changed
-        if (np.abs(mvals) > scale[bcell]).any():
-            first = _run_starts(bcell)
-            touched = bcell[first]
-            scale[touched] = np.maximum(scale[touched], _largest_finite(mvals, first))
-            was = eps[touched]
-            eps = np.maximum(deadband * scale, deadband_abs)
-            grew = touched[eps[touched] != was]
-        tie = mids == ends[:, 1]
+        k = bcell.size
+        # a bracket's ends at positions 0 and _SPAN, the midpoints of level
+        # j at the odd multiples of _SPAN >> j; halving each end first
+        # cannot overflow, and for normal floats gives the same bits as
+        # halving their sum
+        P = np.empty((k, _SPAN + 1))
+        P[:, ::_SPAN] = ends
+        for step in _STEPS:
+            half = 0.5 * P[:, ::step]
+            P[:, step // 2::step] = half[:, :-1] + half[:, 1:]
+        want = _LEVEL[1:_SPAN] <= levels[:, None]
+        V = np.zeros((k, _SPAN + 1))
+        owner = np.repeat(bcell, (1 << levels) - 1)
+        V[:, 1:_SPAN][want] = F(P[:, 1:_SPAN][want], *(p[owner] for p in params))
+        C = _classify(V, eps[bcell][:, None])
+        C[:, ::_SPAN] = classes
+        # a point is seen when the interval it halves has both ends seen
+        # and their classes differ
+        S = np.ones((k, _SPAN + 1), dtype=bool)
+        for step in _STEPS:
+            left, right = slice(None, -1, step), slice(step, None, step)
+            S[:, step // 2::step] = S[:, left] & S[:, right] & (C[:, left] != C[:, right])
+        S[:, 1:_SPAN] &= want
+        at = np.flatnonzero(S)  # by bracket and position, ends included
+        row, pos = np.divmod(at, _SPAN + 1)
+        inner = _LEVEL[pos] > 0
+        Pf, Vf, Cf = P.ravel(), V.ravel(), C.ravel()
+        mat, lev, mcell = at[inner], _LEVEL[pos[inner]], bcell[row[inner]]
+        mx, mv = Pf[mat], Vf[mat]
 
-        ends = _split(ends, mids)
-        classes = _split(classes, _classify(mvals, eps[bcell]))
-        bcell = np.repeat(bcell, 2)
-        keep = classes[:, 0] != classes[:, 1]
-        if grew.size or tie.any():
-            redo = np.union1d(grew, bcell[1::2][tie])
-            keep &= ~np.isin(bcell, redo)
-            x, v, c = _in_order(seen)
-            mine = np.isin(c, redo)
-            x, v, c = x[mine], v[mine], c[mine]
+        # up to a cell's first stopping level this walk is the one that
+        # bisecting level by level takes, and there a midpoint changes its
+        # cell's eps iff deadband x |value| exceeds it
+        tie = mx == Pf[mat + _HALF[pos[inner]]]
+        stopped = mcell[:0]
+        if tie.any() or (np.abs(mv) > scale[mcell]).any():
+            grows = np.isfinite(mv) & (deadband[mcell] * np.abs(mv) > eps[mcell])
+            runs = _run_starts(mcell)
+            cells = mcell[runs]
+            first = np.minimum.reduceat(np.where(grows | tie, lev, _LEVELS + 1), runs)
+            stops = first <= _LEVELS
+            stopped = cells[stops]
+            reach[stopped] = first[stops]
+            keep = lev <= reach[mcell]
+            mat, mcell, mx, mv = (a[keep] for a in (mat, mcell, mx, mv))
+            scale[cells] = np.maximum(scale[cells], _largest_finite(mv, _run_starts(mcell)))
+            was = eps[cells]
+            eps = np.maximum(deadband * scale, deadband_abs)
+            regrown[cells[eps[cells] != was]] = True
+        done += reach
+        seen.append((mx, mcell, mv, Cf[mat]))
+
+        if stopped.size:
+            mine = ~np.isin(bcell[row], stopped)
+            at, row = at[mine], row[mine]
+        ends, classes, pair = _brackets(Pf[at], Cf[at], row)
+        bcell = bcell[pair]
+        if stopped.size:
+            x, c, v = _in_order([s[:3] for s in seen])
+            mine = np.isin(c, stopped)
+            x, c, v = x[mine], c[mine], v[mine]
             again = _brackets(x, _classify(v, eps[c]), c)
-            ends, classes, bcell = (np.concatenate((old[keep], new))
+            ends, classes, bcell = (np.concatenate((old, new))
                                     for old, new in zip((ends, classes, bcell), again))
             order = np.argsort(bcell, kind="stable")
             ends, classes, bcell = ends[order], classes[order], bcell[order]
-        else:
-            ends, classes, bcell = ends[keep], classes[keep], bcell[keep]
 
-    xs, vals, cell = _in_order(seen)
-    return xs, vals, cell, _classify(vals, eps[cell])
+    xs, cell, vals, signs = _in_order(seen)
+    if regrown.any():
+        again = regrown[cell]
+        signs[again] = _classify(vals[again], eps[cell[again]])
+    return xs, vals, cell, signs
 
 
 def check_integration_lemma(f: ExpPoly, cfg: ScanConfig | None = None) -> bool:

@@ -122,6 +122,35 @@ class TestExecution:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "value", "sign"]
         assert len(rows) > 64
+        xs = [float(r[0]) for r in rows[1:]]
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ["--csv", "t.csv", "compare", "--x", "exp(1)", "--y", "exp(1)"],
+        ["--trace", "--csv", "t.csv", "roots", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
+        ["--trace", "compare", "--x", "exp(1)", "--y", "exp(1)"],
+        ["--trace", "scan", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
+    ])
+    def test_trace_options_that_write_nothing_exit_usage(self, argv, tmp_path, monkeypatch,
+                                                         capsys):
+        # --csv writes scan traces only, and --trace collects rows that only
+        # --csv writes
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        assert not (tmp_path / "t.csv").exists()
+        assert "--csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--x-max", "0", "x_max"), ("--x-max", "-2", "x_max"),
+        ("--grid", "63", "initial_grid"), ("--grid", "8", "initial_grid"),
+        ("--depth", "-1", "max_refinement_depth"),
+    ])
+    def test_scan_rejects_settings_instead_of_replacing_them(self, option, value, field, capsys):
+        # x_max 0 once fell back to the default window, and grids below 64
+        # were quietly raised to 64
+        code = main(["scan", "--exppoly", "1*e(-1)+(-1)*e(-2)", option, value])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
 
     def test_casebook_single_case(self, tmp_path):
         out = tmp_path / "cases.json"

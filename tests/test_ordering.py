@@ -416,6 +416,51 @@ class TestNewcrit:
             GridSpec(grid.a_values, grid.b_values, scan=ScanConfig(deadband=float("nan")))
 
 
+#: Shaped like the benchmark's Weibull/Gamma grid.
+_SAMPLED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
+
+#: Verdict documents of sampled-path sweeps (Weibull/Gamma cells go through
+#: the row scanner), frozen as computed before the refinement walk took
+#: several bisection levels per evaluation; the grid is left out.
+_FROZEN_SAMPLED = {
+    ("newcrit", "weibull-gamma", 1): {
+        "criterion": "newcrit", "s": 1, "outcome": "supported", "cells_scanned": 84},
+    ("newcrit", "weibull-gamma", 2): {
+        "criterion": "newcrit", "s": 2, "outcome": "supported", "cells_scanned": 84},
+    ("newcrit", "weibull-gamma", 3): {
+        "criterion": "newcrit", "s": 3, "outcome": "supported", "cells_scanned": 84},
+    ("newcrit", "gamma-weibull", 2): {
+        "criterion": "newcrit", "s": 2, "outcome": "refuted", "cells_scanned": 8,
+        "witness": {"a": 2.2637390492987746, "b": 0.0, "pattern": "+,-",
+                    "abscissae": [0.5028414123132835, 3.3369434411205026],
+                    "values": [0.09694575758054097, -0.0003464240494254079],
+                    "deadband": 9.694575758054096e-13},
+        "reason": "star-shape step failed"},
+    ("ifra", "weibull-gamma", 1): {
+        "criterion": "pattern-ifra", "s": 1, "outcome": "supported", "cells_scanned": 12,
+        "worst_margin": 1.6791580204761496e-05},
+    ("ifra", "weibull-gamma", 2): {
+        "criterion": "pattern-ifra", "s": 2, "outcome": "supported", "cells_scanned": 12,
+        "worst_margin": 4.078085726303641e-05},
+    ("ifra", "weibull-gamma", 3): {
+        "criterion": "pattern-ifra", "s": 3, "outcome": "supported", "cells_scanned": 12,
+        "worst_margin": 0.00013017016027237066},
+}
+
+
+class TestFrozenSampledDocuments:
+    @pytest.mark.parametrize("check, pair, s", sorted(_FROZEN_SAMPLED))
+    def test_document_is_unchanged(self, check, pair, s):
+        shape = 2.0 if pair == "weibull-gamma" else 1.5
+        X, Y = Weibull(shape), Gamma(shape)
+        if pair == "gamma-weibull":
+            X, Y = Y, X
+        sweep = newcrit if check == "newcrit" else compare_ifra
+        doc = sweep(X, Y, s, _SAMPLED_GRID).to_dict()
+        del doc["grid"]
+        assert doc == _FROZEN_SAMPLED[check, pair, s]
+
+
 class TestBatchInvariance:
     """The sweeps evaluate whole rows in batches of up to 64 cells; with a
     budget of one cell every batch is one row.  The verdict document is the

@@ -265,26 +265,98 @@ class TestRowRefinement:
         # the reference; spikes raise a cell's eps mid-refinement, depth 60
         # bisects down to adjacent floats
         rng = np.random.default_rng(1111)
-        built = []
-        brackets = signscan._brackets
-        monkeypatch.setattr(signscan, "_brackets",
-                            lambda *a: built.append(1) or brackets(*a))
-
-        def run(refine, cells):
-            monkeypatch.setattr(signscan, "_refine", refine)
-            trace = []
-            out = _scan_row(_random_row, cells, trace=trace)
-            return ([repr(o) if isinstance(o, IndeterminateFunction) else o for o in out],
-                    [repr(r) for r in trace])
-
-        fast = signscan._refine
+        merges = []
+        in_order = signscan._in_order
+        monkeypatch.setattr(signscan, "_in_order", lambda seen: merges.append(1) or in_order(seen))
         batches = 300
         for _ in range(batches):
-            cells = [_random_cell(rng) for _ in range(rng.integers(1, 9))]
-            expected = run(_refine_batch, cells)
-            assert run(fast, cells) == expected, cells
-        # brackets rebuilt from a cell's samples, beyond one set per batch
-        assert len(built) > batches + 50
+            _refined_both_ways([_random_cell(rng) for _ in range(rng.integers(1, 9))])
+        # merges that rebuild a cell's brackets, beyond the final one per batch
+        assert len(merges) > batches + 50
+
+    @pytest.mark.parametrize("depths", [(1,), (3,), (5,), (7,), (13,), (0, 1, 3, 5, 7, 12, 13, 60)])
+    def test_depths_that_end_inside_a_walk(self, depths):
+        # a walk covers up to signscan._LEVELS levels, so a depth that is no
+        # multiple of it ends part way; mixed depths share every walk
+        rng = np.random.default_rng(sum(depths))
+        for _ in range(40):
+            cells = []
+            for _ in range(rng.integers(1, 9)):
+                params, cfg, bps = _random_cell(rng)
+                depth = int(rng.choice(depths))
+                cells.append((params, ScanConfig(cfg.x_max, cfg.initial_grid, cfg.deadband,
+                                                 depth, cfg.deadband_abs), bps))
+            _refined_both_ways(cells)
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_spike_raises_eps_at_each_level(self, level):
+        # a crossing at r, and a spike at exactly the midpoint that
+        # bisection reaches at the given level (the levels of the first two
+        # walks): the spike raises the cell's eps there, so the walk stops
+        # and the brackets are rebuilt under the new eps
+        cfg = ScanConfig(x_max=10.0, initial_grid=64, max_refinement_depth=8)
+        grid = np.geomspace(cfg.x_max * 1e-10, cfg.x_max, cfg.initial_grid)
+        r = 1.2345
+        l, h = grid[grid < r][-1], grid[grid > r][0]
+        for _ in range(level):
+            spike = 0.5 * l + 0.5 * h
+            l, h = (spike, h) if spike < r else (l, spike)
+
+        def F(x, root, at):
+            return np.where(x == at, 1e6, x - root)
+
+        rows = _refined_both_ways([((r, spike), cfg, ())], F)
+        assert any(x == spike and v == 1e6 for x, v, _ in rows)
+
+    def test_ties_at_depth_sixty(self, monkeypatch):
+        # bisection reaches adjacent floats, where a midpoint equals one end;
+        # one equal to the right end stops the walk, and the brackets are
+        # rebuilt from the merged samples (eps never changes here)
+        merges = []
+        in_order = signscan._in_order
+        monkeypatch.setattr(signscan, "_in_order", lambda seen: merges.append(1) or in_order(seen))
+        cells = [((r,), ScanConfig(x_max=10.0, initial_grid=64, max_refinement_depth=60), ())
+                 for r in (1.2345, np.pi, 7.0 + 1e-9)]
+        rows = _refined_both_ways(cells, lambda x, root: x - root)
+        xs = [x for x, _, _ in rows]
+        assert len(set(xs)) < len(xs)
+        assert len(merges) > 1  # rebuilds, besides the final merge
+
+    def test_one_evaluation_per_walk(self):
+        # depth-12 cells, no eps change and no tie: the initial evaluation
+        # and three walks of four levels; of the 15 points a walk evaluates
+        # per bracket, the trace holds only the midpoints of live intervals
+        calls, points = [], []
+
+        def F(x, root):
+            calls.append(1)
+            points.append(x.size)
+            return x - root
+
+        cells = [((r,), ScanConfig(x_max=10.0), ()) for r in (0.3, 1.2345, 2.5, 7.7)]
+        trace = []
+        row = _scan_row(F, cells, trace=trace)
+        assert [p.signs for p in row] == [("-", "+")] * 4
+        assert len(calls) == 4
+        assert points[1:] == [15 * len(cells)] * 3
+        assert len(trace) == 512 * len(cells) + 12 * len(cells)
+
+
+def _refined_both_ways(cells, F=_random_row):
+    """Scan a row with _refine and with the reference; assert that the
+    patterns and traces agree and return the trace."""
+    out = []
+    for refine in (signscan._refine, _refine_batch):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signscan, "_refine", refine)
+            trace = []
+            got = _scan_row(F, cells, trace=trace)
+        out.append(([repr(o) if isinstance(o, IndeterminateFunction) else o for o in got],
+                    [repr(t) for t in trace], trace))
+    (fast, fast_trace, trace), (ref, ref_trace, _) = out
+    assert fast == ref, cells
+    assert fast_trace == ref_trace, cells
+    return trace
 
 
 class TestRowMerge:
