@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", metavar="PATH", help="write the report to PATH")
     parser.add_argument("--csv", metavar="PATH", help="write the scan trace to PATH (scan only)")
-    parser.add_argument("--trace", action="store_true",
-                        help="collect the scan trace (needs --csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify rate monotonicity per order")
@@ -262,12 +260,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # the trace options act on scan alone; anywhere else they would be
-        # accepted and do nothing
+        # --csv acts on scan alone; anywhere else it would be accepted and
+        # do nothing
         if args.csv and args.command != "scan":
             parser.error(f"--csv writes scan traces; {args.command} makes none")
-        if args.trace and not args.csv:
-            parser.error("--trace needs --csv PATH to write the trace to")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

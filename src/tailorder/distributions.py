@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InfiniteMoment
 from .exppoly import ExpPoly
@@ -425,6 +425,8 @@ class NumericDensity(Distribution):
             raise ValueError("tail mass beyond x_max must be negligible")
 
     def _quad(self, fn, lo):
+        from scipy import integrate
+
         pts = [b for b in self._breaks if lo < b < self._x_max]
         val, _ = integrate.quad(fn, lo, self._x_max, points=pts or None,
                                 limit=200, epsabs=1e-12, epsrel=1e-10)

@@ -113,7 +113,7 @@ class TestExecution:
     def test_scan_with_trace(self, tmp_path):
         out = tmp_path / "scan.json"
         trace = tmp_path / "trace.csv"
-        code = main(["--json", str(out), "--csv", str(trace), "--trace",
+        code = main(["--json", str(out), "--csv", str(trace),
                      "scan", "--exppoly", "1*e(-1)+(-1)*e(-2)", "--x-max", "20"])
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
@@ -127,18 +127,19 @@ class TestExecution:
 
     @pytest.mark.parametrize("argv", [
         ["--csv", "t.csv", "compare", "--x", "exp(1)", "--y", "exp(1)"],
-        ["--trace", "--csv", "t.csv", "roots", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
-        ["--trace", "compare", "--x", "exp(1)", "--y", "exp(1)"],
-        ["--trace", "scan", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
+        ["--csv", "t.csv", "roots", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
+        ["--csv", "t.csv", "analyze", "--dist", "exp(1)"],
+        ["--trace", "--csv", "t.csv", "scan", "--exppoly", "1*e(-1)+(-1)*e(-2)"],
     ])
     def test_trace_options_that_write_nothing_exit_usage(self, argv, tmp_path, monkeypatch,
                                                          capsys):
-        # --csv writes scan traces only, and --trace collects rows that only
-        # --csv writes
+        # --csv writes scan traces only; --trace, which collected nothing
+        # that --csv did not, is no longer an option
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_USAGE
         assert not (tmp_path / "t.csv").exists()
-        assert "--csv" in capsys.readouterr().err
+        # the error line names the option at fault
+        assert argv[0] in capsys.readouterr().err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize("option, value, field", [
         ("--x-max", "0", "x_max"), ("--x-max", "-2", "x_max"),

@@ -4,11 +4,18 @@ The defining quadrature (density against the shifted power) is the oracle
 for every closed form, written out independently with scipy here.
 """
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import tailorder
+from tailorder import iteration
 from tailorder import (
     BranchedPareto,
     Exponential,
@@ -21,6 +28,7 @@ from tailorder import (
     iterated_moment,
     residual_partial_moment,
 )
+from tailorder.iteration import _rule_tails
 
 CLOSED_FORM_VARIANTS = [
     Exponential(1.3),
@@ -203,3 +211,157 @@ class TestQuadratureFallback:
             assert it_n.eval_tail(x) == pytest.approx(it_a.eval_tail(x), abs=1e-8)
         assert iterated_moment(numeric, 2) == pytest.approx(
             iterated_moment(analytic, 2), rel=1e-8)
+
+
+# tail_s at the cross-check abscissae (0.25, 1 and 2 times the mean, then the
+# breakpoints), computed with mpmath at 60 digits: incomplete-gamma sums for
+# Gamma and Weibull, mpmath.quad split at the breakpoints for the others.
+# Frozen as literals because mpmath is not a dependency.
+MPMATH_TAILS = {
+    (Gamma(0.3), 2): (0.8475636069837521, 0.5752117576599179, 0.36783573935879543),
+    (Weibull(0.3), 2): (0.9042729574005596, 0.7605740423738565, 0.6480769480872007),
+    (Gamma(0.3), 7): (0.9186871133917189, 0.713077847730343, 0.5097865355906626),
+    (Weibull(0.3), 7): (0.9992158120037361, 0.9968691301406329, 0.993753864332698),
+    (Gamma(0.3), 12): (0.9230468506647732, 0.726115321692262, 0.5275858650234913),
+    (Weibull(0.3), 12): (0.9998266286820361, 0.9993067424733727, 0.9986140918652862),
+    (Gamma(0.5), 2): (0.8148716348532797, 0.4839414490382866, 0.2578082903703095),
+    (Weibull(0.5), 2): (0.8417209066715909, 0.586935717510938, 0.40600584970983805),
+    (Gamma(0.5), 7): (0.8726714894735348, 0.5810232432225304, 0.3389979178910543),
+    (Weibull(0.5), 7): (0.9775846722377507, 0.9139122219010608, 0.8366311338208724),
+    (Gamma(0.5), 12): (0.8772951570628337, 0.5926330833647815, 0.35162272241820985),
+    (Weibull(0.5), 12): (0.9881731765653032, 0.953609917295219, 0.9095842228747233),
+    (Gamma(2.0), 2): (0.7581633246407917, 0.2706705664732254, 0.05494691666620254),
+    (Weibull(2.0), 2): (0.7540310735283398, 0.21009140544393726, 0.012188882184802883),
+    (Gamma(2.0), 7): (0.6498542782635358, 0.17400250701850203, 0.02878171825372514),
+    (Weibull(2.0), 7): (0.46650520918164545, 0.03374148596143879, 0.000414263069057069),
+    (Gamma(2.0), 12): (0.6318027705339931, 0.15789116377604814, 0.024420851851645574),
+    (Weibull(2.0), 12): (0.35296331874034287, 0.011216220411755438, 4.869503089777316e-05),
+    (Gamma(3.0), 2): (0.7528341934309922, 0.2240418076553878, 0.02726627394332996),
+    (Weibull(3.0), 2): (0.7506931789063448, 0.14708068097765004, 0.0003564078366250318),
+    (Gamma(3.0), 7): (0.5656800346998982, 0.0951288627743115, 0.007790363983808561),
+    (Weibull(3.0), 7): (0.3415114282034694, 0.004824074355602215, 3.1928844265234206e-07),
+    (Gamma(3.0), 12): (0.5285736305311115, 0.07563804617425486, 0.005338850842050622),
+    (Weibull(3.0), 12): (0.1966038992093109, 0.00045395882834406323, 2.1622858035562028e-09),
+    (Weibull(0.3), 8): (0.9994690197373345, 0.9978785746117926, 0.9957637849507968),
+    (Weibull(0.3), 9): (0.9996197913100464, 0.9984803757540205, 0.9969639736509466),
+    (Weibull(0.3), 10): (0.9997161076354871, 0.9988650778940589, 0.9977318799243553),
+    (Weibull(0.3), 11): (0.9997810136385731, 0.9991244274531476, 0.998249848421788),
+    (Weibull(0.32), 8): (0.9990636802578896, 0.9962622096261174, 0.9925442941350726),
+    (Weibull(0.32), 9): (0.9993091798312314, 0.9972405960723411, 0.9944914980372421),
+    (Weibull(0.32), 10): (0.9994705148302155, 0.9978842523569005, 0.9957743400601995),
+    (Weibull(0.32), 11): (0.9995819741093334, 0.9983292237499813, 0.9966619813030961),
+    (Weibull(0.32), 12): (0.9996620636095412, 0.9986491016888135, 0.9973004599241961),
+    (Weibull(0.35), 10): (0.9988236818599702, 0.9953051850966429, 0.9906381318555305),
+    (Weibull(0.35), 11): (0.9990431251274544, 0.9961792463326002, 0.9923764194159223),
+    (Weibull(0.35), 12): (0.9992053780128225, 0.9968260700986867, 0.9936642616992362),
+    (PolyExpExample(1.0), 2): (0.7711735695016623, 0.30169056668926014, 0.0637352572934675),
+    (PolyExpExample(1.0), 6): (0.6532940522750438, 0.1723946095367201, 0.026412590422416768),
+    (BranchedPareto(1.0, 2.0), 2): (0.8095238095238095, 0.5538461538461539, 0.4, 0.6),
+    (Weibull(1.5, 0.01), 3): (0.6995230051014582, 0.2029891730920051, 0.02773527803409768),
+}
+
+# Weibull iterates whose construction raised a spurious AssertionError while
+# the cross-check ran scalar adaptive quadrature: quad misread the integral,
+# not the closed form
+SMALL_SHAPE_WEIBULL = ([(Weibull(0.3), s) for s in range(7, 13)]
+                       + [(Weibull(0.32), s) for s in range(8, 13)]
+                       + [(Weibull(0.35), s) for s in range(10, 13)])
+
+
+def check_abscissae(d):
+    m = d.mean()
+    return [0.25 * m, m, 2.0 * m] + [float(b) for b in d.breakpoints()]
+
+
+class _NonFiniteBeyond3(Gamma):
+    """Gamma(shape) whose density reads NaN (or inf) past x = 3."""
+
+    bad = np.nan
+
+    def _density(self, x):
+        return np.where(x > 3.0, self.bad, super()._density(x))
+
+
+class _InfiniteBeyond3(_NonFiniteBeyond3):
+    bad = np.inf
+
+
+class TestCrossCheckRule:
+    @pytest.mark.parametrize("d, s", list(MPMATH_TAILS), ids=repr)
+    def test_rule_matches_mpmath(self, d, s):
+        got = _rule_tails(d, s, check_abscissae(d))
+        np.testing.assert_allclose(got, MPMATH_TAILS[d, s], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d, s", SMALL_SHAPE_WEIBULL, ids=repr)
+    def test_small_shape_weibull_iterates_build(self, d, s):
+        it = iterate(d, s)
+        np.testing.assert_allclose(it.eval_tail(check_abscissae(d)), MPMATH_TAILS[d, s],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, np.nan])
+    def test_perturbed_closed_form_is_caught(self, factor, monkeypatch):
+        exact = iteration._gamma_eval
+
+        def perturbed(alpha, theta, s):
+            ev = exact(alpha, theta, s)
+            return lambda x: factor * ev(x)
+
+        monkeypatch.setattr(iteration, "_gamma_eval", perturbed)
+        iteration._iterate_cached.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="iterated tail mismatch"):
+                iterate(Gamma(2.5), 3)
+        finally:
+            iteration._iterate_cached.cache_clear()
+
+    @pytest.mark.parametrize("cls", [_NonFiniteBeyond3, _InfiniteBeyond3])
+    def test_non_finite_density_raises(self, cls):
+        with pytest.raises(ValueError, match="non-finite density"):
+            _rule_tails(cls(2.0), 3, [0.5])
+        with pytest.raises(ValueError, match="non-finite density"):
+            iterate(cls(2.0), 3)
+
+    def test_rule_emits_no_warning(self):
+        # the far exp-sinh nodes sit ~1e31 units out, where the density has
+        # underflowed to 0 and the power of (t - x) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, s in ((Weibull(3.0), 12), (Gamma(0.3), 12), (Weibull(0.1), 12),
+                         (BranchedPareto(1.0, 2.0), 2), (PolyExpExample(1.0), 6)):
+                assert np.all(np.isfinite(_rule_tails(d, s, check_abscissae(d))))
+
+    @pytest.mark.xfail(strict=True, reason="residual_partial_moment's finite leg "
+                       "ends at x + 60 (1 + mean), about 618, while f(t) (t - x)^7 "
+                       "has its mass near t = 2.6e4; the adaptive infinite leg misses "
+                       "it and returns about 5.8e-06")
+    def test_residual_partial_moment_of_small_shape_weibull(self):
+        d = Weibull(0.3)
+        x = 0.25 * d.mean()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = residual_partial_moment(d, 7, x) / d.raw_moment(7)
+        assert got == pytest.approx(MPMATH_TAILS[d, 8][0], rel=1e-9)
+
+
+class TestColdStart:
+    def test_closed_forms_run_without_scipy_integrate(self):
+        # scipy.integrate serves adaptive quad alone, so neither the package
+        # import nor closed-form iterates and checks may load it; a
+        # NumericDensity still builds through the import where quad runs
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import tailorder
+            from tailorder import Gamma, GridSpec, MaxExp, NumericDensity, iterate, newcrit
+            newcrit(MaxExp(1, 1), MaxExp(1, 2), 2, GridSpec((0.5, 1.0, 2.0), (0.0, 1.0)))
+            iterate(Gamma(2), 3)
+            assert "scipy.integrate" not in sys.modules, "scipy.integrate loaded"
+            NumericDensity(lambda t: np.exp(-t), 60)
+            assert "scipy.integrate" in sys.modules
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tailorder.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
