@@ -214,14 +214,17 @@ class Weibull(Distribution):
     def _density(self, x):
         z = x / self.scale
         a = self.shape
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (a / self.scale) * z ** (a - 1.0) * np.exp(-(z ** a))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            decay = np.exp(-(z ** a))
+            out = (a / self.scale) * z ** (a - 1.0) * decay
         if a < 1.0:
             out = np.where(z == 0.0, np.inf, out)
         elif a == 1.0:
             out = np.where(z == 0.0, 1.0 / self.scale, out)
         else:
-            out = np.where(z == 0.0, 0.0, out)
+            # far out z ** (a - 1) overflows (z ** a with it) once exp(-z ** a)
+            # has underflowed: the density is 0 there, not inf * 0
+            out = np.where((z == 0.0) | (decay == 0.0), 0.0, out)
         return out
 
     def _tail(self, x):

@@ -11,8 +11,9 @@ exponential-type tails, incomplete-gamma sums for Gamma and Weibull,
 explicit piecewise forms for the branched Pareto up to s = 2).  A
 construction-time cross-check guards the transcriptions: it evaluates the
 defining integral E (X - x)_+^{s-1} from the density alone, by one
-fixed-node double-exponential rule over all of its abscissae (0.25, 1 and
-2 times the mean, plus breakpoints), and requires agreement to 1e-7.
+double-exponential rule over all of its abscissae (0.25, 1 and 2 times the
+mean, plus breakpoints), which halves its step only where its estimate has
+not settled, and requires agreement to 1e-7.
 residual_partial_moment, which serves Holder bounds and iterates of
 numerically given densities, stays adaptive quadrature.
 The exponential distribution is the fixed point of the iteration.
@@ -41,19 +42,33 @@ __all__ = ["IteratedTail", "iterate", "iterated_moment", "residual_partial_momen
 
 _CROSS_CHECK_TOL = 1e-7
 
-# Double-exponential nodes of the cross-check rule: step 1/32 over
-# |tau| <= 4.5.  With y = (pi/2) sinh(tau), tanh-sinh maps tau onto (0, 1)
-# as sigma(2y), sigma the logistic function (so the node's distance from
-# either end carries no cancellation), and exp-sinh maps it onto
-# (0, inf) as e^y.  Weights include the step.
+# Double-exponential nodes of the cross-check rule over |tau| <= 4.5.  With
+# y = (pi/2) sinh(tau), tanh-sinh maps tau onto (0, 1) as sigma(2y), sigma
+# the logistic function (so the node's distance from either end carries no
+# cancellation), and exp-sinh maps it onto (0, inf) as e^y.  The step starts
+# at 1/32 and is halved, at most _DE_LEVELS times, at the abscissae whose
+# estimate still moves by more than _DE_SETTLE.
 _DE_STEP = 1.0 / 32.0
-_DE_TAU = _DE_STEP * np.arange(-144, 145)
-_DE_Y = 0.5 * math.pi * np.sinh(_DE_TAU)
-_DE_DY = _DE_STEP * 0.5 * math.pi * np.cosh(_DE_TAU)
-_TS_NODE = 1.0 / (1.0 + np.exp(-2.0 * _DE_Y))
-_TS_WEIGHT = 2.0 * _DE_DY * _TS_NODE / (1.0 + np.exp(2.0 * _DE_Y))
-_ES_NODE = np.exp(_DE_Y)
-_ES_WEIGHT = _DE_DY * _ES_NODE
+_DE_HALF_SPAN = 144          # 4.5 / _DE_STEP
+_DE_LEVELS = 7               # finest step 1/4096
+_DE_SETTLE = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _de_nodes(level: int):
+    """Tanh-sinh nodes and weights, then exp-sinh nodes and weights, at step
+    _DE_STEP / 2^level: every multiple of the step at level 0, only the odd
+    ones (those new to the level) above it.  Weights include the step."""
+    n = _DE_HALF_SPAN << level
+    j = np.arange(-n, n + 1)
+    if level:
+        j = j[1::2]
+    h = _DE_STEP / (1 << level)
+    y = 0.5 * math.pi * np.sinh(h * j)
+    dy = h * 0.5 * math.pi * np.cosh(h * j)
+    ts = 1.0 / (1.0 + np.exp(-2.0 * y))
+    es = np.exp(y)
+    return ts, 2.0 * dy * ts / (1.0 + np.exp(2.0 * y)), es, dy * es
 
 
 def iterated_moment(d: Distribution, s: int) -> float:
@@ -257,42 +272,75 @@ def _rule_tails(d: Distribution, s: int, xs) -> np.ndarray:
     """tail_s(x) = E (X - x)_+^{s-1} / E X^{s-1} at every x of xs (s >= 2),
     from the density alone.
 
-    One fixed-node double-exponential rule: tanh-sinh panels from x to each
-    breakpoint beyond it, then an exp-sinh leg t = b + unit e^{(pi/2) sinh
-    tau} from the last of them (or from x) to infinity.  The unit is
-    (E X^{s-1})^{1/(s-1)}, the mean at s = 2, which puts the bulk of the
-    integrand near tau = 0 even where it lies far out (a Weibull of shape
-    0.1 at s = 12 has it near 1e13 means).  The density is evaluated once,
-    on the nodes of every abscissa together; a non-finite value raises
-    instead of being read as zero.
+    One double-exponential rule: tanh-sinh panels from x to each breakpoint
+    and to the mean beyond it, then an exp-sinh leg t = b + unit
+    e^{(pi/2) sinh tau} from the last of them (or from x) to infinity.  The
+    unit is (E X^{s-1})^{1/(s-1)}, the mean at s = 2, which puts the bulk of
+    the integrand near tau = 0 even where it lies far out (a Weibull of
+    shape 0.1 at s = 12 has it near 1e13 means).  Nodes crowd at the ends of
+    panels, so the mean as a panel end resolves a narrow peak around it,
+    however far it lies from x.  The estimate at step 1/32 is compared with
+    its own every-other-node subset (step 1/16); where the two differ by
+    more than _DE_SETTLE, the step is halved, on the new nodes only, until
+    successive estimates agree or the step reaches 1/4096.  Against mpmath
+    the rule is within 1e-12 for Gamma shapes 0.3 to 1000 and Weibull
+    shapes 0.1 to 1000, and within 1e-8 for Gamma shapes up to 1e7, where
+    the density's own rounding is the limit.  Each level evaluates the
+    density once, on the nodes of every abscissa it refines; a non-finite
+    value raises instead of being read as zero.
     """
     k = s - 1
     unit = d.raw_moment(k) ** (1.0 / k)
-    offsets, weights, counts = [], [], []
-    for x in xs:
-        ends = [x] + [b for b in d.breakpoints() if b > x]
-        for a, b in zip(ends, ends[1:]):
-            offsets.append((a - x) + (b - a) * _TS_NODE)
-            weights.append((b - a) * _TS_WEIGHT)
-        offsets.append((ends[-1] - x) + unit * _ES_NODE)
-        weights.append(unit * _ES_WEIGHT)
-        counts.append(len(ends) * _DE_TAU.size)
-    u = np.concatenate(offsets)
-    w = np.concatenate(weights)
-    f = d.density(np.repeat(np.asarray(xs, dtype=float), counts) + u)
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"{d!r}: non-finite density on the cross-check nodes")
-    # with t - x in units, the terms sum to tail_s itself; on the far
-    # exp-sinh nodes (~1e31 units out) the power can overflow where the
-    # density has underflowed to 0, so terms are formed only where it is
-    # positive, and must come out finite
-    live = f > 0
-    terms = np.zeros_like(u)
-    with np.errstate(over="ignore"):
-        terms[live] = f[live] * w[live] * (u[live] / unit) ** k
-    if not np.all(np.isfinite(terms)):
-        raise ValueError(f"{d!r}: the cross-check integrand overflows")
-    return np.add.reduceat(terms, np.cumsum(counts) - counts)
+    xs = np.asarray(xs, dtype=float)
+    bps = d.breakpoints()
+    mean = d.mean()
+
+    def level_terms(level, which):
+        """weight * f(t) * ((t - x) / unit)^k on the level's nodes for the
+        abscissae xs[which], leg after leg, and where each abscissa's terms
+        start."""
+        ts, ts_w, es, es_w = _de_nodes(level)
+        offsets, weights, counts = [], [], []
+        for x in xs[which]:
+            ends = [x] + sorted(b for b in {*bps, mean} if b > x)
+            for a, b in zip(ends, ends[1:]):
+                offsets.append((a - x) + (b - a) * ts)
+                weights.append((b - a) * ts_w)
+            offsets.append((ends[-1] - x) + unit * es)
+            weights.append(unit * es_w)
+            counts.append(len(ends) * ts.size)
+        u = np.concatenate(offsets)
+        w = np.concatenate(weights)
+        f = d.density(np.repeat(xs[which], counts) + u)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"{d!r}: non-finite density on the cross-check nodes")
+        # with t - x in units, the terms sum to tail_s itself; on the far
+        # exp-sinh nodes (~1e31 units out) the power can overflow where the
+        # density has underflowed to 0, so terms are formed only where it is
+        # positive, and must come out finite
+        live = f > 0
+        terms = np.zeros_like(u)
+        with np.errstate(over="ignore"):
+            terms[live] = f[live] * w[live] * (u[live] / unit) ** k
+        if not np.all(np.isfinite(terms)):
+            raise ValueError(f"{d!r}: the cross-check integrand overflows")
+        return terms, np.cumsum(counts) - counts
+
+    terms, starts = level_terms(0, np.arange(xs.size))
+    est = np.add.reduceat(terms, starts)
+    # every leg holds the level-0 nodes in order, so the terms at even
+    # places in it are the rule at twice the step
+    even = np.arange(terms.size) % _de_nodes(0)[0].size % 2 == 0
+    prev = 2.0 * np.add.reduceat(np.where(even, terms, 0.0), starts)
+    which = np.flatnonzero(np.abs(est - prev) > _DE_SETTLE)
+    for level in range(1, _DE_LEVELS + 1):
+        if not which.size:
+            break
+        terms, starts = level_terms(level, which)
+        prev = est[which]
+        est[which] = 0.5 * prev + np.add.reduceat(terms, starts)
+        which = which[np.abs(est[which] - prev) > _DE_SETTLE]
+    return est
 
 
 def _cross_check(it: IteratedTail) -> None:

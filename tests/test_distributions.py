@@ -3,6 +3,7 @@
 scipy.stats serves as the independent oracle for the standard families.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestDensity:
         np.testing.assert_allclose(d.density(xs),
                                    stats.weibull_min.pdf(xs, 1.7, scale=1.3),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [10.5, 12.0, 30.0])
+    def test_weibull_far_tail_is_zero_without_warning(self, shape):
+        # past z ~ 1e30, z ** (a - 1) and z ** a overflow where exp(-z ** a)
+        # is already 0: the density is 0, not inf * 0
+        xs = np.array([1.2, 1e3, 1e30, 5e30])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Weibull(shape).density(xs)
+        np.testing.assert_array_equal(got[1:], 0.0)
+        assert got[0] == pytest.approx(stats.weibull_min.pdf(1.2, shape), rel=1e-12)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):

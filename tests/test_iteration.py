@@ -258,6 +258,35 @@ MPMATH_TAILS = {
     (PolyExpExample(1.0), 6): (0.6532940522750438, 0.1723946095367201, 0.026412590422416768),
     (BranchedPareto(1.0, 2.0), 2): (0.8095238095238095, 0.5538461538461539, 0.4, 0.6),
     (Weibull(1.5, 0.01), 3): (0.6995230051014582, 0.2029891730920051, 0.02773527803409768),
+    (Weibull(0.1), 2): (0.9926017842419916, 0.9822321690542619, 0.9731702601121176),
+    (Weibull(0.1), 7): (0.9999999999801045, 0.9999999999204181, 0.9999999998408362),
+    (Weibull(0.1), 12): (0.9999999999999414, 0.9999999999997654, 0.9999999999995309),
+    # peaked densities: the far tail overflows the Weibull power terms, and
+    # the peak lies narrow and far from 0.25 times the mean
+    (Weibull(12.0), 2): (0.7500000006874115, 0.03980973929977875, 0.0),
+    (Weibull(12.0), 7): (0.1951907886295018, 1.6732948883271466e-06, 0.0),
+    (Weibull(20.0), 2): (0.7500000000000063, 0.0241564311310522, 0.0),
+    (Weibull(20.0), 7): (0.18490072095477753, 7.595936572149532e-08, 0.0),
+    (Weibull(30.0), 2): (0.7499999999999999, 0.016196366569845785, 0.0),
+    (Weibull(30.0), 7): (0.18125548312238926, 6.499940842350166e-09, 0.0),
+    (Weibull(50.0), 2): (0.75, 0.00976258024926205, 0.0),
+    (Weibull(50.0), 7): (0.17922500889396284, 2.950915637176746e-10, 0.0),
+    (Weibull(1000.0), 2): (0.75, 0.0004913626174583758, 0.0),
+    (Weibull(1000.0), 7): (0.1779819145706269, 4.3811190718122474e-18, 0.0),
+    (Gamma(200.0), 2): (0.7500000000000185, 0.028197727685957144, 6.120028995436359e-31),
+    (Gamma(200.0), 7): (0.18825850949943823, 1.1733992431408344e-06, 3.5578013293595586e-38),
+    (Gamma(1000.0), 2): (0.7499999999997514, 0.012614611348228416, 1.3653953037113026e-138),
+    (Gamma(1000.0), 7): (0.18005084517746195, 8.449370622230286e-09, 3.0088929553827162e-149),
+}
+
+# Gamma shapes where the density's own rounding (its log is a difference of
+# terms near 1e6 to 1e8) limits any quadrature of it to 1e-10 to 1e-8
+WIDE_GAMMA_TAILS = {
+    (Gamma(1e5), 2): (0.7500000000193671, 0.001261565248406939, 0.0),
+    (Gamma(1e5), 7): (0.17799927940404142, 7.600438167864387e-15, 0.0),
+    (Gamma(1e6), 2): (0.7499999999999575, 0.00039894224707122524, 0.0),
+    (Gamma(1e6), 7): (0.17798059203686817, 7.531867480183699e-18, 0.0),
+    (Gamma(1e7), 2): (0.7500000036476305, 0.00012616391983137325, 0.0),
 }
 
 # Weibull iterates whose construction raised a spurious AssertionError while
@@ -291,6 +320,22 @@ class TestCrossCheckRule:
     def test_rule_matches_mpmath(self, d, s):
         got = _rule_tails(d, s, check_abscissae(d))
         np.testing.assert_allclose(got, MPMATH_TAILS[d, s], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d, s", list(WIDE_GAMMA_TAILS), ids=repr)
+    def test_rule_resolves_narrow_peaks(self, d, s):
+        # the Gamma(1e7) peak is 3e-4 means wide and 0.75 means from the
+        # first abscissa, far narrower than the spacing of nodes there at
+        # steps 1/32 and 1/16 alike: the panel ending at the mean resolves it
+        got = _rule_tails(d, s, check_abscissae(d))
+        np.testing.assert_allclose(got, WIDE_GAMMA_TAILS[d, s], rtol=0, atol=1e-8)
+        assert iterate(d, s).kind == "special"
+
+    @pytest.mark.parametrize("d, s", [(Weibull(a), s) for a in (12.0, 30.0, 1000.0)
+                                      for s in (2, 7)], ids=repr)
+    def test_large_shape_weibull_iterates_build(self, d, s):
+        it = iterate(d, s)
+        np.testing.assert_allclose(it.eval_tail(check_abscissae(d)), MPMATH_TAILS[d, s],
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("d, s", SMALL_SHAPE_WEIBULL, ids=repr)
     def test_small_shape_weibull_iterates_build(self, d, s):
@@ -327,6 +372,8 @@ class TestCrossCheckRule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for d, s in ((Weibull(3.0), 12), (Gamma(0.3), 12), (Weibull(0.1), 12),
+                         (Weibull(12.0), 2), (Weibull(12.0), 7), (Weibull(30.0), 2),
+                         (Weibull(30.0), 7), (Gamma(1e6), 7),
                          (BranchedPareto(1.0, 2.0), 2), (PolyExpExample(1.0), 6)):
                 assert np.all(np.isfinite(_rule_tails(d, s, check_abscissae(d))))
 
