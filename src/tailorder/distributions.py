@@ -67,12 +67,21 @@ class Distribution:
         return _maybe_scalar(vals, x)
 
     def raw_moment(self, k: int) -> float:
-        """E X^k; raises InfiniteMoment when it diverges."""
+        """E X^k; raises InfiniteMoment when it diverges or overflows a
+        float."""
         if k < 0 or k != int(k):
             raise ValueError("moment order must be a nonnegative integer")
         if int(k) == 0:
             return 1.0
-        return self._raw_moment(int(k))
+        try:
+            moment = self._raw_moment(int(k))
+        except (OverflowError, ZeroDivisionError):
+            # a power of the scale, or a gamma function, past the largest
+            # float, or a power of a rate below the smallest one
+            moment = math.inf
+        if moment == math.inf:
+            raise InfiniteMoment(f"E X^{int(k)} overflows a float")
+        return moment
 
     def mean(self) -> float:
         return self.raw_moment(1)

@@ -160,18 +160,6 @@ class ExpPoly:
             raise ValueError("zero scale collapses the polynomial")
         return ExpPoly(tuple((c * factor, r) for c, r in self.terms))
 
-    def compose_affine(self, a: float, b: float) -> "ExpPoly":
-        """The polynomial x -> p(a*x + b); requires a > 0."""
-        if a <= 0:
-            raise ValueError("composition slope must be positive")
-        return ExpPoly(tuple((c * math.exp(-r * b), r * a) for c, r in self.terms))
-
-    def __neg__(self) -> "ExpPoly":
-        return self.scaled(-1.0)
-
-    def subtract(self, other: "ExpPoly") -> "ExpPoly | None":
-        return ExpPoly.maybe(list(self.terms) + [(-c, r) for c, r in other.terms])
-
     # ------------------------------------------------------------------
     # sign-variation bound and root isolation
     # ------------------------------------------------------------------
@@ -195,7 +183,7 @@ class ExpPoly:
                 x = max(x, math.log(ratio) / (r - r0))
         # verify relative to the head term (immune to underflow), nudging
         # rightward until the bound actually holds (np.exp, not math.exp:
-        # see the bit-exactness note above _terms)
+        # see the bit-exactness note above _sign_changes)
         for _ in range(200):
             rel = sum(abs(c / c0) * np.exp(min(max(-(r - r0) * x, _EXP_LO), _EXP_HI))
                       for c, r in rest)
@@ -242,75 +230,11 @@ class ExpPoly:
         the head term: it has f's sign and keeps its terms apart far beyond
         where f's clamp to one value.  Its witness must still show that
         sign by direct evaluation, or the pattern is uncertain.
+
+        This is the one-polynomial case of _sign_patterns, which samples
+        the regions of many polynomials in one evaluation.
         """
-        horizon = self.dominance_horizon(start)
-        shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
-        lo = start + shift
-        hi = max(horizon + 1.0, lo + 1.0)
-        if start == 0.0 and _root_free(self.terms):
-            roots, uncertain = (), False
-        else:
-            report = self.isolate_roots(lo, hi, ROOT_WIDTH)
-            roots, uncertain = report.isolated_roots, report.residual_uncertainty
-
-        rates = self.rates
-        terms = _terms(self.coefficients, rates)
-        head = _terms(self.coefficients, [r - rates[0] for r in rates])
-        cuts = [lo] + [0.5 * (a + b) for a, b in roots] + [hi]
-        regions = list(zip(cuts, cuts[1:]))
-        signs: list[str] = []
-        witnesses: list[float] = []
-        changes: list[tuple[float, float]] = []
-        prev_root = None
-        for (a, b), root in zip(regions, list(roots) + [None]):
-            xs = np.linspace(a, b, 9)[1:-1]
-            far = -rates[0] * xs[-1] < _EXP_TINY or -rates[-1] * xs[0] > _EXP_HI
-            form = head if far else terms
-            vals = np.array([_eval_scale(head, x)[0] for x in xs]) if far else self.eval(xs)
-            idx = int(np.argmax(np.abs(vals)))
-            v = vals[idx]
-            if abs(v) <= TOUCH_REL * _eval_scale(form, xs[idx])[1]:
-                # whole region below the noise floor: decide by derivatives
-                sn = _one_sided_signs(form, 0.5 * (a + b))[3]
-                if sn == 0.0:
-                    uncertain = True
-                    prev_root = root
-                    continue
-                v = sn
-            s = "+" if v > 0 else "-"
-            if signs and signs[-1] == s:
-                prev_root = root
-                continue
-            if signs:
-                changes.append(prev_root if prev_root is not None else (a, a))
-            signs.append(s)
-            witnesses.append(float(xs[idx]))
-            if far:
-                direct = self.eval(witnesses[-1])
-                if not (direct > 0 if v > 0 else direct < 0):
-                    uncertain = True
-            prev_root = root
-        if not signs:
-            # single-term polynomials and degenerate windows: limit sign only
-            s = "+" if self.terms[0][0] > 0 else "-"
-            signs, witnesses = [s], [hi]
-        return SignPattern(tuple(signs), tuple(witnesses), tuple(changes),
-                           EXACT, uncertain)
-
-    def sign_pattern_by_rule(self) -> SignPattern | None:
-        """Sign sequence on (0, inf) read off the coefficient signs (_rule),
-        or None when they do not fix it.  No root is isolated.  A crossing
-        is bracketed by lo, the left end sign_pattern_exact(0.0) uses, and a
-        point beyond the dominance horizon, the two witnesses."""
-        rule = _rule(self.terms)
-        if rule is None:
-            return None
-        head, tail = rule
-        lo = ROOT_WIDTH
-        if head == tail:
-            return SignPattern((tail,), (lo,), (), EXACT)
-        hi = max(self.dominance_horizon(0.0) + 1.0, lo + 1.0)
-        return SignPattern((head, tail), (lo, hi), ((lo, hi),), EXACT)
+        return _sign_patterns([self], [start])[0]
 
 
 @dataclass(frozen=True)
@@ -336,12 +260,151 @@ class RootReport:
             raise ValueError("more isolated roots than the sign-change bound allows")
 
 
+def _sign_patterns(polys, starts) -> list[SignPattern]:
+    """ExpPoly.sign_pattern_exact of each polynomial of polys on (start,
+    inf), start its entry of starts.
+
+    The dominance horizon, the root-free step or isolation, and the cuts
+    between the roots are each polynomial's own.  The 7 interior samples
+    of every region of every polynomial are then placed (_region_points)
+    and, where the region is not far, evaluated (_region_values) in one
+    pass each, every sample with the bits that np.linspace and
+    ExpPoly.eval give it alone; a far region's samples, the noise-floor
+    test and the one-sided signs below it stay scalar, region by region.
+    """
+    plans = []
+    for p, start in zip(polys, starts):
+        horizon = p.dominance_horizon(start)
+        shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
+        lo = start + shift
+        hi = max(horizon + 1.0, lo + 1.0)
+        if start == 0.0 and _root_free(p.terms):
+            roots, uncertain = (), False
+        else:
+            report = p.isolate_roots(lo, hi, ROOT_WIDTH)
+            roots, uncertain = report.isolated_roots, report.residual_uncertainty
+        cuts = [lo] + [0.5 * (a + b) for a, b in roots] + [hi]
+        plans.append((p, hi, roots, uncertain, list(zip(cuts, cuts[1:]))))
+    if not plans:
+        return []
+
+    owner = [k for k, (*_, regions) in enumerate(plans) for _ in regions]
+    ends = np.array([ab for *_, regions in plans for ab in regions])
+    xs = _region_points(ends[:, 0], ends[:, 1])
+    first, last = (np.array([plans[k][0].terms[i][1] for k in owner]) for i in (0, -1))
+    far = (-first * xs[:, -1] < _EXP_TINY) | (-last * xs[:, 0] > _EXP_HI)
+    near = np.flatnonzero(~far)
+    vals = np.empty_like(xs)
+    vals[near] = _region_values([plans[owner[i]][0].terms for i in near], xs[near])
+    # a far region is read relative to the head term, f e^{r_0 x}
+    heads = {}
+    for i in np.flatnonzero(far).tolist():
+        k = owner[i]
+        if k not in heads:
+            rates = plans[k][0].rates
+            heads[k] = _terms(plans[k][0].coefficients, [r - rates[0] for r in rates])
+        vals[i] = [_eval_scale(heads[k], x)[0] for x in xs[i].tolist()]
+    rows = np.arange(len(xs))
+    idx = np.argmax(np.abs(vals), axis=1)
+    peaks = vals[rows, idx].tolist()
+    points = xs[rows, idx].tolist()
+    far = far.tolist()
+
+    out = []
+    row = 0
+    for k, (p, hi, roots, uncertain, regions) in enumerate(plans):
+        terms = _terms(p.coefficients, p.rates)
+        signs: list[str] = []
+        witnesses: list[float] = []
+        changes: list[tuple[float, float]] = []
+        prev_root = None
+        for (a, b), root in zip(regions, list(roots) + [None]):
+            v, x, is_far = peaks[row], points[row], far[row]
+            row += 1
+            form = heads[k] if is_far else terms
+            if abs(v) <= TOUCH_REL * _eval_scale(form, x)[1]:
+                # whole region below the noise floor: decide by derivatives
+                sn = _one_sided_signs(form, 0.5 * (a + b))[3]
+                if sn == 0.0:
+                    uncertain = True
+                    prev_root = root
+                    continue
+                v = sn
+            s = "+" if v > 0 else "-"
+            if signs and signs[-1] == s:
+                prev_root = root
+                continue
+            if signs:
+                changes.append(prev_root if prev_root is not None else (a, a))
+            signs.append(s)
+            witnesses.append(x)
+            if is_far:
+                direct = p.eval(x)
+                if not (direct > 0 if v > 0 else direct < 0):
+                    uncertain = True
+            prev_root = root
+        if not signs:
+            # single-term polynomials and degenerate windows: limit sign only
+            s = "+" if p.terms[0][0] > 0 else "-"
+            signs, witnesses = [s], [hi]
+        out.append(SignPattern(tuple(signs), tuple(witnesses), tuple(changes),
+                               EXACT, uncertain))
+    return out
+
+
+#: i and i / 8 for the interior points i = 1 .. 7 of a region cut in eighths
+_STEPS = np.arange(1.0, 8.0)
+_FRACTIONS = _STEPS / 8.0
+
+
+def _region_points(a, b):
+    """The 7 interior points of each region (a, b), a and b arrays of its
+    ends, one row per region with the bits of np.linspace(a, b, 9)[1:-1].
+
+    linspace places point i at a + i * step, step = (b - a) / 8, or at
+    a + (i / 8) * (b - a) where the step is 0 (the subnormal form).  Given
+    arrays of ends it takes the second form in every row as soon as one
+    step is 0, so the form is chosen here row by row."""
+    delta = (b - a)[:, None]
+    step = delta / 8.0
+    return np.where(step == 0.0, _FRACTIONS * delta, _STEPS * step) + a[:, None]
+
+
+def _region_values(rows, xs):
+    """ExpPoly.eval of each polynomial of rows, given by its terms, at the
+    points of its row of xs, bit for bit (see the note below).  The terms
+    are padded to a common count, and each row's Kahan updates stop at
+    its own."""
+    count = max(map(len, rows), default=0)
+    coefs = np.zeros((len(rows), count))
+    rates = np.zeros((len(rows), count))
+    for k, terms in enumerate(rows):
+        coefs[k, :len(terms)], rates[k, :len(terms)] = zip(*terms)
+    sizes = np.array([len(terms) for terms in rows])
+    parts = coefs[:, :, None] * _exp(-rates[:, :, None] * xs[:, None, :])
+    total = np.zeros(xs.shape)
+    comp = np.zeros(xs.shape)
+    for j in range(count):
+        y = parts[:, j] - comp
+        t = total + y
+        live = (sizes > j)[:, None]
+        comp = np.where(live, (t - total) - y, comp)
+        total = np.where(live, t, total)
+    return total
+
+
 # Bit-exactness: the scalar core below runs on Python floats with math.exp,
 # one term at a time in increasing-rate order.  Swapping in np.exp, which
 # differs from math.exp in the last ulp on a few percent of inputs, or
 # summing in another order (numpy batching does both) would move isolated
 # roots and, with them, the verdict documents.  The same holds for the
-# np.exp calls in ExpPoly.eval and dominance_horizon.
+# np.exp calls in ExpPoly.eval and dominance_horizon, and for
+# _region_values, which evaluates many polynomials as ExpPoly.eval does
+# one: the same np.exp of the same -r x per term, and the same Kahan steps
+# in the same term order.  Its rows are padded with zero terms, and a
+# zero term is not a no-op in a Kahan sum (it adds the pending
+# compensation to the total), so a row's updates past its own term count
+# are masked out.
 
 
 def _sign_changes(values) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted, _rule
+from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted, _rule, _sign_patterns
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -357,9 +357,9 @@ def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | Non
     sign of the tail.  Only terms of both sides can cancel, so a missing
     term of one side alone was pruned.
 
-    The X side is composed, scaled and subtracted as term lists, each step
-    merged and pruned as ExpPoly.compose_affine, scaled and subtract would,
-    in that order, and only the difference is built as an ExpPoly."""
+    The X side is composed at a x + b, scaled and subtracted as term
+    lists, each step merged and pruned as an ExpPoly of its terms would
+    be, in that order, and only the difference is built as an ExpPoly."""
     if form.sides is None or (b < 0 and form.left is None):
         return None
     hy, hx = form.sides
@@ -371,7 +371,7 @@ def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | Non
     except OverflowError:
         return None
     # a x + b keeps hx's rate order; a rate lost to underflow (or a NaN
-    # slope) fails the positivity check compose_affine makes
+    # slope) fails the positivity check an ExpPoly makes of its rates
     if not xterms[0][1] > 0:
         return None
     xterms = _merge_sorted(xterms)
@@ -397,17 +397,16 @@ def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | Non
 
 def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
     """The cells (a, b) of cells, given closed, _closed_cell's outcome per
-    cell: closed forms by root isolation from max(0, -b/a), where at b < 0
-    the pattern begins with the left sign, and one _scan_row call for the
-    cells left to sampling."""
-    out, rest = [], []
-    for i, ((a, b), c) in enumerate(zip(cells, closed)):
-        if isinstance(c, ExpPoly):
-            pat = c.sign_pattern_exact(max(0.0, -b / a))
-            c = _CellResult(a, b, pat, form, uncertain=pat.uncertain)
-        elif c is None:
-            rest.append(i)
-        out.append(c)
+    cell: one _sign_patterns call for the closed forms, each from max(0,
+    -b/a), where at b < 0 the pattern begins with the left sign, and one
+    _scan_row call for the cells left to sampling."""
+    out = list(closed)
+    exact = [i for i, c in enumerate(closed) if isinstance(c, ExpPoly)]
+    rest = [i for i, c in enumerate(closed) if c is None]
+    if exact:
+        starts = [max(0.0, -b / a) for a, b in (cells[i] for i in exact)]
+        for i, pat in zip(exact, _sign_patterns([closed[i] for i in exact], starts)):
+            out[i] = _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
     if rest:
         scanned = _scan_row(form.F, [((a, b, a ** form.k), form.cfg(a, b), form.bps(a, b))
                                      for a, b in (cells[i] for i in rest)], fy=form.fy)
@@ -566,8 +565,8 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     losing a term; cells with b < 0 take the sampled scan.  A closed cell
     passes on the coefficient signs of the chosen form, or else of its
     partner, where they fix the pattern (exppoly._rule), and carries its
-    signs alone; only the other closed cells take sign_pattern_exact, the
-    chosen form first.
+    signs alone; only the other closed cells are sampled (_sign_patterns,
+    once per batch and form), the chosen form first.
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")

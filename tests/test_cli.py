@@ -166,6 +166,15 @@ class TestExecution:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    def test_overflowing_moment_exits_usage(self, capsys):
+        # E X^9 of weibull(0.05, 1) is about 1e320, past the largest float
+        code = main(["compare", "--x", "weibull(0.05,1)", "--y", "exp(1)", "--s", "12",
+                     "--criterion", "ifra"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows a float" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_casebook_unknown_id(self):
         assert main(["casebook", "--id", "NOPE"]) == EXIT_USAGE
 

@@ -155,6 +155,23 @@ class TestRawMoments:
     def test_weibull_mean(self):
         assert Weibull(2.0, 1.0).raw_moment(1) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("d,k", [
+        (Weibull(0.05), 12),         # gamma(1 + k / shape) overflows
+        (Gamma(0.5, 1e30), 12),      # scale ** k overflows
+        (Weibull(0.02, 1e150), 2),   # both factors finite, their product not
+        (Exponential(1e-30), 12),    # rate ** k underflows to 0
+        (MaxExp(1e-30, 1.0), 12),
+    ])
+    def test_moment_past_the_largest_float(self, d, k):
+        with pytest.raises(InfiniteMoment, match="overflows a float"):
+            d.raw_moment(k)
+
+    def test_iterate_with_an_overflowing_moment(self):
+        from tailorder import iterate
+        with pytest.raises(InfiniteMoment):
+            iterate(Weibull(0.05), 12)
+        assert math.isfinite(Weibull(0.05).raw_moment(8))
+
 
 class TestTailInverse:
     def test_exponential_closed_form(self):

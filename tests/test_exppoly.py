@@ -6,7 +6,7 @@ import pytest
 
 from tailorder import exppoly
 from tailorder.exppoly import ExpPoly
-from tailorder.patterns import EXACT
+from tailorder.patterns import EXACT, SignPattern
 
 
 def c_const(s, lam):
@@ -220,7 +220,7 @@ class TestTouchBranch:
         assert p.sign_pattern_exact(0.0).signs == ("+",)
 
     def test_negated_double_root(self):
-        pat = (-ExpPoly(DOUBLE_ROOT)).sign_pattern_exact(0.0)
+        pat = ExpPoly(DOUBLE_ROOT).scaled(-1.0).sign_pattern_exact(0.0)
         assert pat.signs == ("-",)
         assert not pat.uncertain
 
@@ -537,7 +537,7 @@ class TestSignPatternExact:
     def test_negation_flips_all_signs(self):
         p = ExpPoly(((1.0, 0.5), (-3.0, 1.5), (1.0, 2.5)))
         pat = p.sign_pattern_exact(0.0)
-        neg = (-p).sign_pattern_exact(0.0)
+        neg = p.scaled(-1.0).sign_pattern_exact(0.0)
         flip = {"+": "-", "-": "+"}
         assert neg.signs == tuple(flip[s] for s in pat.signs)
 
@@ -659,13 +659,6 @@ class TestRuleCore:
             want = coef if partial is None else min(coef, partial)
             assert exppoly._rule_parts(p.terms)[2] == want
 
-    def test_by_rule_pattern_wraps_the_core(self):
-        for p in _random_polys(8, 300):
-            rule, pat = exppoly._rule(p.terms), p.sign_pattern_by_rule()
-            assert (rule is None) == (pat is None)
-            if pat is not None:
-                assert pat.signs == (rule[1:] if rule[0] == rule[1] else rule)
-
 
 class TestRootFreeStep:
     """sign_pattern_exact(0.0) skips isolation where the signs of f or f'
@@ -754,13 +747,30 @@ class TestRootFreeStep:
         assert calls[0] == 1
 
 
+def _pattern_by_rule(p):
+    """The sign sequence on (0, inf) that exppoly._rule reads off the
+    coefficient signs, as a pattern, or None when they do not fix it.  A
+    crossing is bracketed by ROOT_WIDTH, the left end sign_pattern_exact(0.0)
+    uses, and a point beyond the dominance horizon, the two witnesses."""
+    rule = exppoly._rule(p.terms)
+    if rule is None:
+        return None
+    head, tail = rule
+    lo = exppoly.ROOT_WIDTH
+    if head == tail:
+        return SignPattern((tail,), (lo,), (), EXACT)
+    hi = max(p.dominance_horizon(0.0) + 1.0, lo + 1.0)
+    return SignPattern((head, tail), (lo, hi), ((lo, hi),), EXACT)
+
+
 class TestSignPatternByRule:
-    """Patterns fixed by the coefficient and partial-sum signs alone."""
+    """Patterns fixed by the coefficient and partial-sum signs alone
+    (exppoly._rule), against root isolation."""
 
     def test_agrees_with_root_isolation(self):
         decided = beyond = 0
         for p in _random_polys(20261018, 2000):
-            rule = p.sign_pattern_by_rule()
+            rule = _pattern_by_rule(p)
             if rule is None:
                 continue
             decided += 1
@@ -781,7 +791,7 @@ class TestSignPatternByRule:
         p = ExpPoly(FAR_CROSSING)
         x = math.log(FAR_CROSSING[1][0] / -FAR_CROSSING[0][0]) \
             / (FAR_CROSSING[1][1] - FAR_CROSSING[0][1])
-        pat = p.sign_pattern_by_rule()
+        pat = _pattern_by_rule(p)
         assert pat.signs == ("+", "-")
         (lo, hi), = pat.change_points
         assert lo < x < hi
@@ -802,13 +812,13 @@ class TestSignPatternByRule:
         assert p.sign_change_bound() == 2
         assert _reference_partial_sum_changes(p.coefficients) == 0
         assert exppoly._rule_parts(p.terms)[2] == 0
-        pat = p.sign_pattern_by_rule()
+        pat = _pattern_by_rule(p)
         assert pat.signs == ("+",) and pat.witnesses == (exppoly.ROOT_WIDTH,)
 
     def test_one_crossing_is_bracketed(self):
         # e^{-x} - 2 e^{-2x}: f(0) = -1, positive tail, one crossing at ln 2
         p = ExpPoly(((1.0, 1.0), (-2.0, 2.0)))
-        pat = p.sign_pattern_by_rule()
+        pat = _pattern_by_rule(p)
         assert pat.signs == ("-", "+")
         (lo, hi), = pat.change_points
         assert pat.witnesses == (lo, hi)
@@ -821,7 +831,7 @@ class TestSignPatternByRule:
         p = ExpPoly(((1.0, 1.0), (-1.0, 2.0), (0.5, 3.0)))
         assert _reference_partial_sum_changes(p.coefficients) is None
         assert exppoly._rule_parts(p.terms)[2] == 2
-        assert p.sign_pattern_by_rule() is None
+        assert _pattern_by_rule(p) is None
         assert p.sign_pattern_exact(0.0).signs == ("+",)
 
     def test_noise_level_partial_sum_drops_that_bound(self):
@@ -832,22 +842,213 @@ class TestSignPatternByRule:
         assert _reference_partial_sum_changes(coefs) is None
         p = ExpPoly(tuple(zip(coefs, (1.0, 2.0, 3.0, 4.0))))
         assert exppoly._rule_parts(p.terms)[2] == 2
-        assert p.sign_pattern_by_rule() is None
+        assert _pattern_by_rule(p) is None
 
     def test_value_at_left_end_inside_the_floor(self):
         # e^{-x} - e^{-1.5x} vanishes at 0: its value at the left end is
         # about 5e-13, inside TOUCH_REL of the scale 2, so no parity
         p = ExpPoly(((1.0, 1.0), (-1.0, 1.5)))
-        assert p.sign_pattern_by_rule() is None
+        assert _pattern_by_rule(p) is None
         assert p.sign_pattern_exact(0.0).signs == ("+",)
 
     def test_bound_zero(self):
-        assert ExpPoly(((1.0, 1.0), (2.0, 3.0))).sign_pattern_by_rule().signs == ("+",)
-        assert ExpPoly(((-1.0, 0.5), (-3.0, 4.0))).sign_pattern_by_rule().signs == ("-",)
-        assert ExpPoly(((-2.0, 1.0),)).sign_pattern_by_rule().signs == ("-",)
+        assert _pattern_by_rule(ExpPoly(((1.0, 1.0), (2.0, 3.0)))).signs == ("+",)
+        assert _pattern_by_rule(ExpPoly(((-1.0, 0.5), (-3.0, 4.0)))).signs == ("-",)
+        assert _pattern_by_rule(ExpPoly(((-2.0, 1.0),))).signs == ("-",)
 
     def test_two_roots_are_left_to_isolation(self):
         # -t (t - 0.3)(t - 0.6) in t = e^{-x}: "-,+,-" on (0, inf)
         p = ExpPoly(((-0.18, 1.0), (0.9, 2.0), (-1.0, 3.0)))
-        assert p.sign_pattern_by_rule() is None
+        assert _pattern_by_rule(p) is None
         assert p.sign_pattern_exact(0.0).signs == ("-", "+", "-")
+
+
+def _reference_sign_pattern(p, start=0.0, seen=None):
+    """sign_pattern_exact as a one-polynomial sampler: each region's samples
+    placed by np.linspace and evaluated by ExpPoly.eval on their own.  seen,
+    a dict, counts the regions that are far, below the noise floor, flat
+    there (no resolvable derivative) and of step 0."""
+    seen = {} if seen is None else seen
+
+    def count(kind, hit=True):
+        seen[kind] = seen.get(kind, 0) + bool(hit)
+
+    horizon = p.dominance_horizon(start)
+    shift = max(exppoly.ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
+    lo = start + shift
+    hi = max(horizon + 1.0, lo + 1.0)
+    if start == 0.0 and exppoly._root_free(p.terms):
+        roots, uncertain = (), False
+    else:
+        report = p.isolate_roots(lo, hi, exppoly.ROOT_WIDTH)
+        roots, uncertain = report.isolated_roots, report.residual_uncertainty
+    rates = p.rates
+    terms = exppoly._terms(p.coefficients, rates)
+    head = exppoly._terms(p.coefficients, [r - rates[0] for r in rates])
+    cuts = [lo] + [0.5 * (a + b) for a, b in roots] + [hi]
+    signs, witnesses, changes = [], [], []
+    prev_root = None
+    for (a, b), root in zip(zip(cuts, cuts[1:]), list(roots) + [None]):
+        xs = np.linspace(a, b, 9)[1:-1]
+        far = -rates[0] * xs[-1] < exppoly._EXP_TINY or -rates[-1] * xs[0] > exppoly._EXP_HI
+        count("far", far)
+        count("step 0", (b - a) / 8 == 0.0)
+        form = head if far else terms
+        vals = np.array([exppoly._eval_scale(head, x)[0] for x in xs]) if far else p.eval(xs)
+        idx = int(np.argmax(np.abs(vals)))
+        v = vals[idx]
+        if abs(v) <= exppoly.TOUCH_REL * exppoly._eval_scale(form, xs[idx])[1]:
+            count("floor")
+            sn = exppoly._one_sided_signs(form, 0.5 * (a + b))[3]
+            if sn == 0.0:
+                count("flat")
+                uncertain = True
+                prev_root = root
+                continue
+            v = sn
+        sign = "+" if v > 0 else "-"
+        if signs and signs[-1] == sign:
+            prev_root = root
+            continue
+        if signs:
+            changes.append(prev_root if prev_root is not None else (a, a))
+        signs.append(sign)
+        witnesses.append(float(xs[idx]))
+        if far:
+            direct = p.eval(witnesses[-1])
+            if not (direct > 0 if v > 0 else direct < 0):
+                uncertain = True
+        prev_root = root
+    if not signs:
+        sign = "+" if p.terms[0][0] > 0 else "-"
+        signs, witnesses = [sign], [hi]
+    return SignPattern(tuple(signs), tuple(witnesses), tuple(changes), EXACT, uncertain)
+
+
+def _bits(pattern):
+    """A pattern's fields, every float as its hex string."""
+    return (pattern.signs, [x.hex() for x in pattern.witnesses],
+            [(a.hex(), b.hex()) for a, b in pattern.change_points],
+            pattern.confidence, pattern.uncertain)
+
+
+#: the smallest subnormal double
+_TINY = 2.0 ** -1074
+#: e^{-x} (1 - e^{-d x})^2 with d = 1.2e-12, rates just apart beyond the
+#: merge tolerance: every value and derivative is rounding noise near x = 1
+FLAT = ((1.0, 1.0), (-2.0, 1.0 + 1.2e-12), (1.0, 1.0 + 2.4e-12))
+#: e^{-x} - 3 e^{-2x}, sampled from start -1e-12, where the window's left
+#: end is 0.0
+STEP_ZERO = ((1.0, 1.0), (-3.0, 2.0))
+
+
+def _forced_roots(monkeypatch):
+    """Root isolation that reports a root interval of its own choosing for
+    FLAT and STEP_ZERO, so that their first region is short: [0.5, 0.9]
+    below FLAT's noise floor, and [0, 3 x 2^-1074] for STEP_ZERO, whose
+    step (b - a) / 8 rounds to 0."""
+    inner = ExpPoly.isolate_roots
+    forced = {FLAT: ((0.9, 0.9 + 1e-12),), STEP_ZERO: ((0.0, 6 * _TINY),)}
+
+    def isolate(self, lo, hi, tol=exppoly.ROOT_WIDTH):
+        if self.terms in forced:
+            return exppoly.RootReport(2, forced[self.terms], False)
+        return inner(self, lo, hi, tol)
+
+    monkeypatch.setattr(ExpPoly, "isolate_roots", isolate)
+
+
+def _mixed_batch(seed):
+    """(polynomials, starts) of 1 to 7 terms, from 0 and from positive
+    starts, with far regions (head term underflowing, fastest term
+    clamping), regions below the noise floor, flat ones and one of step 0,
+    in a seeded order."""
+    rng = np.random.default_rng(seed)
+    polys = list(_random_polys(seed, 120)) + list(_near_cancelling_polys(seed + 1, 60)) \
+        + list(_near_critical_polys(seed + 2, 40))
+    polys += [ExpPoly(((float(c), float(r)),))
+              for c, r in zip(rng.choice([-1.0, 1.0], 10) * 10.0 ** rng.uniform(-3, 3, 10),
+                              10.0 ** rng.uniform(-1, 1, 10))]
+    starts = [0.0 if rng.random() < 0.6 else float(rng.uniform(0.0, 3.0)) for _ in polys]
+    special = [(FAR_CROSSING, 0.0), (FAR_CROSSING, 2.0), (CLAMPED_CROSSING, -80.0),
+               (NOISE_FLOOR_DIP, 0.0), (DOUBLE_ROOT, 0.0), (TRIPLE_ROOT, 0.0),
+               (FLAT, 0.5), (STEP_ZERO, -1e-12)]
+    polys += [ExpPoly(terms) for terms, _ in special]
+    starts += [start for _, start in special]
+    order = rng.permutation(len(polys))
+    return [polys[i] for i in order], [starts[i] for i in order]
+
+
+class TestBatchedSignPatterns:
+    """exppoly._sign_patterns samples the regions of many polynomials in
+    one evaluation; every pattern is the one-polynomial sampler's to the
+    bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_one_polynomial_sampler(self, monkeypatch, seed):
+        _forced_roots(monkeypatch)
+        polys, starts = _mixed_batch(seed)
+        seen = {}
+        want = [_reference_sign_pattern(p, start, seen) for p, start in zip(polys, starts)]
+        got = exppoly._sign_patterns(polys, starts)
+        assert len(got) == len(want)
+        for p, start, g, w in zip(polys, starts, got, want):
+            assert _bits(g) == _bits(w), (p.terms, start)
+        assert all(seen[kind] > 0 for kind in ("far", "floor", "flat", "step 0")), seen
+        assert {len(p.terms) for p in polys} >= set(range(1, 8))
+        assert sum(w.uncertain for w in want) > 1
+
+    def test_one_polynomial_is_its_own_batch(self, monkeypatch):
+        _forced_roots(monkeypatch)
+        polys, starts = _mixed_batch(4)
+        batch = exppoly._sign_patterns(polys, starts)
+        for p, start, pat in zip(polys, starts, batch):
+            assert _bits(p.sign_pattern_exact(start)) == _bits(pat)
+        assert exppoly._sign_patterns([], []) == []
+
+    def test_one_evaluation_per_batch(self, monkeypatch):
+        calls = []
+        inner = exppoly._region_values
+        monkeypatch.setattr(exppoly, "_region_values",
+                            lambda rows, xs: calls.append(len(rows)) or inner(rows, xs))
+        polys, starts = _mixed_batch(5)
+        exppoly._sign_patterns(polys, starts)
+        assert len(calls) == 1 and calls[0] > len(polys)
+
+    def test_values_are_eval_bit_for_bit(self):
+        # mixed term counts on points from 0 to far past both clamps; an
+        # unmasked sum over the zero-padded terms moves some of them
+        rng = np.random.default_rng(11)
+        rows = [p.terms for p in _random_polys(12, 400)] + [((2.5, 0.3),), ((-1e-3, 7.0),)]
+        xs = np.sort(rng.choice([1e-3, 1.0, 30.0, 300.0], (len(rows), 1))
+                     * rng.uniform(-1.0, 4.0, (len(rows), 7)), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan compare too
+            got = exppoly._region_values(rows, xs)
+            want = np.array([ExpPoly(terms).eval(x) for terms, x in zip(rows, xs)])
+            size = max(map(len, rows))
+            padded = [terms + ((0.0, 1.0),) * (size - len(terms)) for terms in rows]
+            unmasked = np.array([self._kahan(terms, x) for terms, x in zip(padded, xs)])
+        assert got.tobytes() == want.tobytes()
+        assert unmasked.tobytes() != want.tobytes()
+
+    @staticmethod
+    def _kahan(terms, x):
+        """ExpPoly.eval's sum, zero terms included."""
+        total = comp = np.zeros(x.shape)
+        for c, r in terms:
+            y = c * exppoly._exp(-r * x) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        return total
+
+    def test_points_are_linspace_row_by_row(self):
+        # step 0 in two rows, subnormal widths with a step in two more:
+        # np.linspace with array ends takes the step-0 form in every row,
+        # which moves the subnormal ones
+        a = np.array([0.0, 0.0, 0.0, -6 * _TINY, 1e-12, 3.0, -80.0, 2.5])
+        b = np.array([3 * _TINY, 0.0, 9 * _TINY, 7 * _TINY, 2.0, 4777.8, -1e-10, 2.5 + 1e-15])
+        got = exppoly._region_points(a, b)
+        want = np.array([np.linspace(lo, hi, 9)[1:-1] for lo, hi in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+        assert np.linspace(a, b, 9, axis=1)[:, 1:-1].tobytes() != want.tobytes()

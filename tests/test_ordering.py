@@ -1,4 +1,5 @@
 """Pairwise order checks: pattern sweeps, criteria, DMRL, convexity."""
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from tailorder import (
     criterion_h,
     newcrit,
 )
-from tailorder import ageing, ordering
+from tailorder import ageing, exppoly, ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
 from tailorder.errors import IndeterminateFunction
 from tailorder.iteration import iterate
@@ -211,16 +212,17 @@ def _count_scans(monkeypatch):
     return calls
 
 
-def _count_isolations(monkeypatch):
-    """A one-entry list counting ExpPoly.sign_pattern_exact calls."""
+def _count_sampled_cells(monkeypatch):
+    """A one-entry list counting the closed cells the sweeps sample, the
+    polynomials they pass to exppoly._sign_patterns."""
     calls = [0]
-    inner = ExpPoly.sign_pattern_exact
+    inner = ordering._sign_patterns
 
-    def spy(self, *args, **kwargs):
-        calls[0] += 1
-        return inner(self, *args, **kwargs)
+    def spy(polys, starts):
+        calls[0] += len(polys)
+        return inner(polys, starts)
 
-    monkeypatch.setattr(ExpPoly, "sign_pattern_exact", spy)
+    monkeypatch.setattr(ordering, "_sign_patterns", spy)
     return calls
 
 
@@ -243,7 +245,7 @@ class TestClosedCriterionH:
         # the 12 x 4 grid of the certified benchmark workload: 12 star-shape
         # cells, then the criterion-h cells whose coefficient signs do not
         # fix a pattern in either form (before the rule: 78 isolations)
-        calls = _count_isolations(monkeypatch)
+        calls = _count_sampled_cells(monkeypatch)
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
         v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
         assert v.supported and v.cells_scanned == 60
@@ -251,11 +253,11 @@ class TestClosedCriterionH:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_newcrit_isolates_few_roots(self, monkeypatch, s):
-        # the certified workload's grid: of the closed cells that take
-        # sign_pattern_exact (16 at s = 1, 13 above), all but 8 and 2 are
-        # root-free by their signs and skip isolation
+        # the certified workload's grid: of the closed cells that are
+        # sampled (16 at s = 1, 13 above), all but 8 and 2 are root-free by
+        # their signs and skip isolation
         counts = {}
-        for name in ("isolate_roots", "sign_pattern_exact", "dominance_horizon"):
+        for name in ("isolate_roots", "dominance_horizon"):
             inner = getattr(ExpPoly, name)
 
             def spy(self, *args, _name=name, _inner=inner, **kwargs):
@@ -263,6 +265,7 @@ class TestClosedCriterionH:
                 return _inner(self, *args, **kwargs)
 
             monkeypatch.setattr(ExpPoly, name, spy)
+        counts["patterns"] = _count_sampled_cells(monkeypatch)
         decided = []
         rule = ordering._rule
 
@@ -276,10 +279,34 @@ class TestClosedCriterionH:
         v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
         assert v.supported and v.cells_scanned == 60
         assert counts["isolate_roots"] <= (8 if s == 1 else 2)
-        # every horizon is sign_pattern_exact's own: a cell decided by the
+        # every horizon is a sampled pattern's own: a cell decided by the
         # rule, crossing or not, computes none
-        assert counts["dominance_horizon"] == counts["sign_pattern_exact"]
+        assert counts["dominance_horizon"] == counts["patterns"][0] <= 16
         assert sum(decided) > 10
+
+    def test_one_batched_evaluation_per_call(self, monkeypatch):
+        # every _evaluate_cells call with closed cells samples them all in
+        # one _sign_patterns call, which evaluates their regions at once
+        batches = []
+        inner = ordering._evaluate_cells
+
+        def spy(form, cells, closed):
+            before = len(evaluations)
+            out = inner(form, cells, closed)
+            batches.append((sum(isinstance(c, ExpPoly) for c in closed),
+                            len(evaluations) - before))
+            return out
+
+        evaluations = []
+        values = exppoly._region_values
+        monkeypatch.setattr(exppoly, "_region_values",
+                            lambda rows, xs: evaluations.append(len(rows)) or values(rows, xs))
+        monkeypatch.setattr(ordering, "_evaluate_cells", spy)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(-1.0, 8.0, 6)))
+        assert compare_ifr(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid).supported
+        criterion_h(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid, form="hs")
+        assert all(n == (closed > 0) for closed, n in batches), batches
+        assert max(closed for closed, _ in batches) > 30
 
     @pytest.mark.parametrize("b_values", [(-0.16, -0.05, -0.01, 0.0, 1.0, 4.0),
                                           (0.0, 1.0, 4.0)])
@@ -300,10 +327,10 @@ class TestClosedCriterionH:
         forms = ordering._h_forms(X, Y, s, None)
         hs = ordering._closed_cell(forms["hs"], a, b)
         hs1 = ordering._closed_cell(forms["hs1"], a, b)
-        assert hs.sign_pattern_by_rule() is None
+        assert ordering._rule(hs.terms) is None
         assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
-        assert hs1.sign_pattern_by_rule().signs == ("+", "-")
-        calls = _count_isolations(monkeypatch)
+        assert ordering._rule(hs1.terms) == ("+", "-")
+        calls = _count_sampled_cells(monkeypatch)
         assert criterion_h(X, Y, s, GridSpec((a,), (b,)), form="hs").supported
         assert calls[0] == 0
 
@@ -568,19 +595,20 @@ class TestMargins:
 
 
 def _reference_closed_cell(form, a, b):
-    """_closed_cell built from whole ExpPoly steps: compose_affine, scaled
-    and subtract, with the same fallbacks and pruning guard."""
+    """_closed_cell built from whole ExpPoly steps: the X side composed at
+    a x + b, scaled, and subtracted from the Y side, with the same
+    fallbacks and pruning guard."""
     if form.sides is None or (b < 0 and form.left is None):
         return None
     hy, hx = form.sides
     scale = a ** form.k / form.ex
     try:
-        xpart = hx.compose_affine(a, b)
+        xpart = ExpPoly(tuple((c * math.exp(-r * b), r * a) for c, r in hx.terms))
         if scale != 1.0:
             xpart = xpart.scaled(scale)
     except (ValueError, OverflowError):
         return None
-    closed = hy.subtract(xpart)
+    closed = ExpPoly.maybe(hy.terms + tuple((-c, r) for c, r in xpart.terms))
     if closed is None:
         return "degenerate" if b >= 0 else "left"
     slowest = closed.terms[0][1]
