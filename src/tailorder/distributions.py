@@ -44,6 +44,22 @@ def _maybe_scalar(values, x):
     return values
 
 
+def _closed_form(moment):
+    """A closed-form _raw_moment that raises InfiniteMoment where E X^k
+    overflows a float: a power of the scale, or a gamma function, past the
+    largest float (OverflowError or inf), or a power of a rate below the
+    smallest one (ZeroDivisionError)."""
+    def raw_moment(self, k):
+        try:
+            value = moment(self, k)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if value == math.inf:
+            raise InfiniteMoment(f"E X^{k} overflows a float")
+        return value
+    return raw_moment
+
+
 class Distribution:
     """Common interface; subclasses implement the positive-support parts."""
 
@@ -67,21 +83,13 @@ class Distribution:
         return _maybe_scalar(vals, x)
 
     def raw_moment(self, k: int) -> float:
-        """E X^k; raises InfiniteMoment when it diverges or overflows a
-        float."""
+        """E X^k; raises InfiniteMoment when it diverges or, in closed
+        form, overflows a float."""
         if k < 0 or k != int(k):
             raise ValueError("moment order must be a nonnegative integer")
         if int(k) == 0:
             return 1.0
-        try:
-            moment = self._raw_moment(int(k))
-        except (OverflowError, ZeroDivisionError):
-            # a power of the scale, or a gamma function, past the largest
-            # float, or a power of a rate below the smallest one
-            moment = math.inf
-        if moment == math.inf:
-            raise InfiniteMoment(f"E X^{int(k)} overflows a float")
-        return moment
+        return self._raw_moment(int(k))
 
     def mean(self) -> float:
         return self.raw_moment(1)
@@ -164,6 +172,7 @@ class Exponential(Distribution):
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
+    @_closed_form
     def _raw_moment(self, k):
         return math.factorial(k) / self.rate ** k
 
@@ -203,6 +212,7 @@ class Gamma(Distribution):
     def _cdf(self, x):
         return special.gammainc(self.shape, x / self.scale)
 
+    @_closed_form
     def _raw_moment(self, k):
         return self.scale ** k * math.exp(special.gammaln(self.shape + k)
                                           - special.gammaln(self.shape))
@@ -242,6 +252,7 @@ class Weibull(Distribution):
     def _cdf(self, x):
         return -np.expm1(-((x / self.scale) ** self.shape))
 
+    @_closed_form
     def _raw_moment(self, k):
         return self.scale ** k * math.gamma(1.0 + k / self.shape)
 
@@ -275,6 +286,7 @@ class BranchedPareto(Distribution):
         right = ((self.c1 + self.c2) / (2.0 * (x + self.c2))) ** 2
         return np.where(x <= self.c1, left, right)
 
+    @_closed_form
     def _raw_moment(self, k):
         if k >= 2:
             raise InfiniteMoment(f"E X^{k} diverges for the branched Pareto tail")
@@ -312,6 +324,7 @@ class PolyExpExample(Distribution):
     def _tail(self, x):
         return (x ** 2 + 2.0 * x + 2.0 + self.c) * np.exp(-x) / (self.c + 2.0)
 
+    @_closed_form
     def _raw_moment(self, k):
         return (math.factorial(k + 2) + self.c * math.factorial(k)) / (self.c + 2.0)
 
@@ -361,6 +374,7 @@ class MaxExp(Distribution):
             out += c * (-np.expm1(-r * xa))
         return out
 
+    @_closed_form
     def _raw_moment(self, k):
         return math.fsum(c * math.factorial(k) / r ** k for c, r in self._poly.terms)
 
@@ -399,6 +413,7 @@ class ExpPolyTail(Distribution):
             out += c * (-np.expm1(-r * xa))
         return out
 
+    @_closed_form
     def _raw_moment(self, k):
         return math.fsum(c * math.factorial(k) / r ** k for c, r in self.poly.terms)
 

@@ -231,10 +231,15 @@ class ExpPoly:
         where f's clamp to one value.  Its witness must still show that
         sign by direct evaluation, or the pattern is uncertain.
 
-        This is the one-polynomial case of _sign_patterns, which samples
-        the regions of many polynomials in one evaluation.
+        _sign_patterns samples the regions of many polynomials in one
+        evaluation and reads each pattern here; alone, a polynomial is a
+        batch of one.
         """
-        return _sign_patterns([self], [start])[0]
+        return _read_pattern(self, *self._sampled(start))
+
+    def _sampled(self, start):
+        """_sample's outcome for this polynomial alone."""
+        return _sample([self], [start])[0]
 
 
 @dataclass(frozen=True)
@@ -262,16 +267,40 @@ class RootReport:
 
 def _sign_patterns(polys, starts) -> list[SignPattern]:
     """ExpPoly.sign_pattern_exact of each polynomial of polys on (start,
-    inf), start its entry of starts.
+    inf), start its entry of starts: the regions of all of them are
+    sampled in one batch (_sample), and each pattern is read through
+    sign_pattern_exact, from a _Sampled copy of its polynomial that
+    carries its samples.  So a batch makes one sign_pattern_exact call per
+    pattern, as lone polynomials do, which is what perfbench's tracer
+    counts and reads the term count and uncertainty of."""
+    return [_Sampled(p.terms, start, sampled).sign_pattern_exact(start)
+            for p, start, sampled in zip(polys, starts, _sample(polys, starts))]
+
+
+class _Sampled(ExpPoly):
+    """An ExpPoly whose regions on (start, inf) were sampled in a batch;
+    sign_pattern_exact at that start reads those samples."""
+
+    def __init__(self, terms, start, sampled):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_batch", (start, sampled))
+
+    def _sampled(self, start):
+        own, sampled = self._batch
+        return sampled if start == own else super()._sampled(start)
+
+
+def _sample(polys, starts):
+    """The sampled regions of each polynomial of polys on (start, inf),
+    start its entry of starts, as _read_pattern takes them.
 
     The dominance horizon, the root-free step or isolation, and the cuts
     between the roots are each polynomial's own.  The 7 interior samples
     of every region of every polynomial are then placed (_region_points)
     and, where the region is not far, evaluated (_region_values) in one
     pass each, every sample with the bits that np.linspace and
-    ExpPoly.eval give it alone; a far region's samples, the noise-floor
-    test and the one-sided signs below it stay scalar, region by region.
-    """
+    ExpPoly.eval give it alone; a far region's samples are evaluated
+    relative to the head term, region by region."""
     plans = []
     for p, start in zip(polys, starts):
         horizon = p.dominance_horizon(start)
@@ -297,59 +326,56 @@ def _sign_patterns(polys, starts) -> list[SignPattern]:
     vals = np.empty_like(xs)
     vals[near] = _region_values([plans[owner[i]][0].terms for i in near], xs[near])
     # a far region is read relative to the head term, f e^{r_0 x}
-    heads = {}
+    heads = [None] * len(owner)
     for i in np.flatnonzero(far).tolist():
-        k = owner[i]
-        if k not in heads:
-            rates = plans[k][0].rates
-            heads[k] = _terms(plans[k][0].coefficients, [r - rates[0] for r in rates])
-        vals[i] = [_eval_scale(heads[k], x)[0] for x in xs[i].tolist()]
+        p = plans[owner[i]][0]
+        heads[i] = _terms(p.coefficients, [r - p.rates[0] for r in p.rates])
+        vals[i] = [_eval_scale(heads[i], x)[0] for x in xs[i].tolist()]
     rows = np.arange(len(xs))
     idx = np.argmax(np.abs(vals), axis=1)
-    peaks = vals[rows, idx].tolist()
-    points = xs[rows, idx].tolist()
-    far = far.tolist()
+    peaks = iter(zip(vals[rows, idx].tolist(), xs[rows, idx].tolist(), heads))
+    return [(hi, roots, uncertain, regions, [next(peaks) for _ in regions])
+            for _, hi, roots, uncertain, regions in plans]
 
-    out = []
-    row = 0
-    for k, (p, hi, roots, uncertain, regions) in enumerate(plans):
-        terms = _terms(p.coefficients, p.rates)
-        signs: list[str] = []
-        witnesses: list[float] = []
-        changes: list[tuple[float, float]] = []
-        prev_root = None
-        for (a, b), root in zip(regions, list(roots) + [None]):
-            v, x, is_far = peaks[row], points[row], far[row]
-            row += 1
-            form = heads[k] if is_far else terms
-            if abs(v) <= TOUCH_REL * _eval_scale(form, x)[1]:
-                # whole region below the noise floor: decide by derivatives
-                sn = _one_sided_signs(form, 0.5 * (a + b))[3]
-                if sn == 0.0:
-                    uncertain = True
-                    prev_root = root
-                    continue
-                v = sn
-            s = "+" if v > 0 else "-"
-            if signs and signs[-1] == s:
+
+def _read_pattern(p, hi, roots, uncertain, regions, peaks) -> SignPattern:
+    """p's sign pattern from its sampled regions (_sample): each region's
+    peak sample (value, point, and the terms relative to the head term
+    where the region is far, else None).  A peak below the noise floor is
+    decided by derivatives (_one_sided_signs)."""
+    terms = _terms(p.coefficients, p.rates)
+    signs: list[str] = []
+    witnesses: list[float] = []
+    changes: list[tuple[float, float]] = []
+    prev_root = None
+    for (a, b), root, (v, x, head) in zip(regions, list(roots) + [None], peaks):
+        form = terms if head is None else head
+        if abs(v) <= TOUCH_REL * _eval_scale(form, x)[1]:
+            # whole region below the noise floor: decide by derivatives
+            sn = _one_sided_signs(form, 0.5 * (a + b))[3]
+            if sn == 0.0:
+                uncertain = True
                 prev_root = root
                 continue
-            if signs:
-                changes.append(prev_root if prev_root is not None else (a, a))
-            signs.append(s)
-            witnesses.append(x)
-            if is_far:
-                direct = p.eval(x)
-                if not (direct > 0 if v > 0 else direct < 0):
-                    uncertain = True
+            v = sn
+        s = "+" if v > 0 else "-"
+        if signs and signs[-1] == s:
             prev_root = root
-        if not signs:
-            # single-term polynomials and degenerate windows: limit sign only
-            s = "+" if p.terms[0][0] > 0 else "-"
-            signs, witnesses = [s], [hi]
-        out.append(SignPattern(tuple(signs), tuple(witnesses), tuple(changes),
-                               EXACT, uncertain))
-    return out
+            continue
+        if signs:
+            changes.append(prev_root if prev_root is not None else (a, a))
+        signs.append(s)
+        witnesses.append(x)
+        if head is not None:
+            direct = p.eval(x)
+            if not (direct > 0 if v > 0 else direct < 0):
+                uncertain = True
+        prev_root = root
+    if not signs:
+        # single-term polynomials and degenerate windows: limit sign only
+        s = "+" if p.terms[0][0] > 0 else "-"
+        signs, witnesses = [s], [hi]
+    return SignPattern(tuple(signs), tuple(witnesses), tuple(changes), EXACT, uncertain)
 
 
 #: i and i / 8 for the interior points i = 1 .. 7 of a region cut in eighths

@@ -166,6 +166,22 @@ class TestRawMoments:
         with pytest.raises(InfiniteMoment, match="overflows a float"):
             d.raw_moment(k)
 
+    def test_a_fault_in_a_numeric_density_is_not_an_overflow(self):
+        # only closed-form moments read these errors as overflow; one
+        # raised by the user's density inside quad is shown as it is
+        broken = []
+
+        def density(t):
+            if broken:
+                return 1.0 / 0.0
+            return np.exp(-np.asarray(t, dtype=float))
+
+        d = NumericDensity(density, x_max=60.0)
+        assert d.raw_moment(1) == pytest.approx(1.0, rel=1e-9)
+        broken.append(True)
+        with pytest.raises(ZeroDivisionError):
+            d.raw_moment(2)
+
     def test_iterate_with_an_overflowing_moment(self):
         from tailorder import iterate
         with pytest.raises(InfiniteMoment):

@@ -1015,6 +1015,28 @@ class TestBatchedSignPatterns:
         exppoly._sign_patterns(polys, starts)
         assert len(calls) == 1 and calls[0] > len(polys)
 
+    def test_each_pattern_is_read_through_sign_pattern_exact(self, monkeypatch):
+        # one sign_pattern_exact call per polynomial of the batch, on its
+        # terms, with no sampling of its own
+        calls = []
+        inner = ExpPoly.sign_pattern_exact
+
+        def spy(p, start=0.0):
+            calls.append((p.terms, start))
+            return inner(p, start)
+
+        polys, starts = _mixed_batch(6)
+        want = exppoly._sign_patterns(polys, starts)
+        monkeypatch.setattr(ExpPoly, "sign_pattern_exact", spy)
+        samples = []
+        sample = exppoly._sample
+        monkeypatch.setattr(exppoly, "_sample",
+                            lambda ps, ss: samples.append(len(ps)) or sample(ps, ss))
+        got = exppoly._sign_patterns(polys, starts)
+        assert calls == [(p.terms, start) for p, start in zip(polys, starts)]
+        assert samples == [len(polys)]
+        assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
     def test_values_are_eval_bit_for_bit(self):
         # mixed term counts on points from 0 to far past both clamps; an
         # unmasked sum over the zero-padded terms moves some of them
