@@ -1,8 +1,10 @@
 """Golden verdict documents under tests/golden/, and how to compare with them.
 
 The corpus holds every casebook case's ``documents_json`` (indented, in
-``golden/casebook/<ID>.json``) and the CLI ``compare`` documents of the
-exact path (``golden/compare/*.json``), each with ``runtime_ms`` dropped.
+``golden/casebook/<ID>.json``) and the CLI ``compare`` documents
+(``golden/compare/*.json``) of the exact path, on parallel systems of
+exponentials, and of the sampled path, on Weibull/Gamma pairs, each with
+``runtime_ms`` dropped.
 
 ``same(want, got)`` compares two documents as the tests do: every key,
 string, integer and boolean exactly (outcomes, cell counts, patterns,
@@ -22,17 +24,21 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-9
 
-#: (x, y) literal pairs, criteria and orders of the compare documents
+#: (x, y) literal pairs and orders of the compare documents: the exact
+#: path's, then the sampled path's (every cell through the row scanner)
 PAIRS = (("maxexp(1,1)", "maxexp(1,2)"), ("maxexp(1,2)", "maxexp(1,1)"),
          ("exp(1)", "maxexp(1,2)"), ("maxexp(1,1)", "maxexp(1,4)"))
-CRITERIA = ("ifr", "ifra", "hs", "hs1", "newcrit")
 ORDERS = (1, 2, 3, 4)
+SAMPLED_PAIRS = (("weibull(2,1)", "gamma(2,1)"), ("gamma(2,1)", "weibull(2,1)"),
+                 ("weibull(1.5,1)", "gamma(1.5,1)"))
+SAMPLED_ORDERS = (1, 2)
+CRITERIA = ("ifr", "ifra", "hs", "hs1", "newcrit")
 GRID = ("--a-grid", "24", "--b-grid", "12")
 
 
@@ -42,7 +48,9 @@ def _slug(literal: str) -> str:
 
 def compare_runs():
     """(file name, CLI arguments) of every compare document."""
-    for (x, y), criterion, s in product(PAIRS, CRITERIA, ORDERS):
+    runs = chain(product(PAIRS, CRITERIA, ORDERS),
+                 product(SAMPLED_PAIRS, CRITERIA, SAMPLED_ORDERS))
+    for (x, y), criterion, s in runs:
         name = f"{criterion}-s{s}-{_slug(x)}-vs-{_slug(y)}.json"
         yield name, ["compare", "--x", x, "--y", y, "--s", str(s),
                      "--criterion", criterion, *GRID]
