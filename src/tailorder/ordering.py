@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import chain, product
 from operator import itemgetter
 from typing import Callable
@@ -124,7 +124,8 @@ class Verdict:
 @dataclass(frozen=True)
 class GridSpec:
     """Affine-parameter grid: strictly positive slopes a, intercepts b, and
-    the per-cell scan configuration (x_max resolved per cell when absent)."""
+    the scan configuration of the sampled cells (x_max, when absent,
+    resolved per cell)."""
 
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
@@ -184,12 +185,15 @@ class GridSpec:
 
 def _difference(fy, fx, ey: float, ex: float):
     """F(x, a, b, coef) = fy(x)/ey - coef fx(a x + b)/ex of many cells at
-    once: a, b and coef hold each point's cell (scalars for one cell).  y,
+    once: a, b and coef hold each point's cell (scalars for one cell), or
+    each row's as columns of a 2-D x, whose X side fx reads flattened.  y,
     when given, holds fy(x), which reads x alone (see _scan_row)."""
     def F(x, a, b, coef, y=None):
         xa = np.asarray(x, dtype=float)
         y = np.asarray(fy(xa) if y is None else y, dtype=float)
-        xs = coef * np.asarray(fx(a * xa + b), dtype=float)
+        arg = a * xa + b
+        xs = coef * (np.asarray(fx(arg), dtype=float) if arg.ndim < 2
+                     else np.asarray(fx(arg.ravel()), dtype=float).reshape(arg.shape))
         # dividing by a normalizer of 1 (V's, the H forms' at s = 1) is exact: skip it
         return (y if ey == 1.0 else y / ey) - (xs if ex == 1.0 else xs / ex)
 
@@ -214,14 +218,25 @@ def _density(d: Distribution):
     return f
 
 
-def _cell_breakpoints(X, Y, a: float, b: float):
-    """Kinks of a cell function comparing the X side (distribution or
-    iterated tail) at a x + b with the Y side at x."""
-    pts = list(Y.breakpoints())
-    pts += [(p - b) / a for p in X.breakpoints() if (p - b) / a > 0]
-    if b < 0:
-        pts.append(-b / a)
-    return sorted(pts)
+def _breakpoints(X, Y):
+    """(a, b) -> the kinks of each cell (a and b arrays of one length)
+    comparing the X side (distribution or iterated tail) at a x + b with
+    the Y side at x, one sorted list per cell, or None when no cell has
+    any."""
+    ys, xs = list(Y.breakpoints()), X.breakpoints()
+
+    def bps(a, b):
+        if not (ys or xs) and not (b < 0).any():
+            return None
+        out = []
+        for ai, bi in zip(a.tolist(), b.tolist()):
+            pts = ys + [(p - bi) / ai for p in xs if (p - bi) / ai > 0]
+            if bi < 0:
+                pts.append(-bi / ai)
+            out.append(sorted(pts))
+        return out
+
+    return bps
 
 
 @lru_cache(maxsize=512)
@@ -232,30 +247,34 @@ def _horizon(side) -> float:
     return side.quantile_horizon(1e-10)
 
 
-def _scan_config_per_cell(x_side, y_side, X: Distribution, Y: Distribution,
-                          template: ScanConfig | None, dead_abs: float = 0.0):
-    """(a, b) -> scan configuration for a sweep comparing the X side at
-    a x + b with the Y side at x.  x_side and y_side (distributions or
-    iterated tails) supply the tail-mass horizons, memoized by _horizon and
-    read on first use; a template's x_max of None means "resolve per
-    cell"."""
+def _windows(x_side, y_side, X: Distribution, Y: Distribution, template: ScanConfig | None):
+    """(a, b) -> the scan window x_max of each cell (a and b arrays of one
+    length) of a sweep comparing the X side at a x + b with the Y side at
+    x.  x_side and y_side (distributions or iterated tails) supply the
+    tail-mass horizons, memoized by _horizon and read on first use; a
+    template's x_max, when set, is every cell's window."""
     horizons = None
 
-    def config(a: float, b: float) -> ScanConfig:
+    def window(a, b):
         nonlocal horizons
+        if template is not None and template.x_max is not None:
+            return np.full(a.shape, template.x_max)
         if horizons is None:
             horizons = (_horizon(x_side), _horizon(y_side), 1e4 * (1.0 + X.mean() + Y.mean()))
         hx, hy, cap = horizons
         # tail-mass horizons explode for polynomial tails; cap the window so
         # the log grid keeps resolution where the tails actually interact
-        x_max = min(max(hy, (hx - b) / a, 1.0), cap)
-        if template is None:
-            return ScanConfig(x_max=x_max, deadband_abs=dead_abs)
-        return replace(template,
-                       x_max=x_max if template.x_max is None else template.x_max,
-                       deadband_abs=max(template.deadband_abs, dead_abs))
+        return np.minimum(np.maximum(np.maximum(hy, (hx - b) / a), 1.0), cap)
 
-    return config
+    return window
+
+
+def _batch_config(template: ScanConfig | None, dead_abs: float = 0.0) -> ScanConfig:
+    """The scan configuration every sampled cell of a sweep shares (its
+    x_max unread: the windows are per cell)."""
+    if template is None:
+        return ScanConfig(deadband_abs=dead_abs)
+    return replace(template, deadband_abs=max(template.deadband_abs, dead_abs))
 
 
 @dataclass(frozen=True)
@@ -272,8 +291,9 @@ class _Form:
     (0, -b/a] at b < 0, where a x + b <= 0, when it is fixed there and the
     form's pattern from -b/a on begins with it: "-" for V, whose X side is
     1 there.  None leaves the cells with b < 0 to the sampled scan.
-    cfg(a, b) and bps(a, b) are a cell's scan configuration and
-    breakpoints."""
+    window(a, b) and bps(a, b) give the scan windows and breakpoints of
+    the cells of a batch (see _windows, _breakpoints), and config the
+    scan configuration they share."""
 
     F: Callable
     fy: Callable
@@ -281,7 +301,8 @@ class _Form:
     ex: float
     sides: tuple[ExpPoly, ExpPoly] | None
     left: str | None
-    cfg: Callable
+    window: Callable
+    config: ScanConfig
     bps: Callable
 
     def __call__(self, x, a: float, b: float):
@@ -294,9 +315,8 @@ def _v_form(TX: IteratedTail, TY: IteratedTail, template: ScanConfig | None) -> 
     dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
     sides = None if TX.poly is None or TY.poly is None else (TY.poly, TX.poly)
     return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), TY.eval_tail, 0, 1.0,
-                 sides, "-",
-                 _scan_config_per_cell(TX, TY, TX.base, TY.base, template, dead_abs),
-                 partial(_cell_breakpoints, TX.base, TY.base))
+                 sides, "-", _windows(TX, TY, TX.base, TY.base, template),
+                 _batch_config(template, dead_abs), _breakpoints(TX.base, TY.base))
 
 
 def _h_forms(X: Distribution, Y: Distribution, s: int,
@@ -308,15 +328,14 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
     ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
     px, py = X.exp_poly_tail(), Y.exp_poly_tail()
     closed = px is not None and py is not None
-    cfg = _scan_config_per_cell(X, Y, X, Y, template)
-    bps = partial(_cell_breakpoints, X, Y)
+    sampled = (_windows(X, Y, X, Y, template), _batch_config(template), _breakpoints(X, Y))
     fy = _density(Y)
     return {
         "hs": _Form(_difference(fy, _density(X), ey, ex), fy, s, ex,
                     (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0))
-                    if closed else None, None, cfg, bps),
+                    if closed else None, None, *sampled),
         "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), Y.tail, s - 1, ex,
-                     (py.scaled(1.0 / ey), px) if closed else None, None, cfg, bps),
+                     (py.scaled(1.0 / ey), px) if closed else None, None, *sampled),
     }
 
 
@@ -408,8 +427,10 @@ def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
         for i, pat in zip(exact, _sign_patterns([closed[i] for i in exact], starts)):
             out[i] = _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
     if rest:
-        scanned = _scan_row(form.F, [((a, b, a ** form.k), form.cfg(a, b), form.bps(a, b))
-                                     for a, b in (cells[i] for i in rest)], fy=form.fy)
+        a, b = (np.array(col) for col in zip(*(cells[i] for i in rest)))
+        coef = np.array([x ** form.k for x in a.tolist()])
+        scanned = _scan_row(form.F, (a, b, coef), form.window(a, b), form.config,
+                            form.bps(a, b), fy=form.fy)
         for i, pat in zip(rest, scanned):
             # a cell zero within the deadband scans as IndeterminateFunction
             out[i] = _degenerate(*cells[i]) if isinstance(pat, IndeterminateFunction) \

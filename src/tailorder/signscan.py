@@ -5,17 +5,22 @@ deadband as carrying no sign evidence, and bisects every classification
 boundary to the configured depth.  A function that dips to zero without
 crossing produces no sign change.  Scanned functions must be vectorized
 (accept and return numpy arrays).  The order sweeps scan a batch of cells
-per function evaluation (_scan_row); scan is its one-cell case.  Each
-refinement evaluation takes the next few bisection levels of every
+per function evaluation (_scan_row); scan is its one-cell case.  The cells
+of a batch share one configuration and each has its own window: the grids
+of the distinct windows come from one geomspace call, and cells whose
+grids have equal length are evaluated as the rows of one 2-D grid.  Right
+after the first classification each cell keeps, of every run of samples of
+equal class, only the first, the last and the first of largest |value|:
+every bracket, run end and witness is one of them.  A cell whose deadband
+grows gets its other samples back, and a traced scan keeps every sample.
+Each refinement evaluation takes the next few bisection levels of every
 boundary bracket at once, and a walk down those levels keeps as samples
-only the midpoints of intervals whose end classes differ; the other
-points are never seen, so they reach no trace, deadband scale or pattern.
-The samples are merged once, after the last walk, by a stable sort on
+only the midpoints of intervals whose end classes differ; the other points
+are never seen, so they reach no trace, deadband scale or pattern.  The
+samples are merged once, after the last walk, by a stable sort on
 (cell, x), so ties keep their evaluation order.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +38,8 @@ _LEVELS = 4
 _SPAN = 1 << _LEVELS  # a bracket's ends sit at positions 0 and _SPAN
 _STEPS = tuple(_SPAN >> j for j in range(_LEVELS))  # interval widths, level by level
 _LEVEL = np.zeros(_SPAN + 1, dtype=int)  # each position's level, 0 at the ends
-_HALF = np.zeros(_SPAN + 1, dtype=int)  # a midpoint's distance to its interval's ends
 for _j, _step in enumerate(_STEPS, 1):
-    _LEVEL[_step // 2::_step], _HALF[_step // 2::_step] = _j, _step // 2
+    _LEVEL[_step // 2::_step] = _j
 del _j, _step
 
 
@@ -96,12 +100,26 @@ def _in_order(seen):
     return tuple(merged)
 
 
-@lru_cache(maxsize=256)
-def _log_grid(lo: float, hi: float, n: int):
-    """The initial grid of a cell, shared (read-only) by equal windows."""
-    grid = np.geomspace(lo, hi, n)
-    grid.flags.writeable = False
-    return grid
+def _run_ends(vals, signs, starts):
+    """Indices, in order, of the samples a pattern can be read from: the
+    first, the last and the first of largest |value| of every run of equal
+    class, runs split where a cell's samples begin (starts).  Brackets lie
+    between run ends, and runs inside the deadband, where NaN samples go,
+    need no largest value."""
+    new = np.empty(signs.size, dtype=bool)
+    new[0] = True
+    np.not_equal(signs[1:], signs[:-1], out=new[1:])
+    new[starts] = True
+    first = np.flatnonzero(new)
+    size = np.diff(first, append=signs.size)
+    mags = np.abs(vals)
+    peak = np.maximum.reduceat(mags, first)
+    peak[signs[first] == 0] = np.nan
+    hits = np.flatnonzero(mags == np.repeat(peak, size))
+    if hits.size:
+        hits = hits[_run_starts(np.searchsorted(first, hits, side="right"))]
+    at = np.sort(np.concatenate((first, first + size - 1, hits)))
+    return at[_run_starts(at)]
 
 
 def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
@@ -112,60 +130,95 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
     sample, in (x, evaluation) order; points that refinement evaluates but
     leaves unseen are not samples.
     """
-    (result,) = _scan_row(f, [((), cfg, breakpoints)], lo=lo, trace=trace)
+    cfg = (cfg or ScanConfig()).with_x_max(DEFAULT_X_MAX)
+    (result,) = _scan_row(f, (), np.array([cfg.x_max]), cfg, [breakpoints], lo=lo, trace=trace)
     if isinstance(result, IndeterminateFunction):
         raise result
     return result
 
 
-def _scan_row(F, cells, *, fy=None, lo: float | None = None,
+def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
+              lo: float | None = None,
               trace: list | None = None) -> list[SignPattern | IndeterminateFunction]:
-    """scan, run on many cells at once.
+    """scan, run on a batch of cells at once.
 
-    cells holds one (params, cfg, breakpoints) triple per cell; the cell's
-    function is x -> F(x, *params).  F is called on one flat array of
-    abscissae with one array per parameter, holding each point's cell
-    parameters, so each refinement walk is one call for the next levels of
-    every cell still refining (see _refine).  Each cell keeps its own grid,
-    deadband and refinement depth, and the samples end sorted by (cell, x)
-    with ties in evaluation order, so each cell gets exactly the pattern,
-    or the IndeterminateFunction, that scanning it alone would give.
+    Cell i scans x -> F(x, *(p[i] for p in params)) on (lo, x_max[i]]:
+    params holds one array per parameter and x_max one window per cell,
+    and the cells share cfg's grid size, deadband and refinement depth
+    (cfg.x_max is not read).  lo defaults to 1e-10 x_max[i].
+    breakpoints, when given, holds one sequence per cell, whose points
+    inside the window are sampled too.
+
+    The grids of the distinct windows are one geomspace call.  When there
+    are several cells and their grids have equal length, the initial
+    evaluation calls F on the 2-D array of the cells' grids, one row per
+    cell, with each parameter as a column; otherwise on the grids end to
+    end, each parameter repeated over its cell's points.  Refinement walks
+    call F on flat arrays, each point with its cell's parameters (see
+    _refine).  F must act point by point, with numpy broadcasting.
 
     fy, when given, is a part of F that reads x alone, and F takes its
     values at x as one more argument, after the parameters.  The initial
-    evaluation computes fy once per distinct grid of the row: cells with
-    equal windows and no breakpoints inside share one (see _log_grid).
-    Refinement walks leave fy to F.
-    """
-    cfgs, grids = [], []
-    for _, cfg, breakpoints in cells:
-        cfg = (cfg or ScanConfig()).with_x_max(DEFAULT_X_MAX)
-        cell_lo = cfg.x_max * 1e-10 if lo is None else float(lo)
-        if not 0 < cell_lo < cfg.x_max:
-            raise ValueError("scan lower bound must be inside (0, x_max)")
-        xs = _log_grid(cell_lo, cfg.x_max, cfg.initial_grid)
-        bps = np.asarray([b for b in breakpoints if cell_lo < b < cfg.x_max], dtype=float)
-        if bps.size:
-            xs = np.unique(np.concatenate([xs, bps]))
-        cfgs.append(cfg)
-        grids.append(xs)
+    evaluation computes fy in one call, at the distinct grids and the
+    breakpoints; refinement walks leave it to F.
 
-    n = len(cells)
-    params = [np.asarray(col, dtype=float) for col in zip(*(p for p, _, _ in cells))]
-    deadband = np.asarray([cfg.deadband for cfg in cfgs])
-    deadband_abs = np.asarray([cfg.deadband_abs for cfg in cfgs])
-    depth = np.asarray([cfg.max_refinement_depth for cfg in cfgs])
-    sizes = [len(xs) for xs in grids]
-    cell = np.repeat(np.arange(n), sizes)
-    xs = np.concatenate(grids)
-    shared = () if fy is None else (_per_grid(fy, grids),)
-    vals = np.asarray(F(xs, *(np.repeat(p, sizes) for p in params), *shared), dtype=float)
+    Unless a trace is wanted, the walks start from each cell's run ends
+    and peaks alone (_run_ends).  The samples end sorted by (cell, x) with
+    ties in evaluation order, so each cell gets exactly the pattern, or
+    the IndeterminateFunction, that scanning it alone would give.
+    """
+    x_max = np.asarray(x_max, dtype=float)
+    params = [np.asarray(p, dtype=float) for p in params]
+    n = x_max.size
+    windows, which = np.unique(x_max, return_inverse=True)
+    lows = windows * 1e-10 if lo is None else np.full(windows.size, float(lo))
+    if not ((0 < lows) & (lows < windows)).all():
+        raise ValueError("scan lower bound must be inside (0, x_max)")
+    grids = np.ascontiguousarray(np.geomspace(lows, windows, cfg.initial_grid, axis=1))
+    inside = [] if breakpoints is None else [
+        np.asarray([b for b in bps if lows[w] < b < windows[w]], dtype=float)
+        for bps, w in zip(breakpoints, which.tolist())]
+    ys = None if fy is None else np.asarray(
+        fy(np.concatenate([grids.ravel(), *inside])), dtype=float)
+    yg = None if ys is None else ys[:grids.size].reshape(grids.shape)
+    if any(bps.size for bps in inside):
+        # a cell's breakpoints join its window's grid, and their fy values
+        # its grid's
+        rows, yrows, at = [], [], grids.size
+        for w, bps in zip(which.tolist(), inside):
+            row, yrow = grids[w], None if ys is None else yg[w]
+            if bps.size:
+                row, pick = np.unique(np.concatenate([row, bps]), return_index=True)
+                if ys is not None:
+                    yrow = np.concatenate([yrow, ys[at:at + bps.size]])[pick]
+                at += bps.size
+            rows.append(row)
+            yrows.append(yrow)
+        sizes = np.array([row.size for row in rows])
+        join = np.stack if n > 1 and (sizes == sizes[0]).all() else np.concatenate
+        xs, y = join(rows), None if ys is None else join(yrows)
+    else:
+        sizes = np.full(n, grids.shape[1])
+        pick = which if n > 1 else which[0]
+        xs, y = grids[pick], None if ys is None else yg[pick]
+    starts = np.cumsum(sizes) - sizes
+    if xs.ndim == 2:
+        def per_cell(col):
+            return col[:, None]
+    else:
+        def per_cell(col):
+            return np.repeat(col, sizes)
+    shared = () if y is None else (y,)
+    vals = np.asarray(F(xs, *map(per_cell, params), *shared), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("scanned function must be vectorized")
 
-    scale = _largest_finite(vals, np.searchsorted(cell, np.arange(n)))
-    xs, vals, cell, signs = _refine(F, params, xs, vals, cell, scale,
-                                    deadband, deadband_abs, depth)
+    scale = _largest_finite(vals.ravel(), starts)
+    signs = _classify(vals, per_cell(np.maximum(cfg.deadband * scale, cfg.deadband_abs)))
+    xs, vals, signs = xs.ravel(), vals.ravel(), signs.ravel()
+    kept = np.arange(xs.size) if trace is not None else _run_ends(vals, signs, starts)
+    xs, vals, cell, signs = _refine(F, params, (xs, vals, signs, starts, sizes), kept,
+                                    scale, cfg)
 
     if trace is not None:
         trace.extend((float(x), float(v), "+" if s > 0 else "-" if s < 0 else "0")
@@ -201,48 +254,44 @@ def _scan_row(F, cells, *, fy=None, lo: float | None = None,
             for sg, w, ch in zip(out_signs, witnesses, changes)]
 
 
-def _per_grid(fy, grids):
-    """fy at the concatenated grids, evaluated once per distinct grid
-    object: fy reads each x alone, so every value is the one it gives at
-    all the points at once."""
-    done = {}
-    for xs in grids:
-        if id(xs) not in done:
-            done[id(xs)] = np.asarray(fy(xs), dtype=float)
-    return np.concatenate([done[id(xs)] for xs in grids])
-
-
-def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
+def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
     """Bisect every boundary between differently-classified neighbours of
     one cell, while the cell has depth left.
 
-    xs, vals and cell are the initial samples, sorted by (cell, x); scale
+    initial holds every initial sample, as xs, vals and their classes,
+    sorted by (cell, x), and where each cell's samples begin and how many
+    there are; the walks start from those at the indices kept.  scale
     holds each cell's largest finite |value| and is raised in place.  Each
     call of F evaluates the next _LEVELS bisection levels of every live
-    bracket (fewer where its cell's depth runs out): its 2**_LEVELS - 1
-    dyadic midpoints, each built by the same halving of its two ends that
+    bracket (fewer where the depth runs out): its 2**_LEVELS - 1 dyadic
+    midpoints, each built by the same halving of its two ends that
     bisecting one level at a time takes, so every abscissa has the same
     bits.  A walk then goes down the levels on those values: a level's
     live intervals are the ones whose end classes differ, and only their
     midpoints become samples.  The other points are dropped unseen: they
     reach neither the samples nor scale.  A midpoint that changes its
-    cell's eps, or equals its interval's right end (the stable sort puts
-    it after that end), stops the cell's walk at its level; the cell's
-    deeper points go unseen, and its brackets are rebuilt from all its
-    samples under the new eps.  The other cells' new brackets are their
-    adjacent seen points whose classes differ.  All samples are merged
-    once, at the end, by a stable sort on (cell, x), so ties keep
-    evaluation order (walk by walk, and within a walk by bracket and
-    position), and their classes travel with them: only the cells whose
-    eps changed are classified again.  Returns xs, vals, cell and their
-    classes under the final eps, in that merged order.
+    cell's eps stops the cell's walk at its level; the cell's deeper
+    points go unseen, the cell gets back every initial sample not kept,
+    and its brackets are rebuilt from all its samples under the new eps.
+    The other cells' new brackets are their adjacent seen points whose
+    classes differ.  All samples are merged once, at the end, by a stable
+    sort on (cell, x), so ties keep evaluation order (walk by walk, and
+    within a walk by bracket and position), and their classes travel with
+    them: only the cells whose eps changed are classified again.  Returns
+    xs, vals, cell and their classes under the final eps, in that merged
+    order.
     """
+    xs, vals, signs, starts, sizes = initial
+    deadband, deadband_abs, depth = cfg.deadband, cfg.deadband_abs, cfg.max_refinement_depth
+
+    def samples(at):
+        return xs[at], np.searchsorted(starts, at, side="right") - 1, vals[at], signs[at]
+
     eps = np.maximum(deadband * scale, deadband_abs)
-    signs = _classify(vals, eps[cell])
-    seen = [(xs, cell, vals, signs)]  # every sample so far, in evaluation order
-    ends, classes, bcell = _brackets(xs, signs, cell)
-    done = np.zeros(depth.size, dtype=int)  # levels walked per cell
-    regrown = np.zeros(depth.size, dtype=bool)  # cells whose eps changed
+    seen = [samples(kept)]  # every sample so far, in evaluation order
+    ends, classes, bcell = _brackets(seen[0][0], seen[0][3], seen[0][1])
+    done = np.zeros(scale.size, dtype=int)  # levels walked per cell
+    regrown = np.zeros(scale.size, dtype=bool)  # cells whose eps changed
     while True:
         reach = np.minimum(depth - done, _LEVELS)  # levels of this walk
         levels = reach[bcell]
@@ -283,22 +332,27 @@ def _refine(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
         # up to a cell's first stopping level this walk is the one that
         # bisecting level by level takes, and there a midpoint changes its
         # cell's eps iff deadband x |value| exceeds it
-        tie = mx == Pf[mat + _HALF[pos[inner]]]
         stopped = mcell[:0]
-        if tie.any() or (np.abs(mv) > scale[mcell]).any():
-            grows = np.isfinite(mv) & (deadband[mcell] * np.abs(mv) > eps[mcell])
+        if (np.abs(mv) > scale[mcell]).any():
+            grows = np.isfinite(mv) & (deadband * np.abs(mv) > eps[mcell])
             runs = _run_starts(mcell)
             cells = mcell[runs]
-            first = np.minimum.reduceat(np.where(grows | tie, lev, _LEVELS + 1), runs)
+            first = np.minimum.reduceat(np.where(grows, lev, _LEVELS + 1), runs)
             stops = first <= _LEVELS
             stopped = cells[stops]
             reach[stopped] = first[stops]
             keep = lev <= reach[mcell]
             mat, mcell, mx, mv = (a[keep] for a in (mat, mcell, mx, mv))
             scale[cells] = np.maximum(scale[cells], _largest_finite(mv, _run_starts(mcell)))
-            was = eps[cells]
             eps = np.maximum(deadband * scale, deadband_abs)
-            regrown[cells[eps[cells] != was]] = True
+            # the stopped cells are the ones whose eps grew, and their
+            # initial samples may have other classes under it
+            back = stopped[~regrown[stopped]]
+            if back.size:
+                regrown[back] = True
+                kept = np.union1d(kept, np.concatenate(
+                    [np.arange(starts[c], starts[c] + sizes[c]) for c in back.tolist()]))
+                seen[0] = samples(kept)
         done += reach
         seen.append((mx, mcell, mv, Cf[mat]))
 

@@ -1,6 +1,6 @@
 """Pairwise order checks: pattern sweeps, criteria, DMRL, convexity."""
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -44,9 +44,9 @@ def bp_order_two():
     rows = []
     inner = ordering._scan_row
 
-    def spy(F, cells, **kwargs):
-        rows.append(cells)
-        return inner(F, cells, **kwargs)
+    def spy(F, params, *args, **kwargs):
+        rows.append(list(zip(*params)))
+        return inner(F, params, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ordering, "_scan_row", spy)
@@ -203,9 +203,9 @@ def _count_scans(monkeypatch):
     calls = []
     inner = ordering._scan_row
 
-    def spy(F, cells, **kwargs):
-        out = inner(F, cells, **kwargs)
-        calls.extend(zip(cells, out))
+    def spy(F, params, *args, **kwargs):
+        out = inner(F, params, *args, **kwargs)
+        calls.extend(zip(zip(*params), out))
         return out
 
     monkeypatch.setattr(ordering, "_scan_row", spy)
@@ -876,12 +876,15 @@ class TestRowScan:
     BS = (-1.0, 0.0, 0.5, 3.0, 12.0)
 
     @staticmethod
-    def _same_as_alone(F, params, fn, cfg_of, bps_of, a, bs):
-        cells = [(params(b), cfg_of(a, b), bps_of(a, b)) for b in bs]
-        row = ordering._scan_row(F, cells)
-        for b, got in zip(bs, row):
+    def _same_as_alone(form, a, bs):
+        a_col, b_col = np.full(len(bs), a), np.asarray(bs, dtype=float)
+        x_max, bps = form.window(a_col, b_col), form.bps(a_col, b_col)
+        row = ordering._scan_row(form.F, (a_col, b_col, np.full(len(bs), a ** form.k)),
+                                 x_max, form.config, bps, fy=form.fy)
+        for i, (b, got) in enumerate(zip(bs, row)):
             try:
-                alone = scan(fn(b), cfg_of(a, b), bps_of(a, b))
+                alone = scan(lambda x: form(x, a, b), replace(form.config, x_max=x_max[i]),
+                             () if bps is None else bps[i])
             except IndeterminateFunction:
                 assert isinstance(got, IndeterminateFunction), (a, b)
                 continue
@@ -891,9 +894,7 @@ class TestRowScan:
     def _rows(self, form, a_values, bs):
         out = []
         for a in a_values:
-            out += self._same_as_alone(
-                form.F, lambda b: (a, b, a ** form.k), lambda b: (lambda x: form(x, a, b)),
-                form.cfg, form.bps, a, bs)
+            out += self._same_as_alone(form, a, bs)
         return out
 
     def _v_rows(self, X, Y, s, a_values, bs=BS):
@@ -939,9 +940,9 @@ class TestScanWindow:
         seen = []
         inner = ordering._scan_row
 
-        def spy(F, cells, **kwargs):
-            seen.extend(cfg.x_max for _, cfg, _ in cells)
-            return inner(F, cells, **kwargs)
+        def spy(F, params, x_max, *args, **kwargs):
+            seen.extend(x_max.tolist())
+            return inner(F, params, x_max, *args, **kwargs)
 
         monkeypatch.setattr(ordering, "_scan_row", spy)
         check(GridSpec(*self.CELLS, scan=template))

@@ -1,5 +1,7 @@
 """Adaptive sign scanning, pattern matching, and the integration lemma."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,14 +42,14 @@ def _merged(pairs, slots):
     return out
 
 
-def _refine_batch(F, params, xs, vals, cell, scale, deadband, deadband_abs, depth):
+def _refine_batch(F, params, initial, kept, scale, cfg):
+    xs, vals, _, starts, sizes = initial
+    cell = np.repeat(np.arange(sizes.size), sizes)
+    deadband, deadband_abs = cfg.deadband, cfg.deadband_abs
     eps = np.maximum(deadband * scale, deadband_abs)
     signs = _classify(vals, eps[cell])
-    for depth_done in range(int(depth.max(initial=0))):
-        flip = (signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:])
-        if depth_done >= depth.min():
-            flip &= depth[cell[:-1]] > depth_done
-        boundary = np.nonzero(flip)[0]
+    for _ in range(cfg.max_refinement_depth):
+        boundary = np.nonzero((signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:]))[0]
         if boundary.size == 0:
             break
         mids = 0.5 * (xs[boundary] + xs[boundary + 1])
@@ -168,54 +170,72 @@ class TestScan:
         assert all(0.0 < x <= 1.7e308 for x, _, _ in rows)
 
 
+def _row(cells):
+    """The parameter columns, windows and breakpoints of a batch of
+    (params, x_max, breakpoints) cells."""
+    params = [np.asarray(col, dtype=float) for col in zip(*(p for p, _, _ in cells))]
+    return params, np.asarray([w for _, w, _ in cells], dtype=float), [b for _, _, b in cells]
+
+
+def _alone(F, params, x_max, cfg, bps=(), trace=None):
+    """scan of one cell of a batch, or None where it is zero within the
+    deadband."""
+    try:
+        return scan(lambda x: F(x, *params), replace(cfg, x_max=float(x_max)), bps, trace=trace)
+    except IndeterminateFunction:
+        return None
+
+
 class TestRowScan:
-    def test_cells_keep_their_own_grid_deadband_and_depth(self):
+    def test_cells_keep_their_own_window_and_breakpoints(self):
+        # the cells of a batch share its grid size, deadband and depth, and
+        # each has its own window and breakpoints; every batch setting is
+        # tried on the same cells
         def F(x, c, r):
             return c * (x - r) * (x - 2.0 * r)
 
-        cells = [((1.0, 1.0), ScanConfig(x_max=10.0), ()),
-                 ((1e-15, 0.5), ScanConfig(x_max=4.0, initial_grid=64), (0.7,)),
-                 ((1e6, 3.0), ScanConfig(x_max=50.0, max_refinement_depth=2), ()),
-                 ((0.0, 1.0), ScanConfig(x_max=10.0), ()),
-                 ((-2.0, 0.25), ScanConfig(x_max=10.0, deadband_abs=1e-3), (0.3, 0.6))]
-        row = _scan_row(F, cells)
-        assert isinstance(row[3], IndeterminateFunction)
-        for (params, cfg, bps), got in zip(cells, row):
-            try:
-                alone = scan(lambda x: F(x, *params), cfg, bps)
-            except IndeterminateFunction:
-                assert isinstance(got, IndeterminateFunction)
-                continue
-            assert got == alone
-            assert len(got.signs) == 3
+        cells = [((1.0, 1.0), 10.0, ()), ((1e-15, 0.5), 4.0, (0.7,)),
+                 ((1e6, 3.0), 50.0, ()), ((0.0, 1.0), 10.0, ()),
+                 ((-2.0, 0.25), 10.0, (0.3, 0.6))]
+        params, x_max, bps = _row(cells)
+        for cfg in (ScanConfig(), ScanConfig(initial_grid=64),
+                    ScanConfig(max_refinement_depth=2), ScanConfig(deadband_abs=1e-3)):
+            row = _scan_row(F, params, x_max, cfg, bps)
+            # only an absolute deadband hides the cell of scale 1e-15
+            assert [isinstance(p, IndeterminateFunction) for p in row] == \
+                [False, cfg.deadband_abs > 0, False, True, False]
+            for (cell, w, b), got in zip(cells, row):
+                alone = _alone(F, cell, w, cfg, b)
+                if alone is not None:
+                    assert got == alone
+                    assert len(got.signs) == 3
 
-    def test_x_only_side_once_per_shared_window(self):
-        # four cells share one window, one of them with a breakpoint inside
-        # (so its grid differs), and a fifth has a window of its own: the
-        # initial evaluation reads the x-only side on three grids, and each
-        # cell gets the pattern, witnesses and trace of scanning it alone
+    def test_x_only_side_once_per_batch(self):
+        # four cells share one window, one of them with a breakpoint inside,
+        # and a fifth has a window of its own: the initial evaluation reads
+        # the x-only side once, at the two distinct grids and the
+        # breakpoint, and each cell gets the pattern, witnesses and trace
+        # of scanning it alone
         def fy(x):
-            seen.append(np.asarray(x).size)
+            seen.append(np.shape(x))
             return np.exp(-np.asarray(x))
 
         def F(x, c, r, y=None):
             return (np.exp(-x) if y is None else y) - c * np.exp(-r * x)
 
-        shared, own = ScanConfig(x_max=12.0), ScanConfig(x_max=7.5, initial_grid=96)
-        cells = [((0.5, 0.4), shared, ()), ((2.0, 1.5), shared, ()),
-                 ((3.0, 1.25), shared, (0.7,)), ((1.0, 1.0), shared, ()),
-                 ((0.25, 0.5), own, ())]
+        cells = [((0.5, 0.4), 12.0, ()), ((2.0, 1.5), 12.0, ()),
+                 ((3.0, 1.25), 12.0, (0.7,)), ((1.0, 1.0), 12.0, ()),
+                 ((0.25, 0.5), 7.5, ())]
+        params, x_max, bps = _row(cells)
+        cfg = ScanConfig()
         seen, trace = [], []
-        row = _scan_row(F, cells, fy=fy, trace=trace)
-        assert seen == [512, 513, 96]
+        row = _scan_row(F, params, x_max, cfg, bps, fy=fy, trace=trace)
+        assert seen == [(2 * 512 + 1,)]
         assert isinstance(row[3], IndeterminateFunction)
         alone_trace = []
-        for (params, cfg, bps), got in zip(cells, row):
+        for (params, w, bps), got in zip(cells, row):
             rows = []
-            try:
-                alone = scan(lambda x: F(x, *params), cfg, bps, trace=rows)
-            except IndeterminateFunction:
-                alone = None
+            alone = _alone(F, params, w, cfg, bps, trace=rows)
             alone_trace += rows
             if alone is None:
                 assert isinstance(got, IndeterminateFunction)
@@ -226,13 +246,60 @@ class TestRowScan:
         assert [repr(r) for r in trace] == [repr(r) for r in alone_trace]
         assert sum(len(p.signs) > 1 for p in row if isinstance(p, SignPattern)) >= 3
 
+    def test_equal_grids_are_the_rows_of_one_evaluation(self):
+        # no breakpoints, so every grid has 512 points: the initial
+        # evaluation is one call on a (cells, 512) array with the
+        # parameters as columns, and the walks are flat; with a breakpoint
+        # in one cell the grids are ragged and the call is flat too
+        def F(x, c, r):
+            shapes.append((np.shape(x), np.shape(c), np.shape(r)))
+            return c * (x - r)
 
-def _random_row(x, root1, root2, sign, kind, spike_at, spike_width, spike_height, hole):
-    """Two roots, or a unit step at root1 (kind 1), plus a narrow spike and
-    a tiny window of non-finite values; the cell's parameters are arrays."""
+        cells = [((1.0, 0.5), 10.0, ()), ((-1.0, 2.0), 10.0, ()), ((2.0, 7.0), 30.0, ())]
+        params, x_max, bps = _row(cells)
+        cfg = ScanConfig()
+        shapes = []
+        row = _scan_row(F, params, x_max, cfg, bps)
+        assert shapes[0] == ((3, 512), (3, 1), (3, 1))
+        assert all(len(x) == 1 and x == c == r for x, c, r in shapes[1:]) and len(shapes) > 1
+        assert row == [_alone(F, p, w, cfg) for p, w, _ in cells]
+        shapes.clear()
+        bps[1] = (1.0,)
+        assert _scan_row(F, params, x_max, cfg, bps)[0] == row[0]
+        assert shapes[0] == ((3 * 512 + 1,),) * 3
+
+    def test_scan_calls_f_on_flat_arrays(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.ndim(x))
+            return x - 1.0
+
+        assert scan(f, ScanConfig(x_max=10.0)).signs == ("-", "+")
+        assert set(shapes) == {1} and len(shapes) == 4
+
+    def test_initial_grids_have_the_bits_of_their_own_geomspace(self):
+        # the distinct windows' grids are one geomspace call; each must be
+        # the grid of its window alone, to the last bit (a positive
+        # function has no boundary, so the trace is the initial grids)
+        rng = np.random.default_rng(5)
+        x_max = np.concatenate([10.0 ** rng.uniform(-3, 6, 300), [1.0, 1.0, 50.0]])
+        trace = []
+        _scan_row(lambda x, c: c * np.exp(-x / 1e7), [np.ones(x_max.size)], x_max,
+                  ScanConfig(initial_grid=64), trace=trace)
+        want = np.concatenate([np.geomspace(w * 1e-10, w, 64) for w in x_max.tolist()])
+        assert np.array_equal(np.array([x for x, _, _ in trace]), want)
+
+
+def _random_row(x, root1, root2, sign, kind, spike_at, spike_width, spike_height, hole, flat):
+    """Two roots, or a unit step at root1 (kind 1), times sign, plus a
+    narrow spike, a tiny window of non-finite values and a stretch 1e-14
+    times as large as it would be, inside the deadband; the cell's
+    parameters are arrays."""
     with np.errstate(all="ignore"):
         smooth = (x - root1) * (x - root2) * np.exp(-0.2 * x)
         base = sign * np.where(kind == 0, smooth, np.where(x < root1, -1.0, 1.0))
+        base = np.where(np.abs(x - flat) < 0.05 * flat, 1e-14 * base, base)
         out = base + spike_height * np.exp(-((x - spike_at) / spike_width) ** 2)
         bad = np.abs(x - hole) < 1e-3 * hole
         return np.where(bad, np.where(kind == 0, np.nan, np.inf * sign), out)
@@ -245,18 +312,24 @@ def _random_cell(rng):
     # often far above the cell's grid maximum
     near = root1 if rng.random() < 0.5 else root2
     width = float(10.0 ** rng.uniform(-6, -2)) * x_max
-    params = (root1, root2, float(rng.choice([-1.0, 1.0])), float(rng.integers(0, 2)),
+    # a cell of sign 0 and no spike is zero within the deadband
+    params = (root1, root2, float(rng.choice([-1.0, 1.0, 0.0], p=[0.45, 0.45, 0.1])),
+              float(rng.integers(0, 2)),
               near + float(rng.uniform(-3.0, 3.0)) * width, width,
               float(rng.choice([0.0, 1.0, 1e3, -1e6])) * x_max ** 2,
-              float(rng.uniform(0.01, 1.0)) * x_max if rng.random() < 0.3 else -1.0)
-    cfg = ScanConfig(x_max=x_max, initial_grid=int(rng.integers(64, 97)),
-                     deadband=float(rng.choice([1e-11, 1e-6, 1e-2])),
-                     max_refinement_depth=int(rng.choice([0, 2, 12, 60])),
-                     deadband_abs=float(rng.choice([0.0, 0.0, 1e-9, 1e-3])))
+              float(rng.uniform(0.01, 1.0)) * x_max if rng.random() < 0.3 else -1.0,
+              float(rng.uniform(0.02, 1.0)) * x_max if rng.random() < 0.3 else -1.0)
     bps = tuple(float(b) for b in rng.uniform(0.0, 1.1, int(rng.integers(0, 3))) * x_max)
     if rng.random() < 0.2:
         bps += (params[4],)
-    return params, cfg, bps
+    return params, x_max, bps
+
+
+def _random_config(rng, depths=(0, 2, 12, 60)):
+    return ScanConfig(initial_grid=int(rng.integers(64, 97)),
+                      deadband=float(rng.choice([1e-11, 1e-6, 1e-2])),
+                      max_refinement_depth=int(rng.choice(depths)),
+                      deadband_abs=float(rng.choice([0.0, 0.0, 1e-9, 1e-3])))
 
 
 class TestRowRefinement:
@@ -270,23 +343,21 @@ class TestRowRefinement:
         monkeypatch.setattr(signscan, "_in_order", lambda seen: merges.append(1) or in_order(seen))
         batches = 300
         for _ in range(batches):
-            _refined_both_ways([_random_cell(rng) for _ in range(rng.integers(1, 9))])
-        # merges that rebuild a cell's brackets, beyond the final one per batch
-        assert len(merges) > batches + 50
+            _refined_both_ways([_random_cell(rng) for _ in range(rng.integers(1, 9))],
+                               _random_config(rng))
+        # merges that rebuild a cell's brackets, beyond the final one of
+        # each of the two scans per batch that refine by brackets
+        assert len(merges) > 2 * batches + 50
 
     @pytest.mark.parametrize("depths", [(1,), (3,), (5,), (7,), (13,), (0, 1, 3, 5, 7, 12, 13, 60)])
     def test_depths_that_end_inside_a_walk(self, depths):
         # a walk covers up to signscan._LEVELS levels, so a depth that is no
-        # multiple of it ends part way; mixed depths share every walk
+        # multiple of it ends part way; a cell whose eps grows stops its
+        # walk early, so the cells of a batch walk different depths
         rng = np.random.default_rng(sum(depths))
         for _ in range(40):
-            cells = []
-            for _ in range(rng.integers(1, 9)):
-                params, cfg, bps = _random_cell(rng)
-                depth = int(rng.choice(depths))
-                cells.append((params, ScanConfig(cfg.x_max, cfg.initial_grid, cfg.deadband,
-                                                 depth, cfg.deadband_abs), bps))
-            _refined_both_ways(cells)
+            _refined_both_ways([_random_cell(rng) for _ in range(rng.integers(1, 9))],
+                               _random_config(rng, depths))
 
     @pytest.mark.parametrize("level", range(1, 9))
     def test_spike_raises_eps_at_each_level(self, level):
@@ -294,33 +365,25 @@ class TestRowRefinement:
         # bisection reaches at the given level (the levels of the first two
         # walks): the spike raises the cell's eps there, so the walk stops
         # and the brackets are rebuilt under the new eps
-        cfg = ScanConfig(x_max=10.0, initial_grid=64, max_refinement_depth=8)
-        grid = np.geomspace(cfg.x_max * 1e-10, cfg.x_max, cfg.initial_grid)
-        r = 1.2345
-        l, h = grid[grid < r][-1], grid[grid > r][0]
-        for _ in range(level):
-            spike = 0.5 * l + 0.5 * h
-            l, h = (spike, h) if spike < r else (l, spike)
-
-        def F(x, root, at):
-            return np.where(x == at, 1e6, x - root)
-
-        rows = _refined_both_ways([((r, spike), cfg, ())], F)
+        r, spike = 1.2345, _spike_at(1.2345, 10.0, 64, level)
+        rows = _refined_both_ways([((r, spike), 10.0, ())],
+                                  ScanConfig(initial_grid=64, max_refinement_depth=8), _spiked)
         assert any(x == spike and v == 1e6 for x, v, _ in rows)
 
     def test_ties_at_depth_sixty(self, monkeypatch):
-        # bisection reaches adjacent floats, where a midpoint equals one end;
-        # one equal to the right end stops the walk, and the brackets are
-        # rebuilt from the merged samples (eps never changes here)
+        # bisection reaches adjacent floats, where a midpoint equals one
+        # end; F gives one value per point, so the tie has its end's class
+        # and the walk goes on through it: no rebuild, only the final merge
+        cells = [((r,), 10.0, ()) for r in (1.2345, np.pi, 7.0 + 1e-9)]
+        cfg = ScanConfig(initial_grid=64, max_refinement_depth=60)
+        rows = _refined_both_ways(cells, cfg, lambda x, root: x - root)
+        xs = [x for x, _, _ in rows]
+        assert len(set(xs)) < len(xs)
         merges = []
         in_order = signscan._in_order
         monkeypatch.setattr(signscan, "_in_order", lambda seen: merges.append(1) or in_order(seen))
-        cells = [((r,), ScanConfig(x_max=10.0, initial_grid=64, max_refinement_depth=60), ())
-                 for r in (1.2345, np.pi, 7.0 + 1e-9)]
-        rows = _refined_both_ways(cells, lambda x, root: x - root)
-        xs = [x for x, _, _ in rows]
-        assert len(set(xs)) < len(xs)
-        assert len(merges) > 1  # rebuilds, besides the final merge
+        _scan_row(lambda x, root: x - root, *_row(cells)[:2], cfg)
+        assert len(merges) == 1
 
     def test_one_evaluation_per_walk(self):
         # depth-12 cells, no eps change and no tie: the initial evaluation
@@ -333,30 +396,99 @@ class TestRowRefinement:
             points.append(x.size)
             return x - root
 
-        cells = [((r,), ScanConfig(x_max=10.0), ()) for r in (0.3, 1.2345, 2.5, 7.7)]
+        cells = [((r,), 10.0, ()) for r in (0.3, 1.2345, 2.5, 7.7)]
         trace = []
-        row = _scan_row(F, cells, trace=trace)
+        row = _scan_row(F, *_row(cells)[:2], ScanConfig(), trace=trace)
         assert [p.signs for p in row] == [("-", "+")] * 4
         assert len(calls) == 4
         assert points[1:] == [15 * len(cells)] * 3
         assert len(trace) == 512 * len(cells) + 12 * len(cells)
 
 
-def _refined_both_ways(cells, F=_random_row):
-    """Scan a row with _refine and with the reference; assert that the
-    patterns and traces agree and return the trace."""
+def _spike_at(r, x_max, n, level):
+    """The midpoint that bisecting the grid bracket of r reaches at level."""
+    grid = np.geomspace(x_max * 1e-10, x_max, n)
+    lo, hi = grid[grid < r][-1], grid[grid > r][0]
+    for _ in range(level):
+        spike = 0.5 * lo + 0.5 * hi
+        lo, hi = (spike, hi) if spike < r else (lo, spike)
+    return spike
+
+
+def _spiked(x, root, at):
+    return np.where(x == at, 1e6, x - root)
+
+
+def _refined_both_ways(cells, cfg, F=_random_row):
+    """Scan a batch with _refine and with the reference, traced, and with
+    _refine untraced, from run ends alone; assert that the patterns, and
+    the traces of the traced scans, agree and return the trace."""
+    params, x_max, bps = _row(cells)
     out = []
     for refine in (signscan._refine, _refine_batch):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(signscan, "_refine", refine)
             trace = []
-            got = _scan_row(F, cells, trace=trace)
+            got = _scan_row(F, params, x_max, cfg, bps, trace=trace)
         out.append(([repr(o) if isinstance(o, IndeterminateFunction) else o for o in got],
                     [repr(t) for t in trace], trace))
     (fast, fast_trace, trace), (ref, ref_trace, _) = out
     assert fast == ref, cells
     assert fast_trace == ref_trace, cells
+    compact = _scan_row(F, params, x_max, cfg, bps)
+    assert [repr(o) if isinstance(o, IndeterminateFunction) else o for o in compact] == fast, cells
     return trace
+
+
+class TestCompactedRows:
+    """Untraced, a cell's walks start from the first, the last and the
+    first largest sample of each of its runs of equal class alone, and a
+    cell whose deadband grows gets its other samples back: each cell must
+    still get, field by field, the outcome of a traced scan of it alone,
+    which keeps every sample."""
+
+    @staticmethod
+    def _same_as_alone(F, cells, cfg):
+        params, x_max, bps = _row(cells)
+        row = _scan_row(F, params, x_max, cfg, bps)
+        for i, got in enumerate(row):
+            alone = _alone(F, [p[i] for p in params], x_max[i], cfg, bps[i], trace=[])
+            if alone is None:
+                assert isinstance(got, IndeterminateFunction), cells[i]
+                continue
+            for field in ("signs", "witnesses", "change_points", "confidence", "uncertain"):
+                assert getattr(got, field) == getattr(alone, field), (field, cells[i])
+        return row
+
+    def test_random_rows(self):
+        # NaN and infinite windows, stretches inside the deadband, spikes
+        # that raise a cell's deadband next to its roots, unit steps (every
+        # sample of a run as large as the first), breakpoints, depth 60
+        rng = np.random.default_rng(2718)
+        changes = indeterminate = 0
+        for _ in range(300):
+            row = self._same_as_alone(
+                _random_row, [_random_cell(rng) for _ in range(rng.integers(1, 9))],
+                _random_config(rng))
+            changes += sum(len(p.signs) > 1 for p in row if isinstance(p, SignPattern))
+            indeterminate += sum(isinstance(p, IndeterminateFunction) for p in row)
+        assert changes > 300 and indeterminate > 10
+
+    @pytest.mark.parametrize("depth", [8, 13])
+    def test_spikes_at_every_level(self, depth):
+        # one cell per refinement level, each with a spike at the midpoint
+        # its bisection reaches there, beside cells with no spike
+        r = 1.2345
+        cells = [((r, _spike_at(r, 10.0, 64, level)), 10.0, ()) for level in range(1, depth + 1)]
+        cells += [((2.5, -1.0), 10.0, ()), ((r, -1.0), 20.0, ())]
+        self._same_as_alone(_spiked, cells,
+                            ScanConfig(initial_grid=64, max_refinement_depth=depth))
+
+    def test_ties_and_breakpoints(self):
+        cells = [((r,), 10.0, bps) for r in (1.2345, np.pi, 7.0 + 1e-9)
+                 for bps in ((), (r,), (0.5, 9.0))]
+        self._same_as_alone(lambda x, root: x - root, cells,
+                            ScanConfig(initial_grid=64, max_refinement_depth=60))
 
 
 class TestRowMerge:
