@@ -73,10 +73,7 @@ class Distribution:
     def tail(self, x):
         """Survival function, extended by 1 for x < 0."""
         xa = _as_array(x)
-        if (xa > 0).all():  # nothing to clamp at 0 or to read as 1
-            vals = np.clip(self._tail(xa), 0.0, 1.0)
-        else:
-            vals = np.where(xa < 0, 1.0, np.clip(self._tail(np.maximum(xa, 0.0)), 0.0, 1.0))
+        vals = np.where(xa < 0, 1.0, np.clip(self._tail(np.maximum(xa, 0.0)), 0.0, 1.0))
         return _maybe_scalar(vals, x)
 
     def cdf(self, x):

@@ -129,11 +129,8 @@ class IteratedTail:
 
     def eval_tail(self, x):
         xa = np.asarray(x, dtype=float)
-        if (xa > 0).all():  # nothing to clamp at 0 or to read as 1
-            vals = np.clip(self._eval_positive(xa), 0.0, 1.0)
-        else:
-            vals = np.clip(self._eval_positive(np.maximum(xa, 0.0)), 0.0, 1.0)
-            vals = np.where(xa < 0, 1.0, vals)
+        vals = np.clip(self._eval_positive(np.maximum(xa, 0.0)), 0.0, 1.0)
+        vals = np.where(xa < 0, 1.0, vals)
         return float(vals) if xa.ndim == 0 else vals
 
     def __call__(self, x):

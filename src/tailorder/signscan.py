@@ -100,25 +100,29 @@ def _in_order(seen):
     return tuple(merged)
 
 
-def _run_ends(vals, signs, starts):
-    """Indices, in order, of the samples a pattern can be read from: the
-    first, the last and the first of largest |value| of every run of equal
-    class, runs split where a cell's samples begin (starts).  Brackets lie
-    between run ends, and runs inside the deadband, where NaN samples go,
-    need no largest value."""
+def _runs(vals, signs, splits):
+    """First index, last index and first index of largest |value| of every
+    run of equal class in signs, runs also beginning at the indices
+    splits.  A run whose largest |value| is NaN has no such index."""
     new = np.empty(signs.size, dtype=bool)
     new[0] = True
     np.not_equal(signs[1:], signs[:-1], out=new[1:])
-    new[starts] = True
+    new[splits] = True
     first = np.flatnonzero(new)
-    size = np.diff(first, append=signs.size)
+    last = np.append(first[1:], signs.size) - 1
     mags = np.abs(vals)
-    peak = np.maximum.reduceat(mags, first)
-    peak[signs[first] == 0] = np.nan
-    hits = np.flatnonzero(mags == np.repeat(peak, size))
-    if hits.size:
-        hits = hits[_run_starts(np.searchsorted(first, hits, side="right"))]
-    at = np.sort(np.concatenate((first, first + size - 1, hits)))
+    run_of = np.repeat(np.arange(first.size), last - first + 1)
+    peaks = np.flatnonzero(mags == np.maximum.reduceat(mags, first)[run_of])
+    return first, last, peaks[_run_starts(run_of[peaks])] if peaks.size else peaks
+
+
+def _run_ends(vals, signs, starts):
+    """Indices, in order, of the samples a pattern can be read from: the
+    run ends and peaks (_runs) of every run of equal class, runs split
+    where a cell's samples begin (starts).  Brackets lie between run ends,
+    and runs inside the deadband, where NaN samples go, need no peak."""
+    first, last, peaks = _runs(vals, signs, starts)
+    at = np.sort(np.concatenate((first, last, peaks[signs[peaks] != 0])))
     return at[_run_starts(at)]
 
 
@@ -230,19 +234,14 @@ def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
     dx, dv, ds, dc = xs[det], vals[det], signs[det], cell[det]
     if not ds.size:
         return [IndeterminateFunction(_NO_SIGN) for _ in range(n)]
-    starts = _run_starts(ds, dc)
-    ends = np.append(starts[1:], ds.size)
-    mags = np.abs(dv)
-    run_of = np.repeat(np.arange(starts.size), ends - starts)
-    peaks = np.nonzero(mags == np.maximum.reduceat(mags, starts)[run_of])[0]
-    peaks = peaks[_run_starts(run_of[peaks])]
+    starts, ends, peaks = _runs(dv, ds, np.flatnonzero(dc[1:] != dc[:-1]) + 1)
 
     out_signs: list[list[str]] = [[] for _ in range(n)]
     witnesses: list[list[float]] = [[] for _ in range(n)]
     changes: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     prev, last = -1, 0.0
     for c, sg, w, x0, x1 in zip(dc[starts].tolist(), ds[starts].tolist(), dx[peaks].tolist(),
-                                dx[starts].tolist(), dx[ends - 1].tolist()):
+                                dx[starts].tolist(), dx[ends].tolist()):
         if c == prev:
             changes[c].append((last, x0))
         out_signs[c].append("+" if sg > 0 else "-")

@@ -104,46 +104,6 @@ class TestClosedForms:
             iterate(Exponential(1.0), 0)
 
 
-#: arguments of the tail wrappers: all positive, with negatives, with 0.0
-#: or -0.0, with NaN, 2-D, a list, and scalars of each kind
-TAIL_ARGUMENTS = [np.geomspace(1e-3, 50.0, 101), np.array([-2.0, -1e-300, 0.5, 3.0]),
-                  np.array([0.0, 1.0, 2.0]), np.array([-0.0, 1.0]), np.array([np.nan, 1.0]),
-                  np.geomspace(0.1, 9.0, 12).reshape(3, 4), [1.0, 2.5], np.array([]),
-                  1.5, 0.0, -0.0, -3.0, np.float64(2.0), np.array(0.7)]
-
-
-def _bits(value):
-    return type(value), np.asarray(value, dtype=float).shape, \
-        np.asarray(value, dtype=float).tobytes()
-
-
-class TestTailWrappers:
-    """Distribution.tail and IteratedTail.eval_tail skip clamping at 0 when
-    every argument is positive; each must still give, bit for bit and of
-    the same type, what clamping every argument gives."""
-
-    DISTRIBUTIONS = [Gamma(2.0, 1.0), Gamma(0.7, 1.5), Weibull(1.5, 1.0), MaxExp(1.0, 2.0)]
-
-    @pytest.mark.parametrize("d", DISTRIBUTIONS, ids=repr)
-    def test_tail(self, d):
-        for x in TAIL_ARGUMENTS:
-            xa = np.asarray(x, dtype=float)
-            full = np.where(xa < 0, 1.0, np.clip(d._tail(np.maximum(xa, 0.0)), 0.0, 1.0))
-            want = float(full) if np.ndim(x) == 0 else full
-            assert _bits(d.tail(x)) == _bits(want), x
-
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("d", DISTRIBUTIONS, ids=repr)
-    def test_eval_tail(self, d, s):
-        T = iterate(d, s)
-        for x in TAIL_ARGUMENTS:
-            xa = np.asarray(x, dtype=float)
-            full = np.clip(T._eval_positive(np.maximum(xa, 0.0)), 0.0, 1.0)
-            full = np.where(xa < 0, 1.0, full)
-            want = float(full) if xa.ndim == 0 else full
-            assert _bits(T.eval_tail(x)) == _bits(want), x
-
-
 class TestIteratedMoments:
     def test_exponential_is_constant(self):
         for s in (1, 2, 3, 4):

@@ -333,21 +333,20 @@ def _random_config(rng, depths=(0, 2, 12, 60)):
 
 
 class TestRowRefinement:
-    def test_brackets_match_whole_batch_refinement(self, monkeypatch):
+    def test_brackets_match_whole_batch_refinement(self):
         # patterns and traces of random batches, refined by brackets and by
         # the reference; spikes raise a cell's eps mid-refinement, depth 60
         # bisects down to adjacent floats
         rng = np.random.default_rng(1111)
-        merges = []
-        in_order = signscan._in_order
-        monkeypatch.setattr(signscan, "_in_order", lambda seen: merges.append(1) or in_order(seen))
+        merges = {"traced": 0, "compact": 0}
         batches = 300
         for _ in range(batches):
             _refined_both_ways([_random_cell(rng) for _ in range(rng.integers(1, 9))],
-                               _random_config(rng))
+                               _random_config(rng), merges=merges)
         # merges that rebuild a cell's brackets, beyond the final one of
-        # each of the two scans per batch that refine by brackets
-        assert len(merges) > 2 * batches + 50
+        # each scan, in the traced scan and in the one from run ends
+        assert merges["traced"] > batches + 50
+        assert merges["compact"] > batches + 50
 
     @pytest.mark.parametrize("depths", [(1,), (3,), (5,), (7,), (13,), (0, 1, 3, 5, 7, 12, 13, 60)])
     def test_depths_that_end_inside_a_walk(self, depths):
@@ -419,15 +418,26 @@ def _spiked(x, root, at):
     return np.where(x == at, 1e6, x - root)
 
 
-def _refined_both_ways(cells, cfg, F=_random_row):
+def _refined_both_ways(cells, cfg, F=_random_row, merges=None):
     """Scan a batch with _refine and with the reference, traced, and with
     _refine untraced, from run ends alone; assert that the patterns, and
-    the traces of the traced scans, agree and return the trace."""
+    the traces of the traced scans, agree and return the trace.  merges,
+    when given, counts the merges of the traced scan with _refine
+    ("traced") and of the untraced one ("compact")."""
     params, x_max, bps = _row(cells)
+    in_order = signscan._in_order
+
+    def counting(mp, key):
+        if merges is not None:
+            mp.setattr(signscan, "_in_order",
+                       lambda seen: merges.update({key: merges[key] + 1}) or in_order(seen))
+
     out = []
-    for refine in (signscan._refine, _refine_batch):
+    for refine, key in ((signscan._refine, "traced"), (_refine_batch, None)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(signscan, "_refine", refine)
+            if key:
+                counting(mp, key)
             trace = []
             got = _scan_row(F, params, x_max, cfg, bps, trace=trace)
         out.append(([repr(o) if isinstance(o, IndeterminateFunction) else o for o in got],
@@ -435,7 +445,9 @@ def _refined_both_ways(cells, cfg, F=_random_row):
     (fast, fast_trace, trace), (ref, ref_trace, _) = out
     assert fast == ref, cells
     assert fast_trace == ref_trace, cells
-    compact = _scan_row(F, params, x_max, cfg, bps)
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, "compact")
+        compact = _scan_row(F, params, x_max, cfg, bps)
     assert [repr(o) if isinstance(o, IndeterminateFunction) else o for o in compact] == fast, cells
     return trace
 
