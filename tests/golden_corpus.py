@@ -3,8 +3,8 @@
 The corpus holds every casebook case's ``documents_json`` (indented, in
 ``golden/casebook/<ID>.json``) and the CLI ``compare`` documents
 (``golden/compare/*.json``) of the exact path, on parallel systems of
-exponentials, and of the sampled path, on Weibull/Gamma pairs, each with
-``runtime_ms`` dropped.
+exponentials, of the sampled path, on Weibull/Gamma pairs, and of the
+monotone checks (``dmrl``, ``convexity``), each with ``runtime_ms`` dropped.
 
 ``same(want, got)`` compares two documents as the tests do: every key,
 string, integer and boolean exactly (outcomes, cell counts, patterns,
@@ -38,6 +38,11 @@ ORDERS = (1, 2, 3, 4)
 SAMPLED_PAIRS = (("weibull(2,1)", "gamma(2,1)"), ("gamma(2,1)", "weibull(2,1)"),
                  ("weibull(1.5,1)", "gamma(1.5,1)"))
 SAMPLED_ORDERS = (1, 2)
+#: pairs and (criterion, order) runs of the monotone checks, which read no
+#: grid (dmrl no order either); bpareto(5,10)/bpareto(2,6) is refuted by
+#: convexity at s = 2 alone
+MONOTONE_PAIRS = PAIRS + SAMPLED_PAIRS + (("bpareto(5,10)", "bpareto(2,6)"),)
+MONOTONE_RUNS = (("dmrl", 1), ("convexity", 1), ("convexity", 2))
 CRITERIA = ("ifr", "ifra", "hs", "hs1", "newcrit")
 GRID = ("--a-grid", "24", "--b-grid", "12")
 
@@ -49,7 +54,8 @@ def _slug(literal: str) -> str:
 def compare_runs():
     """(file name, CLI arguments) of every compare document."""
     runs = chain(product(PAIRS, CRITERIA, ORDERS),
-                 product(SAMPLED_PAIRS, CRITERIA, SAMPLED_ORDERS))
+                 product(SAMPLED_PAIRS, CRITERIA, SAMPLED_ORDERS),
+                 ((pair, *run) for pair in MONOTONE_PAIRS for run in MONOTONE_RUNS))
     for (x, y), criterion, s in runs:
         name = f"{criterion}-s{s}-{_slug(x)}-vs-{_slug(y)}.json"
         yield name, ["compare", "--x", x, "--y", y, "--s", str(s),
