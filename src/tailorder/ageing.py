@@ -22,7 +22,7 @@ from .errors import ClassifierDisagreement, TailUnderflow
 from .exppoly import ExpPoly
 from .iteration import iterate, residual_partial_moment
 from .patterns import DEFAULT_X_MAX, EXACT, SAMPLED, ScanConfig, SignPattern
-from .signscan import scan
+from .signscan import exppoly_window, scan
 
 __all__ = ["MonotoneClass", "failure_rate", "classify_ifr", "classify_ifra",
            "dfr_onset", "holder_bounds", "HolderBounds"]
@@ -58,24 +58,12 @@ class MonotoneClass:
             if not {"up", "down"} <= dirs:
                 raise ValueError("non-monotone verdicts need opposed witnesses")
 
-    @property
-    def is_increasing(self) -> bool:
-        return self.verdict in (INCREASING, CONSTANT)
-
-    @property
-    def is_decreasing(self) -> bool:
-        return self.verdict in (DECREASING, CONSTANT)
-
 
 def _rate_parts(d: Distribution, s: int):
     """(numerator tail, denominator iterate, normalizer) for r_s."""
     upper = iterate(d, s)
-    mu = upper.normalizers[-1] if s > 1 else 1.0
-    if s == 1:
-        num = d.density
-    else:
-        num = iterate(d, s - 1).eval_tail
-    return num, upper, mu
+    num = d.density if s == 1 else iterate(d, s - 1).eval_tail
+    return num, upper, upper.normalizer
 
 
 def failure_rate(d: Distribution, s: int, x):
@@ -91,14 +79,10 @@ def failure_rate(d: Distribution, s: int, x):
     return float(vals) if xa.ndim == 0 else vals
 
 
-def _rate_slope_poly(d: Distribution, s: int) -> ExpPoly | None | str:
-    """Exponential-polynomial numerator of r_s' when the base tail is one.
-
-    Returns the polynomial, or "constant" when every product term cancels
-    (the exponential fixed point), or None when no closed form applies.
-    """
-    if d.exp_poly_tail() is None:
-        return None
+def _rate_slope_poly(d: Distribution, s: int) -> ExpPoly | None:
+    """Exponential-polynomial numerator of r_s' for a base whose tail is
+    one, or None when every product term cancels (the exponential fixed
+    point, where r_s is constant)."""
     upper = iterate(d, s).poly
     if s == 1:
         lower = d.exp_poly_tail().differentiate(1).scaled(-1.0)  # density
@@ -109,8 +93,7 @@ def _rate_slope_poly(d: Distribution, s: int) -> ExpPoly | None | str:
     du = upper.differentiate(1)
     terms += [(c1 * c2, r1 + r2) for c1, r1 in dl.terms for c2, r2 in upper.terms]
     terms += [(-c1 * c2, r1 + r2) for c1, r1 in lower.terms for c2, r2 in du.terms]
-    poly = ExpPoly.maybe(terms)
-    return poly if poly is not None else "constant"
+    return ExpPoly.maybe(terms)
 
 
 def _default_cfg(d: Distribution, s: int, cfg: ScanConfig | None) -> ScanConfig:
@@ -118,7 +101,7 @@ def _default_cfg(d: Distribution, s: int, cfg: ScanConfig | None) -> ScanConfig:
         return cfg.with_x_max(DEFAULT_X_MAX)
     poly = d.exp_poly_tail()
     if poly is not None:
-        x_max = max(50.0, 20.0 / min(poly.rates))
+        x_max = exppoly_window(poly)
     else:
         x_max = iterate(d, s).quantile_horizon(1e-10)
     return ScanConfig(x_max=x_max)
@@ -138,12 +121,20 @@ def _monotone_from_pattern(pattern: SignPattern, s: int, confidence: str) -> Mon
                          change_points=pattern.change_points)
 
 
-def _scan_slope(fn, cfg: ScanConfig, breakpoints, lo: float) -> SignPattern:
+def _classify_sampled(fn, d: Distribution, s: int, cfg: ScanConfig, lo: float) -> MonotoneClass:
+    """Sampled class of fn on [lo, cfg.x_max]: constant when 256 log-spaced
+    values vary by less than _CONSTANT_REL of their mean, otherwise read off
+    the scanned sign pattern of its central-difference slope."""
+    probe = fn(np.geomspace(lo, cfg.x_max, 256))
+    m = float(np.mean(probe))
+    if m > 0 and float(np.max(probe) - np.min(probe)) < _CONSTANT_REL * m:
+        return MonotoneClass(CONSTANT, s, SAMPLED)
+
     def slope(x):
         h = np.maximum(1e-8, 1e-6 * x)
         return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
-    return scan(slope, cfg, breakpoints, lo=lo)
+    return _monotone_from_pattern(scan(slope, cfg, d.breakpoints(), lo=lo), s, SAMPLED)
 
 
 def classify_ifr(d: Distribution, s: int, cfg: ScanConfig | None = None) -> MonotoneClass:
@@ -157,10 +148,10 @@ def classify_ifr(d: Distribution, s: int, cfg: ScanConfig | None = None) -> Mono
     if s < 1:
         raise ValueError("s must be a positive integer")
     cfg = _default_cfg(d, s, cfg)
-    closed = _rate_slope_poly(d, s)
-    if closed == "constant":
-        return MonotoneClass(CONSTANT, s, EXACT)
-    if isinstance(closed, ExpPoly):
+    if d.exp_poly_tail() is not None:
+        closed = _rate_slope_poly(d, s)
+        if closed is None:
+            return MonotoneClass(CONSTANT, s, EXACT)
         pattern = closed.sign_pattern_exact(0.0)
         if not pattern.uncertain:
             return _monotone_from_pattern(pattern, s, EXACT)
@@ -170,13 +161,7 @@ def classify_ifr(d: Distribution, s: int, cfg: ScanConfig | None = None) -> Mono
     def rate(x):
         return np.asarray(num(x), dtype=float) / (mu * np.asarray(upper.eval_tail(x), dtype=float))
 
-    lo = max(1e-6, cfg.x_max * 1e-7)
-    probe = rate(np.geomspace(lo, cfg.x_max, 256))
-    m = float(np.mean(probe))
-    if m > 0 and float(np.max(probe) - np.min(probe)) < _CONSTANT_REL * m:
-        return MonotoneClass(CONSTANT, s, SAMPLED)
-    pattern = _scan_slope(rate, cfg, d.breakpoints(), lo)
-    return _monotone_from_pattern(pattern, s, SAMPLED)
+    return _classify_sampled(rate, d, s, cfg, max(1e-6, cfg.x_max * 1e-7))
 
 
 def classify_ifra(d: Distribution, s: int, cfg: ScanConfig | None = None) -> MonotoneClass:
@@ -191,13 +176,7 @@ def classify_ifra(d: Distribution, s: int, cfg: ScanConfig | None = None) -> Mon
         xa = np.asarray(x, dtype=float)
         return -upper.log_tail(xa) / xa
 
-    lo = max(1e-4, cfg.x_max * 1e-6)
-    probe = avg(np.geomspace(lo, cfg.x_max, 256))
-    m = float(np.mean(probe))
-    if m > 0 and float(np.max(probe) - np.min(probe)) < _CONSTANT_REL * m:
-        return MonotoneClass(CONSTANT, s, SAMPLED)
-    pattern = _scan_slope(avg, cfg, d.breakpoints(), lo)
-    return _monotone_from_pattern(pattern, s, SAMPLED)
+    return _classify_sampled(avg, d, s, cfg, max(1e-4, cfg.x_max * 1e-6))
 
 
 def dfr_onset(d: MaxExp, s_max: int = 64) -> int | None:

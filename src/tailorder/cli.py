@@ -40,7 +40,7 @@ from .ordering import (
     newcrit,
 )
 from .patterns import ScanConfig
-from .signscan import scan
+from .signscan import exppoly_window, scan
 
 SCHEMA_VERSION = 1
 
@@ -239,7 +239,7 @@ def _cmd_casebook(args) -> int:
 
 def _cmd_scan(args) -> int:
     poly = parse_exppoly(args.exppoly)
-    x_max = max(50.0, 20.0 / poly.rates[0]) if args.x_max is None else args.x_max
+    x_max = exppoly_window(poly) if args.x_max is None else args.x_max
     cfg = ScanConfig(x_max=x_max, initial_grid=args.grid, max_refinement_depth=args.depth)
     rows: list | None = [] if args.csv else None
     pattern = scan(poly.eval, cfg, trace=rows)

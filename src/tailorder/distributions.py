@@ -76,12 +76,6 @@ class Distribution:
         vals = np.where(xa < 0, 1.0, np.clip(self._tail(np.maximum(xa, 0.0)), 0.0, 1.0))
         return _maybe_scalar(vals, x)
 
-    def cdf(self, x):
-        """1 - tail, computed stably near 0 where the variant allows it."""
-        xa = _as_array(x)
-        vals = np.where(xa < 0, 0.0, self._cdf(np.maximum(xa, 0.0)))
-        return _maybe_scalar(vals, x)
-
     def raw_moment(self, k: int) -> float:
         """E X^k; raises InfiniteMoment when it diverges or, in closed
         form, overflows a float."""
@@ -115,9 +109,6 @@ class Distribution:
         return float(out.reshape(-1)[0])
 
     # hooks -------------------------------------------------------------
-
-    def _cdf(self, x):
-        return 1.0 - self._tail(x)
 
     def _tail_inverse(self, p):
         return _bisect_tail(self._tail, p, self.quantile_hint())
@@ -169,9 +160,6 @@ class Exponential(Distribution):
     def _tail(self, x):
         return np.exp(-self.rate * x)
 
-    def _cdf(self, x):
-        return -np.expm1(-self.rate * x)
-
     @_closed_form
     def _raw_moment(self, k):
         return math.factorial(k) / self.rate ** k
@@ -209,9 +197,6 @@ class Gamma(Distribution):
     def _tail(self, x):
         return special.gammaincc(self.shape, x / self.scale)
 
-    def _cdf(self, x):
-        return special.gammainc(self.shape, x / self.scale)
-
     @_closed_form
     def _raw_moment(self, k):
         return self.scale ** k * math.exp(special.gammaln(self.shape + k)
@@ -248,9 +233,6 @@ class Weibull(Distribution):
 
     def _tail(self, x):
         return np.exp(-((x / self.scale) ** self.shape))
-
-    def _cdf(self, x):
-        return -np.expm1(-((x / self.scale) ** self.shape))
 
     @_closed_form
     def _raw_moment(self, k):
@@ -366,14 +348,6 @@ class MaxExp(Distribution):
     def _tail(self, x):
         return self._poly.eval(x)
 
-    def _cdf(self, x):
-        # sum coef * (1 - e^{-r x}) is exact near 0 because coefficients sum to 1
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape)
-        for c, r in self._poly.terms:
-            out += c * (-np.expm1(-r * xa))
-        return out
-
     @_closed_form
     def _raw_moment(self, k):
         return math.fsum(c * math.factorial(k) / r ** k for c, r in self._poly.terms)
@@ -405,13 +379,6 @@ class ExpPolyTail(Distribution):
 
     def _tail(self, x):
         return self.poly.eval(x)
-
-    def _cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape)
-        for c, r in self.poly.terms:
-            out += c * (-np.expm1(-r * xa))
-        return out
 
     @_closed_form
     def _raw_moment(self, k):

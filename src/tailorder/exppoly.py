@@ -192,8 +192,8 @@ class ExpPoly:
             x += max(1.0, 0.5 * abs(x))
         raise ResidualUncertainty("could not certify a dominance horizon")
 
-    def isolate_roots(self, lo: float, hi: float, tol: float = ROOT_WIDTH) -> "RootReport":
-        """Certified isolation of the real roots in [lo, hi].
+    def isolate_roots(self, lo: float, hi: float) -> "RootReport":
+        """Certified isolation of the real roots in [lo, hi] (to ROOT_WIDTH).
 
         Recursion: after factoring out the slowest exponential the derivative
         has one term fewer, so between consecutive critical points the
@@ -202,8 +202,8 @@ class ExpPoly:
         if not lo < hi:
             raise ValueError("domain must be a nondegenerate interval")
         brackets, q, uncertain = _isolate(list(self.coefficients), list(self.rates),
-                                          float(lo), float(hi), tol)
-        settled, close = _settle(brackets, q, tol)
+                                          float(lo), float(hi), ROOT_WIDTH)
+        settled, close = _settle(brackets, q, ROOT_WIDTH)
         roots = [(a, b) for a, b, _ in settled]
         uncertain = uncertain or close
         bound = self.sign_change_bound()
@@ -310,7 +310,7 @@ def _sample(polys, starts):
         if start == 0.0 and _root_free(p.terms):
             roots, uncertain = (), False
         else:
-            report = p.isolate_roots(lo, hi, ROOT_WIDTH)
+            report = p.isolate_roots(lo, hi)
             roots, uncertain = report.isolated_roots, report.residual_uncertainty
         cuts = [lo] + [0.5 * (a + b) for a, b in roots] + [hi]
         plans.append((p, hi, roots, uncertain, list(zip(cuts, cuts[1:]))))

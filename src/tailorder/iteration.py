@@ -108,9 +108,8 @@ class IteratedTail:
     """Tail of the s-iterated distribution of a base lifetime variable.
 
     Immutable after construction.  eval_tail is vectorized, returns values
-    in [0, 1], and equals 1 for x < 0.  normalizers holds the chain of
-    iteration constants for orders 1..s-1 and moments the raw base moments
-    E X^0 .. E X^{s-1}.
+    in [0, 1], and equals 1 for x < 0.  normalizer is the iteration
+    constant of order s - 1, iterated_moment(base, s - 1), and 1.0 at s = 1.
     """
 
     def __init__(self, base: Distribution, s: int, kind: str,
@@ -122,8 +121,7 @@ class IteratedTail:
         self._eval_positive = eval_positive
         self.poly = poly
         self._tail_inverse = tail_inverse
-        self.moments = tuple(base.raw_moment(j) for j in range(self.s))
-        self.normalizers = tuple(iterated_moment(base, j) for j in range(1, self.s))
+        self.normalizer = iterated_moment(base, self.s - 1) if self.s > 1 else 1.0
 
     # -- evaluation -----------------------------------------------------
 

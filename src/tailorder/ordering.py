@@ -145,11 +145,11 @@ class GridSpec:
 
     @classmethod
     def default(cls, X: Distribution, Y: Distribution, *, negative_b: bool = True,
-                na: int = 64, nb: int = 32, a_min: float = 0.05, a_max: float = 20.0,
-                scan: ScanConfig | None = None) -> "GridSpec":
-        """Log-spaced slopes; intercepts cover [0, 5 E Y] plus, when the full
-        two-parameter criterion demands them, negatives down to -5 E X."""
-        a_vals = tuple(np.geomspace(a_min, a_max, na))
+                na: int = 64, nb: int = 32) -> "GridSpec":
+        """Slopes log-spaced on [0.05, 20]; intercepts cover [0, 5 E Y] plus,
+        when the full two-parameter criterion demands them, negatives down
+        to -5 E X."""
+        a_vals = tuple(np.geomspace(0.05, 20.0, na))
         b_max = 5.0 * Y.mean()
         if negative_b:
             # geometric spacing toward 0: the hard cells cluster at small |b|
@@ -159,7 +159,7 @@ class GridSpec:
             b_vals = tuple(np.concatenate([neg, pos]))
         else:
             b_vals = tuple(np.linspace(0.0, b_max, nb))
-        return cls(a_vals, b_vals, scan)
+        return cls(a_vals, b_vals)
 
     def restricted_nonnegative_b(self) -> "GridSpec":
         kept = tuple(b for b in self.b_values if b >= 0.0) or (0.0,)
@@ -670,21 +670,17 @@ def newcrit(X: Distribution, Y: Distribution, s: int,
     return out
 
 
-def _monotone_verdict(fn, criterion: str, s, lo: float, hi: float,
-                      want: str, breakpoints=(), cfg: ScanConfig | None = None) -> Verdict:
-    """Supported iff fn is monotone in the wanted direction on (lo, hi):
-    '-' nonincreasing, '+' nondecreasing.
+def _monotone_verdict(fn, criterion: str, s) -> Verdict:
+    """Supported iff fn, a function of the tail level u, is nonincreasing on
+    (1e-6, 1 - 1e-6).
 
-    Works on sampled values directly (a pair of abscissae whose values move
-    the wrong way beyond the tolerance is a certificate irrespective of
+    Works on 512 log-spaced sampled values directly (a pair of levels whose
+    values rise beyond the tolerance is a certificate irrespective of
     resolution), with a few bisection rounds to tighten the witness pair.
-    The tolerance is relative to the sampled value range, so flat stretches
-    carry no evidence and a constant function counts as monotone."""
-    cfg = cfg or ScanConfig(x_max=hi)
-    xs = np.geomspace(lo, hi, cfg.initial_grid)
-    bps = np.asarray([b for b in breakpoints if lo < b < hi], dtype=float)
-    if bps.size:
-        xs = np.unique(np.concatenate([xs, bps]))
+    The tolerance, 1e-9 of the largest |value|, is relative, so flat
+    stretches carry no evidence and a constant function counts as
+    monotone."""
+    xs = np.geomspace(1e-6, 1.0 - 1e-6, 512)
     vals = np.asarray(fn(xs), dtype=float)
     finite = np.isfinite(vals)
     xs, vals = xs[finite], vals[finite]
@@ -696,11 +692,10 @@ def _monotone_verdict(fn, criterion: str, s, lo: float, hi: float,
     if spread <= 1e-9 * scale:
         return Verdict(SUPPORTED, criterion, s, cells_scanned=1, worst_margin=0.0,
                        reason="constant within tolerance")
-    tol = max(1e-9 * scale, cfg.deadband_abs)
-    sign = -1.0 if want == "-" else 1.0
+    tol = 1e-9 * scale
 
     for _ in range(6):
-        bad = np.nonzero(sign * (vals[1:] - vals[:-1]) < -tol)[0]
+        bad = np.nonzero(vals[1:] - vals[:-1] > tol)[0]
         if bad.size == 0:
             break
         mids = 0.5 * (xs[bad] + xs[bad + 1])
@@ -711,20 +706,18 @@ def _monotone_verdict(fn, criterion: str, s, lo: float, hi: float,
         order = np.argsort(xs, kind="stable")
         xs, vals = xs[order], vals[order]
 
-    diffs = sign * (vals[1:] - vals[:-1])
-    bad = np.nonzero(diffs < -tol)[0]
+    diffs = vals[1:] - vals[:-1]
+    bad = np.nonzero(diffs > tol)[0]
     if bad.size == 0:
         return Verdict(SUPPORTED, criterion, s, cells_scanned=1)
-    worst = int(bad[int(np.argmin(diffs[bad]))])
+    worst = int(bad[int(np.argmax(diffs[bad]))])
     pair_x = (float(xs[worst]), float(xs[worst + 1]))
     pair_v = (float(vals[worst]), float(vals[worst + 1]))
-    wrong = "+" if want == "-" else "-"
-    witness = RefutationWitness(None, None, (wrong,), pair_x, pair_v, tol)
+    witness = RefutationWitness(None, None, ("+",), pair_x, pair_v, tol)
     return Verdict(REFUTED, criterion, s, cells_scanned=1, witness=witness)
 
 
-def compare_dmrl(X: Distribution, Y: Distribution,
-                 cfg: ScanConfig | None = None) -> Verdict:
+def compare_dmrl(X: Distribution, Y: Distribution) -> Verdict:
     """Mean-residual-life order: the ratio of second-iterate tails composed
     with the first-iterate quantiles must be nonincreasing on (0, 1).
     A constant ratio (X and Y indistinguishable) counts as nonincreasing."""
@@ -736,44 +729,22 @@ def compare_dmrl(X: Distribution, Y: Distribution,
         return np.asarray(TY2.eval_tail(TY1.tail_inverse(ua)), dtype=float) \
             / np.asarray(TX2.eval_tail(TX1.tail_inverse(ua)), dtype=float)
 
-    return _monotone_verdict(d, "dmrl", None, 1e-6, 1.0 - 1e-6, "-", cfg=cfg)
+    return _monotone_verdict(d, "dmrl", None)
 
 
-def convexity_check(X: Distribution, Y: Distribution, s: int,
-                    cfg: ScanConfig | None = None, mode: str = "convex") -> Verdict:
-    """Direct check of the transform c_s = tail_{Y,s}^{-1} o tail_{X,s}.
-
-    mode "convex": the slope of c_s, written as a function of the common
-    tail level u (so kinks are sampled exactly), must be nonincreasing in u;
-    mode "star": c_s(x)/x must be nondecreasing in x.  Independent of the
-    pattern sweeps, for cross-checking.
+def convexity_check(X: Distribution, Y: Distribution, s: int) -> Verdict:
+    """Direct check that the transform c_s = tail_{Y,s}^{-1} o tail_{X,s}
+    is convex: its slope, written as a function of the common tail level u
+    (so kinks are sampled exactly), must be nonincreasing in u.
+    Independent of the pattern sweeps, for cross-checking.
     """
     TXs, TYs = iterate(X, s), iterate(Y, s)
-    if mode == "star":
-        def t(x):
-            xa = np.asarray(x, dtype=float)
-            return np.asarray(TYs.tail_inverse(
-                np.clip(TXs.eval_tail(xa), 1e-300, 1.0)), dtype=float) / xa
-
-        hi = TXs.quantile_horizon(1e-8)
-        lo = hi * 1e-6
-        if cfg is None:
-            # bisected inverses carry ~1e-10 absolute noise in x, amplified
-            # by 1/x near the left end of the window
-            cfg = ScanConfig(x_max=hi, deadband_abs=3e-10 / lo)
-        return _monotone_verdict(t, "convexity", s, lo, hi, "+",
-                                 breakpoints=TXs.breakpoints(), cfg=cfg)
-    if mode != "convex":
-        raise ValueError("mode must be 'convex' or 'star'")
-
     if s == 1:
         num_low: Callable = X.density
         den_low: Callable = Y.density
-        mu_x = mu_y = 1.0
     else:
-        TX_prev, TY_prev = iterate(X, s - 1), iterate(Y, s - 1)
-        num_low, den_low = TX_prev.eval_tail, TY_prev.eval_tail
-        mu_x, mu_y = TXs.normalizers[-1], TYs.normalizers[-1]
+        num_low, den_low = iterate(X, s - 1).eval_tail, iterate(Y, s - 1).eval_tail
+    mu_x, mu_y = TXs.normalizer, TYs.normalizer
 
     def slope_at_level(u):
         ua = np.asarray(u, dtype=float)
@@ -783,5 +754,4 @@ def convexity_check(X: Distribution, Y: Distribution, s: int,
         den = np.asarray(den_low(qy), dtype=float) / mu_y
         return num / den
 
-    return _monotone_verdict(slope_at_level, "convexity", s, 1e-6, 1.0 - 1e-6, "-",
-                             cfg=cfg)
+    return _monotone_verdict(slope_at_level, "convexity", s)

@@ -9,7 +9,7 @@ intervals for each sign change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -116,16 +116,6 @@ class SignPattern:
                 raise ValueError("adjacent signs must differ")
         if any(b < a for a, b in zip(self.witnesses, self.witnesses[1:])):
             raise ValueError("witnesses must be increasing")
-
-    def negated(self) -> "SignPattern":
-        flip = {PLUS: MINUS, MINUS: PLUS}
-        return SignPattern(
-            tuple(flip[s] for s in self.signs),
-            self.witnesses,
-            self.change_points,
-            self.confidence,
-            self.uncertain,
-        )
 
     def __str__(self) -> str:
         return ",".join(self.signs) if self.signs else "(none)"

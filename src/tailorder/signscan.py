@@ -377,7 +377,13 @@ def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
     return xs, vals, cell, signs
 
 
-def check_integration_lemma(f: ExpPoly, cfg: ScanConfig | None = None) -> bool:
+def exppoly_window(f: ExpPoly) -> float:
+    """Scan window x_max of an exponential polynomial: 20 of its slowest
+    decay lengths, and at least 50."""
+    return max(50.0, 20.0 / f.rates[0])
+
+
+def check_integration_lemma(f: ExpPoly) -> bool:
     """Check that the sign pattern of g(x) = integral of f from x to infinity
     is a final part of the pattern of f.
 
@@ -392,7 +398,7 @@ def check_integration_lemma(f: ExpPoly, cfg: ScanConfig | None = None) -> bool:
         if pf.uncertain or pg.uncertain:
             raise ResidualUncertainty
     except ResidualUncertainty:
-        cfg = cfg or ScanConfig(x_max=max(50.0, 20.0 / f.rates[0]))
+        cfg = ScanConfig(x_max=exppoly_window(f))
         pf = scan(f.eval, cfg)
         pg = scan(g.eval, cfg)
     return matches(pg, [pf.signs])

@@ -880,7 +880,7 @@ def _reference_sign_pattern(p, start=0.0, seen=None):
     if start == 0.0 and exppoly._root_free(p.terms):
         roots, uncertain = (), False
     else:
-        report = p.isolate_roots(lo, hi, exppoly.ROOT_WIDTH)
+        report = p.isolate_roots(lo, hi)
         roots, uncertain = report.isolated_roots, report.residual_uncertainty
     rates = p.rates
     terms = exppoly._terms(p.coefficients, rates)
@@ -950,10 +950,10 @@ def _forced_roots(monkeypatch):
     inner = ExpPoly.isolate_roots
     forced = {FLAT: ((0.9, 0.9 + 1e-12),), STEP_ZERO: ((0.0, 6 * _TINY),)}
 
-    def isolate(self, lo, hi, tol=exppoly.ROOT_WIDTH):
+    def isolate(self, lo, hi):
         if self.terms in forced:
             return exppoly.RootReport(2, forced[self.terms], False)
-        return inner(self, lo, hi, tol)
+        return inner(self, lo, hi)
 
     monkeypatch.setattr(ExpPoly, "isolate_roots", isolate)
 

@@ -707,7 +707,6 @@ class TestConvexity:
     def test_identity_transform(self):
         e = Exponential(1.0)
         assert convexity_check(e, e, 2).supported
-        assert convexity_check(e, e, 2, mode="star").supported
 
     def test_branched_pareto_transform(self):
         X, Y = BranchedPareto(5.0, 10.0), BranchedPareto(2.0, 6.0)
@@ -721,10 +720,6 @@ class TestConvexity:
         X, Y = Weibull(2.0, 1.0), Gamma(2.0, 1.0)
         assert convexity_check(X, Y, 1).supported
         assert compare_ifr(X, Y, 1, SMALL).supported
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            convexity_check(Exponential(1.0), Exponential(1.0), 1, mode="affine")
 
 
 # ----------------------------------------------------------------------

@@ -579,10 +579,6 @@ class TestSignPatternInvariants:
         with pytest.raises(ValueError):
             SignPattern(("+", "-"), (1.0,), ((1.5, 1.6),))
 
-    def test_exact_confidence_survives_negation(self):
-        pat = SignPattern(("+", "-"), (1.0, 3.0), ((2.0, 2.1),), "exact")
-        assert pat.negated().confidence == "exact"
-
     def test_invalid_sign_from_a_caller_is_rejected(self):
         for signs in (("+", "x"), ("+", ""), ["-", "*"], ("+-",)):
             with pytest.raises(ValueError, match="invalid sign"):
