@@ -21,7 +21,7 @@ from .distributions import Distribution, MaxExp
 from .errors import ClassifierDisagreement, TailUnderflow
 from .exppoly import ExpPoly
 from .iteration import iterate, residual_partial_moment
-from .patterns import DEFAULT_X_MAX, EXACT, SAMPLED, ScanConfig, SignPattern
+from .patterns import EXACT, SAMPLED, ScanConfig, SignPattern
 from .signscan import exppoly_window, scan
 
 __all__ = ["MonotoneClass", "failure_rate", "classify_ifr", "classify_ifra",
@@ -97,14 +97,17 @@ def _rate_slope_poly(d: Distribution, s: int) -> ExpPoly | None:
 
 
 def _default_cfg(d: Distribution, s: int, cfg: ScanConfig | None) -> ScanConfig:
-    if cfg is not None:
-        return cfg.with_x_max(DEFAULT_X_MAX)
+    """cfg, or the default configuration, with an unset x_max filled in by
+    d's own window: exppoly_window of an exponential-polynomial tail, else
+    the 1e-10 quantile horizon of its s-th iterate."""
+    if cfg is not None and cfg.x_max is not None:
+        return cfg
     poly = d.exp_poly_tail()
     if poly is not None:
         x_max = exppoly_window(poly)
     else:
         x_max = iterate(d, s).quantile_horizon(1e-10)
-    return ScanConfig(x_max=x_max)
+    return (cfg or ScanConfig()).with_x_max(x_max)
 
 
 def _monotone_from_pattern(pattern: SignPattern, s: int, confidence: str) -> MonotoneClass:

@@ -131,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--criterion", default="ifr",
                    choices=["ifr", "ifra", "hs", "hs1", "newcrit", "dmrl", "convexity"])
-    p.add_argument("--a-grid", type=int, default=64)
-    p.add_argument("--b-grid", type=int, default=32)
+    p.add_argument("--a-grid", type=int, default=None,
+                   help="slopes of the (a, b) grid (default 64; not for dmrl, convexity)")
+    p.add_argument("--b-grid", type=int, default=None,
+                   help="intercepts of the (a, b) grid (default 32; not for dmrl, convexity)")
 
     p = sub.add_parser("roots", help="isolate real roots of an exponential polynomial")
     p.add_argument("--exppoly", required=True)
@@ -174,6 +176,13 @@ def _cmd_compare(args) -> int:
     Y = parse_distribution(args.y)
     if args.s < 1:
         raise ValueError("--s must be at least 1 (iteration order)")
+    monotone = args.criterion in ("dmrl", "convexity")
+    if monotone and (args.a_grid is not None or args.b_grid is not None):
+        raise ValueError(f"--a-grid and --b-grid do not apply to --criterion {args.criterion}, "
+                         "which scans no (a, b) grid")
+    if args.criterion == "dmrl" and args.s != 1:
+        raise ValueError("--s does not apply to --criterion dmrl, which compares the first "
+                         "and second iterates")
     t0 = time.perf_counter()
     if args.criterion == "dmrl":
         verdict = compare_dmrl(X, Y)
@@ -181,7 +190,8 @@ def _cmd_compare(args) -> int:
         verdict = convexity_check(X, Y, args.s)
     else:
         grid = GridSpec.default(X, Y, negative_b=args.criterion in ("ifr", "hs", "hs1"),
-                                na=args.a_grid, nb=args.b_grid)
+                                na=64 if args.a_grid is None else args.a_grid,
+                                nb=32 if args.b_grid is None else args.b_grid)
         if args.criterion == "ifr":
             verdict = compare_ifr(X, Y, args.s, grid)
         elif args.criterion == "ifra":

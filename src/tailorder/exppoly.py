@@ -13,6 +13,14 @@ count minus one, with no numerical differentiation anywhere.  Only the top
 level's roots are bisected down to ROOT_WIDTH; the roots of each inner
 level, the critical points of the level above, are bisected only until that
 level provably keeps one sign across them.
+
+The coefficient-sign rule runs on term tables (_Terms), one polynomial per
+row, in one pass of numpy column operations over all rows (_sign_rule, with
+_rule and _root_free reading its two halves); every row gets, bit for bit,
+the values and decisions that the same steps on its terms alone give.
+ordering builds the closed cells of a sweep batch as such a table and
+settles them with one such pass; _sample reads the flags that pass gave, or
+runs it on the table its polynomials are rows of.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import logging
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +69,6 @@ def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
     pairs.sort(key=itemgetter(1))
     if not pairs:
         raise ValueError("at least one term is required")
-    return _merge_sorted(pairs)
-
-
-def _merge_sorted(pairs) -> tuple[tuple[float, float], ...]:
-    """_merge_terms of a nonempty list of float (coefficient, rate) pairs
-    with positive rates, already in stable order of increasing rate."""
     tol = RATE_MERGE_REL * pairs[-1][1]
     coefs: list[float] = []
     rates: list[float] = []
@@ -84,14 +87,17 @@ def _merge_sorted(pairs) -> tuple[tuple[float, float], ...]:
         if c == 0.0:
             continue
         if abs(c) < floor:
-            # pure cancellation residue (a few ulps) is routine; anything
-            # larger deserves attention
-            level = logging.DEBUG if abs(c) < 100 * _EPS * top \
-                else logging.WARNING
-            logger.log(level, "pruning negligible coefficient %.3e at rate %.6g", c, r)
+            _log_pruned(c, r, top)
             continue
         kept.append((c, r))
     return tuple(kept)
+
+
+def _log_pruned(c, r, top):
+    # pure cancellation residue (a few ulps) is routine; anything larger
+    # deserves attention
+    level = logging.DEBUG if abs(c) < 100 * _EPS * top else logging.WARNING
+    logger.log(level, "pruning negligible coefficient %.3e at rate %.6g", c, r)
 
 
 @dataclass(frozen=True)
@@ -277,6 +283,31 @@ def _sign_patterns(polys, starts) -> list[SignPattern]:
             for p, start, sampled in zip(polys, starts, _sample(polys, starts))]
 
 
+class _Row(ExpPoly):
+    """An ExpPoly that is row k of a term table (_Terms), with the row's
+    _root_free flag when the table's rule pass gave it (_sign_rule).
+    _sample reads those flags, or else the rows of the table its
+    polynomials share, instead of building a table of their terms."""
+
+    def __init__(self, table, k, terms, free=None):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_row", (table, k))
+        object.__setattr__(self, "_free", free)
+
+
+def _table_of(polys) -> "_Terms":
+    """The term table of polys: the rows of the one table they are all rows
+    of (_Row), or else one built from their terms."""
+    rows = [getattr(p, "_row", None) for p in polys]
+    table = rows[0][0] if rows[0] is not None else None
+    if table is not None and all(row is not None and row[0] is table for row in rows):
+        picked = [k for _, k in rows]
+        if picked == list(range(len(table.coefs))):
+            return table
+        return _Terms(*(col[picked] for col in table))
+    return _Terms.of([p.terms for p in polys])
+
+
 class _Sampled(ExpPoly):
     """An ExpPoly whose regions on (start, inf) were sampled in a batch;
     sign_pattern_exact at that start reads those samples."""
@@ -301,13 +332,19 @@ def _sample(polys, starts):
     pass each, every sample with the bits that np.linspace and
     ExpPoly.eval give it alone; a far region's samples are evaluated
     relative to the head term, region by region."""
+    at_zero = [k for k, start in enumerate(starts) if start == 0.0]
+    free = np.zeros(len(polys), dtype=bool)
+    if at_zero:
+        known = [getattr(polys[k], "_free", None) for k in at_zero]
+        free[at_zero] = known if None not in known else \
+            _root_free(_table_of([polys[k] for k in at_zero]))
     plans = []
-    for p, start in zip(polys, starts):
+    for p, start, skip in zip(polys, starts, free.tolist()):
         horizon = p.dominance_horizon(start)
         shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
         lo = start + shift
         hi = max(horizon + 1.0, lo + 1.0)
-        if start == 0.0 and _root_free(p.terms):
+        if skip:
             roots, uncertain = (), False
         else:
             report = p.isolate_roots(lo, hi)
@@ -399,23 +436,17 @@ def _region_points(a, b):
 def _region_values(rows, xs):
     """ExpPoly.eval of each polynomial of rows, given by its terms, at the
     points of its row of xs, bit for bit (see the note below).  The terms
-    are padded to a common count, and each row's Kahan updates stop at
-    its own."""
-    count = max(map(len, rows), default=0)
-    coefs = np.zeros((len(rows), count))
-    rates = np.zeros((len(rows), count))
-    for k, terms in enumerate(rows):
-        coefs[k, :len(terms)], rates[k, :len(terms)] = zip(*terms)
-    sizes = np.array([len(terms) for terms in rows])
+    are right-aligned to a common count (_pad), so a row's Kahan updates
+    start at its own first term."""
+    coefs, rates, _ = _pad(rows)
     parts = coefs[:, :, None] * _exp(-rates[:, :, None] * xs[:, None, :])
     total = np.zeros(xs.shape)
     comp = np.zeros(xs.shape)
-    for j in range(count):
+    for j in range(coefs.shape[1]):
         y = parts[:, j] - comp
         t = total + y
-        live = (sizes > j)[:, None]
-        comp = np.where(live, (t - total) - y, comp)
-        total = np.where(live, t, total)
+        comp = (t - total) - y
+        total = t
     return total
 
 
@@ -427,10 +458,11 @@ def _region_values(rows, xs):
 # np.exp calls in ExpPoly.eval and dominance_horizon, and for
 # _region_values, which evaluates many polynomials as ExpPoly.eval does
 # one: the same np.exp of the same -r x per term, and the same Kahan steps
-# in the same term order.  Its rows are padded with zero terms, and a
-# zero term is not a no-op in a Kahan sum (it adds the pending
-# compensation to the total), so a row's updates past its own term count
-# are masked out.
+# in the same term order.  Its rows are padded in front with zero terms,
+# which leave a Kahan sum at exactly 0 until the row's first term (a zero
+# term after it would add the pending compensation to the total).  The
+# term tables of _rule_parts follow the same layout and take their
+# exponentials from math.exp, one call per distinct argument.
 
 
 def _sign_changes(values) -> int:
@@ -439,10 +471,124 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _rule_parts(terms):
-    """(value at ROOT_WIDTH, term scale there, bound on the zeros on x > 0)
-    of f = sum c exp(-r x), terms its (c, r) pairs in increasing-rate order,
-    in one pass.
+class _Terms(NamedTuple):
+    """A term table: row k holds the terms of one exponential polynomial
+    f_k = sum c exp(-r x), its live entries in increasing-rate order and
+    right-aligned, after dead entries of coefficient 0 and rate 1.  exps
+    holds math.exp of each live entry's -r ROOT_WIDTH, clamped as
+    _eval_scale clamps it (1 on dead entries).
+
+    Dead entries in front are no-ops for every pass below: a Kahan sum, a
+    running sum and a running sum of |c| all stay exactly 0 through them.
+    A dead entry between live ones would not be (a zero term adds a Kahan
+    sum's pending compensation to its total), so the passes take the live
+    entries of each row as one run."""
+
+    coefs: np.ndarray
+    rates: np.ndarray
+    live: np.ndarray
+    exps: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "_Terms":
+        """The table of rows, each a nonempty tuple of (coefficient, rate)
+        pairs in increasing-rate order."""
+        coefs, rates, live = _pad(rows)
+        z = np.minimum(np.maximum(-rates * ROOT_WIDTH, _EXP_LO), _EXP_HI)
+        return cls(coefs, rates, live, _exps(np.where(live, z, 0.0)))
+
+    def rows(self, ks) -> list[tuple[tuple[float, float], ...]]:
+        """The live terms of each row of ks, as pairs of Python floats."""
+        firsts = np.argmax(self.live[ks], axis=1).tolist()
+        return [tuple(zip(c[j:], r[j:])) for c, r, j in
+                zip(self.coefs[ks].tolist(), self.rates[ks].tolist(), firsts)]
+
+
+def _pad(rows):
+    """(coefficients, rates, live mask) of rows, each a nonempty tuple of
+    (coefficient, rate) pairs, right-aligned as in _Terms."""
+    count = max(map(len, rows), default=0)
+    table = np.array([((0.0, 1.0),) * (count - len(terms)) + terms for terms in rows]
+                     ).reshape(len(rows), count, 2)
+    live = np.arange(count) >= count - np.array([len(terms) for terms in rows])[:, None]
+    return table[:, :, 0], table[:, :, 1], live
+
+
+def _exps(z):
+    """math.exp of every entry of the float array z, one call per distinct
+    value; an argument past the float range gives inf (math.exp raises
+    there)."""
+    flat = z.ravel().tolist()
+    memo = {v: _exp_or_inf(v) for v in set(flat)}
+    return np.array([memo[v] for v in flat]).reshape(z.shape)
+
+
+def _exp_or_inf(z):
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
+
+
+def _merge_rows(coefs, rates, live):
+    """The merge step of _merge_terms on every row of a table, as
+    (coefficients, live mask, whether any merged).  Each row's live entries
+    are in stable increasing-rate order, and every dead entry between two
+    live ones keeps its rate in that order.  An entry within RATE_MERGE_REL
+    of the row's largest live rate from the first entry of its group is
+    summed into it and dies, in one column pass.
+
+    That pass runs only where two neighbouring entries, the right one live,
+    lie that close by the largest tolerance any row could have: merging
+    needs two live entries that close, and between two live entries every
+    gap is at most their distance.  Dead entries in front of a row's first
+    live one can only make the pass run in vain."""
+    with np.errstate(invalid="ignore"):
+        close = live[:, 1:] & (np.abs(rates[:, 1:] - rates[:, :-1])
+                               <= RATE_MERGE_REL * np.max(rates[:, -1]))
+    if not close.any():
+        return coefs, live, False
+    n, m = coefs.shape
+    last = rates[np.arange(n), m - 1 - np.argmax(live[:, ::-1], axis=1)]
+    tol = RATE_MERGE_REL * last
+    coefs, live = coefs.copy(), live.copy()
+    started = np.zeros(n, dtype=bool)
+    first = np.zeros(n)
+    group = np.zeros(n, dtype=np.intp)
+    for j in range(m):
+        on = live[:, j]
+        merge = on & started & (np.abs(rates[:, j] - first) <= tol)
+        if merge.any():
+            rows = np.flatnonzero(merge)
+            coefs[rows, group[rows]] += coefs[rows, j]
+            coefs[rows, j] = 0.0
+            live[rows, j] = False
+        new = on & ~merge
+        first = np.where(new, rates[:, j], first)
+        group = np.where(new, j, group)
+        started |= on
+    return coefs, live, True
+
+
+def _prune_rows(coefs, rates, live):
+    """The pruning step of _merge_terms on every row of a table whose dead
+    coefficients are 0, as (coefficients, live mask, whether any entry
+    died): zero coefficients, and those below PRUNE_REL of the row's largest
+    |coefficient|, die and become 0.  The coefficients are not nan."""
+    mag = np.abs(coefs)
+    top = mag.max(axis=1)
+    kept = live & (mag > 0.0) & (mag >= PRUNE_REL * top[:, None])
+    died = kept != live
+    if not died.any():
+        return coefs, live, False
+    for k, j in zip(*np.nonzero(died & (mag > 0.0))):
+        _log_pruned(float(coefs[k, j]), float(rates[k, j]), float(top[k]))
+    return np.where(kept, coefs, 0.0), kept, True
+
+
+def _rule_parts(t: _Terms):
+    """(values at ROOT_WIDTH, term scales there, bounds on the zeros on
+    x > 0) of the rows of a term table, each by one pass in term order.
 
     The value and scale are _eval_scale's, by the same operations in the
     same order.  The bound counts zeros with multiplicity: the sign changes
@@ -453,62 +599,71 @@ def _rule_parts(terms):
     A partial sum within the rounding noise of its summation (k + 1 ulps
     of the running sum of |c_j|) has no known sign, and drops the second
     bound."""
-    x = ROOT_WIDTH
-    total = comp = scale = 0.0
-    psum = size = 0.0
-    pos = ppos = terms[0][0] > 0
-    changes = pchanges = 0
-    partial = True
-    for k, (c, r) in enumerate(terms, 1):
-        z = -r * x
-        if z < _EXP_LO:
-            z = _EXP_LO
-        elif z > _EXP_HI:
-            z = _EXP_HI
-        e = math.exp(z)
-        y = c * e - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        scale += abs(c) * e
-        if (c > 0) != pos:
-            pos = not pos
-            changes += 1
-        if partial:
-            psum += c
-            size += abs(c)
-            if abs(psum) <= k * _EPS * size:
-                partial = False
-            elif (psum > 0) != ppos:
-                ppos = not ppos
-                pchanges += 1
-    return total, scale, min(changes, pchanges) if partial else changes
+    coefs, _, live, exps = t
+    # inf and nan propagate as in Python floats, which do not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = coefs * exps
+        # the first Kahan step from total = comp = 0, then the others
+        total = parts[:, 0] + 0.0
+        comp = total - parts[:, 0]
+        for j in range(1, coefs.shape[1]):
+            y = parts[:, j] - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        mag = np.abs(coefs)
+        # running sums, each in term order: the term scale, the partial
+        # sums, the sums of |c| and the term counts
+        scale, psum, size, count = np.cumsum(np.stack((mag * exps, coefs, mag, live)), axis=2)
+        noisy = (live & (np.abs(psum) <= count * _EPS * size)).any(axis=1)
+    signs = np.stack((coefs > 0, psum > 0))
+    # a change between two live entries: the live entries are one run
+    changes, pchanges = np.count_nonzero((signs[:, :, 1:] != signs[:, :, :-1]) & live[:, :-1],
+                                         axis=2)
+    return total, scale[:, -1], np.where(noisy, changes, np.minimum(changes, pchanges))
 
 
-def _rule(terms):
-    """(sign at 0+, sign at infinity) of f = sum c exp(-r x), terms its
-    (c, r) pairs in increasing-rate order, where the coefficient signs fix
-    its sign sequence on (ROOT_WIDTH, inf), or None.
+def _sign_rule(t: _Terms):
+    """(_rule's reading as arrays: decided, sign at 0+ positive, sign at
+    infinity positive; _root_free's flags) of every row of a term table,
+    from one _rule_parts pass over the rows of each f and of its f'."""
+    n = len(t.coefs)
+    with np.errstate(over="ignore", under="ignore"):
+        slope = -t.rates * t.coefs
+    coefs, live = np.concatenate((t.coefs, slope)), np.concatenate((t.live, t.live))
+    val, scale, bound = _rule_parts(_Terms(coefs, None, live, np.concatenate((t.exps, t.exps))))
+    size, floor = np.abs(val), TOUCH_REL * scale
+    head = val > 0
+    tail = coefs[np.arange(2 * n), np.argmax(live, axis=1)] > 0  # the slowest live term's
+    decided = (size > floor) & (bound < (head != tail) + 2)
+    same = (size[:n] > floor[:n]) & (head[:n] == tail[:n])
+    mag = np.abs(slope)
+    finite = np.all(((mag > 0.0) & (mag < math.inf)) | ~t.live, axis=1)
+    # a nan value is neither beyond the floor nor within it
+    free = same & (bound[:n] < 2) | (same | (size[:n] <= floor[:n])) & finite & decided[n:]
+    return (decided[:n], head[:n], tail[:n]), free
+
+
+def _rule(t: _Terms):
+    """(sign at 0+, sign at infinity) of each row f of a term table where its
+    coefficient signs fix its sign sequence on (ROOT_WIDTH, inf), else
+    None, one entry per row; a row with no live term decides nothing.
 
     The zeros there number at most _rule_parts' bound, and their count has
     the parity of a sign change between f(ROOT_WIDTH) and c_0, the sign at
     infinity.  A bound below that parity plus 2 leaves the parity as the
     count: no zero, or one crossing.  A value at ROOT_WIDTH inside the
-    noise floor (TOUCH_REL of the term scale) has no parity."""
-    val, scale, bound = _rule_parts(terms)
-    if not abs(val) > TOUCH_REL * scale:  # a nan value lands here too
-        return None
-    head = "+" if val > 0 else "-"
-    tail = "+" if terms[0][0] > 0 else "-"
-    if bound >= (head != tail) + 2:
-        return None
-    return head, tail
+    noise floor (TOUCH_REL of the term scale) has no parity, and nor has a
+    nan one."""
+    decided, head, tail = (col.tolist() for col in _sign_rule(t)[0])
+    return [("+" if h else "-", "+" if s else "-") if d else None
+            for d, h, s in zip(decided, head, tail)]
 
 
-def _root_free(terms):
-    """Whether the coefficient signs prove that f = sum c exp(-r x), terms
-    its (c, r) pairs in increasing-rate order, has no zero on (ROOT_WIDTH,
-    inf), so that isolation there finds none (Rolle's theorem):
+def _root_free(t: _Terms):
+    """Whether the coefficient signs prove that f, each row of a term table,
+    has no zero on (ROOT_WIDTH, inf), so that isolation there finds none
+    (Rolle's theorem), as a boolean array:
 
     (a) _rule(f) fixes no crossing;
     (b) _rule(f') fixes no crossing, f' = sum -r c exp(-r x): f is monotone
@@ -523,18 +678,7 @@ def _root_free(terms):
     zero, (b) being impossible then; such a value, a nan one and a
     derivative coefficient that overflows or underflows to zero leave f to
     isolation."""
-    val, scale, bound = _rule_parts(terms)
-    floor = TOUCH_REL * scale
-    touch = abs(val) <= floor
-    same = abs(val) > floor and (val > 0) == (terms[0][0] > 0)
-    if not (touch or same):
-        return False
-    if same and bound < 2:
-        return True  # (a)
-    slope = [(-r * c, r) for c, r in terms]
-    if not all(0.0 < abs(d) < math.inf for d, _ in slope):
-        return False
-    return _rule(slope) is not None  # (b) or (c)
+    return _sign_rule(t)[1]
 
 
 def _terms(coefs, rates):

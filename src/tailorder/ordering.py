@@ -15,21 +15,27 @@ A grid scan cannot prove a universally quantified statement: Supported
 means no violation was found at the configured resolution (the grid is part
 of the verdict so runs are reproducible), Refuted carries a re-checkable
 witness, and Inconclusive reports unresolved evidence.
+
+Where both sides of a comparison function are exponential polynomials, the
+sweeps evaluate a batch of cells through one term table of their closed
+forms (_closed_cells), built from side tables per distinct slope and
+intercept; criterion_h settles both of its forms from that table with one
+pass of the coefficient-sign rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, product
-from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import RATE_MERGE_REL, ExpPoly, _merge_sorted, _rule, _sign_patterns
+from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _Row,
+                      _merge_rows, _prune_rows, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -365,60 +371,301 @@ def _degenerate(a: float, b: float) -> _CellResult:
     return _CellResult(a, b, None, degenerate=True)
 
 
-def _closed_cell(form: _Form, a: float, b: float) -> ExpPoly | _CellResult | None:
-    """The form at (a, b) as an exponential polynomial on x > max(0, -b/a),
-    or a decided cell when its sides cancel there: degenerate at b >= 0,
-    of sign left alone at b < 0.  None keeps the cell on the sampled scan:
-    when the sides are not exponential polynomials, at b < 0 without a
-    left sign, when composing at a x + b overflows or every X coefficient
-    underflows, and when a term slower than every kept one was pruned as
-    negligible (say, X shrunk by a large b): it would have decided the
-    sign of the tail.  Only terms of both sides can cancel, so a missing
-    term of one side alone was pruned.
+#: what a batch's term table makes of each (form, cell) row: left to the
+#: sampled scan, an exponential polynomial, degenerate, or of the form's
+#: left sign alone
+_SAMPLED, _CLOSED, _DEGENERATE, _LEFT = range(4)
 
-    The X side is composed at a x + b, scaled and subtracted as term
-    lists, each step merged and pruned as an ExpPoly of its terms would
-    be, in that order, and only the difference is built as an ExpPoly."""
-    if form.sides is None or (b < 0 and form.left is None):
-        return None
-    hy, hx = form.sides
-    scale = a ** form.k / form.ex
-    if scale == 0.0:  # the X side collapses, as ExpPoly.scaled refuses it
-        return None
-    try:
-        xterms = [(c * math.exp(-r * b), r * a) for c, r in hx.terms]
-    except OverflowError:
-        return None
-    # a x + b keeps hx's rate order; a rate lost to underflow (or a NaN
-    # slope) fails the positivity check an ExpPoly makes of its rates
-    if not xterms[0][1] > 0:
-        return None
-    xterms = _merge_sorted(xterms)
-    if xterms and scale != 1.0:  # rescaling by 1 (V's scale) changes nothing
-        xterms = _merge_sorted([(c * scale, r) for c, r in xterms])
-    if not xterms:  # every X coefficient underflowed
-        return None
-    terms = _merge_sorted(sorted(hy.terms + tuple((-c, r) for c, r in xterms), key=itemgetter(1)))
-    if not terms:
-        if b >= 0:
-            return _degenerate(a, b)
-        return _CellResult(a, b, SignPattern((form.left,), (-b / a / 2.0,), (), EXACT), form)
-    slowest = terms[0][1]
-    if min(hy.terms[0][1], xterms[0][1]) < slowest:
-        tol = RATE_MERGE_REL * max(hy.terms[-1][1], xterms[-1][1])
-        for own, other in ((hy.terms, xterms), (xterms, hy.terms)):
-            if any(r < slowest and all(abs(r - q) > tol for _, q in other) for _, r in own):
-                return None
-    closed = object.__new__(ExpPoly)
-    object.__setattr__(closed, "terms", terms)
-    return closed
+
+@dataclass(frozen=True)
+class _Closed:
+    """The closed cells of a sweep batch in one or more forms: row
+    f * len(cells) + i is form f at cell i, kind says what became of it,
+    and terms (None when no form has exponential-polynomial sides) is the
+    term table whose live entries in the _CLOSED rows are the cells' closed
+    forms."""
+
+    forms: tuple
+    cells: list
+    kind: list
+    terms: _Terms | None
+    free: list | None = None
+
+    def outcomes(self, f: int, idx) -> list[ExpPoly | _CellResult | None]:
+        """Form f at each cell i of idx as an exponential polynomial (with its
+        root-free flag, when free holds the rows' flags from
+        exppoly._sign_rule), a decided cell, or None for the sampled scan."""
+        rows = [f * len(self.cells) + i for i in idx]
+        closed = [row for row in rows if self.kind[row] == _CLOSED]
+        terms = dict(zip(closed, self.terms.rows(closed))) if closed else {}
+        out = []
+        for i, row in zip(idx, rows):
+            kind = self.kind[row]
+            a, b = self.cells[i]
+            if kind == _CLOSED:
+                out.append(_Row(self.terms, row, terms[row],
+                                None if self.free is None else self.free[row]))
+            elif kind == _DEGENERATE:
+                out.append(_degenerate(a, b))
+            elif kind == _LEFT:
+                out.append(_CellResult(a, b, SignPattern((self.forms[f].left,), (-b / a / 2.0,),
+                                                         (), EXACT), self.forms[f]))
+            else:
+                out.append(None)
+        return out
+
+
+def _closed_cells(forms, cells) -> _Closed:
+    """Each form of forms at each cell (a, b) of cells as an exponential
+    polynomial on x > max(0, -b/a), in one term table, or a decided cell
+    when its sides cancel there: degenerate at b >= 0, of sign left alone at
+    b < 0.  A row stays on the sampled scan when the form's sides are not
+    exponential polynomials, at b < 0 without a left sign, when the scale
+    a^k / ex is 0, when composing at a x + b or scaling overflows or every X
+    coefficient underflows (an ExpPoly would refuse such terms), and when a
+    term slower than every kept one was pruned as negligible (say, X shrunk
+    by a large b): it would have decided the sign of the tail.  Only terms
+    of both sides can cancel, so a missing term of one side alone was
+    pruned.
+
+    The table's columns are the Y side's terms and the X side's composed
+    at a x + b, each row sorted stably by rate: the X side is composed,
+    merged and pruned, scaled and pruned, and subtracted, merged and pruned
+    as ExpPoly steps would do it, bit for bit, each step one masked pass
+    over the rows, and a merge only where rates lie close enough.  Rates,
+    their order and their exponentials depend on the slope alone, and
+    composed X coefficients on the intercept alone, so these come per
+    distinct a and b (_side_tables)."""
+    n, nf = len(cells), len(forms)
+    if not cells or all(form.sides is None for form in forms):
+        return _Closed(tuple(forms), cells, [_SAMPLED] * (nf * n), None)
+    apos: dict = {}
+    bpos: dict = {}
+    ai = [apos.setdefault(a, len(apos)) for a, _ in cells]
+    bi = [bpos.setdefault(b, len(bpos)) for _, b in cells]
+    side = _side_tables(forms, list(apos), list(bpos))
+    na, nb = len(apos), len(bpos)
+    # each row's form, its group, and its (form, a), (form, b), (group, a)
+    fa, fb = np.array(ai), np.array(bi)
+    ga, fi = fa, np.zeros(n, dtype=np.intp)
+    gi = fi
+    if nf > 1:
+        fi = np.repeat(np.arange(nf), n)
+        gi = np.array(side.group)[fi]
+        fa, fb = np.tile(fa, nf), np.tile(fb, nf)
+        fa, fb, ga = fa + fi * na, fb + fi * nb, fa + gi * na
+    xmerged = dropped = scaled = False
+    with np.errstate(all="ignore"):
+        # composed at a x + b; in a row that can close only the padding is
+        # dead, and its coefficients are 0
+        xr = side.xrate[ga]
+        xl = side.xlive[fa] & side.ok_b[fb][:, None]
+        xc = side.xcoef[fb]
+        if side.x_close:
+            xc, xl, xmerged = _merge_rows(xc, xr, xl)
+        if side.x_close or not side.kept:
+            xc, xl, dropped = _prune_rows(xc, xr, xl)
+        if not side.unit:  # scaling by 1 changes nothing, nor does pruning again
+            xc = xc * side.scale[fa][:, None]
+            if side.x_close or not side.scaled_kept:
+                finite = np.isfinite(xc).all(axis=1)
+                if not finite.all():
+                    xl &= finite[:, None]
+                    xc = np.where(xl, xc, 0.0)
+                xc, xl, scaled = _prune_rows(xc, xr, xl)
+        ok = xl.any(axis=1)  # an X side left, in a cell that can close
+        idx = side.order[ga] + (np.arange(len(ga)) * side.order.shape[1])[:, None]
+        coefs = np.concatenate((side.ycoef[fi], -xc), axis=1).ravel()[idx]
+        live = np.concatenate((side.ylive[gi] & ok[:, None], xl), axis=1).ravel()[idx]
+        rates = side.rates[ga]
+        merged = False
+        if side.close:
+            coefs, live, merged = _merge_rows(coefs, rates, live)
+        coefs, live, pruned = _prune_rows(coefs, rates, live)
+        nonempty = live.any(axis=1)
+        closed = nonempty
+        if merged or pruned:
+            closed = nonempty & ~_pruned_slow_term(live, rates, side.ylive[gi],
+                                                   side.yrate[gi], xl, xr)
+            live &= closed[:, None]
+    kind = np.where(closed, _CLOSED, _SAMPLED)
+    empty = ok & ~nonempty
+    if empty.any():
+        b = np.array([b for _, b in cells] * nf)[empty]
+        kind[empty] = np.where(b >= 0, _DEGENERATE, _LEFT)
+    return _Closed(tuple(forms), cells, kind.tolist(), _compact(
+        coefs, rates, live, side.exps[ga], xmerged or dropped or scaled or merged or pruned,
+        bool(closed.all())))
+
+
+class _Sides(NamedTuple):
+    """The sides of a batch's forms, the terms right-aligned to the most any
+    form has, in front of them dead entries of coefficient 0 and rate -inf.
+
+    Forms whose sides have the same rates (the density and survival forms
+    do) share a group, and what depends on rates alone comes per group:
+    the Y rates and live mask, and per group and distinct slope a (row
+    g * len(a_vals) + i) the X rates r a, and of the columns Y then X the
+    stable order by rate, the rates (the padding's 1, as in _Terms) and
+    the exps in that order.  group holds each form's group.
+
+    Per form: the Y coefficients.  Per form and distinct intercept b (row
+    f * len(b_vals) + j): the X coefficients composed at b, c exp(-r b),
+    and whether a cell there can close (not at b < 0 without a left sign,
+    nor where c exp(-r b) overflows).  Per form and distinct slope: whether
+    each X term is live (not where the scale a^k / ex is 0 or a rate
+    leaves (0, inf)) and the scale.
+
+    x_close and close say whether two X rates, or two rates of the sorted
+    columns, of one row lie close enough to merge.  kept says that pruning
+    keeps every composed X coefficient of every intercept, with room to
+    spare, and scaled_kept that it still does after any scale (no product
+    leaves the normal floats), unit that every scale is 1.  Where no X
+    rates merge, the prunes of the X side then change nothing."""
+
+    group: list
+    yrate: np.ndarray
+    ylive: np.ndarray
+    xrate: np.ndarray
+    order: np.ndarray
+    rates: np.ndarray
+    exps: np.ndarray
+    ycoef: np.ndarray
+    xcoef: np.ndarray
+    ok_b: np.ndarray
+    xlive: np.ndarray
+    scale: np.ndarray
+    x_close: bool
+    close: bool
+    kept: bool
+    scaled_kept: bool
+    unit: bool
+
+
+def _side_tables(forms, a_vals, b_vals) -> _Sides:
+    """The _Sides of forms over the distinct slopes a_vals and intercepts
+    b_vals, each value by the operations a _Form and ExpPoly steps apply to
+    it; the exponentials come from math.exp, once per group and slope or
+    intercept."""
+    na = len(a_vals)
+    ny, nx = (max(len(form.sides[k].terms) for form in forms if form.sides is not None)
+              for k in (0, 1))
+    exp, lo, inf = math.exp, _EXP_LO, math.inf
+    groups: dict = {}
+    group, ys, xb, ok_b, xlive, scale = [], [], [], [], [], []
+    yrate, columns, exps, eb = [], [], [], []
+    x_close = False
+    kept, cmin, cmax, smin, smax = True, inf, 0.0, inf, 0.0
+    for form in forms:
+        if form.sides is None:
+            group.append(groups.setdefault(None, len(groups)))
+            if group[-1] == len(yrate):
+                yrate.append([-inf] * ny)
+                columns += [-inf] * ((ny + nx) * na)
+                exps += [1.0] * ((ny + nx) * na)
+                eb.append(None)
+            ys.append([0.0] * ny)
+            xb += [0.0] * (nx * len(b_vals))
+            ok_b += [False] * len(b_vals)
+            xlive += [False] * (nx * na)
+            scale += [0.0] * na
+            continue
+        hy, hx = form.sides
+        (cy, ry), (cx, rx) = zip(*hy.terms), zip(*hx.terms)
+        py, px = ny - len(ry), nx - len(rx)
+        g = groups.setdefault((ry, rx), len(groups))
+        group.append(g)
+        if g == len(yrate):
+            yr = [-inf] * py + list(ry)
+            yrate.append(yr)
+            rates = [[r * a for r in rx] for a in a_vals]
+            # merging within the X side compares neighbours, as _merge_rows
+            x_close = x_close or any(q - p <= RATE_MERGE_REL * row[-1]
+                                     for row in rates for p, q in zip(row, row[1:]))
+            # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0
+            ye = [1.0] * py + [exp(max(-r * ROOT_WIDTH, lo)) for r in ry] + [1.0] * px
+            yr = yr + [-inf] * px
+            for row in rates:
+                columns += yr
+                columns += row
+                exps += ye
+                exps += [exp(max(-r * ROOT_WIDTH, lo)) for r in row]
+            eb.append((rates, {b: [_exp_or_inf(-r * b) for r in rx] for b in b_vals}))
+        rates, e = eb[g]
+        ys.append([0.0] * py + list(cy))
+        sc = [a ** form.k / form.ex for a in a_vals]
+        live = [s != 0.0 and 0.0 < row[0] and row[-1] < inf for s, row in zip(sc, rates)]
+        for ok in live:
+            xlive += [False] * px
+            xlive += [ok] * len(rx)
+        scale += sc
+        sc_live = [s for s, ok in zip(sc, live) if ok]
+        if sc_live:
+            smin, smax = min(smin, min(sc_live)), max(smax, max(sc_live))
+        left = form.left is not None
+        for b in b_vals:
+            composed = [c * x for c, x in zip(cx, e[b])]
+            xb += [0.0] * px
+            xb += composed
+            ok_b.append((b >= 0 or left) and all(map(math.isfinite, composed)))
+            if ok_b[-1]:
+                mags = list(map(abs, composed))
+                low, top = min(mags), max(mags)
+                kept = kept and low >= PRUNE_REL * top * (1.0 + 1e-9) > 0.0
+                cmin, cmax = min(cmin, low), max(cmax, top)
+    m = ny + nx
+    columns = np.array(columns).reshape(-1, m)
+    order = np.argsort(columns, axis=1, kind="stable")
+    flat = order + (np.arange(len(order)) * m)[:, None]
+    rates = columns.ravel()[flat]
+    with np.errstate(invalid="ignore"):
+        # sorted rates: a gap within the tolerance of the row's largest rate
+        close = np.count_nonzero(np.diff(rates, axis=1) <= RATE_MERGE_REL * rates[:, -1:]) > 0
+    rates[rates == -inf] = 1.0  # the padding, as in _Terms
+    yrate = np.array(yrate)
+    return _Sides(group, yrate, yrate > -inf, columns[:, ny:], order, rates,
+                  np.array(exps).ravel()[flat], np.array(ys), np.array(xb).reshape(-1, nx),
+                  np.array(ok_b), np.array(xlive).reshape(-1, nx), np.array(scale), x_close,
+                  close, kept, kept and cmin * smin >= 1e-300 and cmax * smax <= 1e300,
+                  all(s == 1.0 for s in scale))
+
+
+def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
+    """Rows of a merged table (live, rates) where a term of the Y side
+    (ylive, yrate) or the scaled X side (xlive, xrate) slower than the row's
+    slowest kept term has no term of the other side within RATE_MERGE_REL
+    of the larger last rate: it was pruned, not cancelled."""
+    rows = np.arange(len(rates))
+    slowest = rates[rows, np.argmax(live, axis=1)][:, None]
+    last_x = xrate[rows, xrate.shape[1] - 1 - np.argmax(xlive[:, ::-1], axis=1)]
+    tol = RATE_MERGE_REL * np.maximum(yrate[:, -1], last_x)
+    near = ((np.abs(yrate[:, :, None] - xrate[:, None, :]) <= tol[:, None, None])
+            & ylive[:, :, None] & xlive[:, None, :])
+    return ((ylive & (yrate < slowest) & ~near.any(axis=2)).any(axis=1)
+            | (xlive & (xrate < slowest) & ~near.any(axis=1)).any(axis=1))
+
+
+def _compact(coefs, rates, live, exps, holes, full) -> _Terms:
+    """The table of these columns with each row's live entries right-aligned
+    in order, its dead entries of coefficient 0, rate 1 and exp 1; holes
+    says whether a live entry may follow a dead one, and full that every
+    row has live entries, all dead ones in front already of coefficient 0
+    (or -0), rate 1 and exp 1."""
+    if not holes and full:
+        return _Terms(coefs, rates, live, exps)
+    if holes and (live[:, :-1] & ~live[:, 1:]).any():
+        order = np.argsort(live.astype(float), axis=1, kind="stable")
+        order += (np.arange(len(order)) * order.shape[1])[:, None]
+        coefs, rates, live, exps = (col.ravel()[order] for col in (coefs, rates, live, exps))
+    return _Terms(np.where(live, coefs, 0.0), np.where(live, rates, 1.0), live,
+                  np.where(live, exps, 1.0))
 
 
 def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
-    """The cells (a, b) of cells, given closed, _closed_cell's outcome per
-    cell: one _sign_patterns call for the closed forms, each from max(0,
-    -b/a), where at b < 0 the pattern begins with the left sign, and one
-    _scan_row call for the cells left to sampling."""
+    """The cells (a, b) of cells, given closed, each cell's outcome in a
+    term table (_Closed.outcome): one _sign_patterns call for the closed
+    forms, each from max(0, -b/a), where at b < 0 the pattern begins with
+    the left sign, and one _scan_row call for the cells left to sampling."""
     out = list(closed)
     exact = [i for i, c in enumerate(closed) if isinstance(c, ExpPoly)]
     rest = [i for i, c in enumerate(closed) if c is None]
@@ -489,20 +736,26 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
     the sweep, so at most the rest of its batch is evaluated in vain.  A
     disallowed pattern that does not re-verify counts as uncertain.  The
     worst margin is the smallest of the passing cells' margins, 0 on a
-    degenerate cell."""
+    degenerate cell.  Whether a sign sequence is admissible is looked up
+    once per distinct sequence."""
     cells = list(product(grid.a_values, grid.b_values))
     size = max(1, _BATCH_CELLS // len(grid.b_values)) * len(grid.b_values)
     batches = (cells[i:i + size] for i in range(0, len(cells), size))
     worst = math.inf
     first_uncertain = None
     scanned = 0
+    admissible: dict = {}
     for res in chain.from_iterable(map(evaluate, batches)):
         scanned += 1
         if res.degenerate:
             worst = 0.0
             continue
         if not res.uncertain:
-            if matches(res.pattern, allowed):
+            signs = res.pattern.signs if isinstance(res.pattern, SignPattern) else res.pattern
+            ok = admissible.get(signs)
+            if ok is None:
+                ok = admissible[signs] = matches(signs, allowed)
+            if ok:
                 if res.margin is not None:
                     worst = min(worst, res.margin)
                 continue
@@ -530,8 +783,9 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdic
     form = _v_form(TX, TY, grid.scan)
 
     def evaluate(cells):
+        closed = _closed_cells((form,), cells)
         return _with_margins(form, _evaluate_cells(
-            form, cells, [_closed_cell(form, a, b) for a, b in cells]), allowed)
+            form, cells, closed.outcomes(0, range(len(cells)))), allowed)
 
     return _sweep(grid, evaluate, allowed, criterion, s)
 
@@ -582,49 +836,50 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
 
     When both tails are exponential polynomials (Exponential, MaxExp,
     ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is certified on
-    its closed form (_closed_cell) unless that cannot be built without
-    losing a term; cells with b < 0 take the sampled scan.  A closed cell
-    passes on the coefficient signs of the chosen form, or else of its
-    partner, where they fix the pattern (exppoly._rule), and carries its
-    signs alone; only the other closed cells are sampled (_sign_patterns,
-    once per batch and form), the chosen form first.
+    its closed form unless that cannot be built without losing a term;
+    cells with b < 0 take the sampled scan.  Both forms' closed cells of a
+    batch are built in one term table (_closed_cells) and read by one pass
+    of the coefficient-sign rule (exppoly._rule).  A closed cell passes on
+    the signs of the chosen form where they fix the pattern, or else, where
+    that form is closed too, on its partner's, and carries its signs alone;
+    only the other closed cells become ExpPoly objects and are sampled
+    (_sign_patterns, once per batch and form), the chosen form first.
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
     forms = _h_forms(X, Y, s, grid.scan)
-    names = (form, _PARTNER_FORM[form])
+    pair = (forms[form], forms[_PARTNER_FORM[form]])
 
     def evaluate(cells):
-        @cache  # built at most once per form and cell of the batch
-        def closed(name, a, b):
-            return _closed_cell(forms[name], a, b)
-
-        def by_rule(a, b):
+        closed = _closed_cells(pair, cells)
+        n = len(cells)
+        out = [None] * n
+        if _CLOSED in closed.kind:
             # the first form whose coefficient signs fix its pattern decides
-            # the cell; every pattern they fix is admissible
-            for name in names:
-                c = closed(name, a, b)
-                if not isinstance(c, ExpPoly):
-                    return None
-                rule = _rule(c.terms)
-                if rule is not None:
-                    head, tail = rule
-                    return _CellResult(a, b, (tail,) if head == tail else rule, forms[name])
-            return None
+            # the cell, the partner only where the chosen form is closed;
+            # every pattern they fix is admissible
+            (decided, head, tail), free = _sign_rule(closed.terms)
+            closed = replace(closed, free=free.tolist())
+            shut = closed.terms.live[:, -1]  # a closed row's last entry is live
+            first = shut[:n] & decided[:n]
+            second = shut[:n] & ~decided[:n] & shut[n:] & decided[n:]
+            heads, tails = head.tolist(), tail.tolist()
+            for i in np.flatnonzero(first | second).tolist():
+                row = i if first[i] else n + i
+                h, t = "+" if heads[row] else "-", "+" if tails[row] else "-"
+                out[i] = _CellResult(*cells[i], (t,) if h == t else (h, t), pair[row // n])
 
-        def evaluate_form(name, idx):
-            part = [cells[i] for i in idx]
-            return _evaluate_cells(forms[name], part, [closed(name, a, b) for a, b in part])
+        def evaluate_form(f, idx):
+            return _evaluate_cells(pair[f], [cells[i] for i in idx], closed.outcomes(f, idx))
 
-        out = [by_rule(a, b) for a, b in cells]
         rest = [i for i, res in enumerate(out) if res is None]
-        for i, res in zip(rest, evaluate_form(names[0], rest)):
+        for i, res in zip(rest, evaluate_form(0, rest)):
             out[i] = res
         failed = [i for i in rest if not (
             out[i].degenerate or out[i].uncertain or matches(out[i].pattern, ALLOWED_IFR))]
         if failed:
-            for i, other in zip(failed, evaluate_form(names[1], failed)):
+            for i, other in zip(failed, evaluate_form(1, failed)):
                 if other.degenerate or (not other.uncertain
                                         and matches(other.pattern, ALLOWED_IFR)):
                     out[i] = other

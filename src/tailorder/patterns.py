@@ -56,7 +56,8 @@ class ScanConfig:
     """Controls for adaptive sign scanning on (0, x_max].
 
     x_max None leaves the window to the caller: the order sweeps resolve it
-    per cell from tail-mass horizons, everything else uses DEFAULT_X_MAX.
+    per cell from tail-mass horizons, the ageing classifiers from the
+    distribution's own window, and everything else uses DEFAULT_X_MAX.
     deadband is relative to the largest sampled |f|; samples inside the
     deadband carry no sign evidence.  deadband_abs adds an absolute floor
     for functions whose evaluation noise is not tied to their magnitude

@@ -59,7 +59,7 @@ def compare_runs():
     for (x, y), criterion, s in runs:
         name = f"{criterion}-s{s}-{_slug(x)}-vs-{_slug(y)}.json"
         yield name, ["compare", "--x", x, "--y", y, "--s", str(s),
-                     "--criterion", criterion, *GRID]
+                     "--criterion", criterion, *(GRID if criterion in CRITERIA else ())]
 
 
 def _text(doc) -> str:

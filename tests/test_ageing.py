@@ -79,11 +79,14 @@ class TestClassifyIfr:
             lo, hi = brackets[0]
             assert hi - lo < 1e-6
 
-    def test_unset_window_reads_as_fifty(self):
+    def test_unset_window_reads_as_the_default_window(self):
+        # a passed config without x_max gets the window a call without a
+        # config uses: here the 1e-10 quantile horizon of the iterate
         d = PolyExpExample(1.0)
+        window = iterate(d, 1).quantile_horizon(1e-10)
         unset = classify_ifr(d, 1, ScanConfig(max_refinement_depth=24))
-        assert unset == classify_ifr(d, 1, ScanConfig(x_max=50.0, max_refinement_depth=24))
-        assert classify_ifra(d, 1, ScanConfig()) == classify_ifra(d, 1, ScanConfig(x_max=50.0))
+        assert unset == classify_ifr(d, 1, ScanConfig(x_max=window, max_refinement_depth=24))
+        assert classify_ifra(d, 1, ScanConfig()) == classify_ifra(d, 1)
 
     def test_exponential_constant(self):
         cls = classify_ifr(Exponential(1.0), 3)
@@ -134,6 +137,13 @@ class TestClassifyIfra:
     def test_exponential_constant(self):
         for s in (1, 2, 3):
             assert classify_ifra(Exponential(1.0), s).verdict == CONSTANT
+
+    def test_unset_window_of_a_passed_config_is_the_default_window(self):
+        # the turn of this slow parallel system lies near x = 213, outside
+        # the (0, 50] once read for a config without x_max
+        d = MaxExp(0.01, 0.02)
+        assert classify_ifra(d, 2).verdict == NON_MONOTONE
+        assert classify_ifra(d, 2, ScanConfig()) == classify_ifra(d, 2)
 
     def test_polyexp_not_star_shaped_at_order_one(self):
         cls = classify_ifra(PolyExpExample(1.0), 1)

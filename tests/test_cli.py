@@ -153,6 +153,34 @@ class TestExecution:
         assert code == EXIT_USAGE
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--criterion", "dmrl", "--a-grid", "12"],
+        ["--criterion", "dmrl", "--b-grid", "6"],
+        ["--criterion", "convexity", "--s", "2", "--a-grid", "100000"],
+        ["--criterion", "convexity", "--b-grid", "8"],
+        ["--criterion", "dmrl", "--s", "7"],
+        ["--criterion", "dmrl", "--s", "2"],
+    ])
+    def test_options_a_monotone_check_does_not_read_exit_usage(self, argv, tmp_path, capsys):
+        # the monotone checks scan no (a, b) grid, and dmrl compares the
+        # first and second iterates whatever --s says: these options were
+        # once accepted and ignored (dmrl at --s 7 wrote "s": null)
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "bpareto(5,10)", "--y", "bpareto(2,6)",
+                     *argv])
+        assert code == EXIT_USAGE and not out.exists()
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--criterion", "dmrl"],
+                                      ["--criterion", "dmrl", "--s", "1"],
+                                      ["--criterion", "convexity", "--s", "2"]])
+    def test_monotone_checks_run_without_grid_options(self, argv, tmp_path):
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "bpareto(5,10)", "--y", "bpareto(2,6)",
+                     *argv])
+        assert code in (EXIT_OK, EXIT_REFUTED)
+        assert "grid" not in json.loads(out.read_text())
+
     def test_casebook_single_case(self, tmp_path):
         out = tmp_path / "cases.json"
         code = main(["--json", str(out), "casebook", "--id", "MAXEXP_DFR_ONSET"])

@@ -615,16 +615,16 @@ def _reference_partial_sum_changes(coefs):
     return exppoly._sign_changes(sums)
 
 
-def _reference_rule(p):
+def _reference_rule(terms):
     """(sign at 0+, sign at infinity) or None, decided as before the
     one-pass rule core: coefficient bound, partial-sum bound and the value
-    at ROOT_WIDTH each in a pass of its own."""
-    coefs = p.coefficients
-    bound = p.sign_change_bound()
+    at ROOT_WIDTH each in a pass of its own, on one polynomial's terms."""
+    coefs, rates = zip(*terms)
+    bound = exppoly._sign_changes(coefs)
     partial = _reference_partial_sum_changes(coefs)
     if partial is not None:
         bound = min(bound, partial)
-    val, scale = exppoly._eval_scale(exppoly._terms(coefs, p.rates), exppoly.ROOT_WIDTH)
+    val, scale = exppoly._eval_scale(exppoly._terms(coefs, rates), exppoly.ROOT_WIDTH)
     if not abs(val) > exppoly.TOUCH_REL * scale:
         return None
     head = "+" if val > 0 else "-"
@@ -634,30 +634,98 @@ def _reference_rule(p):
     return head, tail
 
 
+def _reference_root_free(terms):
+    """exppoly._root_free of one polynomial's terms, by the scalar steps it
+    took before the term tables: _reference_rule's passes on f, then on
+    f' = sum -r c exp(-r x)."""
+    coefs, rates = zip(*terms)
+    val, scale = exppoly._eval_scale(exppoly._terms(coefs, rates), exppoly.ROOT_WIDTH)
+    partial = _reference_partial_sum_changes(coefs)
+    bound = exppoly._sign_changes(coefs)
+    if partial is not None:
+        bound = min(bound, partial)
+    floor = exppoly.TOUCH_REL * scale
+    touch = abs(val) <= floor
+    same = abs(val) > floor and (val > 0) == (coefs[0] > 0)
+    if not (touch or same):
+        return False
+    if same and bound < 2:
+        return True
+    slope = [(-r * c, r) for c, r in terms]
+    if not all(0.0 < abs(d) < math.inf for d, _ in slope):
+        return False
+    return _reference_rule(slope) is not None
+
+
+def _table(polys):
+    """The term table of polynomials, ExpPoly objects or term sequences."""
+    return exppoly._Terms.of([p.terms if isinstance(p, ExpPoly) else tuple(p) for p in polys])
+
+
+def _rule1(terms):
+    """exppoly._rule of one polynomial's terms."""
+    return exppoly._rule(_table([terms]))[0]
+
+
+def _root_free1(terms):
+    """exppoly._root_free of one polynomial's terms."""
+    return bool(exppoly._root_free(_table([terms]))[0])
+
+
+def _parts1(terms):
+    """exppoly._rule_parts of one polynomial's terms, as Python numbers."""
+    val, scale, bound = exppoly._rule_parts(_table([terms]))
+    return float(val[0]), float(scale[0]), int(bound[0])
+
+
 class TestRuleCore:
-    """exppoly._rule, the one-pass core of the coefficient-sign rule."""
+    """exppoly._rule, the one-pass core of the coefficient-sign rule, on
+    term tables whose rows hold 1 to 7 terms: every row as the scalar
+    reference decides it alone."""
 
     def test_decides_as_the_reference(self):
-        decided = 0
         polys = list(_random_polys(20261018, 2000)) + list(_near_cancelling_polys(31, 1000))
-        for p in polys:
-            rule = exppoly._rule(p.terms)
-            assert rule == _reference_rule(p), p.terms
-            decided += rule is not None
-        assert decided > 1000
+        rules = exppoly._rule(_table(polys))
+        assert len(rules) == len(polys)
+        for p, rule in zip(polys, rules):
+            assert rule == _reference_rule(p.terms), p.terms
+        assert sum(rule is not None for rule in rules) > 1000
 
     def test_value_and_scale_are_eval_scale_bit_for_bit(self):
-        for p in _random_polys(5, 300):
-            val, scale, _ = exppoly._rule_parts(p.terms)
-            assert (val, scale) == exppoly._eval_scale(
+        polys = list(_random_polys(5, 300)) + [ExpPoly(((-2.0, 1.0),))]
+        val, scale = exppoly._rule_parts(_table(polys))[:2]
+        for p, v, sc in zip(polys, val.tolist(), scale.tolist()):
+            assert (v, sc) == exppoly._eval_scale(
                 exppoly._terms(p.coefficients, p.rates), exppoly.ROOT_WIDTH)
 
     def test_bound_is_the_smaller_of_both_counts(self):
-        for p in _random_polys(6, 300):
+        polys = list(_random_polys(6, 300))
+        bounds = exppoly._rule_parts(_table(polys))[2].tolist()
+        for p, bound in zip(polys, bounds):
             partial = _reference_partial_sum_changes(p.coefficients)
             coef = p.sign_change_bound()
-            want = coef if partial is None else min(coef, partial)
-            assert exppoly._rule_parts(p.terms)[2] == want
+            assert bound == (coef if partial is None else min(coef, partial))
+
+    def test_root_free_as_the_reference(self):
+        polys = list(_random_polys(20261019, 1500)) + list(_near_cancelling_polys(7, 1500)) \
+            + [OVERFLOWING_SLOPE, UNDERFLOWING_SLOPE, ((1.0, 1.0), (-1.0, 1.5)), NAN_VALUE]
+        free = exppoly._root_free(_table(polys)).tolist()
+        for p, got in zip(polys, free):
+            terms = p.terms if isinstance(p, ExpPoly) else p
+            assert got == _reference_root_free(terms), terms
+        val = exppoly._rule_parts(_table([NAN_VALUE]))[0]
+        assert math.isnan(val[0]) and not free[-1]
+        assert 1000 < sum(free) < len(polys)
+
+
+#: t - 3 t^2 + 2.5 t^3 + 39 t^47 with t = e^{-x}, scaled by 1e305: -47 c
+#: overflows
+OVERFLOWING_SLOPE = ((1e305, 1.0), (-3e305, 2.0), (2.5e305, 3.0), (3.9e306, 47.0))
+#: at subnormal scale the head term's -r c rounds to +0.0
+UNDERFLOWING_SLOPE = ((-5e-324, 0.25), (1e-311, 1.0), (5e-312, 2.0), (-2e-311, 3.0))
+#: terms near the largest float: the Kahan sum at ROOT_WIDTH overflows, and
+#: its compensation turns the value to nan
+NAN_VALUE = ((1.7e308, 1.0), (1.7e308, 2.0), (-1.0, 3.0))
 
 
 class TestRootFreeStep:
@@ -667,12 +735,14 @@ class TestRootFreeStep:
     def test_skipped_isolation_matches_forced_isolation(self, monkeypatch):
         random = list(_random_polys(20261019, 2500))
         near = list(_near_cancelling_polys(20261020, 2500))
-        free = [p for p in random + near if exppoly._root_free(p.terms)]
+        flags = exppoly._root_free(_table(random + near)).tolist()
+        free = [p for p, flag in zip(random + near, flags) if flag]
         # past case (a), where the signs of f' decide
-        by_slope = [p for p in near if exppoly._root_free(p.terms)
-                    and exppoly._rule(p.terms) is None]
+        rules = exppoly._rule(_table(near))
+        by_slope = [p for p, flag, rule in zip(near, flags[len(random):], rules)
+                    if flag and rule is None]
         skipped = [p.sign_pattern_exact(0.0) for p in free]
-        monkeypatch.setattr(exppoly, "_root_free", lambda terms: False)
+        monkeypatch.setattr(exppoly, "_root_free", lambda t: np.zeros(len(t.coefs), dtype=bool))
         for p, pat in zip(free, skipped):
             assert pat == p.sign_pattern_exact(0.0), p.terms
         assert len(free) > 2500 and len(by_slope) > 500
@@ -680,7 +750,7 @@ class TestRootFreeStep:
     def test_isolation_is_skipped_on_a_root_free_cell(self, monkeypatch):
         # e^{-x} - 0.5 e^{-2x} + 0.2 e^{-3x}: partial sums 1, 0.5, 0.7
         p = ExpPoly(((1.0, 1.0), (-0.5, 2.0), (0.2, 3.0)))
-        assert exppoly._root_free(p.terms)
+        assert _root_free1(p.terms)
         calls = []
         monkeypatch.setattr(ExpPoly, "isolate_roots", lambda *args: calls.append(args))
         assert p.sign_pattern_exact(0.0).signs == ("+",)
@@ -690,13 +760,13 @@ class TestRootFreeStep:
         # e^{-x} - e^{-1.5x} vanishes at 0, inside the floor at ROOT_WIDTH;
         # f' = -e^{-x} + 1.5 e^{-1.5x} crosses once, so (c) holds
         p = ExpPoly(((1.0, 1.0), (-1.0, 1.5)))
-        assert exppoly._rule(p.terms) is None
-        assert exppoly._rule([(-r * c, r) for c, r in p.terms]) == ("+", "-")
-        assert exppoly._root_free(p.terms)
+        assert _rule1(p.terms) is None
+        assert _rule1([(-r * c, r) for c, r in p.terms]) == ("+", "-")
+        assert _root_free1(p.terms)
 
     def test_crossing_is_isolated(self):
         # e^{-x} - 2 e^{-2x}: one crossing at ln 2
-        assert not exppoly._root_free(((1.0, 1.0), (-2.0, 2.0)))
+        assert not _root_free1(((1.0, 1.0), (-2.0, 2.0)))
 
     @staticmethod
     def _isolations(monkeypatch):
@@ -711,14 +781,14 @@ class TestRootFreeStep:
         return calls
 
     def test_overflowing_slope_coefficient_falls_back(self, monkeypatch):
-        # t - 3 t^2 + 2.5 t^3 + 39 t^47 with t = e^{-x}, scaled by 1e305:
-        # positive, two coefficient changes, and -47 c overflows (where
-        # _rule, with an infinite term scale, would decide nothing either)
-        terms = ((1e305, 1.0), (-3e305, 2.0), (2.5e305, 3.0), (3.9e306, 47.0))
+        # OVERFLOWING_SLOPE: positive, two coefficient changes, and -47 c
+        # overflows (where _rule, with an infinite term scale, would decide
+        # nothing either)
+        terms = OVERFLOWING_SLOPE
         p = ExpPoly(terms)
         assert p.terms == terms and math.isinf(-47.0 * 3.9e306)
-        assert exppoly._rule_parts(p.terms)[2] == 2
-        assert not exppoly._root_free(p.terms)
+        assert _parts1(p.terms)[2] == 2
+        assert not _root_free1(p.terms)
         calls = self._isolations(monkeypatch)
         p.sign_pattern_exact(0.0)
         assert calls[0] == 1
@@ -727,21 +797,21 @@ class TestRootFreeStep:
         # at subnormal scale the head term's -r c, a tiny positive number,
         # rounds to +0.0; read as a sign, that zero would let the signs of
         # f' fix one crossing, (c), where f' = +tiny, -, -, + may cross twice
-        terms = ((-5e-324, 0.25), (1e-311, 1.0), (5e-312, 2.0), (-2e-311, 3.0))
+        terms = UNDERFLOWING_SLOPE
         p = ExpPoly(terms)
         assert p.terms == terms
-        val, _, bound = exppoly._rule_parts(p.terms)
+        val, _, bound = _parts1(p.terms)
         assert val < 0 and bound == 2
         slope = [(-r * c, r) for c, r in p.terms]
-        assert slope[0][0] == 0.0 and exppoly._rule(slope) == ("+", "-")
-        assert not exppoly._root_free(p.terms)
+        assert slope[0][0] == 0.0 and _rule1(slope) == ("+", "-")
+        assert not _root_free1(p.terms)
         calls = self._isolations(monkeypatch)
         p.sign_pattern_exact(0.0)
         assert calls[0] == 1
 
     def test_positive_start_always_isolates(self, monkeypatch):
         p = ExpPoly(((1.0, 1.0), (2.0, 3.0)))
-        assert exppoly._root_free(p.terms)
+        assert _root_free1(p.terms)
         calls = self._isolations(monkeypatch)
         p.sign_pattern_exact(0.5)
         assert calls[0] == 1
@@ -752,7 +822,7 @@ def _pattern_by_rule(p):
     coefficient signs, as a pattern, or None when they do not fix it.  A
     crossing is bracketed by ROOT_WIDTH, the left end sign_pattern_exact(0.0)
     uses, and a point beyond the dominance horizon, the two witnesses."""
-    rule = exppoly._rule(p.terms)
+    rule = _rule1(p.terms)
     if rule is None:
         return None
     head, tail = rule
@@ -804,14 +874,14 @@ class TestSignPatternByRule:
             rep = p.isolate_roots(exppoly.ROOT_WIDTH, p.dominance_horizon(0.0) + 1.0)
             if not rep.residual_uncertainty:
                 assert len(rep.isolated_roots) <= changes, p.terms
-                assert len(rep.isolated_roots) <= exppoly._rule_parts(p.terms)[2]
+                assert len(rep.isolated_roots) <= _parts1(p.terms)[2]
 
     def test_partial_sums_decide_where_coefficients_do_not(self):
         # coefficients +,-,+ allow two zeros; partial sums 1, 0.5, 0.7 none
         p = ExpPoly(((1.0, 1.0), (-0.5, 2.0), (0.2, 3.0)))
         assert p.sign_change_bound() == 2
         assert _reference_partial_sum_changes(p.coefficients) == 0
-        assert exppoly._rule_parts(p.terms)[2] == 0
+        assert _parts1(p.terms)[2] == 0
         pat = _pattern_by_rule(p)
         assert pat.signs == ("+",) and pat.witnesses == (exppoly.ROOT_WIDTH,)
 
@@ -830,7 +900,7 @@ class TestSignPatternByRule:
         # coefficient bound 2 is left, and it does not decide
         p = ExpPoly(((1.0, 1.0), (-1.0, 2.0), (0.5, 3.0)))
         assert _reference_partial_sum_changes(p.coefficients) is None
-        assert exppoly._rule_parts(p.terms)[2] == 2
+        assert _parts1(p.terms)[2] == 2
         assert _pattern_by_rule(p) is None
         assert p.sign_pattern_exact(0.0).signs == ("+",)
 
@@ -841,7 +911,7 @@ class TestSignPatternByRule:
         assert 0.0 < sum(coefs[:3]) < 1e-16
         assert _reference_partial_sum_changes(coefs) is None
         p = ExpPoly(tuple(zip(coefs, (1.0, 2.0, 3.0, 4.0))))
-        assert exppoly._rule_parts(p.terms)[2] == 2
+        assert _parts1(p.terms)[2] == 2
         assert _pattern_by_rule(p) is None
 
     def test_value_at_left_end_inside_the_floor(self):
@@ -877,7 +947,7 @@ def _reference_sign_pattern(p, start=0.0, seen=None):
     shift = max(exppoly.ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
     lo = start + shift
     hi = max(horizon + 1.0, lo + 1.0)
-    if start == 0.0 and exppoly._root_free(p.terms):
+    if start == 0.0 and _reference_root_free(p.terms):
         roots, uncertain = (), False
     else:
         report = p.isolate_roots(lo, hi)

@@ -31,6 +31,7 @@ from tailorder.errors import IndeterminateFunction
 from tailorder.iteration import iterate
 from tailorder.patterns import SAMPLED, ScanConfig
 from tailorder.signscan import scan
+from test_exppoly import _reference_root_free, _reference_rule, _table
 
 SMALL = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)),
                  tuple(-np.geomspace(5.0, 0.05, 6)) + tuple(np.linspace(0.0, 6.0, 8)))
@@ -138,13 +139,13 @@ class TestCompareIfra:
 
     def test_sweep_stops_at_refuting_cell(self, monkeypatch):
         calls = []
-        inner = ordering._closed_cell
+        inner = ordering._closed_cells
 
-        def spy(*args):
-            calls.append(args[1:])
-            return inner(*args)
+        def spy(forms, cells):
+            calls.extend(cells)
+            return inner(forms, cells)
 
-        monkeypatch.setattr(ordering, "_closed_cell", spy)
+        monkeypatch.setattr(ordering, "_closed_cells", spy)
         X, Y = MaxExp(0.34, 1.0), MaxExp(1.0, 11.0)
         # the 25-cell column is one batch, built whole
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 24)) + (2.89,), (0.0,))
@@ -196,6 +197,18 @@ class TestCriterionH:
             criterion_h(Exponential(1.0), Exponential(1.0), 1, SMALL_POS, form="zs")
         with pytest.raises(ValueError):
             criterion_h(Gamma(2.0, 1.0), Gamma(1.0, 1.0), 1, SMALL_POS, form="ps")
+
+
+def _closed(form, a, b):
+    """form at cell (a, b) as its batch term table makes it: an ExpPoly, a
+    decided cell, or None for the sampled scan."""
+    return ordering._closed_cells((form,), [(a, b)]).outcomes(0, [0])[0]
+
+
+def _all_sampled(forms, cells):
+    """A term table that leaves every cell to the sampled scan."""
+    return ordering._Closed(tuple(forms), cells, [ordering._SAMPLED] * (len(forms) * len(cells)),
+                            None)
 
 
 def _count_scans(monkeypatch):
@@ -267,14 +280,14 @@ class TestClosedCriterionH:
             monkeypatch.setattr(ExpPoly, name, spy)
         counts["patterns"] = _count_sampled_cells(monkeypatch)
         decided = []
-        rule = ordering._rule
+        rule = ordering._sign_rule
 
-        def rule_spy(terms):
-            out = rule(terms)
-            decided.append(out is not None and out[0] != out[1])
+        def rule_spy(table):
+            out = rule(table)
+            decided.extend(d and h != t for d, h, t in zip(*(col.tolist() for col in out[0])))
             return out
 
-        monkeypatch.setattr(ordering, "_rule", rule_spy)
+        monkeypatch.setattr(ordering, "_sign_rule", rule_spy)
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
         v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
         assert v.supported and v.cells_scanned == 60
@@ -318,18 +331,18 @@ class TestClosedCriterionH:
         grid = GridSpec(self.SLOPES, b_values)
         cases = [(s, form) for s in (1, 2, 3) for form in ("hs", "hs1")]
         with_rule = [criterion_h(X, Y, s, grid, form=form) for s, form in cases]
-        monkeypatch.setattr(ordering, "_rule", lambda terms: None)
+        nothing = lambda table: ((np.zeros(len(table.coefs), dtype=bool),) * 3,  # noqa: E731
+                                 np.zeros(len(table.coefs), dtype=bool))
+        monkeypatch.setattr(ordering, "_sign_rule", nothing)
         for (s, form), v in zip(cases, with_rule):
             assert v.to_dict() == criterion_h(X, Y, s, grid, form=form).to_dict(), (s, form)
 
     def test_partner_signs_pass_a_cell_the_chosen_form_must_isolate(self, monkeypatch):
         X, Y, s, a, b = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, 0.05, 8.0 / 3.0
         forms = ordering._h_forms(X, Y, s, None)
-        hs = ordering._closed_cell(forms["hs"], a, b)
-        hs1 = ordering._closed_cell(forms["hs1"], a, b)
-        assert ordering._rule(hs.terms) is None
+        hs, hs1 = _closed(forms["hs"], a, b), _closed(forms["hs1"], a, b)
+        assert exppoly._rule(_table([hs, hs1])) == [None, ("+", "-")]
         assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
-        assert ordering._rule(hs1.terms) == ("+", "-")
         calls = _count_sampled_cells(monkeypatch)
         assert criterion_h(X, Y, s, GridSpec((a,), (b,)), form="hs").supported
         assert calls[0] == 0
@@ -358,7 +371,7 @@ class TestClosedCriterionH:
         h = ordering._h_forms(X, Y, s, None)[form]
         xs = np.geomspace(0.01, 12.0, 15)
         for a, b in ((0.7, 0.0), (2.5, 0.2), (1.3, 3.0)):
-            closed = ordering._closed_cell(h, a, b)
+            closed = _closed(h, a, b)
             np.testing.assert_allclose(closed.eval(xs), h(xs, a, b), rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("form", ["hs", "hs1"])
@@ -366,7 +379,7 @@ class TestClosedCriterionH:
     def test_same_verdict_as_sampled_path(self, monkeypatch, form, pair):
         X, Y = self.PAIRS[pair]
         closed = criterion_h(X, Y, 2, SMALL, form=form)
-        monkeypatch.setattr(ordering, "_closed_cell", lambda *args: None)
+        monkeypatch.setattr(ordering, "_closed_cells", _all_sampled)
         sampled = criterion_h(X, Y, 2, SMALL, form=form)
         assert closed.outcome == sampled.outcome
         assert closed.cells_scanned == sampled.cells_scanned
@@ -413,7 +426,7 @@ class TestClosedCriterionH:
         calls = _count_scans(monkeypatch)
         for form, a, b, far, check in cases:
             assert form(1.0, a, b) * form(far, a, b) < 0
-            assert ordering._closed_cell(form, a, b) is None
+            assert _closed(form, a, b) is None
             calls.clear()
             assert check(GridSpec((a,), (b,))).supported
             assert len(calls) == 1
@@ -595,19 +608,32 @@ class TestMargins:
 
 
 def _reference_closed_cell(form, a, b):
-    """_closed_cell built from whole ExpPoly steps: the X side composed at
-    a x + b, scaled, and subtracted from the Y side, with the same
-    fallbacks and pruning guard."""
+    """A cell's closed form built from whole ExpPoly steps, one cell at a
+    time: the X side composed at a x + b, scaled, and subtracted from the Y
+    side, with the same fallbacks and pruning guard.  Returns the ExpPoly,
+    "degenerate" or "left", or why the cell is left to sampling: None (no
+    closed sides, or b < 0 without a left sign), "overflow" (composing
+    overflows), "underflow" (every composed coefficient underflows, or a
+    rate does), "scale" (scaling by a^k / ex fails) or "pruned"."""
     if form.sides is None or (b < 0 and form.left is None):
         return None
     hy, hx = form.sides
     scale = a ** form.k / form.ex
     try:
-        xpart = ExpPoly(tuple((c * math.exp(-r * b), r * a) for c, r in hx.terms))
+        composed = tuple((c * math.exp(-r * b), r * a) for c, r in hx.terms)
+    except OverflowError:
+        return "overflow"
+    if not all(math.isfinite(c) for c, _ in composed):
+        return "overflow"
+    try:
+        xpart = ExpPoly(composed)
+    except ValueError:
+        return "underflow"
+    try:
         if scale != 1.0:
             xpart = xpart.scaled(scale)
-    except (ValueError, OverflowError):
-        return None
+    except ValueError:
+        return "scale"
     closed = ExpPoly.maybe(hy.terms + tuple((-c, r) for c, r in xpart.terms))
     if closed is None:
         return "degenerate" if b >= 0 else "left"
@@ -621,9 +647,11 @@ def _reference_closed_cell(form, a, b):
 
 
 class TestClosedCell:
-    """_closed_cell composes, scales and subtracts on term lists, building
-    one ExpPoly; its terms are those of the whole-polynomial steps to the
-    bit, and it falls back where they do."""
+    """_closed_cells builds the closed cells of a batch, in one or more
+    forms, as one term table: each row's terms are those of the
+    whole-polynomial steps to the bit, it falls back where they do, and the
+    batch rule (exppoly._sign_rule) reads each row, and proves it root-free,
+    as the scalar rule reads it alone."""
 
     @staticmethod
     def _forms(X, Y, s):
@@ -631,59 +659,146 @@ class TestClosedCell:
                 *ordering._h_forms(X, Y, s, None).values()]
 
     @staticmethod
-    def _bits(poly):
-        return [(c.hex(), r.hex()) for c, r in poly.terms]
+    def _bits(terms):
+        return [(c.hex(), r.hex()) for c, r in terms]
 
-    def _agree(self, form, a, b):
-        got, want = ordering._closed_cell(form, a, b), _reference_closed_cell(form, a, b)
-        if isinstance(want, ExpPoly):
-            assert isinstance(got, ExpPoly), (a, b)
-            assert all(type(c) is float and type(r) is float for c, r in got.terms)
-            assert self._bits(got) == self._bits(want), (a, b)
-            return "closed"
-        if want in ("degenerate", "left"):
-            assert isinstance(got, ordering._CellResult), (a, b)
-            assert got.degenerate == (want == "degenerate")
-            return want
-        assert got is None, (a, b)
-        return "none" if want is None else want
+    def _agree(self, forms, cells, seen=None):
+        """The reference's kind of each row of forms at cells, built in one
+        table, after checking the row against it."""
+        closed = ordering._closed_cells(forms, cells)
+        rules = free = None
+        if closed.terms is not None:
+            rules, free = exppoly._rule(closed.terms), exppoly._root_free(closed.terms)
+        kinds = []
+        for f, form in enumerate(forms):
+            outcomes = closed.outcomes(f, range(len(cells)))
+            for i, (a, b) in enumerate(cells):
+                row = f * len(cells) + i
+                got, want = outcomes[i], _reference_closed_cell(form, a, b)
+                if isinstance(want, ExpPoly):
+                    assert isinstance(got, ExpPoly), (a, b)
+                    assert all(type(c) is float and type(r) is float for c, r in got.terms)
+                    assert self._bits(got.terms) == self._bits(want.terms), (a, b)
+                    rule = rules[row]
+                    assert rule == _reference_rule(want.terms), (a, b)
+                    assert free[row] == _reference_root_free(want.terms), (a, b)
+                    kinds.append("closed")
+                    kinds.append("decided" if rule is not None else "undecided")
+                    hy, hx = form.sides
+                    tol = ordering.RATE_MERGE_REL * max(hy.rates[-1], hx.rates[-1] * a)
+                    if any(abs(r * a - q) <= tol for r in hx.rates for q in hy.rates):
+                        kinds.append("critical")
+                    continue
+                if want in ("degenerate", "left"):
+                    assert isinstance(got, ordering._CellResult), (a, b)
+                    assert got.degenerate == (want == "degenerate")
+                    if want == "left":
+                        assert got.pattern.signs == (form.left,)
+                        assert got.pattern.witnesses == (-b / a / 2.0,)
+                else:
+                    assert got is None, (a, b, want)
+                assert rules is None or rules[row] is None
+                kinds.append("none" if want is None else want)
+        if seen is not None:
+            for kind in kinds:
+                seen[kind] = seen.get(kind, 0) + 1
+        return kinds
+
+    @staticmethod
+    def _left_form(form, a, b):
+        """form with its Y side replaced by its X side composed at (a, b),
+        b < 0: V's scale is 1, so the sides cancel there exactly."""
+        hx = form.sides[1]
+        hy = ExpPoly(tuple((c * math.exp(-r * b), r * a) for c, r in hx.terms))
+        return replace(form, sides=(hy, hx))
 
     def test_terms_are_bit_identical_on_random_cells(self):
         rng = np.random.default_rng(1301)
         seen = {}
-        for _ in range(60):
+
+        def system():
             rates = np.sort(rng.uniform(0.2, 15.0, 2)).tolist()
-            X = MaxExp(*rates) if rng.random() < 0.8 else Exponential(rates[0])
-            Y = MaxExp(*np.sort(rng.uniform(0.2, 15.0, 2)).tolist())
-            for form in self._forms(X, Y, int(rng.integers(1, 5))):
-                for _ in range(8):
-                    a = float(10.0 ** rng.uniform(-1.5, 1.5))
-                    b = float(rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(-60.0, 0.0),
-                                          rng.uniform(20.0, 120.0)]))
-                    kind = self._agree(form, a, b)
-                    seen[kind] = seen.get(kind, 0) + 1
-        assert seen.get("closed", 0) > 600
-        assert seen.get("none", 0) > 20 and seen.get("pruned", 0) > 0
+            return MaxExp(*rates) if rng.random() < 0.8 else Exponential(rates[0])
+
+        for batch in range(30):
+            forms, cells = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                X = system()
+                Y = X if rng.random() < 0.2 else system()
+                forms.append(self._forms(X, Y, int(rng.integers(1, 5)))[int(rng.integers(3))])
+            for _ in range(int(rng.integers(8, 40))):
+                a = float(10.0 ** rng.uniform(-1.5, 1.5))
+                b = float(rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(-60.0, 0.0),
+                                      rng.uniform(20.0, 120.0)]))
+                cells.append((a, b))
+            if batch % 3 == 0:
+                # a batch where no step drops a term: the gated passes are
+                # skipped, and the table keeps its layout as built
+                self._agree(forms, [(a, b / 100.0) for a, b in cells if 0.0 <= b <= 10.0], seen)
+                continue
+            # critical slopes, a r_X = r_Y for a rate of each side of a form
+            for form in forms:
+                hy, hx = form.sides
+                for _ in range(3):
+                    q, r = rng.choice(hy.rates), rng.choice(hx.rates)
+                    cells.append((float(q / r), float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))))
+            # equal sides cancel at (1, 0); exp(-r b) overflows at b = -800
+            # and underflows at b = 800; a^k / ex underflows at a = 1e-80
+            # and 1e-100 for k >= 4; a left sign where V's sides cancel
+            cells += [(1.0, 0.0), (0.5, -800.0), (1.0, 800.0), (1e-80, 0.0), (1e-100, 1.0)]
+            if forms[0].left is not None:
+                a, b = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-3.0, -0.1))
+                forms.append(self._left_form(forms[0], a, b))
+                cells.append((a, b))
+            cells = [cells[i] for i in rng.permutation(len(cells))]
+            self._agree(forms, cells, seen)
+        assert seen["closed"] > 1000 and seen["decided"] > 500 and seen["undecided"] > 200, seen
+        assert seen["critical"] > 50 and seen["degenerate"] > 3 and seen["left"] > 3
+        fallbacks = ("none", "overflow", "underflow", "scale")
+        assert sum(seen[kind] for kind in fallbacks) > 20 and seen["pruned"] > 0
+        assert min(seen[kind] for kind in fallbacks) > 0, seen
 
     def test_pruned_overflowing_and_cancelling_cells(self):
         X, Y = Exponential(1.0), Exponential(10.0)
         # a = 0.05, b = 40: the X term falls below the prune threshold
         hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
-        assert self._agree(hs1, 0.05, 40.0) == "pruned"
+        assert self._agree([hs1], [(0.05, 40.0)]) == ["pruned"]
         # b = -60 on rates up to 25: exp(-r b) overflows
         v = self._forms(MaxExp(12.0, 13.0), MaxExp(1.0, 2.0), 2)[0]
-        assert self._agree(v, 0.5, -60.0) == "none"
+        assert self._agree([v], [(0.5, -60.0)]) == ["overflow"]
+        # a composed coefficient that overflows although its exponential
+        # does not: 5 e^{709.5} is past the largest float
+        big = replace(v, sides=(v.sides[0], ExpPoly(((5.0, 1.0),))))
+        assert self._agree([big], [(1.0, -709.5)]) == ["overflow"]
         # b = 800: every X coefficient underflows
-        assert self._agree(self._forms(X, Y, 1)[0], 1.0, 800.0) == "none"
+        assert self._agree(self._forms(X, Y, 1)[:1], [(1.0, 800.0)]) == ["underflow"]
         # at b = 690 it survives composing (about 1e-300), but not the scale
         # a^4 / E X^3 of hs at s = 4, a = 1e-6; against a Y side slower than
         # the composed X side no pruning guard would catch the loss
         hs = ordering._h_forms(X, Exponential(1e-7), 4, None)["hs"]
-        assert self._agree(hs, 1e-6, 690.0) == "none"
+        assert self._agree([hs], [(1e-6, 690.0)]) == ["scale"]
         # equal sides cancel at a = 1, b = 0, and only there
         same = self._forms(MaxExp(1.0, 2.0), MaxExp(1.0, 2.0), 2)[0]
-        assert self._agree(same, 1.0, 0.0) == "degenerate"
-        assert self._agree(same, 1.0, -0.5) == "closed"
+        assert self._agree([same], [(1.0, 0.0), (1.0, -0.5)])[:2] == ["degenerate", "closed"]
+        # and to the left sign at b < 0, where V's sides are made to cancel
+        assert self._agree([self._left_form(same, 1.5, -0.5)], [(1.5, -0.5)]) == ["left"]
+
+    def test_x_rates_that_merge_at_some_slopes(self):
+        # 1 and 1 + 1e-12 stay apart in an ExpPoly, but at a = 8.5993... the
+        # products r a lie within the merge tolerance, and merge
+        v = self._forms(Exponential(3.0), Exponential(1.0), 1)[0]
+        hx = ExpPoly(((1.0, 1.0), (0.5, 1.000000000001)))
+        form = replace(v, sides=(v.sides[0], hx))
+        a = 8.599365182451331
+        assert len(ExpPoly(tuple((c, r * a) for c, r in hx.terms)).terms) == 1
+        assert self._agree([form], [(a, 0.0)])[0] == "closed"
+        cells = [(x, b) for x in (a, 1.0, 2.5) for b in (0.0, 0.5)]
+        assert self._agree([form, v], cells)[0] == "closed"
+
+    def test_forms_without_closed_sides_make_no_table(self):
+        forms = ordering._h_forms(Weibull(2.0), Gamma(2.0), 1, None)
+        closed = ordering._closed_cells(tuple(forms.values()), [(1.0, 0.0), (2.0, 1.0)])
+        assert closed.terms is None and set(closed.kind) == {ordering._SAMPLED}
 
 
 class TestDmrl:
