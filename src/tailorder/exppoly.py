@@ -15,12 +15,12 @@ level, the critical points of the level above, are bisected only until that
 level provably keeps one sign across them.
 
 The coefficient-sign rule runs on term tables (_Terms), one polynomial per
-row, in one pass of numpy column operations over all rows (_sign_rule, with
-_rule and _root_free reading its two halves); every row gets, bit for bit,
-the values and decisions that the same steps on its terms alone give.
-ordering builds the closed cells of a sweep batch as such a table and
-settles them with one such pass; _sample reads the flags that pass gave, or
-runs it on the table its polynomials are rows of.
+row, in one pass of numpy column operations over all rows (_rule_parts,
+read by _sign_rule and _rule, and by _root_free over the rows of f and
+f'); every row gets, bit for bit, the values and decisions that the same
+steps on its terms alone give.  ordering builds the closed cells of a sweep
+batch as such a table and settles them with one such pass; _sample runs
+_root_free on a table of its polynomials that start at 0.
 """
 from __future__ import annotations
 
@@ -283,31 +283,6 @@ def _sign_patterns(polys, starts) -> list[SignPattern]:
             for p, start, sampled in zip(polys, starts, _sample(polys, starts))]
 
 
-class _Row(ExpPoly):
-    """An ExpPoly that is row k of a term table (_Terms), with the row's
-    _root_free flag when the table's rule pass gave it (_sign_rule).
-    _sample reads those flags, or else the rows of the table its
-    polynomials share, instead of building a table of their terms."""
-
-    def __init__(self, table, k, terms, free=None):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_row", (table, k))
-        object.__setattr__(self, "_free", free)
-
-
-def _table_of(polys) -> "_Terms":
-    """The term table of polys: the rows of the one table they are all rows
-    of (_Row), or else one built from their terms."""
-    rows = [getattr(p, "_row", None) for p in polys]
-    table = rows[0][0] if rows[0] is not None else None
-    if table is not None and all(row is not None and row[0] is table for row in rows):
-        picked = [k for _, k in rows]
-        if picked == list(range(len(table.coefs))):
-            return table
-        return _Terms(*(col[picked] for col in table))
-    return _Terms.of([p.terms for p in polys])
-
-
 class _Sampled(ExpPoly):
     """An ExpPoly whose regions on (start, inf) were sampled in a batch;
     sign_pattern_exact at that start reads those samples."""
@@ -335,9 +310,7 @@ def _sample(polys, starts):
     at_zero = [k for k, start in enumerate(starts) if start == 0.0]
     free = np.zeros(len(polys), dtype=bool)
     if at_zero:
-        known = [getattr(polys[k], "_free", None) for k in at_zero]
-        free[at_zero] = known if None not in known else \
-            _root_free(_table_of([polys[k] for k in at_zero]))
+        free[at_zero] = _root_free(_Terms.of([polys[k].terms for k in at_zero]))
     plans = []
     for p, start, skip in zip(polys, starts, free.tolist()):
         horizon = p.dominance_horizon(start)
@@ -532,22 +505,19 @@ def _exp_or_inf(z):
 
 def _merge_rows(coefs, rates, live):
     """The merge step of _merge_terms on every row of a table, as
-    (coefficients, live mask, whether any merged).  Each row's live entries
+    (coefficients, live mask).  Each row's live entries
     are in stable increasing-rate order, and every dead entry between two
     live ones keeps its rate in that order.  An entry within RATE_MERGE_REL
     of the row's largest live rate from the first entry of its group is
-    summed into it and dies, in one column pass.
-
-    That pass runs only where two neighbouring entries, the right one live,
-    lie that close by the largest tolerance any row could have: merging
-    needs two live entries that close, and between two live entries every
-    gap is at most their distance.  Dead entries in front of a row's first
-    live one can only make the pass run in vain."""
+    summed into it and dies, in one column pass, which is not needed where
+    no two neighbouring entries, the right one live, lie that close by the
+    largest tolerance any row could have: between two live entries every
+    gap is at most their distance."""
     with np.errstate(invalid="ignore"):
         close = live[:, 1:] & (np.abs(rates[:, 1:] - rates[:, :-1])
                                <= RATE_MERGE_REL * np.max(rates[:, -1]))
     if not close.any():
-        return coefs, live, False
+        return coefs, live
     n, m = coefs.shape
     last = rates[np.arange(n), m - 1 - np.argmax(live[:, ::-1], axis=1)]
     tol = RATE_MERGE_REL * last
@@ -567,23 +537,23 @@ def _merge_rows(coefs, rates, live):
         first = np.where(new, rates[:, j], first)
         group = np.where(new, j, group)
         started |= on
-    return coefs, live, True
+    return coefs, live
 
 
 def _prune_rows(coefs, rates, live):
     """The pruning step of _merge_terms on every row of a table whose dead
-    coefficients are 0, as (coefficients, live mask, whether any entry
-    died): zero coefficients, and those below PRUNE_REL of the row's largest
-    |coefficient|, die and become 0.  The coefficients are not nan."""
+    coefficients are 0, as (coefficients, live mask): zero coefficients, and
+    those below PRUNE_REL of the row's largest |coefficient|, die and become
+    0.  The coefficients are not nan."""
     mag = np.abs(coefs)
     top = mag.max(axis=1)
     kept = live & (mag > 0.0) & (mag >= PRUNE_REL * top[:, None])
     died = kept != live
     if not died.any():
-        return coefs, live, False
+        return coefs, live
     for k, j in zip(*np.nonzero(died & (mag > 0.0))):
         _log_pruned(float(coefs[k, j]), float(rates[k, j]), float(top[k]))
-    return np.where(kept, coefs, 0.0), kept, True
+    return np.where(kept, coefs, 0.0), kept
 
 
 def _rule_parts(t: _Terms):
@@ -624,24 +594,16 @@ def _rule_parts(t: _Terms):
 
 
 def _sign_rule(t: _Terms):
-    """(_rule's reading as arrays: decided, sign at 0+ positive, sign at
-    infinity positive; _root_free's flags) of every row of a term table,
-    from one _rule_parts pass over the rows of each f and of its f'."""
-    n = len(t.coefs)
-    with np.errstate(over="ignore", under="ignore"):
-        slope = -t.rates * t.coefs
-    coefs, live = np.concatenate((t.coefs, slope)), np.concatenate((t.live, t.live))
-    val, scale, bound = _rule_parts(_Terms(coefs, None, live, np.concatenate((t.exps, t.exps))))
-    size, floor = np.abs(val), TOUCH_REL * scale
+    """_rule's reading of every row of a term table, as arrays: (decided,
+    sign at 0+ positive, sign at infinity positive)."""
+    return _read_rule(t, *_rule_parts(t))
+
+
+def _read_rule(t: _Terms, val, scale, bound):
+    """_sign_rule of the rows of t, given their _rule_parts."""
     head = val > 0
-    tail = coefs[np.arange(2 * n), np.argmax(live, axis=1)] > 0  # the slowest live term's
-    decided = (size > floor) & (bound < (head != tail) + 2)
-    same = (size[:n] > floor[:n]) & (head[:n] == tail[:n])
-    mag = np.abs(slope)
-    finite = np.all(((mag > 0.0) & (mag < math.inf)) | ~t.live, axis=1)
-    # a nan value is neither beyond the floor nor within it
-    free = same & (bound[:n] < 2) | (same | (size[:n] <= floor[:n])) & finite & decided[n:]
-    return (decided[:n], head[:n], tail[:n]), free
+    tail = t.coefs[np.arange(len(val)), np.argmax(t.live, axis=1)] > 0  # the slowest live term's
+    return (np.abs(val) > TOUCH_REL * scale) & (bound < (head != tail) + 2), head, tail
 
 
 def _rule(t: _Terms):
@@ -655,7 +617,7 @@ def _rule(t: _Terms):
     count: no zero, or one crossing.  A value at ROOT_WIDTH inside the
     noise floor (TOUCH_REL of the term scale) has no parity, and nor has a
     nan one."""
-    decided, head, tail = (col.tolist() for col in _sign_rule(t)[0])
+    decided, head, tail = (col.tolist() for col in _sign_rule(t))
     return [("+" if h else "-", "+" if s else "-") if d else None
             for d, h, s in zip(decided, head, tail)]
 
@@ -677,8 +639,20 @@ def _root_free(t: _Terms):
     f(ROOT_WIDTH) beyond the floor with the other sign than c_0 shows a
     zero, (b) being impossible then; such a value, a nan one and a
     derivative coefficient that overflows or underflows to zero leave f to
-    isolation."""
-    return _sign_rule(t)[1]
+    isolation.  One _rule_parts pass reads the rows of each f and of its f'."""
+    n = len(t.coefs)
+    with np.errstate(over="ignore", under="ignore"):
+        slope = -t.rates * t.coefs
+    both = _Terms(np.concatenate((t.coefs, slope)), None, np.concatenate((t.live, t.live)),
+                  np.concatenate((t.exps, t.exps)))
+    val, scale, bound = _rule_parts(both)
+    decided, head, tail = _read_rule(both, val, scale, bound)
+    size, floor = np.abs(val[:n]), TOUCH_REL * scale[:n]
+    same = (size > floor) & (head[:n] == tail[:n])
+    mag = np.abs(slope)
+    finite = np.all(((mag > 0.0) & (mag < math.inf)) | ~t.live, axis=1)
+    # a nan value is neither beyond the floor nor within it
+    return same & (bound[:n] < 2) | (same | (size <= floor)) & finite & decided[n:]
 
 
 def _terms(coefs, rates):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _Row,
-                      _merge_rows, _prune_rows, _sign_patterns, _sign_rule, _Terms)
+from .exppoly import (_EXP_LO, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _merge_rows,
+                      _prune_rows, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -389,12 +389,10 @@ class _Closed:
     cells: list
     kind: list
     terms: _Terms | None
-    free: list | None = None
 
     def outcomes(self, f: int, idx) -> list[ExpPoly | _CellResult | None]:
-        """Form f at each cell i of idx as an exponential polynomial (with its
-        root-free flag, when free holds the rows' flags from
-        exppoly._sign_rule), a decided cell, or None for the sampled scan."""
+        """Form f at each cell i of idx as an exponential polynomial, a
+        decided cell, or None for the sampled scan."""
         rows = [f * len(self.cells) + i for i in idx]
         closed = [row for row in rows if self.kind[row] == _CLOSED]
         terms = dict(zip(closed, self.terms.rows(closed))) if closed else {}
@@ -403,8 +401,9 @@ class _Closed:
             kind = self.kind[row]
             a, b = self.cells[i]
             if kind == _CLOSED:
-                out.append(_Row(self.terms, row, terms[row],
-                                None if self.free is None else self.free[row]))
+                poly = object.__new__(ExpPoly)
+                object.__setattr__(poly, "terms", terms[row])
+                out.append(poly)
             elif kind == _DEGENERATE:
                 out.append(_degenerate(a, b))
             elif kind == _LEFT:
@@ -432,10 +431,9 @@ def _closed_cells(forms, cells) -> _Closed:
     at a x + b, each row sorted stably by rate: the X side is composed,
     merged and pruned, scaled and pruned, and subtracted, merged and pruned
     as ExpPoly steps would do it, bit for bit, each step one masked pass
-    over the rows, and a merge only where rates lie close enough.  Rates,
-    their order and their exponentials depend on the slope alone, and
-    composed X coefficients on the intercept alone, so these come per
-    distinct a and b (_side_tables)."""
+    over the rows.  Rates, their order and their exponentials depend on the
+    slope alone, and composed X coefficients on the intercept alone, so
+    these come per distinct a and b (_side_tables)."""
     n, nf = len(cells), len(forms)
     if not cells or all(form.sides is None for form in forms):
         return _Closed(tuple(forms), cells, [_SAMPLED] * (nf * n), None)
@@ -446,56 +444,38 @@ def _closed_cells(forms, cells) -> _Closed:
     side = _side_tables(forms, list(apos), list(bpos))
     na, nb = len(apos), len(bpos)
     # each row's form, its group, and its (form, a), (form, b), (group, a)
-    fa, fb = np.array(ai), np.array(bi)
-    ga, fi = fa, np.zeros(n, dtype=np.intp)
-    gi = fi
-    if nf > 1:
-        fi = np.repeat(np.arange(nf), n)
-        gi = np.array(side.group)[fi]
-        fa, fb = np.tile(fa, nf), np.tile(fb, nf)
-        fa, fb, ga = fa + fi * na, fb + fi * nb, fa + gi * na
-    xmerged = dropped = scaled = False
+    fi = np.repeat(np.arange(nf), n)
+    gi = np.array(side.group)[fi]
+    fa, fb = np.tile(ai, nf), np.tile(bi, nf)
+    fa, fb, ga = fa + fi * na, fb + fi * nb, fa + gi * na
     with np.errstate(all="ignore"):
         # composed at a x + b; in a row that can close only the padding is
         # dead, and its coefficients are 0
         xr = side.xrate[ga]
         xl = side.xlive[fa] & side.ok_b[fb][:, None]
-        xc = side.xcoef[fb]
-        if side.x_close:
-            xc, xl, xmerged = _merge_rows(xc, xr, xl)
-        if side.x_close or not side.kept:
-            xc, xl, dropped = _prune_rows(xc, xr, xl)
-        if not side.unit:  # scaling by 1 changes nothing, nor does pruning again
-            xc = xc * side.scale[fa][:, None]
-            if side.x_close or not side.scaled_kept:
-                finite = np.isfinite(xc).all(axis=1)
-                if not finite.all():
-                    xl &= finite[:, None]
-                    xc = np.where(xl, xc, 0.0)
-                xc, xl, scaled = _prune_rows(xc, xr, xl)
+        xc, xl = _merge_rows(side.xcoef[fb], xr, xl)
+        xc, xl = _prune_rows(xc, xr, xl)
+        xc = xc * side.scale[fa][:, None]
+        xl &= np.isfinite(xc).all(axis=1)[:, None]
+        xc, xl = _prune_rows(np.where(xl, xc, 0.0), xr, xl)
         ok = xl.any(axis=1)  # an X side left, in a cell that can close
         idx = side.order[ga] + (np.arange(len(ga)) * side.order.shape[1])[:, None]
         coefs = np.concatenate((side.ycoef[fi], -xc), axis=1).ravel()[idx]
         live = np.concatenate((side.ylive[gi] & ok[:, None], xl), axis=1).ravel()[idx]
         rates = side.rates[ga]
-        merged = False
-        if side.close:
-            coefs, live, merged = _merge_rows(coefs, rates, live)
-        coefs, live, pruned = _prune_rows(coefs, rates, live)
+        coefs, live = _merge_rows(coefs, rates, live)
+        coefs, live = _prune_rows(coefs, rates, live)
         nonempty = live.any(axis=1)
-        closed = nonempty
-        if merged or pruned:
-            closed = nonempty & ~_pruned_slow_term(live, rates, side.ylive[gi],
-                                                   side.yrate[gi], xl, xr)
-            live &= closed[:, None]
+        closed = nonempty & ~_pruned_slow_term(live, rates, side.ylive[gi], side.yrate[gi],
+                                               xl, xr)
+        live &= closed[:, None]
     kind = np.where(closed, _CLOSED, _SAMPLED)
     empty = ok & ~nonempty
     if empty.any():
         b = np.array([b for _, b in cells] * nf)[empty]
         kind[empty] = np.where(b >= 0, _DEGENERATE, _LEFT)
-    return _Closed(tuple(forms), cells, kind.tolist(), _compact(
-        coefs, rates, live, side.exps[ga], xmerged or dropped or scaled or merged or pruned,
-        bool(closed.all())))
+    return _Closed(tuple(forms), cells, kind.tolist(),
+                   _compact(coefs, rates, live, side.exps[ga]))
 
 
 class _Sides(NamedTuple):
@@ -514,14 +494,7 @@ class _Sides(NamedTuple):
     and whether a cell there can close (not at b < 0 without a left sign,
     nor where c exp(-r b) overflows).  Per form and distinct slope: whether
     each X term is live (not where the scale a^k / ex is 0 or a rate
-    leaves (0, inf)) and the scale.
-
-    x_close and close say whether two X rates, or two rates of the sorted
-    columns, of one row lie close enough to merge.  kept says that pruning
-    keeps every composed X coefficient of every intercept, with room to
-    spare, and scaled_kept that it still does after any scale (no product
-    leaves the normal floats), unit that every scale is 1.  Where no X
-    rates merge, the prunes of the X side then change nothing."""
+    leaves (0, inf)) and the scale."""
 
     group: list
     yrate: np.ndarray
@@ -535,11 +508,6 @@ class _Sides(NamedTuple):
     ok_b: np.ndarray
     xlive: np.ndarray
     scale: np.ndarray
-    x_close: bool
-    close: bool
-    kept: bool
-    scaled_kept: bool
-    unit: bool
 
 
 def _side_tables(forms, a_vals, b_vals) -> _Sides:
@@ -554,8 +522,6 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     groups: dict = {}
     group, ys, xb, ok_b, xlive, scale = [], [], [], [], [], []
     yrate, columns, exps, eb = [], [], [], []
-    x_close = False
-    kept, cmin, cmax, smin, smax = True, inf, 0.0, inf, 0.0
     for form in forms:
         if form.sides is None:
             group.append(groups.setdefault(None, len(groups)))
@@ -579,9 +545,6 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
             yr = [-inf] * py + list(ry)
             yrate.append(yr)
             rates = [[r * a for r in rx] for a in a_vals]
-            # merging within the X side compares neighbours, as _merge_rows
-            x_close = x_close or any(q - p <= RATE_MERGE_REL * row[-1]
-                                     for row in rates for p, q in zip(row, row[1:]))
             # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0
             ye = [1.0] * py + [exp(max(-r * ROOT_WIDTH, lo)) for r in ry] + [1.0] * px
             yr = yr + [-inf] * px
@@ -594,40 +557,26 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
         rates, e = eb[g]
         ys.append([0.0] * py + list(cy))
         sc = [a ** form.k / form.ex for a in a_vals]
-        live = [s != 0.0 and 0.0 < row[0] and row[-1] < inf for s, row in zip(sc, rates)]
-        for ok in live:
+        for s, row in zip(sc, rates):
             xlive += [False] * px
-            xlive += [ok] * len(rx)
+            xlive += [s != 0.0 and 0.0 < row[0] and row[-1] < inf] * len(rx)
         scale += sc
-        sc_live = [s for s, ok in zip(sc, live) if ok]
-        if sc_live:
-            smin, smax = min(smin, min(sc_live)), max(smax, max(sc_live))
         left = form.left is not None
         for b in b_vals:
             composed = [c * x for c, x in zip(cx, e[b])]
             xb += [0.0] * px
             xb += composed
             ok_b.append((b >= 0 or left) and all(map(math.isfinite, composed)))
-            if ok_b[-1]:
-                mags = list(map(abs, composed))
-                low, top = min(mags), max(mags)
-                kept = kept and low >= PRUNE_REL * top * (1.0 + 1e-9) > 0.0
-                cmin, cmax = min(cmin, low), max(cmax, top)
     m = ny + nx
     columns = np.array(columns).reshape(-1, m)
     order = np.argsort(columns, axis=1, kind="stable")
     flat = order + (np.arange(len(order)) * m)[:, None]
     rates = columns.ravel()[flat]
-    with np.errstate(invalid="ignore"):
-        # sorted rates: a gap within the tolerance of the row's largest rate
-        close = np.count_nonzero(np.diff(rates, axis=1) <= RATE_MERGE_REL * rates[:, -1:]) > 0
     rates[rates == -inf] = 1.0  # the padding, as in _Terms
     yrate = np.array(yrate)
     return _Sides(group, yrate, yrate > -inf, columns[:, ny:], order, rates,
                   np.array(exps).ravel()[flat], np.array(ys), np.array(xb).reshape(-1, nx),
-                  np.array(ok_b), np.array(xlive).reshape(-1, nx), np.array(scale), x_close,
-                  close, kept, kept and cmin * smin >= 1e-300 and cmax * smax <= 1e300,
-                  all(s == 1.0 for s in scale))
+                  np.array(ok_b), np.array(xlive).reshape(-1, nx), np.array(scale))
 
 
 def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
@@ -645,18 +594,12 @@ def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
             | (xlive & (xrate < slowest) & ~near.any(axis=1)).any(axis=1))
 
 
-def _compact(coefs, rates, live, exps, holes, full) -> _Terms:
+def _compact(coefs, rates, live, exps) -> _Terms:
     """The table of these columns with each row's live entries right-aligned
-    in order, its dead entries of coefficient 0, rate 1 and exp 1; holes
-    says whether a live entry may follow a dead one, and full that every
-    row has live entries, all dead ones in front already of coefficient 0
-    (or -0), rate 1 and exp 1."""
-    if not holes and full:
-        return _Terms(coefs, rates, live, exps)
-    if holes and (live[:, :-1] & ~live[:, 1:]).any():
-        order = np.argsort(live.astype(float), axis=1, kind="stable")
-        order += (np.arange(len(order)) * order.shape[1])[:, None]
-        coefs, rates, live, exps = (col.ravel()[order] for col in (coefs, rates, live, exps))
+    in order, its dead entries of coefficient 0, rate 1 and exp 1."""
+    order = np.argsort(live, axis=1, kind="stable")
+    order += (np.arange(len(order)) * order.shape[1])[:, None]
+    coefs, rates, live, exps = (col.ravel()[order] for col in (coefs, rates, live, exps))
     return _Terms(np.where(live, coefs, 0.0), np.where(live, rates, 1.0), live,
                   np.where(live, exps, 1.0))
 
@@ -736,26 +679,20 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
     the sweep, so at most the rest of its batch is evaluated in vain.  A
     disallowed pattern that does not re-verify counts as uncertain.  The
     worst margin is the smallest of the passing cells' margins, 0 on a
-    degenerate cell.  Whether a sign sequence is admissible is looked up
-    once per distinct sequence."""
+    degenerate cell."""
     cells = list(product(grid.a_values, grid.b_values))
     size = max(1, _BATCH_CELLS // len(grid.b_values)) * len(grid.b_values)
     batches = (cells[i:i + size] for i in range(0, len(cells), size))
     worst = math.inf
     first_uncertain = None
     scanned = 0
-    admissible: dict = {}
     for res in chain.from_iterable(map(evaluate, batches)):
         scanned += 1
         if res.degenerate:
             worst = 0.0
             continue
         if not res.uncertain:
-            signs = res.pattern.signs if isinstance(res.pattern, SignPattern) else res.pattern
-            ok = admissible.get(signs)
-            if ok is None:
-                ok = admissible[signs] = matches(signs, allowed)
-            if ok:
+            if matches(res.pattern, allowed):
                 if res.margin is not None:
                     worst = min(worst, res.margin)
                 continue
@@ -859,8 +796,7 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
             # the first form whose coefficient signs fix its pattern decides
             # the cell, the partner only where the chosen form is closed;
             # every pattern they fix is admissible
-            (decided, head, tail), free = _sign_rule(closed.terms)
-            closed = replace(closed, free=free.tolist())
+            decided, head, tail = _sign_rule(closed.terms)
             shut = closed.terms.live[:, -1]  # a closed row's last entry is live
             first = shut[:n] & decided[:n]
             second = shut[:n] & ~decided[:n] & shut[n:] & decided[n:]

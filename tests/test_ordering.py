@@ -284,7 +284,7 @@ class TestClosedCriterionH:
 
         def rule_spy(table):
             out = rule(table)
-            decided.extend(d and h != t for d, h, t in zip(*(col.tolist() for col in out[0])))
+            decided.extend(d and h != t for d, h, t in zip(*(col.tolist() for col in out)))
             return out
 
         monkeypatch.setattr(ordering, "_sign_rule", rule_spy)
@@ -331,8 +331,7 @@ class TestClosedCriterionH:
         grid = GridSpec(self.SLOPES, b_values)
         cases = [(s, form) for s in (1, 2, 3) for form in ("hs", "hs1")]
         with_rule = [criterion_h(X, Y, s, grid, form=form) for s, form in cases]
-        nothing = lambda table: ((np.zeros(len(table.coefs), dtype=bool),) * 3,  # noqa: E731
-                                 np.zeros(len(table.coefs), dtype=bool))
+        nothing = lambda table: (np.zeros(len(table.coefs), dtype=bool),) * 3  # noqa: E731
         monkeypatch.setattr(ordering, "_sign_rule", nothing)
         for (s, form), v in zip(cases, with_rule):
             assert v.to_dict() == criterion_h(X, Y, s, grid, form=form).to_dict(), (s, form)
