@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -271,16 +272,16 @@ class RootReport:
             raise ValueError("more isolated roots than the sign-change bound allows")
 
 
-def _sign_patterns(polys, starts) -> list[SignPattern]:
+def _sign_patterns(polys, starts, free=None) -> list[SignPattern]:
     """ExpPoly.sign_pattern_exact of each polynomial of polys on (start,
     inf), start its entry of starts: the regions of all of them are
-    sampled in one batch (_sample), and each pattern is read through
+    sampled in one batch (_sample, given free), and each pattern is read through
     sign_pattern_exact, from a _Sampled copy of its polynomial that
     carries its samples.  So a batch makes one sign_pattern_exact call per
     pattern, as lone polynomials do, which is what perfbench's tracer
     counts and reads the term count and uncertainty of."""
     return [_Sampled(p.terms, start, sampled).sign_pattern_exact(start)
-            for p, start, sampled in zip(polys, starts, _sample(polys, starts))]
+            for p, start, sampled in zip(polys, starts, _sample(polys, starts, free))]
 
 
 class _Sampled(ExpPoly):
@@ -296,9 +297,12 @@ class _Sampled(ExpPoly):
         return sampled if start == own else super()._sampled(start)
 
 
-def _sample(polys, starts):
+def _sample(polys, starts, free=None):
     """The sampled regions of each polynomial of polys on (start, inf),
-    start its entry of starts, as _read_pattern takes them.
+    start its entry of starts, as _read_pattern takes them.  free, where
+    given, holds each polynomial's _root_free flag from the term table it
+    is a row of (read only at start 0); else the flags come from one table
+    of the polynomials that start at 0.
 
     The dominance horizon, the root-free step or isolation, and the cuts
     between the roots are each polynomial's own.  The 7 interior samples
@@ -308,11 +312,14 @@ def _sample(polys, starts):
     ExpPoly.eval give it alone; a far region's samples are evaluated
     relative to the head term, region by region."""
     at_zero = [k for k, start in enumerate(starts) if start == 0.0]
-    free = np.zeros(len(polys), dtype=bool)
+    skips = [False] * len(polys)
     if at_zero:
-        free[at_zero] = _root_free(_Terms.of([polys[k].terms for k in at_zero]))
+        flags = [free[k] for k in at_zero] if free is not None else \
+            _root_free(_Terms.of([polys[k].terms for k in at_zero])).tolist()
+        for k, flag in zip(at_zero, flags):
+            skips[k] = flag
     plans = []
-    for p, start, skip in zip(polys, starts, free.tolist()):
+    for p, start, skip in zip(polys, starts, skips):
         horizon = p.dominance_horizon(start)
         shift = max(ROOT_WIDTH, 1e-12 * max(abs(start), 1.0))
         lo = start + shift
@@ -467,8 +474,9 @@ class _Terms(NamedTuple):
         """The table of rows, each a nonempty tuple of (coefficient, rate)
         pairs in increasing-rate order."""
         coefs, rates, live = _pad(rows)
-        z = np.minimum(np.maximum(-rates * ROOT_WIDTH, _EXP_LO), _EXP_HI)
-        return cls(coefs, rates, live, _exps(np.where(live, z, 0.0)))
+        z = np.where(live, np.minimum(np.maximum(-rates * ROOT_WIDTH, _EXP_LO), _EXP_HI), 0.0)
+        exps = np.array(list(map(math.exp, z.ravel().tolist()))).reshape(z.shape)
+        return cls(coefs, rates, live, exps)
 
     def rows(self, ks) -> list[tuple[tuple[float, float], ...]]:
         """The live terms of each row of ks, as pairs of Python floats."""
@@ -481,19 +489,13 @@ def _pad(rows):
     """(coefficients, rates, live mask) of rows, each a nonempty tuple of
     (coefficient, rate) pairs, right-aligned as in _Terms."""
     count = max(map(len, rows), default=0)
-    table = np.array([((0.0, 1.0),) * (count - len(terms)) + terms for terms in rows]
-                     ).reshape(len(rows), count, 2)
-    live = np.arange(count) >= count - np.array([len(terms) for terms in rows])[:, None]
+    flat: list = []
+    for terms in rows:
+        flat += (0.0, 1.0) * (count - len(terms))
+        flat += chain.from_iterable(terms)
+    table = np.array(flat).reshape(len(rows), count, 2)
+    live = np.arange(count) >= count - np.array(list(map(len, rows)))[:, None]
     return table[:, :, 0], table[:, :, 1], live
-
-
-def _exps(z):
-    """math.exp of every entry of the float array z, one call per distinct
-    value; an argument past the float range gives inf (math.exp raises
-    there)."""
-    flat = z.ravel().tolist()
-    memo = {v: _exp_or_inf(v) for v in set(flat)}
-    return np.array([memo[v] for v in flat]).reshape(z.shape)
 
 
 def _exp_or_inf(z):
@@ -505,9 +507,9 @@ def _exp_or_inf(z):
 
 def _merge_rows(coefs, rates, live):
     """The merge step of _merge_terms on every row of a table, as
-    (coefficients, live mask).  Each row's live entries
-    are in stable increasing-rate order, and every dead entry between two
-    live ones keeps its rate in that order.  An entry within RATE_MERGE_REL
+    (coefficients, live mask).  Each row's live entries are in stable
+    increasing-rate order, and every dead entry between two live ones keeps
+    its rate in that order.  An entry within RATE_MERGE_REL
     of the row's largest live rate from the first entry of its group is
     summed into it and dies, in one column pass, which is not needed where
     no two neighbouring entries, the right one live, lie that close by the
@@ -516,7 +518,7 @@ def _merge_rows(coefs, rates, live):
     with np.errstate(invalid="ignore"):
         close = live[:, 1:] & (np.abs(rates[:, 1:] - rates[:, :-1])
                                <= RATE_MERGE_REL * np.max(rates[:, -1]))
-    if not close.any():
+    if not np.count_nonzero(close):
         return coefs, live
     n, m = coefs.shape
     last = rates[np.arange(n), m - 1 - np.argmax(live[:, ::-1], axis=1)]
@@ -548,10 +550,9 @@ def _prune_rows(coefs, rates, live):
     mag = np.abs(coefs)
     top = mag.max(axis=1)
     kept = live & (mag > 0.0) & (mag >= PRUNE_REL * top[:, None])
-    died = kept != live
-    if not died.any():
+    if np.count_nonzero(kept) == np.count_nonzero(live):  # kept lies within live
         return coefs, live
-    for k, j in zip(*np.nonzero(died & (mag > 0.0))):
+    for k, j in zip(*np.nonzero(live & ~kept & (mag > 0.0))):
         _log_pruned(float(coefs[k, j]), float(rates[k, j]), float(top[k]))
     return np.where(kept, coefs, 0.0), kept
 
@@ -594,16 +595,25 @@ def _rule_parts(t: _Terms):
 
 
 def _sign_rule(t: _Terms):
-    """_rule's reading of every row of a term table, as arrays: (decided,
-    sign at 0+ positive, sign at infinity positive)."""
-    return _read_rule(t, *_rule_parts(t))
-
-
-def _read_rule(t: _Terms, val, scale, bound):
-    """_sign_rule of the rows of t, given their _rule_parts."""
+    """(decided, sign at 0+ positive, sign at infinity positive, root-free)
+    of every row of a term table, as arrays: _rule's reading and
+    _root_free's flag, from one _rule_parts pass over the rows of each f and
+    of its f'."""
+    n = len(t.coefs)
+    with np.errstate(over="ignore", under="ignore"):
+        slope = -t.rates * t.coefs
+    coefs, live = np.concatenate((t.coefs, slope)), np.concatenate((t.live, t.live))
+    val, scale, bound = _rule_parts(_Terms(coefs, None, live, np.concatenate((t.exps, t.exps))))
+    size, floor = np.abs(val), TOUCH_REL * scale
     head = val > 0
-    tail = t.coefs[np.arange(len(val)), np.argmax(t.live, axis=1)] > 0  # the slowest live term's
-    return (np.abs(val) > TOUCH_REL * scale) & (bound < (head != tail) + 2), head, tail
+    tail = coefs[np.arange(2 * n), np.argmax(live, axis=1)] > 0  # the slowest live term's
+    decided = (size > floor) & (bound < (head != tail) + 2)
+    same = (size[:n] > floor[:n]) & (head[:n] == tail[:n])
+    mag = np.abs(slope)
+    finite = np.all(((mag > 0.0) & (mag < math.inf)) | ~t.live, axis=1)
+    # a nan value is neither beyond the floor nor within it
+    free = same & (bound[:n] < 2) | (same | (size[:n] <= floor[:n])) & finite & decided[n:]
+    return decided[:n], head[:n], tail[:n], free
 
 
 def _rule(t: _Terms):
@@ -617,7 +627,7 @@ def _rule(t: _Terms):
     count: no zero, or one crossing.  A value at ROOT_WIDTH inside the
     noise floor (TOUCH_REL of the term scale) has no parity, and nor has a
     nan one."""
-    decided, head, tail = (col.tolist() for col in _sign_rule(t))
+    decided, head, tail = (col.tolist() for col in _sign_rule(t)[:3])
     return [("+" if h else "-", "+" if s else "-") if d else None
             for d, h, s in zip(decided, head, tail)]
 
@@ -639,20 +649,8 @@ def _root_free(t: _Terms):
     f(ROOT_WIDTH) beyond the floor with the other sign than c_0 shows a
     zero, (b) being impossible then; such a value, a nan one and a
     derivative coefficient that overflows or underflows to zero leave f to
-    isolation.  One _rule_parts pass reads the rows of each f and of its f'."""
-    n = len(t.coefs)
-    with np.errstate(over="ignore", under="ignore"):
-        slope = -t.rates * t.coefs
-    both = _Terms(np.concatenate((t.coefs, slope)), None, np.concatenate((t.live, t.live)),
-                  np.concatenate((t.exps, t.exps)))
-    val, scale, bound = _rule_parts(both)
-    decided, head, tail = _read_rule(both, val, scale, bound)
-    size, floor = np.abs(val[:n]), TOUCH_REL * scale[:n]
-    same = (size > floor) & (head[:n] == tail[:n])
-    mag = np.abs(slope)
-    finite = np.all(((mag > 0.0) & (mag < math.inf)) | ~t.live, axis=1)
-    # a nan value is neither beyond the floor nor within it
-    return same & (bound[:n] < 2) | (same | (size <= floor)) & finite & decided[n:]
+    isolation."""
+    return _sign_rule(t)[3]
 
 
 def _terms(coefs, rates):

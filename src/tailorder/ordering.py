@@ -35,7 +35,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import IndeterminateFunction
 from .exppoly import (_EXP_LO, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _merge_rows,
-                      _prune_rows, _sign_patterns, _sign_rule, _Terms)
+                      _prune_rows, _root_free, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -446,7 +446,7 @@ def _closed_cells(forms, cells) -> _Closed:
     # each row's form, its group, and its (form, a), (form, b), (group, a)
     fi = np.repeat(np.arange(nf), n)
     gi = np.array(side.group)[fi]
-    fa, fb = np.tile(ai, nf), np.tile(bi, nf)
+    fa, fb = np.array(ai * nf), np.array(bi * nf)
     fa, fb, ga = fa + fi * na, fb + fi * nb, fa + gi * na
     with np.errstate(all="ignore"):
         # composed at a x + b; in a row that can close only the padding is
@@ -515,25 +515,24 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     b_vals, each value by the operations a _Form and ExpPoly steps apply to
     it; the exponentials come from math.exp, once per group and slope or
     intercept."""
-    na = len(a_vals)
+    na, nb = len(a_vals), len(b_vals)
     ny, nx = (max(len(form.sides[k].terms) for form in forms if form.sides is not None)
               for k in (0, 1))
-    exp, lo, inf = math.exp, _EXP_LO, math.inf
+    slopes, inf = np.array(a_vals), math.inf
     groups: dict = {}
-    group, ys, xb, ok_b, xlive, scale = [], [], [], [], [], []
-    yrate, columns, exps, eb = [], [], [], []
+    group, yrate, columns, eb = [], [], [], []
+    ys, xb, ok_b, xlive, scale = [], [], [], [], []
     for form in forms:
+        live = np.zeros((na, nx), dtype=bool)
+        xlive.append(live)
         if form.sides is None:
             group.append(groups.setdefault(None, len(groups)))
             if group[-1] == len(yrate):
                 yrate.append([-inf] * ny)
-                columns += [-inf] * ((ny + nx) * na)
-                exps += [1.0] * ((ny + nx) * na)
-                eb.append(None)
+                columns.append(np.full((na, ny + nx), -inf))
             ys.append([0.0] * ny)
-            xb += [0.0] * (nx * len(b_vals))
-            ok_b += [False] * len(b_vals)
-            xlive += [False] * (nx * na)
+            xb += [0.0] * (nx * nb)
+            ok_b += [False] * nb
             scale += [0.0] * na
             continue
         hy, hx = form.sides
@@ -542,24 +541,16 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
         g = groups.setdefault((ry, rx), len(groups))
         group.append(g)
         if g == len(yrate):
-            yr = [-inf] * py + list(ry)
-            yrate.append(yr)
-            rates = [[r * a for r in rx] for a in a_vals]
-            # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0
-            ye = [1.0] * py + [exp(max(-r * ROOT_WIDTH, lo)) for r in ry] + [1.0] * px
-            yr = yr + [-inf] * px
-            for row in rates:
-                columns += yr
-                columns += row
-                exps += ye
-                exps += [exp(max(-r * ROOT_WIDTH, lo)) for r in row]
-            eb.append((rates, {b: [_exp_or_inf(-r * b) for r in rx] for b in b_vals}))
-        rates, e = eb[g]
+            yrate.append([-inf] * py + list(ry))
+            col = np.full((na, ny + nx), -inf)
+            col[:, py:ny] = ry
+            col[:, ny + px:] = np.multiply.outer(slopes, rx)
+            columns.append(col)
+            eb.append({b: [_exp_or_inf(-r * b) for r in rx] for b in b_vals})
+        xr, e = columns[g][:, ny + px:], eb[g]
         ys.append([0.0] * py + list(cy))
         sc = [a ** form.k / form.ex for a in a_vals]
-        for s, row in zip(sc, rates):
-            xlive += [False] * px
-            xlive += [s != 0.0 and 0.0 < row[0] and row[-1] < inf] * len(rx)
+        live[:, px:] = ((np.array(sc) != 0.0) & (xr[:, 0] > 0.0) & (xr[:, -1] < inf))[:, None]
         scale += sc
         left = form.left is not None
         for b in b_vals:
@@ -568,15 +559,19 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
             xb += composed
             ok_b.append((b >= 0 or left) and all(map(math.isfinite, composed)))
     m = ny + nx
-    columns = np.array(columns).reshape(-1, m)
+    columns = np.concatenate(columns)
+    # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0; the padding's
+    # exps are inf, and _compact makes them 1
+    z = np.maximum(-columns * ROOT_WIDTH, _EXP_LO)
+    exps = np.array(list(map(math.exp, z.ravel().tolist())))
     order = np.argsort(columns, axis=1, kind="stable")
     flat = order + (np.arange(len(order)) * m)[:, None]
     rates = columns.ravel()[flat]
     rates[rates == -inf] = 1.0  # the padding, as in _Terms
     yrate = np.array(yrate)
-    return _Sides(group, yrate, yrate > -inf, columns[:, ny:], order, rates,
-                  np.array(exps).ravel()[flat], np.array(ys), np.array(xb).reshape(-1, nx),
-                  np.array(ok_b), np.array(xlive).reshape(-1, nx), np.array(scale))
+    return _Sides(group, yrate, yrate > -inf, columns[:, ny:], order, rates, exps[flat],
+                  np.array(ys), np.array(xb).reshape(-1, nx), np.array(ok_b),
+                  np.concatenate(xlive), np.array(scale))
 
 
 def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
@@ -586,12 +581,14 @@ def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
     of the larger last rate: it was pruned, not cancelled."""
     rows = np.arange(len(rates))
     slowest = rates[rows, np.argmax(live, axis=1)][:, None]
+    slow_y, slow_x = ylive & (yrate < slowest), xlive & (xrate < slowest)
+    if not (np.count_nonzero(slow_y) or np.count_nonzero(slow_x)):
+        return np.zeros(len(rates), dtype=bool)
     last_x = xrate[rows, xrate.shape[1] - 1 - np.argmax(xlive[:, ::-1], axis=1)]
     tol = RATE_MERGE_REL * np.maximum(yrate[:, -1], last_x)
     near = ((np.abs(yrate[:, :, None] - xrate[:, None, :]) <= tol[:, None, None])
             & ylive[:, :, None] & xlive[:, None, :])
-    return ((ylive & (yrate < slowest) & ~near.any(axis=2)).any(axis=1)
-            | (xlive & (xrate < slowest) & ~near.any(axis=1)).any(axis=1))
+    return (slow_y & ~near.any(axis=2)).any(axis=1) | (slow_x & ~near.any(axis=1)).any(axis=1)
 
 
 def _compact(coefs, rates, live, exps) -> _Terms:
@@ -604,9 +601,10 @@ def _compact(coefs, rates, live, exps) -> _Terms:
                   np.where(live, exps, 1.0))
 
 
-def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
+def _evaluate_cells(form: _Form, cells, closed, free) -> list[_CellResult]:
     """The cells (a, b) of cells, given closed, each cell's outcome in a
-    term table (_Closed.outcome): one _sign_patterns call for the closed
+    term table (_Closed.outcomes), and free, their rows' root-free flags
+    there (exppoly._sign_rule): one _sign_patterns call for the closed
     forms, each from max(0, -b/a), where at b < 0 the pattern begins with
     the left sign, and one _scan_row call for the cells left to sampling."""
     out = list(closed)
@@ -614,7 +612,8 @@ def _evaluate_cells(form: _Form, cells, closed) -> list[_CellResult]:
     rest = [i for i, c in enumerate(closed) if c is None]
     if exact:
         starts = [max(0.0, -b / a) for a, b in (cells[i] for i in exact)]
-        for i, pat in zip(exact, _sign_patterns([closed[i] for i in exact], starts)):
+        flags = [free[i] for i in exact]
+        for i, pat in zip(exact, _sign_patterns([closed[i] for i in exact], starts, flags)):
             out[i] = _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
     if rest:
         a, b = (np.array(col) for col in zip(*(cells[i] for i in rest)))
@@ -721,8 +720,10 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdic
 
     def evaluate(cells):
         closed = _closed_cells((form,), cells)
+        free = [False] * len(cells) if closed.terms is None else \
+            _root_free(closed.terms).tolist()
         return _with_margins(form, _evaluate_cells(
-            form, cells, closed.outcomes(0, range(len(cells)))), allowed)
+            form, cells, closed.outcomes(0, range(len(cells))), free), allowed)
 
     return _sweep(grid, evaluate, allowed, criterion, s)
 
@@ -792,11 +793,13 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
         closed = _closed_cells(pair, cells)
         n = len(cells)
         out = [None] * n
+        free = [False] * (2 * n)
         if _CLOSED in closed.kind:
             # the first form whose coefficient signs fix its pattern decides
             # the cell, the partner only where the chosen form is closed;
             # every pattern they fix is admissible
-            decided, head, tail = _sign_rule(closed.terms)
+            decided, head, tail, free = _sign_rule(closed.terms)
+            free = free.tolist()
             shut = closed.terms.live[:, -1]  # a closed row's last entry is live
             first = shut[:n] & decided[:n]
             second = shut[:n] & ~decided[:n] & shut[n:] & decided[n:]
@@ -807,7 +810,8 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
                 out[i] = _CellResult(*cells[i], (t,) if h == t else (h, t), pair[row // n])
 
         def evaluate_form(f, idx):
-            return _evaluate_cells(pair[f], [cells[i] for i in idx], closed.outcomes(f, idx))
+            return _evaluate_cells(pair[f], [cells[i] for i in idx], closed.outcomes(f, idx),
+                                   [free[f * n + i] for i in idx])
 
         rest = [i for i, res in enumerate(out) if res is None]
         for i, res in zip(rest, evaluate_form(0, rest)):

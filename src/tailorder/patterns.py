@@ -123,9 +123,10 @@ class SignPattern:
 
 
 @lru_cache(maxsize=64)
-def _normalized_set(allowed: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
-    """Each sequence of an allowed set normalized, once per distinct set."""
-    return tuple(_normalize(cand) for cand in allowed)
+def _final_parts(allowed: tuple[tuple[str, ...], ...]) -> frozenset[tuple[str, ...]]:
+    """Every final part of each sequence of an allowed set, normalized, once
+    per distinct set."""
+    return frozenset(cand[i:] for cand in map(_normalize, allowed) for i in range(len(cand) + 1))
 
 
 def matches(pattern: SignPattern | Sequence[str], allowed: Iterable[Sequence[str]]) -> bool:
@@ -135,10 +136,4 @@ def matches(pattern: SignPattern | Sequence[str], allowed: Iterable[Sequence[str
     zero within the deadband) is a final part of everything.
     """
     signs = pattern.signs if isinstance(pattern, SignPattern) else _normalize(pattern)
-    n = len(signs)
-    if n == 0:
-        return True
-    for cand in _normalized_set(tuple(map(tuple, allowed))):
-        if n <= len(cand) and cand[len(cand) - n:] == signs:
-            return True
-    return False
+    return not signs or signs in _final_parts(tuple(map(tuple, allowed)))

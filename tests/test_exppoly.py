@@ -1101,7 +1101,7 @@ class TestBatchedSignPatterns:
         samples = []
         sample = exppoly._sample
         monkeypatch.setattr(exppoly, "_sample",
-                            lambda ps, ss: samples.append(len(ps)) or sample(ps, ss))
+                            lambda ps, ss, free: samples.append(len(ps)) or sample(ps, ss, free))
         got = exppoly._sign_patterns(polys, starts)
         assert calls == [(p.terms, start) for p, start in zip(polys, starts)]
         assert samples == [len(polys)]

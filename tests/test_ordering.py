@@ -231,9 +231,9 @@ def _count_sampled_cells(monkeypatch):
     calls = [0]
     inner = ordering._sign_patterns
 
-    def spy(polys, starts):
+    def spy(polys, starts, free=None):
         calls[0] += len(polys)
-        return inner(polys, starts)
+        return inner(polys, starts, free)
 
     monkeypatch.setattr(ordering, "_sign_patterns", spy)
     return calls
@@ -284,7 +284,7 @@ class TestClosedCriterionH:
 
         def rule_spy(table):
             out = rule(table)
-            decided.extend(d and h != t for d, h, t in zip(*(col.tolist() for col in out)))
+            decided.extend(d and h != t for d, h, t in zip(*(col.tolist() for col in out[:3])))
             return out
 
         monkeypatch.setattr(ordering, "_sign_rule", rule_spy)
@@ -303,9 +303,9 @@ class TestClosedCriterionH:
         batches = []
         inner = ordering._evaluate_cells
 
-        def spy(form, cells, closed):
+        def spy(form, cells, closed, free):
             before = len(evaluations)
-            out = inner(form, cells, closed)
+            out = inner(form, cells, closed, free)
             batches.append((sum(isinstance(c, ExpPoly) for c in closed),
                             len(evaluations) - before))
             return out
@@ -331,7 +331,7 @@ class TestClosedCriterionH:
         grid = GridSpec(self.SLOPES, b_values)
         cases = [(s, form) for s in (1, 2, 3) for form in ("hs", "hs1")]
         with_rule = [criterion_h(X, Y, s, grid, form=form) for s, form in cases]
-        nothing = lambda table: (np.zeros(len(table.coefs), dtype=bool),) * 3  # noqa: E731
+        nothing = lambda table: (np.zeros(len(table.coefs), dtype=bool),) * 4  # noqa: E731
         monkeypatch.setattr(ordering, "_sign_rule", nothing)
         for (s, form), v in zip(cases, with_rule):
             assert v.to_dict() == criterion_h(X, Y, s, grid, form=form).to_dict(), (s, form)
