@@ -15,12 +15,13 @@ level, the critical points of the level above, are bisected only until that
 level provably keeps one sign across them.
 
 The coefficient-sign rule runs on term tables (_Terms), one polynomial per
-row, in one pass of numpy column operations over all rows (_rule_parts,
-read by _sign_rule and _rule, and by _root_free over the rows of f and
-f'); every row gets, bit for bit, the values and decisions that the same
-steps on its terms alone give.  ordering builds the closed cells of a sweep
-batch as such a table and settles them with one such pass; _sample runs
-_root_free on a table of its polynomials that start at 0.
+row, in one pass of numpy column operations over the rows of each f and of
+its f' (_sign_rule, with _rule and _root_free reading its two halves);
+every row gets, bit for bit, the values and decisions that the same steps
+on its terms alone give.  ordering builds the closed cells of a sweep batch
+as such a table, settles them with one such pass and hands their root-free
+flags to _sample, which otherwise runs the pass on a table of the
+polynomials it samples from 0.
 """
 from __future__ import annotations
 
@@ -507,19 +508,19 @@ def _exp_or_inf(z):
 
 def _merge_rows(coefs, rates, live):
     """The merge step of _merge_terms on every row of a table, as
-    (coefficients, live mask).  Each row's live entries are in stable
-    increasing-rate order, and every dead entry between two live ones keeps
-    its rate in that order.  An entry within RATE_MERGE_REL
-    of the row's largest live rate from the first entry of its group is
-    summed into it and dies, in one column pass, which is not needed where
-    no two neighbouring entries, the right one live, lie that close by the
-    largest tolerance any row could have: between two live entries every
-    gap is at most their distance."""
+    (coefficients, live mask, whether any may have merged).  Each row's live
+    entries are in stable increasing-rate order, and every dead entry
+    between two live ones keeps its rate in that order.  An entry within
+    RATE_MERGE_REL of the row's largest live rate from the first entry of
+    its group is summed into it and dies, in one column pass, which is not
+    needed where no two neighbouring entries, the right one live, lie that
+    close by the largest tolerance any row could have: between two live
+    entries every gap is at most their distance."""
     with np.errstate(invalid="ignore"):
         close = live[:, 1:] & (np.abs(rates[:, 1:] - rates[:, :-1])
                                <= RATE_MERGE_REL * np.max(rates[:, -1]))
     if not np.count_nonzero(close):
-        return coefs, live
+        return coefs, live, False
     n, m = coefs.shape
     last = rates[np.arange(n), m - 1 - np.argmax(live[:, ::-1], axis=1)]
     tol = RATE_MERGE_REL * last
@@ -539,22 +540,22 @@ def _merge_rows(coefs, rates, live):
         first = np.where(new, rates[:, j], first)
         group = np.where(new, j, group)
         started |= on
-    return coefs, live
+    return coefs, live, True
 
 
 def _prune_rows(coefs, rates, live):
     """The pruning step of _merge_terms on every row of a table whose dead
-    coefficients are 0, as (coefficients, live mask): zero coefficients, and
-    those below PRUNE_REL of the row's largest |coefficient|, die and become
-    0.  The coefficients are not nan."""
+    coefficients are 0, as (coefficients, live mask, whether any died): zero
+    coefficients, and those below PRUNE_REL of the row's largest
+    |coefficient|, die and become 0.  The coefficients are not nan."""
     mag = np.abs(coefs)
     top = mag.max(axis=1)
     kept = live & (mag > 0.0) & (mag >= PRUNE_REL * top[:, None])
     if np.count_nonzero(kept) == np.count_nonzero(live):  # kept lies within live
-        return coefs, live
+        return coefs, live, False
     for k, j in zip(*np.nonzero(live & ~kept & (mag > 0.0))):
         _log_pruned(float(coefs[k, j]), float(rates[k, j]), float(top[k]))
-    return np.where(kept, coefs, 0.0), kept
+    return np.where(kept, coefs, 0.0), kept, True
 
 
 def _rule_parts(t: _Terms):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import (_EXP_LO, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _merge_rows,
+from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _merge_rows,
                       _prune_rows, _root_free, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
@@ -449,33 +449,46 @@ def _closed_cells(forms, cells) -> _Closed:
     fa, fb = np.array(ai * nf), np.array(bi * nf)
     fa, fb, ga = fa + fi * na, fb + fi * nb, fa + gi * na
     with np.errstate(all="ignore"):
-        # composed at a x + b; in a row that can close only the padding is
-        # dead, and its coefficients are 0
+        # composed at a x + b and scaled; in a row that can close only the
+        # padding is dead, and its coefficients are 0
         xr = side.xrate[ga]
         xl = side.xlive[fa] & side.ok_b[fb][:, None]
-        xc, xl = _merge_rows(side.xcoef[fb], xr, xl)
-        xc, xl = _prune_rows(xc, xr, xl)
-        xc = xc * side.scale[fa][:, None]
-        xl &= np.isfinite(xc).all(axis=1)[:, None]
-        xc, xl = _prune_rows(np.where(xl, xc, 0.0), xr, xl)
+        xc = side.xcoef[fb]
+        if side.x_kept:
+            xc = xc * side.scale[fa][:, None]
+        else:
+            xc, xl, _ = _merge_rows(xc, xr, xl)
+            xc, xl, _ = _prune_rows(xc, xr, xl)
+            xc = xc * side.scale[fa][:, None]
+            xl &= np.isfinite(xc).all(axis=1)[:, None]
+            xc, xl, _ = _prune_rows(np.where(xl, xc, 0.0), xr, xl)
         ok = xl.any(axis=1)  # an X side left, in a cell that can close
         idx = side.order[ga] + (np.arange(len(ga)) * side.order.shape[1])[:, None]
         coefs = np.concatenate((side.ycoef[fi], -xc), axis=1).ravel()[idx]
         live = np.concatenate((side.ylive[gi] & ok[:, None], xl), axis=1).ravel()[idx]
         rates = side.rates[ga]
-        coefs, live = _merge_rows(coefs, rates, live)
-        coefs, live = _prune_rows(coefs, rates, live)
+        coefs, live, merged = _merge_rows(coefs, rates, live)
+        coefs, live, pruned = _prune_rows(coefs, rates, live)
         nonempty = live.any(axis=1)
-        closed = nonempty & ~_pruned_slow_term(live, rates, side.ylive[gi], side.yrate[gi],
-                                               xl, xr)
-        live &= closed[:, None]
+        # a term can only have been pruned, and a live entry follow a dead
+        # one, where the X side or the difference lost an entry
+        dropped = pruned or not side.x_kept
+        closed = nonempty
+        if dropped:
+            closed = nonempty & ~_pruned_slow_term(live, rates, side.ylive[gi], side.yrate[gi],
+                                                   xl, xr)
+            live &= closed[:, None]
     kind = np.where(closed, _CLOSED, _SAMPLED)
     empty = ok & ~nonempty
     if empty.any():
         b = np.array([b for _, b in cells] * nf)[empty]
         kind[empty] = np.where(b >= 0, _DEGENERATE, _LEFT)
-    return _Closed(tuple(forms), cells, kind.tolist(),
-                   _compact(coefs, rates, live, side.exps[ga]))
+    exps = side.exps[ga]
+    if not (dropped or merged or np.count_nonzero(closed) < len(closed)):
+        # every row closed, its live entries right-aligned already
+        return _Closed(tuple(forms), cells, kind.tolist(),
+                       _Terms(coefs, rates, live, np.where(live, exps, 1.0)))
+    return _Closed(tuple(forms), cells, kind.tolist(), _compact(coefs, rates, live, exps))
 
 
 class _Sides(NamedTuple):
@@ -494,7 +507,12 @@ class _Sides(NamedTuple):
     and whether a cell there can close (not at b < 0 without a left sign,
     nor where c exp(-r b) overflows).  Per form and distinct slope: whether
     each X term is live (not where the scale a^k / ex is 0 or a rate
-    leaves (0, inf)) and the scale."""
+    leaves (0, inf)) and the scale.
+
+    x_kept says that composing and scaling keep every X term of every row
+    as it is: no two X rates at a slope lie close enough to merge, no
+    composed X coefficient comes within a margin of the pruning threshold,
+    and no scaled one leaves the normal floats."""
 
     group: list
     yrate: np.ndarray
@@ -508,6 +526,7 @@ class _Sides(NamedTuple):
     ok_b: np.ndarray
     xlive: np.ndarray
     scale: np.ndarray
+    x_kept: bool
 
 
 def _side_tables(forms, a_vals, b_vals) -> _Sides:
@@ -522,6 +541,7 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     groups: dict = {}
     group, yrate, columns, eb = [], [], [], []
     ys, xb, ok_b, xlive, scale = [], [], [], [], []
+    x_kept = True
     for form in forms:
         live = np.zeros((na, nx), dtype=bool)
         xlive.append(live)
@@ -546,18 +566,29 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
             col[:, py:ny] = ry
             col[:, ny + px:] = np.multiply.outer(slopes, rx)
             columns.append(col)
+            # merging within the X side compares neighbours, as _merge_rows
+            x_kept = x_kept and not np.count_nonzero(
+                np.diff(col[:, ny + px:], axis=1) <= RATE_MERGE_REL * col[:, -1:])
             eb.append({b: [_exp_or_inf(-r * b) for r in rx] for b in b_vals})
         xr, e = columns[g][:, ny + px:], eb[g]
         ys.append([0.0] * py + list(cy))
         sc = [a ** form.k / form.ex for a in a_vals]
-        live[:, px:] = ((np.array(sc) != 0.0) & (xr[:, 0] > 0.0) & (xr[:, -1] < inf))[:, None]
+        used = (np.array(sc) != 0.0) & (xr[:, 0] > 0.0) & (xr[:, -1] < inf)
+        live[:, px:] = used[:, None]
         scale += sc
+        used = [s for s, ok in zip(sc, used.tolist()) if ok] or [1.0]
+        s_lo, s_hi = min(used), max(used)
         left = form.left is not None
         for b in b_vals:
             composed = [c * x for c, x in zip(cx, e[b])]
             xb += [0.0] * px
             xb += composed
             ok_b.append((b >= 0 or left) and all(map(math.isfinite, composed)))
+            if ok_b[-1] and x_kept:
+                mags = list(map(abs, composed))
+                low, top = min(mags), max(mags)
+                x_kept = low >= PRUNE_REL * top * (1.0 + 1e-9) > 0.0 \
+                    and low * s_lo >= 1e-300 and top * s_hi <= 1e300
     m = ny + nx
     columns = np.concatenate(columns)
     # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0; the padding's
@@ -571,7 +602,7 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     yrate = np.array(yrate)
     return _Sides(group, yrate, yrate > -inf, columns[:, ny:], order, rates, exps[flat],
                   np.array(ys), np.array(xb).reshape(-1, nx), np.array(ok_b),
-                  np.concatenate(xlive), np.array(scale))
+                  np.concatenate(xlive), np.array(scale), x_kept)
 
 
 def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
@@ -581,14 +612,12 @@ def _pruned_slow_term(live, rates, ylive, yrate, xlive, xrate):
     of the larger last rate: it was pruned, not cancelled."""
     rows = np.arange(len(rates))
     slowest = rates[rows, np.argmax(live, axis=1)][:, None]
-    slow_y, slow_x = ylive & (yrate < slowest), xlive & (xrate < slowest)
-    if not (np.count_nonzero(slow_y) or np.count_nonzero(slow_x)):
-        return np.zeros(len(rates), dtype=bool)
     last_x = xrate[rows, xrate.shape[1] - 1 - np.argmax(xlive[:, ::-1], axis=1)]
     tol = RATE_MERGE_REL * np.maximum(yrate[:, -1], last_x)
     near = ((np.abs(yrate[:, :, None] - xrate[:, None, :]) <= tol[:, None, None])
             & ylive[:, :, None] & xlive[:, None, :])
-    return (slow_y & ~near.any(axis=2)).any(axis=1) | (slow_x & ~near.any(axis=1)).any(axis=1)
+    return ((ylive & (yrate < slowest) & ~near.any(axis=2)).any(axis=1)
+            | (xlive & (xrate < slowest) & ~near.any(axis=1)).any(axis=1))
 
 
 def _compact(coefs, rates, live, exps) -> _Terms:
@@ -777,7 +806,8 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     its closed form unless that cannot be built without losing a term;
     cells with b < 0 take the sampled scan.  Both forms' closed cells of a
     batch are built in one term table (_closed_cells) and read by one pass
-    of the coefficient-sign rule (exppoly._rule).  A closed cell passes on
+    of the coefficient-sign rule (exppoly._sign_rule), which also gives the
+    root-free flags their sampling reads.  A closed cell passes on
     the signs of the chosen form where they fix the pattern, or else, where
     that form is closed too, on its partner's, and carries its signs alone;
     only the other closed cells become ExpPoly objects and are sampled
