@@ -34,8 +34,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import IndeterminateFunction
-from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf, _merge_rows,
-                      _prune_rows, _root_free, _sign_patterns, _sign_rule, _Terms)
+from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf,
+                      _merge_rows, _prune_rows, _root_free, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -433,7 +433,11 @@ def _closed_cells(forms, cells) -> _Closed:
     as ExpPoly steps would do it, bit for bit, each step one masked pass
     over the rows.  Rates, their order and their exponentials depend on the
     slope alone, and composed X coefficients on the intercept alone, so
-    these come per distinct a and b (_side_tables)."""
+    these come per distinct a and b (_side_tables).  Where the side tables
+    show that composing and scaling keep every X term (x_kept), the X side
+    is only scaled; the pruned-slow-term guard runs only where a term was
+    dropped, and the rows are compacted only where one was dropped or
+    merged or a row did not close."""
     n, nf = len(cells), len(forms)
     if not cells or all(form.sides is None for form in forms):
         return _Closed(tuple(forms), cells, [_SAMPLED] * (nf * n), None)
@@ -592,7 +596,7 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     m = ny + nx
     columns = np.concatenate(columns)
     # the clamp at _EXP_HI never acts on -r ROOT_WIDTH <= 0; the padding's
-    # exps are inf, and _compact makes them 1
+    # exps are inf until _closed_cells sets the dead entries' to 1
     z = np.maximum(-columns * ROOT_WIDTH, _EXP_LO)
     exps = np.array(list(map(math.exp, z.ravel().tolist())))
     order = np.argsort(columns, axis=1, kind="stable")

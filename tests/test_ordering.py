@@ -264,6 +264,26 @@ class TestClosedCriterionH:
         assert v.supported and v.cells_scanned == 60
         assert calls[0] <= 16
 
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_sweeps_hand_the_root_free_flags_sampling_would_compute(self, monkeypatch, s):
+        # the flags the sweeps read off their tables are those _sample
+        # computes from the terms when given none
+        handed = []
+        inner = ordering._sign_patterns
+
+        def spy(polys, starts, free=None):
+            handed.append((polys, starts, free))
+            return inner(polys, starts, free)
+
+        monkeypatch.setattr(ordering, "_sign_patterns", spy)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+        assert newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid).supported
+        assert handed and all(free is not None for *_, free in handed)
+        flags = [(p, flag) for polys, starts, free in handed
+                 for p, start, flag in zip(polys, starts, free) if start == 0.0]
+        own = exppoly._root_free(_table([p for p, _ in flags])).tolist()
+        assert [flag for _, flag in flags] == own and any(own) and not all(own)
+
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_newcrit_isolates_few_roots(self, monkeypatch, s):
         # the certified workload's grid: of the closed cells that are
@@ -798,6 +818,21 @@ class TestClosedCell:
         forms = ordering._h_forms(Weibull(2.0), Gamma(2.0), 1, None)
         closed = ordering._closed_cells(tuple(forms.values()), [(1.0, 0.0), (2.0, 1.0)])
         assert closed.terms is None and set(closed.kind) == {ordering._SAMPLED}
+
+    def test_kept_x_side_needs_no_x_passes(self, monkeypatch):
+        # where the side tables show that composing and scaling keep every
+        # X term, the batch reads as it does through every X-side pass
+        forms = self._forms(MaxExp(1.0, 1.0), MaxExp(1.0, 2.7), 2)
+        cells = [(float(a), b) for a in np.geomspace(0.05, 20.0, 12) for b in (0.0, 2.0, 8.0)]
+        side = ordering._side_tables
+        assert side(forms, sorted({a for a, _ in cells}), [0.0, 2.0, 8.0]).x_kept
+        kept = ordering._closed_cells(forms, cells)
+        monkeypatch.setattr(ordering, "_side_tables", lambda *args: side(*args)._replace(x_kept=False))
+        passes = ordering._closed_cells(forms, cells)
+        assert kept.kind == passes.kind and ordering._CLOSED in kept.kind
+        rows = [k for k, kind in enumerate(kept.kind) if kind == ordering._CLOSED]
+        assert ([self._bits(terms) for terms in kept.terms.rows(rows)]
+                == [self._bits(terms) for terms in passes.terms.rows(rows)])
 
 
 class TestDmrl:
