@@ -5,9 +5,9 @@ slowest-decaying one and fixes the sign at +infinity.  The number of real
 zeros of such a sum is bounded by the number of strict sign alternations in
 the coefficient sequence taken in that order, and the number on x > 0 also
 by those of its partial sums; where these bounds fix the sign sequence, it
-is read off them without isolating a root (_rule).  Where the signs of f,
-or of f' with Rolle's theorem, prove that f has no zero on x > 0, its sign
-pattern is sampled without isolating one either (_root_free).  Root
+is read off them without isolating a root (_sign_rule).  Where the signs of
+f, or of f' with Rolle's theorem, prove that f has no zero on x > 0, its
+sign pattern is sampled without isolating one either (_root_free).  Root
 isolation below uses a Rolle-style recursion whose depth equals the term
 count minus one, with no numerical differentiation anywhere.  Only the top
 level's roots are bisected down to ROOT_WIDTH; the roots of each inner
@@ -16,9 +16,9 @@ level provably keeps one sign across them.
 
 The coefficient-sign rule runs on term tables (_Terms), one polynomial per
 row, in one pass of numpy column operations over the rows of each f and of
-its f' (_sign_rule, with _rule and _root_free reading its two halves);
-every row gets, bit for bit, the values and decisions that the same steps
-on its terms alone give.  ordering builds the closed cells of a sweep batch
+its f' (_sign_rule, whose root-free flags _root_free reads alone); every
+row gets, bit for bit, the values and decisions that the same steps on its
+terms alone give.  ordering builds the closed cells of a sweep batch
 as such a table, settles them with one such pass and hands their root-free
 flags to _sample, which otherwise runs the pass on a table of the
 polynomials it samples from 0.
@@ -597,9 +597,17 @@ def _rule_parts(t: _Terms):
 
 def _sign_rule(t: _Terms):
     """(decided, sign at 0+ positive, sign at infinity positive, root-free)
-    of every row of a term table, as arrays: _rule's reading and
-    _root_free's flag, from one _rule_parts pass over the rows of each f and
-    of its f'."""
+    of every row f of a term table, as arrays, from one _rule_parts pass
+    over the rows of each f and of its f'.
+
+    A row is decided where its coefficient signs fix its sign sequence on
+    (ROOT_WIDTH, inf); a row with no live term decides nothing.  The zeros
+    there number at most _rule_parts' bound, and their count has the parity
+    of a sign change between f(ROOT_WIDTH) and c_0, the sign at infinity.
+    A bound below that parity plus 2 leaves the parity as the count: no
+    zero, or one crossing.  A value at ROOT_WIDTH inside the noise floor
+    (TOUCH_REL of the term scale) has no parity, and nor has a nan one.
+    The root-free flag is _root_free's."""
     n = len(t.coefs)
     with np.errstate(over="ignore", under="ignore"):
         slope = -t.rates * t.coefs
@@ -617,35 +625,19 @@ def _sign_rule(t: _Terms):
     return decided[:n], head[:n], tail[:n], free
 
 
-def _rule(t: _Terms):
-    """(sign at 0+, sign at infinity) of each row f of a term table where its
-    coefficient signs fix its sign sequence on (ROOT_WIDTH, inf), else
-    None, one entry per row; a row with no live term decides nothing.
-
-    The zeros there number at most _rule_parts' bound, and their count has
-    the parity of a sign change between f(ROOT_WIDTH) and c_0, the sign at
-    infinity.  A bound below that parity plus 2 leaves the parity as the
-    count: no zero, or one crossing.  A value at ROOT_WIDTH inside the
-    noise floor (TOUCH_REL of the term scale) has no parity, and nor has a
-    nan one."""
-    decided, head, tail = (col.tolist() for col in _sign_rule(t)[:3])
-    return [("+" if h else "-", "+" if s else "-") if d else None
-            for d, h, s in zip(decided, head, tail)]
-
-
 def _root_free(t: _Terms):
     """Whether the coefficient signs prove that f, each row of a term table,
     has no zero on (ROOT_WIDTH, inf), so that isolation there finds none
     (Rolle's theorem), as a boolean array:
 
-    (a) _rule(f) fixes no crossing;
-    (b) _rule(f') fixes no crossing, f' = sum -r c exp(-r x): f is monotone
-        and tends to 0, so it keeps one sign;
-    (c) _rule(f') fixes one crossing x*: f keeps the sign of c_0, the one it
-        tends to, on [x*, inf), and moves towards that sign on (ROOT_WIDTH,
-        x*], where it starts with that sign or within the noise floor
-        (TOUCH_REL of the term scale), read as zero as isolation's touch
-        rule reads it.
+    (a) the rule (_sign_rule) fixes no crossing of f;
+    (b) the rule fixes no crossing of f' = sum -r c exp(-r x): f is
+        monotone and tends to 0, so it keeps one sign;
+    (c) the rule fixes one crossing x* of f': f keeps the sign of c_0, the
+        one it tends to, on [x*, inf), and moves towards that sign on
+        (ROOT_WIDTH, x*], where it starts with that sign or within the noise
+        floor (TOUCH_REL of the term scale), read as zero as isolation's
+        touch rule reads it.
 
     f(ROOT_WIDTH) beyond the floor with the other sign than c_0 shows a
     zero, (b) being impossible then; such a value, a nan one and a

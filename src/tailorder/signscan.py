@@ -8,17 +8,20 @@ crossing produces no sign change.  Scanned functions must be vectorized
 per function evaluation (_scan_row); scan is its one-cell case.  The cells
 of a batch share one configuration and each has its own window: the grids
 of the distinct windows come from one geomspace call, and cells whose
-grids have equal length are evaluated as the rows of one 2-D grid.  Right
-after the first classification each cell keeps, of every run of samples of
-equal class, only the first, the last and the first of largest |value|:
-every bracket, run end and witness is one of them.  A cell whose deadband
-grows gets its other samples back, and a traced scan keeps every sample.
-Each refinement evaluation takes the next few bisection levels of every
-boundary bracket at once, and a walk down those levels keeps as samples
-only the midpoints of intervals whose end classes differ; the other points
-are never seen, so they reach no trace, deadband scale or pattern.  The
-samples are merged once, after the last walk, by a stable sort on
-(cell, x), so ties keep their evaluation order.
+grids have equal length are evaluated as the rows of one 2-D grid.  The
+first classification takes each sample's |value| once, for the deadband
+scale and the runs alike.  Right after it each cell keeps, of every run
+of samples of equal class, only the first, the last and the first of
+largest |value|: every bracket, run end and witness is one of them.  A
+cell whose deadband grows gets its other samples back, and a traced scan
+keeps every sample.  Each refinement evaluation takes the next few
+bisection levels of every boundary bracket at once, and the walk that
+reads them keeps as samples only the midpoints whose path of intervals,
+from the whole bracket down, has end classes that differ at every step.
+It reads all levels at once from a table of those paths (_seen); the
+other points are never seen, so they reach no trace, deadband scale or
+pattern.  The samples are merged once, after the last walk, by one stable
+sort on (cell, x), so ties keep their evaluation order.
 """
 from __future__ import annotations
 
@@ -41,6 +44,17 @@ _LEVEL = np.zeros(_SPAN + 1, dtype=int)  # each position's level, 0 at the ends
 for _j, _step in enumerate(_STEPS, 1):
     _LEVEL[_step // 2::_step] = _j
 del _j, _step
+# which positions are midpoints, the ends of the interval each position
+# halves (the whole bracket at the ends, whose classes differ), and each
+# position's path: bit q of _PATH[p] is set for every midpoint q whose
+# interval holds p, p included
+_MID = _LEVEL > 0
+_HALF = _SPAN >> _LEVEL
+_LEFT = np.maximum(np.arange(_SPAN + 1) - _HALF, 0)
+_RIGHT = np.minimum(np.arange(_SPAN + 1) + _HALF, _SPAN)
+_BIT = 1 << np.arange(_SPAN + 1)
+_PATH = np.array([sum(int(_BIT[q]) for q in range(1, _SPAN) if abs(p - q) < _HALF[q])
+                  for p in range(_SPAN + 1)])
 
 
 def _classify(values, eps):
@@ -48,11 +62,26 @@ def _classify(values, eps):
     return (values > eps).view(np.int8) - (values < -eps).view(np.int8)
 
 
-def _largest_finite(values, starts):
-    """Largest finite |value| of each segment values[starts[i]:starts[i+1]]."""
-    mags = np.abs(values)
-    mags[~np.isfinite(mags)] = 0.0
-    return np.maximum.reduceat(mags, starts)
+def _largest_finite(mags, starts):
+    """Largest finite entry of each segment mags[starts[i]:starts[i+1]] of
+    the magnitudes mags.  A segment's plain maximum is finite only when the
+    whole segment is, so the masked pass runs only where some entry is not."""
+    top = np.maximum.reduceat(mags, starts)
+    if np.isfinite(top).all():
+        return top
+    return np.maximum.reduceat(np.where(np.isfinite(mags), mags, 0.0), starts)
+
+
+def _seen(C, want=None):
+    """The positions a walk sees, as a boolean array shaped like C, which
+    holds the classes of each bracket's _SPAN + 1 positions, one bracket a
+    row, ends included.  The ends are seen, and a midpoint is seen iff no
+    interval on its path (_PATH) has equal end classes.  want, when given,
+    marks the midpoints each bracket evaluated; the rest go unseen."""
+    S = (((C[:, _LEFT] == C[:, _RIGHT]) @ _BIT)[:, None] & _PATH) == 0
+    if want is not None:
+        S[:, 1:_SPAN] &= want
+    return S
 
 
 def _run_starts(*keys):
@@ -65,63 +94,55 @@ def _run_starts(*keys):
     return np.nonzero(new)[0]
 
 
+_PAIR = np.array([0, 1])  # a bracket's left and right sample, as offsets
+
+
 def _brackets(xs, signs, cell):
     """Every pair of adjacent, differently-classified samples of one cell,
     as (abscissae, classes), each of shape (k, 2), and cells, in order."""
-    at = np.nonzero((signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:]))[0]
-    pair = np.stack((at, at + 1), axis=1)
+    at = np.flatnonzero((signs[:-1] != signs[1:]) & (cell[:-1] == cell[1:]))
+    pair = at[:, None] + _PAIR
     return xs[pair], signs[pair], cell[at]
 
 
 def _in_order(seen):
-    """The (xs, cell, *columns) chunks of seen, given in evaluation order
-    with the first sorted by (cell, x), as arrays sorted stably by
-    (cell, x): the later samples, sorted so, each go after every earlier
-    sample of their cell and abscissa.  Complex keys compare by real part,
-    then imaginary part."""
-    first = seen[0]
+    """The (xs, cell, *columns) chunks of seen, given in evaluation order,
+    as arrays sorted stably by (cell, x), so ties keep evaluation order.
+    Each chunk is already sorted so, which the stable sort's merging of
+    runs finds; complex keys compare by real part, then imaginary part."""
     if len(seen) == 1:
-        return first
-    later = [np.concatenate(col) for col in zip(*seen[1:])]
-    key = later[1] + 1j * later[0]
+        return seen[0]
+    cols = [np.concatenate(col) for col in zip(*seen)]
+    key = np.empty(cols[0].size, dtype=complex)
+    key.real, key.imag = cols[1], cols[0]
     order = np.argsort(key, kind="stable")
-    old_key = np.empty(first[0].size, dtype=complex)
-    old_key.real, old_key.imag = first[1], first[0]
-    # the merged index of each later sample, and the slots left to the rest
-    at = np.searchsorted(old_key, key[order], side="right") + np.arange(order.size)
-    rest = np.ones(old_key.size + at.size, dtype=bool)
-    rest[at] = False
-    merged = []
-    for old, new in zip(first, later):
-        both = np.empty(rest.size, old.dtype)
-        both[at] = new[order]
-        both[rest] = old
-        merged.append(both)
-    return tuple(merged)
+    return tuple(col[order] for col in cols)
 
 
-def _runs(vals, signs, splits):
-    """First index, last index and first index of largest |value| of every
-    run of equal class in signs, runs also beginning at the indices
-    splits.  A run whose largest |value| is NaN has no such index."""
+def _runs(mags, signs, splits):
+    """First index, last index and first index of largest magnitude of
+    every run of equal class in signs, runs also beginning at the indices
+    splits, given the magnitudes mags.  A run whose largest magnitude is
+    NaN has no such index."""
     new = np.empty(signs.size, dtype=bool)
     new[0] = True
     np.not_equal(signs[1:], signs[:-1], out=new[1:])
     new[splits] = True
     first = np.flatnonzero(new)
     last = np.append(first[1:], signs.size) - 1
-    mags = np.abs(vals)
-    run_of = np.repeat(np.arange(first.size), last - first + 1)
-    peaks = np.flatnonzero(mags == np.maximum.reduceat(mags, first)[run_of])
-    return first, last, peaks[_run_starts(run_of[peaks])] if peaks.size else peaks
+    peaks = np.flatnonzero(mags == np.repeat(np.maximum.reduceat(mags, first), last - first + 1))
+    if peaks.size:
+        # the first of each run's peaks
+        peaks = peaks[_run_starts(np.searchsorted(first, peaks, side="right"))]
+    return first, last, peaks
 
 
-def _run_ends(vals, signs, starts):
+def _run_ends(mags, signs, starts):
     """Indices, in order, of the samples a pattern can be read from: the
     run ends and peaks (_runs) of every run of equal class, runs split
     where a cell's samples begin (starts).  Brackets lie between run ends,
     and runs inside the deadband, where NaN samples go, need no peak."""
-    first, last, peaks = _runs(vals, signs, starts)
+    first, last, peaks = _runs(mags, signs, starts)
     at = np.sort(np.concatenate((first, last, peaks[signs[peaks] != 0])))
     return at[_run_starts(at)]
 
@@ -217,10 +238,11 @@ def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
     if vals.shape != xs.shape:
         raise ValueError("scanned function must be vectorized")
 
-    scale = _largest_finite(vals.ravel(), starts)
+    mags = np.abs(vals.ravel())
+    scale = _largest_finite(mags, starts)
     signs = _classify(vals, per_cell(np.maximum(cfg.deadband * scale, cfg.deadband_abs)))
     xs, vals, signs = xs.ravel(), vals.ravel(), signs.ravel()
-    kept = np.arange(xs.size) if trace is not None else _run_ends(vals, signs, starts)
+    kept = np.arange(xs.size) if trace is not None else _run_ends(mags, signs, starts)
     xs, vals, cell, signs = _refine(F, params, (xs, vals, signs, starts, sizes), kept,
                                     scale, cfg)
 
@@ -234,7 +256,7 @@ def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
     dx, dv, ds, dc = xs[det], vals[det], signs[det], cell[det]
     if not ds.size:
         return [IndeterminateFunction(_NO_SIGN) for _ in range(n)]
-    starts, ends, peaks = _runs(dv, ds, np.flatnonzero(dc[1:] != dc[:-1]) + 1)
+    starts, ends, peaks = _runs(np.abs(dv), ds, np.flatnonzero(dc[1:] != dc[:-1]) + 1)
 
     out_signs: list[list[str]] = [[] for _ in range(n)]
     witnesses: list[list[float]] = [[] for _ in range(n)]
@@ -260,25 +282,31 @@ def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
     initial holds every initial sample, as xs, vals and their classes,
     sorted by (cell, x), and where each cell's samples begin and how many
     there are; the walks start from those at the indices kept.  scale
-    holds each cell's largest finite |value| and is raised in place.  Each
-    call of F evaluates the next _LEVELS bisection levels of every live
-    bracket (fewer where the depth runs out): its 2**_LEVELS - 1 dyadic
-    midpoints, each built by the same halving of its two ends that
-    bisecting one level at a time takes, so every abscissa has the same
-    bits.  A walk then goes down the levels on those values: a level's
-    live intervals are the ones whose end classes differ, and only their
-    midpoints become samples.  The other points are dropped unseen: they
-    reach neither the samples nor scale.  A midpoint that changes its
-    cell's eps stops the cell's walk at its level; the cell's deeper
+    holds each cell's largest finite |value| and is raised in place.
+
+    Each call of F evaluates the next _LEVELS bisection levels of every
+    live bracket (fewer where the depth runs out): the bracket's dyadic
+    positions, its ends at 0 and _SPAN, each midpoint built by the same
+    halving of its two ends that bisecting one level at a time takes, so
+    every abscissa has the same bits.  While every cell has _LEVELS levels
+    of depth left, F gets all 2**_LEVELS - 1 midpoints of every bracket and
+    no per-bracket level mask is built.  The walk that reads the values
+    sees a midpoint iff every interval on its path, from the whole bracket
+    down to the one it halves, has end classes that differ (_seen): one
+    table lookup for all levels at once, which gives the samples that going
+    down level by level would.  Only seen midpoints become samples; the
+    others reach neither the samples nor scale.  A midpoint that changes
+    its cell's eps stops the cell's walk at its level; the cell's deeper
     points go unseen, the cell gets back every initial sample not kept,
     and its brackets are rebuilt from all its samples under the new eps.
     The other cells' new brackets are their adjacent seen points whose
-    classes differ.  All samples are merged once, at the end, by a stable
-    sort on (cell, x), so ties keep evaluation order (walk by walk, and
-    within a walk by bracket and position), and their classes travel with
-    them: only the cells whose eps changed are classified again.  Returns
-    xs, vals, cell and their classes under the final eps, in that merged
-    order.
+    classes differ, and none are built after the walk that uses up every
+    cell's depth.  All samples are merged once, at the end, by one stable
+    sort on (cell, x) (_in_order), so ties keep evaluation order (walk by
+    walk, and within a walk by bracket and position), and their classes
+    travel with them: only the cells whose eps changed are classified
+    again.  Returns xs, vals, cell and their classes under the final eps,
+    in that merged order.
     """
     xs, vals, signs, starts, sizes = initial
     deadband, deadband_abs, depth = cfg.deadband, cfg.deadband_abs, cfg.max_refinement_depth
@@ -291,49 +319,54 @@ def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
     ends, classes, bcell = _brackets(seen[0][0], seen[0][3], seen[0][1])
     done = np.zeros(scale.size, dtype=int)  # levels walked per cell
     regrown = np.zeros(scale.size, dtype=bool)  # cells whose eps changed
-    while True:
+    while bcell.size:
         reach = np.minimum(depth - done, _LEVELS)  # levels of this walk
-        levels = reach[bcell]
-        if not levels.all():
-            ends, classes, bcell, levels = (a[levels > 0] for a in (ends, classes, bcell, levels))
-        if bcell.size == 0:
-            break
+        want = None  # which midpoints each bracket evaluates, None for all
+        if done.max() + _LEVELS > depth:
+            levels = reach[bcell]
+            if not levels.all():
+                live = levels > 0
+                ends, classes, bcell, levels = (a[live] for a in (ends, classes, bcell, levels))
+                if bcell.size == 0:
+                    break
+            want = _LEVEL[1:_SPAN] <= levels[:, None]
         k = bcell.size
         # a bracket's ends at positions 0 and _SPAN, the midpoints of level
         # j at the odd multiples of _SPAN >> j; halving each end first
         # cannot overflow, and for normal floats gives the same bits as
-        # halving their sum
-        P = np.empty((k, _SPAN + 1))
-        P[:, ::_SPAN] = ends
+        # halving their sum.  Built a position to a row, so each pass is
+        # contiguous, then read a bracket to a row.
+        P = np.empty((_SPAN + 1, k))
+        P[::_SPAN] = ends.T
         for step in _STEPS:
-            half = 0.5 * P[:, ::step]
-            P[:, step // 2::step] = half[:, :-1] + half[:, 1:]
-        want = _LEVEL[1:_SPAN] <= levels[:, None]
+            half = 0.5 * P[::step]
+            P[step // 2::step] = half[:-1] + half[1:]
+        P = P.T.copy()
         V = np.zeros((k, _SPAN + 1))
-        owner = np.repeat(bcell, (1 << levels) - 1)
-        V[:, 1:_SPAN][want] = F(P[:, 1:_SPAN][want], *(p[owner] for p in params))
+        if want is None:
+            owner = np.repeat(bcell, _SPAN - 1)
+            V[:, 1:_SPAN] = np.reshape(F(P[:, 1:_SPAN].ravel(), *(p[owner] for p in params)),
+                                       (k, _SPAN - 1))
+        else:
+            owner = np.repeat(bcell, (1 << levels) - 1)
+            V[:, 1:_SPAN][want] = F(P[:, 1:_SPAN][want], *(p[owner] for p in params))
         C = _classify(V, eps[bcell][:, None])
         C[:, ::_SPAN] = classes
-        # a point is seen when the interval it halves has both ends seen
-        # and their classes differ
-        S = np.ones((k, _SPAN + 1), dtype=bool)
-        for step in _STEPS:
-            left, right = slice(None, -1, step), slice(step, None, step)
-            S[:, step // 2::step] = S[:, left] & S[:, right] & (C[:, left] != C[:, right])
-        S[:, 1:_SPAN] &= want
-        at = np.flatnonzero(S)  # by bracket and position, ends included
+        at = np.flatnonzero(_seen(C, want))  # by bracket and position, ends included
         row, pos = np.divmod(at, _SPAN + 1)
-        inner = _LEVEL[pos] > 0
+        inner = _MID[pos]
         Pf, Vf, Cf = P.ravel(), V.ravel(), C.ravel()
-        mat, lev, mcell = at[inner], _LEVEL[pos[inner]], bcell[row[inner]]
+        mat, mcell = at[inner], bcell[row[inner]]
         mx, mv = Pf[mat], Vf[mat]
 
         # up to a cell's first stopping level this walk is the one that
         # bisecting level by level takes, and there a midpoint changes its
         # cell's eps iff deadband x |value| exceeds it
         stopped = mcell[:0]
-        if (np.abs(mv) > scale[mcell]).any():
-            grows = np.isfinite(mv) & (deadband * np.abs(mv) > eps[mcell])
+        mags = np.abs(mv)
+        if (mags > scale[mcell]).any():
+            lev = _LEVEL[pos[inner]]
+            grows = np.isfinite(mv) & (deadband * mags > eps[mcell])
             runs = _run_starts(mcell)
             cells = mcell[runs]
             first = np.minimum.reduceat(np.where(grows, lev, _LEVELS + 1), runs)
@@ -341,8 +374,8 @@ def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
             stopped = cells[stops]
             reach[stopped] = first[stops]
             keep = lev <= reach[mcell]
-            mat, mcell, mx, mv = (a[keep] for a in (mat, mcell, mx, mv))
-            scale[cells] = np.maximum(scale[cells], _largest_finite(mv, _run_starts(mcell)))
+            mat, mcell, mx, mv, mags = (a[keep] for a in (mat, mcell, mx, mv, mags))
+            scale[cells] = np.maximum(scale[cells], _largest_finite(mags, _run_starts(mcell)))
             eps = np.maximum(deadband * scale, deadband_abs)
             # the stopped cells are the ones whose eps grew, and their
             # initial samples may have other classes under it
@@ -354,6 +387,8 @@ def _refine(F, params, initial, kept, scale, cfg: ScanConfig):
                 seen[0] = samples(kept)
         done += reach
         seen.append((mx, mcell, mv, Cf[mat]))
+        if done.min() >= depth:
+            break  # no cell has depth left: the new brackets would go unused
 
         if stopped.size:
             mine = ~np.isin(bcell[row], stopped)

@@ -78,6 +78,26 @@ class TestExecution:
         doc = json.loads(out.read_text())
         assert doc["outcome"] == "supported" and code == EXIT_OK
 
+    @pytest.mark.parametrize("nb", ["1", "2", "4"])
+    def test_default_grid_with_few_intercepts_keeps_zero(self, nb, tmp_path):
+        # --b-grid 4 once swept b < 0 alone, and --b-grid 2 failed in numpy
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "exp(1)", "--y", "maxexp(1,2)",
+                     "--s", "1", "--criterion", "ifr", "--a-grid", "4", "--b-grid", nb])
+        assert code in (EXIT_OK, EXIT_REFUTED)
+        b_values = json.loads(out.read_text())["grid"]["b_values"]
+        assert 0.0 in b_values and len(b_values) == int(nb)
+
+    @pytest.mark.parametrize("option, value, name", [("--a-grid", "0", "na"),
+                                                     ("--a-grid", "-3", "na"),
+                                                     ("--b-grid", "0", "nb")])
+    def test_empty_grid_axis_exits_usage(self, option, value, name, tmp_path, capsys):
+        out = tmp_path / "verdict.json"
+        code = main(["--json", str(out), "compare", "--x", "exp(1)", "--y", "maxexp(1,2)",
+                     "--s", "1", "--criterion", "ifr", option, value])
+        assert code == EXIT_USAGE and not out.exists()
+        assert f"{name} must be at least 1" in capsys.readouterr().err
+
     def test_monotone_refutation_document_is_strict_json(self, tmp_path):
         out = tmp_path / "verdict.json"
         code = main(["--json", str(out), "compare", "--x", "exp(1)", "--y", "weibull(2,1)",

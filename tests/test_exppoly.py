@@ -662,9 +662,17 @@ def _table(polys):
     return exppoly._Terms.of([p.terms if isinstance(p, ExpPoly) else tuple(p) for p in polys])
 
 
+def _rules(table):
+    """(sign at 0+, sign at infinity) of each row of a term table that
+    exppoly._sign_rule decides, else None."""
+    decided, head, tail = (col.tolist() for col in exppoly._sign_rule(table)[:3])
+    return [("+" if h else "-", "+" if s else "-") if d else None
+            for d, h, s in zip(decided, head, tail)]
+
+
 def _rule1(terms):
-    """exppoly._rule of one polynomial's terms."""
-    return exppoly._rule(_table([terms]))[0]
+    """The rule's reading (_rules) of one polynomial's terms."""
+    return _rules(_table([terms]))[0]
 
 
 def _root_free1(terms):
@@ -679,13 +687,13 @@ def _parts1(terms):
 
 
 class TestRuleCore:
-    """exppoly._rule, the one-pass core of the coefficient-sign rule, on
+    """exppoly._sign_rule, the one-pass core of the coefficient-sign rule, on
     term tables whose rows hold 1 to 7 terms: every row as the scalar
     reference decides it alone."""
 
     def test_decides_as_the_reference(self):
         polys = list(_random_polys(20261018, 2000)) + list(_near_cancelling_polys(31, 1000))
-        rules = exppoly._rule(_table(polys))
+        rules = _rules(_table(polys))
         assert len(rules) == len(polys)
         for p, rule in zip(polys, rules):
             assert rule == _reference_rule(p.terms), p.terms
@@ -738,7 +746,7 @@ class TestRootFreeStep:
         flags = exppoly._root_free(_table(random + near)).tolist()
         free = [p for p, flag in zip(random + near, flags) if flag]
         # past case (a), where the signs of f' decide
-        rules = exppoly._rule(_table(near))
+        rules = _rules(_table(near))
         by_slope = [p for p, flag, rule in zip(near, flags[len(random):], rules)
                     if flag and rule is None]
         skipped = [p.sign_pattern_exact(0.0) for p in free]
@@ -782,7 +790,7 @@ class TestRootFreeStep:
 
     def test_overflowing_slope_coefficient_falls_back(self, monkeypatch):
         # OVERFLOWING_SLOPE: positive, two coefficient changes, and -47 c
-        # overflows (where _rule, with an infinite term scale, would decide
+        # overflows (where the rule, with an infinite term scale, would decide
         # nothing either)
         terms = OVERFLOWING_SLOPE
         p = ExpPoly(terms)
@@ -818,7 +826,7 @@ class TestRootFreeStep:
 
 
 def _pattern_by_rule(p):
-    """The sign sequence on (0, inf) that exppoly._rule reads off the
+    """The sign sequence on (0, inf) that exppoly._sign_rule reads off the
     coefficient signs, as a pattern, or None when they do not fix it.  A
     crossing is bracketed by ROOT_WIDTH, the left end sign_pattern_exact(0.0)
     uses, and a point beyond the dominance horizon, the two witnesses."""
@@ -835,7 +843,7 @@ def _pattern_by_rule(p):
 
 class TestSignPatternByRule:
     """Patterns fixed by the coefficient and partial-sum signs alone
-    (exppoly._rule), against root isolation."""
+    (exppoly._sign_rule), against root isolation."""
 
     def test_agrees_with_root_isolation(self):
         decided = beyond = 0

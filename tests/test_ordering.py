@@ -28,10 +28,10 @@ from tailorder import (
 from tailorder import ageing, exppoly, ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
 from tailorder.errors import IndeterminateFunction
-from tailorder.iteration import iterate
-from tailorder.patterns import SAMPLED, ScanConfig
+from tailorder.iteration import IteratedTail, iterate
+from tailorder.patterns import ALLOWED_IFR, SAMPLED, ScanConfig
 from tailorder.signscan import scan
-from test_exppoly import _reference_root_free, _reference_rule, _table
+from test_exppoly import _reference_root_free, _reference_rule, _rules, _table
 
 SMALL = GridSpec(tuple(np.geomspace(0.1, 10.0, 24)),
                  tuple(-np.geomspace(5.0, 0.05, 6)) + tuple(np.linspace(0.0, 6.0, 8)))
@@ -91,16 +91,17 @@ class TestCompareIfr:
                 assert val < -w.deadband
 
     def test_refuting_row_is_scanned_whole_but_not_counted(self, bp_order_two):
-        # the refuting cell is cell 14 of row 29: rows of 29 cells go to the
-        # row scanner two at a time (58 of the 64 cells a batch may hold),
-        # so it sees the whole batch of rows 29 and 30, while cells_scanned
-        # stops at the refuting cell
+        # the refuting cell is cell 14 of row 29: the 51 rows of 29 cells
+        # are dealt out evenly over the 13 batches that hold at most 128
+        # cells each (3 rows, then 4 at a time), so the row scanner sees the
+        # whole batch of rows 28 to 31, while cells_scanned stops at the
+        # refuting cell
         v, rows = bp_order_two
         nb = len(_BP_GRID_S2.b_values)
         assert v.refuted and v.cells_scanned == 826
         assert len(_BP_GRID_S2.a_values) * nb == 1479
-        assert [len(r) for r in rows] == [2 * nb] * 15
-        assert sum(len(r) for r in rows) == 30 * nb > v.cells_scanned
+        assert [len(r) for r in rows] == [3 * nb] + [4 * nb] * 7
+        assert sum(len(r) for r in rows) == 31 * nb > v.cells_scanned
         assert (v.witness.a, v.witness.b) == (_BP_GRID_S2.a_values[28], _BP_GRID_S2.b_values[13])
 
     def test_strict_order_not_mutual(self):
@@ -152,10 +153,11 @@ class TestCompareIfra:
         v = compare_ifra(X, Y, 2, grid)
         assert v.refuted and v.cells_scanned == 17
         assert len(calls) == len(grid.a_values) == 25
-        # a column of 75 slopes is two batches; the refutation lies in the
+        # a column of 256 slopes is two batches; the refutation lies in the
         # first, so the second is never built
         calls.clear()
-        long = GridSpec(grid.a_values + tuple(np.geomspace(21.0, 400.0, 50)), (0.0,))
+        long = GridSpec(grid.a_values + tuple(np.geomspace(21.0, 400.0, 231)), (0.0,))
+        assert len(long.a_values) == 2 * ordering._BATCH_CELLS
         v = compare_ifra(X, Y, 2, long)
         assert v.refuted and v.cells_scanned == 17
         assert v.witness.a == pytest.approx(2.89)
@@ -360,7 +362,7 @@ class TestClosedCriterionH:
         X, Y, s, a, b = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, 0.05, 8.0 / 3.0
         forms = ordering._h_forms(X, Y, s, None)
         hs, hs1 = _closed(forms["hs"], a, b), _closed(forms["hs1"], a, b)
-        assert exppoly._rule(_table([hs, hs1])) == [None, ("+", "-")]
+        assert _rules(_table([hs, hs1])) == [None, ("+", "-")]
         assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
         calls = _count_sampled_cells(monkeypatch)
         assert criterion_h(X, Y, s, GridSpec((a,), (b,)), form="hs").supported
@@ -478,6 +480,27 @@ class TestNewcrit:
 #: Shaped like the benchmark's Weibull/Gamma grid.
 _SAMPLED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
 
+
+class TestScansPerSweep:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [1.5, 2.0, 2.5])
+    def test_sampled_newcrit_scans_each_form_once(self, s, shape, monkeypatch):
+        # the 12 x 6 grid is one batch of each sweep: the star-shape step's
+        # 12 cells are one V scan, criterion_h's 72 cells one hs scan, and
+        # the cells hs fails at most one hs1 scan
+        kinds = []
+        inner = ordering._scan_row
+
+        def spy(F, params, *args, fy=None, **kwargs):
+            owner = getattr(fy, "__self__", None)
+            kinds.append("V" if isinstance(owner, IteratedTail) else
+                         "hs1" if owner is not None else "hs")
+            return inner(F, params, *args, fy=fy, **kwargs)
+
+        monkeypatch.setattr(ordering, "_scan_row", spy)
+        assert newcrit(Weibull(shape), Gamma(shape), s, _SAMPLED_GRID).supported
+        assert kinds[:2] == ["V", "hs"] and kinds[2:] in ([], ["hs1"]), kinds
+
 #: Verdict documents of sampled-path sweeps (Weibull/Gamma cells go through
 #: the row scanner), frozen as computed before the refinement walk took
 #: several bisection levels per evaluation; the grid is left out.
@@ -520,9 +543,30 @@ class TestFrozenSampledDocuments:
         assert doc == _FROZEN_SAMPLED[check, pair, s]
 
 
+class TestBatchSizes:
+    @pytest.mark.parametrize("na, nb, sizes", [
+        (12, 6, [72]),                 # the sampled benchmark's grid, one batch
+        (24, 12, [96, 96, 96]),        # not 120, 120 and 48
+        (256, 1, [128, 128]),
+        (5, 29, [58, 87]),             # 4 rows fit; 2 and 3 rows, not 4 and 1
+        (3, 300, [300, 300, 300]),     # a row larger than the cap is a batch
+    ])
+    def test_rows_are_dealt_out_evenly_over_the_fewest_batches(self, na, nb, sizes):
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, na)), tuple(np.linspace(0.0, 1.0, nb)))
+        seen = []
+
+        def evaluate(cells):
+            seen.append(len(cells))
+            return [ordering._degenerate(a, b) for a, b in cells]
+
+        v = ordering._sweep(grid, evaluate, ALLOWED_IFR, "test", 1)
+        assert v.supported and v.cells_scanned == na * nb
+        assert seen == sizes
+
+
 class TestBatchInvariance:
-    """The sweeps evaluate whole rows in batches of up to 64 cells; with a
-    budget of one cell every batch is one row.  The verdict document is the
+    """The sweeps evaluate whole rows in batches of up to _BATCH_CELLS
+    cells; with a budget of one cell every batch is one row.  The verdict document is the
     same under both schedules: cells are read one at a time either way."""
 
     SAMPLED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
@@ -687,7 +731,7 @@ class TestClosedCell:
         closed = ordering._closed_cells(forms, cells)
         rules = free = None
         if closed.terms is not None:
-            rules, free = exppoly._rule(closed.terms), exppoly._root_free(closed.terms)
+            rules, free = _rules(closed.terms), exppoly._root_free(closed.terms)
         kinds = []
         for f, form in enumerate(forms):
             outcomes = closed.outcomes(f, range(len(cells)))
@@ -1002,6 +1046,30 @@ class TestGridSpec:
     def test_default_contains_zero_intercept(self):
         g = GridSpec.default(Exponential(1.0), Exponential(1.0))
         assert 0.0 in g.b_values
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4, 5, 6, 12, 32])
+    def test_default_with_few_intercepts_keeps_zero(self, nb):
+        # nb = 4 once took four negative intercepts and no b >= 0, and
+        # nb < 4 failed inside numpy
+        X, Y = Exponential(1.0), MaxExp(1.0, 2.0)
+        g = GridSpec.default(X, Y, na=3, nb=nb)
+        assert 0.0 in g.b_values and len(g.b_values) == nb
+        negatives = sum(b < 0 for b in g.b_values)
+        assert negatives == min(max(nb // 3, 4), nb - 1)
+        assert GridSpec.default(X, Y, negative_b=False, na=3, nb=nb).b_values[0] == 0.0
+
+    def test_default_grids_from_five_intercepts_are_unchanged(self):
+        # four negative intercepts from -5 E X toward 0, then nb - 4 from 0
+        X, Y = Exponential(1.0), MaxExp(1.0, 2.0)
+        g = GridSpec.default(X, Y, na=3, nb=5)
+        assert g.b_values == tuple(-np.geomspace(5.0, 0.01, 4)) + (0.0,)
+        assert g.a_values == tuple(np.geomspace(0.05, 20.0, 3))
+
+    @pytest.mark.parametrize("kwargs, name", [({"na": 0}, "na"), ({"na": -3}, "na"),
+                                              ({"nb": 0}, "nb"), ({"nb": -1}, "nb")])
+    def test_default_rejects_empty_axes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            GridSpec.default(Exponential(1.0), MaxExp(1.0, 2.0), **kwargs)
 
     def test_nonnegative_restriction(self):
         g = SMALL.restricted_nonnegative_b()

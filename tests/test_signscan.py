@@ -57,7 +57,7 @@ def _refine_batch(F, params, initial, kept, scale, cfg):
         mvals = np.asarray(F(mids, *(p[mcell] for p in params)), dtype=float)
         first = _run_starts(mcell)
         touched = mcell[first]
-        scale[touched] = np.maximum(scale[touched], _largest_finite(mvals, first))
+        scale[touched] = np.maximum(scale[touched], _largest_finite(np.abs(mvals), first))
         eps = np.maximum(deadband * scale, deadband_abs)
         slots = _stable_slots(xs, cell, boundary + 1, mids, mcell)
         xs, vals, cell = _merged(((xs, mids), (vals, mvals), (cell, mcell)), slots)
@@ -402,6 +402,36 @@ class TestRowRefinement:
         assert len(calls) == 4
         assert points[1:] == [15 * len(cells)] * 3
         assert len(trace) == 512 * len(cells) + 12 * len(cells)
+
+
+def _seen_level_by_level(C, want):
+    """The seen mask of a walk, level by level: a point is seen when the
+    interval it halves has both ends seen and their classes differ."""
+    S = np.ones(C.shape, dtype=bool)
+    for step in signscan._STEPS:
+        left, right = slice(None, -1, step), slice(step, None, step)
+        S[:, step // 2::step] = S[:, left] & S[:, right] & (C[:, left] != C[:, right])
+    if want is not None:
+        S[:, 1:signscan._SPAN] &= want
+    return S
+
+
+class TestSeenMask:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_path_table_matches_level_by_level(self, seed):
+        # random classes -1, 0 and +1 at every position, ends included, and
+        # every depth a walk can end at; the midpoints past a row's depth
+        # are not evaluated, so they are unseen whatever their class
+        rng = np.random.default_rng(seed)
+        rows = 4000
+        C = rng.integers(-1, 2, (rows, signscan._SPAN + 1)).astype(np.int8)
+        # half the rows with end classes that differ, as a bracket's do
+        C[::2, -1] = np.where(C[::2, 0] == 0, 1, -C[::2, 0])
+        levels = rng.integers(1, signscan._LEVELS + 1, rows)
+        want = signscan._LEVEL[1:signscan._SPAN] <= levels[:, None]
+        for w in (None, want):
+            assert (signscan._seen(C, w) == _seen_level_by_level(C, w)).all()
+        assert signscan._seen(C)[:, 1:-1].any() and not signscan._seen(C)[:, 1:-1].all()
 
 
 def _spike_at(r, x_max, n, level):
