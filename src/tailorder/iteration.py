@@ -31,6 +31,7 @@ from .distributions import (
     BranchedPareto,
     Distribution,
     Gamma,
+    NumericDensity,
     PolyExpExample,
     Weibull,
     _bisect_tail,
@@ -358,7 +359,9 @@ def _cross_check(it: IteratedTail) -> None:
 @lru_cache(maxsize=512)
 def _iterate_cached(d: Distribution, s: int) -> IteratedTail:
     if s == 1:
-        return IteratedTail(d, 1, "base", lambda x: d.tail(x),
+        # a numerically given density integrates its tail even at s = 1
+        kind = "quadrature" if isinstance(d, NumericDensity) else "base"
+        return IteratedTail(d, 1, kind, lambda x: d.tail(x),
                             poly=d.exp_poly_tail(),
                             tail_inverse=lambda p: d.tail_inverse(p))
     base_poly = d.exp_poly_tail()

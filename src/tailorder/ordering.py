@@ -279,9 +279,12 @@ def _windows(x_side, y_side, X: Distribution, Y: Distribution, template: ScanCon
     return window
 
 
-def _batch_config(template: ScanConfig | None, dead_abs: float = 0.0) -> ScanConfig:
+def _batch_config(template: ScanConfig | None, *tails: IteratedTail) -> ScanConfig:
     """The scan configuration every sampled cell of a sweep shares (its
-    x_max unread: the windows are per cell)."""
+    x_max unread: the windows are per cell), with the absolute deadband
+    _QUAD_DEADBAND where one of the form's tails is computed by quadrature
+    (a NumericDensity's, at every s)."""
+    dead_abs = _QUAD_DEADBAND if any(t.kind == "quadrature" for t in tails) else 0.0
     if template is None:
         return ScanConfig(deadband_abs=dead_abs)
     return replace(template, deadband_abs=max(template.deadband_abs, dead_abs))
@@ -320,13 +323,11 @@ class _Form:
 
 
 def _v_form(TX: IteratedTail, TY: IteratedTail, template: ScanConfig | None) -> _Form:
-    """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b).  Quadrature-backed tails
-    get an absolute deadband so integration noise cannot fabricate signs."""
-    dead_abs = _QUAD_DEADBAND if "quadrature" in (TX.kind, TY.kind) else 0.0
+    """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b)."""
     sides = None if TX.poly is None or TY.poly is None else (TY.poly, TX.poly)
     return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), TY.eval_tail, 0, 1.0,
                  sides, "-", _windows(TX, TY, TX.base, TY.base, template),
-                 _batch_config(template, dead_abs), _breakpoints(TX.base, TY.base))
+                 _batch_config(template, TX, TY), _breakpoints(TX.base, TY.base))
 
 
 def _h_forms(X: Distribution, Y: Distribution, s: int,
@@ -338,24 +339,25 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
     ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
     px, py = X.exp_poly_tail(), Y.exp_poly_tail()
     closed = px is not None and py is not None
-    sampled = (_windows(X, Y, X, Y, template), _batch_config(template), _breakpoints(X, Y))
+    window, bps = _windows(X, Y, X, Y, template), _breakpoints(X, Y)
     fy = _density(Y)
     return {
         "hs": _Form(_difference(fy, _density(X), ey, ex), fy, s, ex,
                     (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0))
-                    if closed else None, None, *sampled),
+                    if closed else None, None, window, _batch_config(template), bps),
         "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), Y.tail, s - 1, ex,
-                     (py.scaled(1.0 / ey), px) if closed else None, None, *sampled),
+                     (py.scaled(1.0 / ey), px) if closed else None, None, window,
+                     _batch_config(template, iterate(X, 1), iterate(Y, 1)), bps),
     }
 
 
 @dataclass(frozen=True)
 class _CellResult:
     """One evaluated cell.  form is the function whose pattern was taken,
-    so a disallowed pattern can be re-verified, and a passing one measured,
-    at its witnesses: margin, when measured, is the smallest |form| there.
+    so a disallowed pattern can be re-verified, and a passing one of a
+    supported sweep of V measured (_with_worst_margin), at its witnesses.
     A degenerate cell (form zero within the deadband: X and Y
-    indistinguishable there) passes with margin 0.
+    indistinguishable there) passes, and makes the sweep's worst margin 0.
 
     A criterion_h cell decided from coefficient signs (exppoly._sign_rule)
     carries its sign tuple alone as its pattern: with at most one sign
@@ -368,7 +370,6 @@ class _CellResult:
     form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
-    margin: float | None = None
 
 
 def _degenerate(a: float, b: float) -> _CellResult:
@@ -664,29 +665,6 @@ def _evaluate_cells(form: _Form, cells, closed, free) -> list[_CellResult]:
     return out
 
 
-def _with_margins(form: _Form, results: list[_CellResult], allowed) -> list[_CellResult]:
-    """results, each passing cell with its margin: the form is evaluated
-    once, at the witnesses of every passing cell of the batch, on flat
-    arrays of each point's x, a, b and a^k.  Every side is evaluated
-    elementwise, so each value is the one the cell alone would give."""
-    passing = [i for i, res in enumerate(results)
-               if not (res.degenerate or res.uncertain) and res.pattern.witnesses
-               and matches(res.pattern, allowed)]
-    if not passing:
-        return results
-    cells = [results[i] for i in passing]
-    sizes = [len(res.pattern.witnesses) for res in cells]
-    x = np.fromiter(chain.from_iterable(res.pattern.witnesses for res in cells), float)
-    a, b, coef = (np.repeat(np.asarray(col, dtype=float), sizes)
-                  for col in zip(*((res.a, res.b, res.a ** form.k) for res in cells)))
-    vals = np.abs(np.asarray(form.F(x, a, b, coef), dtype=float))
-    starts = np.cumsum([0] + sizes[:-1])
-    out = list(results)
-    for i, res, m in zip(passing, cells, np.minimum.reduceat(vals, starts).tolist()):
-        out[i] = replace(res, margin=m)
-    return out
-
-
 def _witness(res: _CellResult) -> RefutationWitness | None:
     """Witness of a disallowed cell pattern, or None unless evaluating the
     form again at the pattern's witnesses shows every sign beyond the
@@ -711,10 +689,11 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
 _BATCH_CELLS = 128
 
 
-def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
-    """Evaluate the grid in batches of whole rows, evaluate(cells) giving
-    the cells of a list of (a, b) pairs, and read the cells one at a time
-    in (a, b) lexicographic order.  The batches are the fewest that hold at
+def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> tuple[Verdict, list]:
+    """The verdict of the grid, and the cells that passed with a pattern:
+    evaluate the grid in batches of whole rows, evaluate(cells) giving the
+    cells of a list of (a, b) pairs, and read the cells one at a time in
+    (a, b) lexicographic order.  The batches are the fewest that hold at
     most _BATCH_CELLS cells (or one row) each, with the rows dealt out
     evenly among them, so a grid of up to _BATCH_CELLS cells is one
     evaluation, with at most one row scan per form, and no batch is more
@@ -722,58 +701,73 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> Verdict:
     re-verifies refutes and ends the sweep, so at most the rest of its
     batch is evaluated in vain; even batches keep that rest short (a 24 x
     12 grid is three batches of 96 cells, not 120, 120 and 48).  A
-    disallowed pattern that does not re-verify counts as uncertain.  The
-    worst margin is the smallest of the passing cells' margins, 0 on a
-    degenerate cell."""
+    disallowed pattern that does not re-verify counts as uncertain.  A
+    supported verdict's worst margin is 0 when a cell is degenerate, and
+    otherwise left to the caller (_with_worst_margin)."""
     cells = list(product(grid.a_values, grid.b_values))
     rows, nb = len(grid.a_values), len(grid.b_values)
     count = -(-rows // max(1, _BATCH_CELLS // nb))
     ends = [rows * i // count * nb for i in range(count + 1)]
     batches = (cells[lo:hi] for lo, hi in zip(ends, ends[1:]))
-    worst = math.inf
+    degenerate = False
+    passing = []
     first_uncertain = None
     scanned = 0
     for res in chain.from_iterable(map(evaluate, batches)):
         scanned += 1
         if res.degenerate:
-            worst = 0.0
+            degenerate = True
             continue
         if not res.uncertain:
             if matches(res.pattern, allowed):
-                if res.margin is not None:
-                    worst = min(worst, res.margin)
+                passing.append(res)
                 continue
             witness = _witness(res)
             if witness is not None:
                 return Verdict(REFUTED, criterion, s, cells_scanned=scanned,
-                               witness=witness, grid=grid.to_dict())
+                               witness=witness, grid=grid.to_dict()), passing
         if first_uncertain is None:
             first_uncertain = res
     if first_uncertain is not None:
         return Verdict(INCONCLUSIVE, criterion, s, cells_scanned=scanned,
                        reason=f"unresolved scan at a={first_uncertain.a:.6g}, "
                               f"b={first_uncertain.b:.6g}",
-                       grid=grid.to_dict())
+                       grid=grid.to_dict()), passing
     return Verdict(SUPPORTED, criterion, s, cells_scanned=scanned,
-                   worst_margin=None if worst is math.inf else worst,
-                   grid=grid.to_dict())
+                   worst_margin=0.0 if degenerate else None, grid=grid.to_dict()), passing
 
 
-def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> Verdict:
-    """Sweep V over the grid, with margins: certified patterns where both
-    tails are exponential polynomials, one _scan_row call for the other
-    cells of a batch, and one evaluation of V for the margins of its
-    passing cells."""
+def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[Verdict, list]:
+    """Sweep V over the grid (see _sweep), without margins: certified
+    patterns where both tails are exponential polynomials, one _scan_row
+    call for the other cells of a batch."""
     form = _v_form(TX, TY, grid.scan)
 
     def evaluate(cells):
         closed = _closed_cells((form,), cells)
         free = [False] * len(cells) if closed.terms is None else \
             _root_free(closed.terms).tolist()
-        return _with_margins(form, _evaluate_cells(
-            form, cells, closed.outcomes(0, range(len(cells))), free), allowed)
+        return _evaluate_cells(form, cells, closed.outcomes(0, range(len(cells))), free)
 
     return _sweep(grid, evaluate, allowed, criterion, s)
+
+
+def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
+    """The verdict of a sweep of V, given with its passing cells (_sweep),
+    with its worst margin when it is supported without a degenerate cell:
+    the smallest |V| at the witnesses of the passing cells.  V is evaluated
+    once, on flat arrays of every witness's x, a and b; it is evaluated
+    point by point, so each value is the one its cell alone would give."""
+    cells = [res for res in passing if res.pattern.witnesses]
+    if not (verdict.supported and verdict.worst_margin is None and cells):
+        return verdict
+    sizes = [len(res.pattern.witnesses) for res in cells]
+    x = np.fromiter(chain.from_iterable(res.pattern.witnesses for res in cells), float)
+    a, b = (np.repeat(np.array(col), sizes) for col in zip(*((res.a, res.b) for res in cells)))
+    vals = np.abs(np.asarray(cells[0].form(x, a, b), dtype=float))
+    # each cell's least |V|, then the least from inf: a NaN cell changes nothing
+    worst = min([math.inf] + np.minimum.reduceat(vals, np.cumsum([0] + sizes[:-1])).tolist())
+    return verdict if worst == math.inf else replace(verdict, worst_margin=worst)
 
 
 # ----------------------------------------------------------------------
@@ -790,8 +784,8 @@ def compare_ifr(X: Distribution, Y: Distribution, s: int,
     Certified patterns are used when both tails are exponential polynomials.
     """
     grid = grid or GridSpec.default(X, Y, negative_b=True)
-    TX, TY = iterate(X, s), iterate(Y, s)
-    return _pattern_sweep(TX, TY, s, grid, ALLOWED_IFR, "pattern-ifr")
+    return _with_worst_margin(*_pattern_sweep(iterate(X, s), iterate(Y, s), s, grid,
+                                              ALLOWED_IFR, "pattern-ifr"))
 
 
 def compare_ifra(X: Distribution, Y: Distribution, s: int,
@@ -800,8 +794,8 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
     may change sign at most once, in the order "-,+"."""
     grid = grid or GridSpec.default(X, Y, negative_b=False)
     grid = GridSpec(grid.a_values, (0.0,), grid.scan)
-    TX, TY = iterate(X, s), iterate(Y, s)
-    return _pattern_sweep(TX, TY, s, grid, ALLOWED_IFRA, "pattern-ifra")
+    return _with_worst_margin(*_pattern_sweep(iterate(X, s), iterate(Y, s), s, grid,
+                                              ALLOWED_IFRA, "pattern-ifra"))
 
 
 #: per-cell partner: the criterion asks for an admissible pattern from
@@ -874,7 +868,7 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
                     out[i] = other
         return out
 
-    verdict = _sweep(grid, evaluate, ALLOWED_IFR, "criterion-h", s)
+    verdict, _ = _sweep(grid, evaluate, ALLOWED_IFR, "criterion-h", s)
     if verdict.refuted:
         return replace(verdict, reason="criterion pattern inadmissible; order undecided")
     return verdict
@@ -892,7 +886,10 @@ def newcrit(X: Distribution, Y: Distribution, s: int,
     constrains.
     """
     grid = grid or GridSpec.default(X, Y, negative_b=False)
-    step1 = compare_ifra(X, Y, s, grid)
+    TX, TY = iterate(X, s), iterate(Y, s)
+    # the star-shape step of compare_ifra, whose margin no verdict here reports
+    step1, _ = _pattern_sweep(TX, TY, s, GridSpec(grid.a_values, (0.0,), grid.scan),
+                              ALLOWED_IFRA, "pattern-ifra")
     if not step1.supported:
         return Verdict(step1.outcome, "newcrit", s,
                        cells_scanned=step1.cells_scanned,
@@ -904,14 +901,12 @@ def newcrit(X: Distribution, Y: Distribution, s: int,
         return Verdict(SUPPORTED, "newcrit", s,
                        cells_scanned=step1.cells_scanned + step2.cells_scanned,
                        worst_margin=step2.worst_margin, grid=grid.to_dict())
-    TX, TY = iterate(X, s), iterate(Y, s)
-    step3 = _pattern_sweep(TX, TY, s, nonneg, ALLOWED_IFR, "pattern-ifr")
-    out = Verdict(step3.outcome, "newcrit", s,
-                  cells_scanned=step1.cells_scanned + step2.cells_scanned
-                  + step3.cells_scanned,
-                  worst_margin=step3.worst_margin, witness=step3.witness,
-                  reason=step3.reason, grid=grid.to_dict())
-    return out
+    step3 = _with_worst_margin(*_pattern_sweep(TX, TY, s, nonneg, ALLOWED_IFR, "pattern-ifr"))
+    return Verdict(step3.outcome, "newcrit", s,
+                   cells_scanned=step1.cells_scanned + step2.cells_scanned
+                   + step3.cells_scanned,
+                   worst_margin=step3.worst_margin, witness=step3.witness,
+                   reason=step3.reason, grid=grid.to_dict())
 
 
 def _monotone_verdict(fn, criterion: str, s) -> Verdict:

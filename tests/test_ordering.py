@@ -477,6 +477,36 @@ class TestNewcrit:
             GridSpec(grid.a_values, grid.b_values, scan=ScanConfig(deadband=float("nan")))
 
 
+
+class TestQuadratureNoiseAtOrderOne:
+    """A numerically given density integrates its tail at s = 1 too: V and
+    the survival form hs1 read it with the absolute quadrature deadband,
+    so the noise of e^-x against its quadrature twin (|V| <= 1e-15 on a
+    thousands-sign pattern) cannot refute."""
+
+    NUMERIC = NumericDensity(lambda x: np.exp(-np.asarray(x, dtype=float)), x_max=60.0)
+    CELL = GridSpec((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("check", [compare_ifr, newcrit])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["numeric-exp", "exp-numeric"])
+    def test_twins_are_not_refuted(self, check, reverse):
+        X, Y = self.NUMERIC, Exponential(1.0)
+        if reverse:
+            X, Y = Y, X
+        assert check(X, Y, 1, self.CELL).supported
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["numeric-exp", "exp-numeric"])
+    def test_survival_form_cell_is_degenerate(self, reverse):
+        X, Y = self.NUMERIC, Exponential(1.0)
+        if reverse:
+            X, Y = Y, X
+        assert iterate(self.NUMERIC, 1).kind == "quadrature"
+        hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
+        assert hs1.config.deadband_abs == ordering._QUAD_DEADBAND
+        (res,) = ordering._evaluate_cells(hs1, [(1.0, 0.0)], [None], [False])
+        assert res.degenerate
+
+
 #: Shaped like the benchmark's Weibull/Gamma grid.
 _SAMPLED_GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
 
@@ -559,7 +589,7 @@ class TestBatchSizes:
             seen.append(len(cells))
             return [ordering._degenerate(a, b) for a, b in cells]
 
-        v = ordering._sweep(grid, evaluate, ALLOWED_IFR, "test", 1)
+        v, _ = ordering._sweep(grid, evaluate, ALLOWED_IFR, "test", 1)
         assert v.supported and v.cells_scanned == na * nb
         assert seen == sizes
 
@@ -602,8 +632,8 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("pair", ["sampled", "certified"])
     def test_star_shape_margin_is_bit_equal(self, monkeypatch, pair, s):
-        # one margin evaluation per batch of sampled or certified cells gives
-        # the worst margin of one cell per batch to the last bit
+        # the worst margin is the same to the last bit whatever the batches
+        # of sampled or certified cells the sweep evaluated
         X, Y, grid = ((Weibull(2.0), Gamma(2.0), self.SAMPLED_GRID) if pair == "sampled"
                       else (MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), self.CERTIFIED_GRID))
         v = compare_ifra(X, Y, s, grid)
@@ -625,49 +655,84 @@ class TestBatchInvariance:
 
 
 class TestMargins:
-    """A V sweep measures each passing cell at its witnesses, with one
-    evaluation of the form per batch."""
+    """A V sweep reports its worst margin only when supported: V is then
+    evaluated once, at the witnesses of every passing cell of the sweep."""
+
+    #: a column of more than _BATCH_CELLS slopes at b = 0: two batches
+    LONG_COLUMN = GridSpec(tuple(np.geomspace(0.05, 20.0, 160)), (0.0,))
 
     @staticmethod
-    def _cells(monkeypatch):
-        seen = []
-        inner = ordering._with_margins
+    def _spies(monkeypatch):
+        """The (verdict, passing cells) handed to _with_worst_margin, and the
+        number of points of every direct evaluation of a scanned form over
+        flat arrays of many cells' a (a witness re-check takes one cell's)."""
+        measured, evaluations = [], []
+        inner, call = ordering._with_worst_margin, ordering._Form.__call__
 
-        def spy(form, results, allowed):
-            out = inner(form, results, allowed)
-            seen.extend(out)
-            return out
+        def spy(verdict, passing):
+            measured.append((verdict, passing))
+            return inner(verdict, passing)
 
-        monkeypatch.setattr(ordering, "_with_margins", spy)
-        return seen
+        def form_spy(self, x, a, b):
+            if np.ndim(a):
+                evaluations.append(len(x))
+            return call(self, x, a, b)
+
+        monkeypatch.setattr(ordering, "_with_worst_margin", spy)
+        monkeypatch.setattr(ordering._Form, "__call__", form_spy)
+        return measured, evaluations
 
     @pytest.mark.parametrize("check,X,Y,s,grid", [
         (compare_ifr, Weibull(2.0), Gamma(2.0), 1, SMALL),
-        (compare_ifra, Weibull(1.5), Gamma(1.5), 2, SMALL_POS),
+        (compare_ifra, Weibull(1.5), Gamma(1.5), 2, LONG_COLUMN),
         (compare_ifr, MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, SMALL),
-        (compare_ifra, MaxExp(1.0, 1.0), MaxExp(1.0, 4.0), 3, SMALL_POS),
+        (compare_ifra, MaxExp(1.0, 1.0), MaxExp(1.0, 4.0), 3, LONG_COLUMN),
     ], ids=["ifr-sampled", "ifra-sampled", "ifr-certified", "ifra-certified"])
     def test_worst_margin_is_the_least_per_cell_evaluation(self, monkeypatch, check,
                                                            X, Y, s, grid):
-        cells = self._cells(monkeypatch)
-        v = check(X, Y, s, grid)
-        assert v.supported and len(cells) == v.cells_scanned
-        margins = []
-        for res in cells:
-            if res.margin is None:
-                assert res.degenerate or not res.pattern.witnesses
-                continue
-            vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
-            alone = float(np.min(np.abs(vals)))
-            assert res.margin.hex() == alone.hex(), (res.a, res.b)
-            margins.append(alone)
-        assert len(margins) > len(cells) // 2
-        assert v.worst_margin == min(margins)
+        measured, evaluations = self._spies(monkeypatch)
+        batches = []
+        inner = ordering._evaluate_cells
 
-    def test_criterion_h_cells_carry_no_margin(self, monkeypatch):
-        calls = self._cells(monkeypatch)
+        def spy(form, cells, closed, free):
+            batches.append(len(cells))
+            return inner(form, cells, closed, free)
+
+        monkeypatch.setattr(ordering, "_evaluate_cells", spy)
+        v = check(X, Y, s, grid)
+        assert v.supported and len(batches) >= 2
+        (_, passing), = measured
+        witnessed = [res for res in passing if res.pattern.witnesses]
+        assert len(witnessed) > v.cells_scanned // 2
+        # one evaluation over the witnesses of every batch
+        assert evaluations == [sum(len(res.pattern.witnesses) for res in witnessed)]
+        margins = []
+        for res in witnessed:
+            vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
+            margins.append(float(np.min(np.abs(vals))))
+        assert v.worst_margin.hex() == min(margins).hex()
+
+    def test_refuting_sweep_measures_no_margin(self, monkeypatch):
+        X, Y = Gamma(2.0), Weibull(2.0)
+        measured, evaluations = self._spies(monkeypatch)
+        v = compare_ifr(X, Y, 1, GridSpec.default(X, Y, na=24, nb=12))
+        assert v.refuted and v.worst_margin is None
+        assert [verdict for verdict, _ in measured] == [v] and evaluations == []
+
+    def test_newcrit_star_shape_step_measures_no_margin(self, monkeypatch):
+        from golden_corpus import compare_document, golden, same
+        measured, evaluations = self._spies(monkeypatch)
+        args = ["compare", "--x", "maxexp(1,1)", "--y", "maxexp(1,2)", "--s", "2",
+                "--criterion", "newcrit", "--a-grid", "24", "--b-grid", "12"]
+        doc = compare_document(args)
+        assert doc["outcome"] == "supported" and measured == [] and evaluations == []
+        assert same(golden("compare", "newcrit-s2-maxexp1-1-vs-maxexp1-2.json"), doc) == []
+
+    def test_criterion_h_measures_no_margin(self, monkeypatch):
+        measured, evaluations = self._spies(monkeypatch)
         v = criterion_h(Weibull(2.0), Gamma(2.0), 1, SMALL_POS)
-        assert v.supported and v.worst_margin is None and calls == []
+        assert v.supported and v.worst_margin is None
+        assert measured == [] and evaluations == []
 
 
 def _reference_closed_cell(form, a, b):
