@@ -89,14 +89,17 @@ def residual_partial_moment(d: Distribution, k: int, x: float) -> float:
     if x < 0:
         raise ValueError("x must be nonnegative")
     k = int(k)
-    d.raw_moment(k)  # rejects divergent moments up front
+    moment = d.raw_moment(k)  # rejects divergent moments up front
     x = float(x)
 
     def fn(t):
         return float(d.density(t)) * (t - x) ** k
 
-    # moderate finite leg (all breakpoints inside), infinite remainder after
-    mid = max(x + 1.0, min(d.quantile_horizon(1e-13), x + 60.0 * (1.0 + d.mean())))
+    # moderate finite leg (all breakpoints inside), infinite remainder after;
+    # the leg scales with (E X^k)^{1/k} too, since f(t) t^k peaks far
+    # beyond the mean for heavy tails at high k
+    spread = d.mean() if k == 0 else max(d.mean(), moment ** (1.0 / k))
+    mid = max(x + 1.0, min(d.quantile_horizon(1e-13), x + 60.0 * (1.0 + spread)))
     pts = [b for b in d.breakpoints() if x < b < mid]
     head, _ = integrate.quad(fn, x, mid, points=pts or None, limit=400,
                              epsabs=1e-12, epsrel=1e-10)

@@ -19,8 +19,12 @@ witness, and Inconclusive reports unresolved evidence.
 Where both sides of a comparison function are exponential polynomials, the
 sweeps evaluate a batch of cells through one term table of their closed
 forms (_closed_cells), built from side tables per distinct slope and
-intercept; criterion_h settles both of its forms from that table with one
-pass of the coefficient-sign rule.
+intercept, and settle the cells at b >= 0 whose coefficient signs fix an
+admissible pattern from that table with one pass of the coefficient-sign
+rule (_settle): criterion_h in both of its forms, the sweeps of V in one.
+Only the other closed cells are sampled in the sweep; a supported sweep of
+V samples its settled cells for their witnesses when it measures its worst
+margin.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import IndeterminateFunction
 from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf,
-                      _merge_rows, _prune_rows, _root_free, _sign_patterns, _sign_rule, _Terms)
+                      _merge_rows, _prune_rows, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
 from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
@@ -359,10 +363,11 @@ class _CellResult:
     A degenerate cell (form zero within the deadband: X and Y
     indistinguishable there) passes, and makes the sweep's worst margin 0.
 
-    A criterion_h cell decided from coefficient signs (exppoly._sign_rule)
-    carries its sign tuple alone as its pattern: with at most one sign
-    change it is admissible, so it is never re-verified, and criterion_h
-    measures no margins."""
+    A closed cell settled from its coefficient signs (_settle) carries its
+    sign tuple alone as its pattern: it is admissible, so it is never
+    re-verified.  A settled cell of V also carries closed, its closed form
+    and root-free flag, from which _with_worst_margin samples its witnesses
+    when it measures; criterion_h measures no margins."""
 
     a: float
     b: float
@@ -370,6 +375,7 @@ class _CellResult:
     form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
+    closed: tuple[ExpPoly, bool] | None = None
 
 
 def _degenerate(a: float, b: float) -> _CellResult:
@@ -639,6 +645,32 @@ def _compact(coefs, rates, live, exps) -> _Terms:
                   np.where(live, exps, 1.0))
 
 
+def _settle(closed: _Closed, allowed) -> tuple[list, list]:
+    """(signs, root-free flags) of every row of a batch's term table, from
+    one pass of the coefficient-sign rule (exppoly._sign_rule).  A _CLOSED
+    row at b >= 0 (where its pattern is taken from 0) is settled when the
+    rule fixes its signs, or proves it root-free, so that it has the sign
+    of its slowest term throughout, and those signs match allowed: signs
+    holds them, else None.  The flags are those sampling reads
+    (_sign_patterns)."""
+    rows = len(closed.kind)
+    if _CLOSED not in closed.kind:
+        return [None] * rows, [False] * rows
+    decided, head, tail, free = _sign_rule(closed.terms)
+    nonneg = np.array([b >= 0 for _, b in closed.cells] * len(closed.forms))
+    # a closed row's last entry is live
+    candidates = closed.terms.live[:, -1] & nonneg & (decided | free)
+    decided, heads, tails = decided.tolist(), head.tolist(), tail.tolist()
+    admissible = {sg for sg in (("+",), ("-",), ("+", "-"), ("-", "+")) if matches(sg, allowed)}
+    signs = [None] * rows
+    for row in np.flatnonzero(candidates).tolist():
+        h, t = "+" if heads[row] else "-", "+" if tails[row] else "-"
+        sg = (h, t) if decided[row] and h != t else (t,)
+        if sg in admissible:
+            signs[row] = sg
+    return signs, free.tolist()
+
+
 def _evaluate_cells(form: _Form, cells, closed, free) -> list[_CellResult]:
     """The cells (a, b) of cells, given closed, each cell's outcome in a
     term table (_Closed.outcomes), and free, their rows' root-free flags
@@ -738,16 +770,26 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> tuple[Verdic
 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[Verdict, list]:
-    """Sweep V over the grid (see _sweep), without margins: certified
-    patterns where both tails are exponential polynomials, one _scan_row
-    call for the other cells of a batch."""
+    """Sweep V over the grid (see _sweep), without margins: where both
+    tails are exponential polynomials, a batch's closed cells whose
+    coefficient signs settle them (_settle) carry their signs, and the
+    other closed cells take certified patterns; one _scan_row call for the
+    cells left to sampling."""
     form = _v_form(TX, TY, grid.scan)
 
     def evaluate(cells):
         closed = _closed_cells((form,), cells)
-        free = [False] * len(cells) if closed.terms is None else \
-            _root_free(closed.terms).tolist()
-        return _evaluate_cells(form, cells, closed.outcomes(0, range(len(cells))), free)
+        signs, free = _settle(closed, allowed)
+        outcomes = closed.outcomes(0, range(len(cells)))
+        out = [None if sg is None else
+               _CellResult(*cell, sg, form, closed=(poly, flag))
+               for cell, sg, poly, flag in zip(cells, signs, outcomes, free)]
+        rest = [i for i, res in enumerate(out) if res is None]
+        for i, res in zip(rest, _evaluate_cells(form, [cells[i] for i in rest],
+                                                [outcomes[i] for i in rest],
+                                                [free[i] for i in rest])):
+            out[i] = res
+        return out
 
     return _sweep(grid, evaluate, allowed, criterion, s)
 
@@ -755,16 +797,26 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[
 def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
     """The verdict of a sweep of V, given with its passing cells (_sweep),
     with its worst margin when it is supported without a degenerate cell:
-    the smallest |V| at the witnesses of the passing cells.  V is evaluated
-    once, on flat arrays of every witness's x, a and b; it is evaluated
-    point by point, so each value is the one its cell alone would give."""
-    cells = [res for res in passing if res.pattern.witnesses]
-    if not (verdict.supported and verdict.worst_margin is None and cells):
+    the smallest |V| at the witnesses of the passing cells.  The witnesses
+    of the cells settled from their signs are sampled here, in one
+    _sign_patterns call, as the sweep would have sampled them.  V is
+    evaluated once, on flat arrays of every witness's x, a and b; it is
+    evaluated point by point, so each value is the one its cell alone would
+    give."""
+    if not (verdict.supported and verdict.worst_margin is None and passing):
         return verdict
-    sizes = [len(res.pattern.witnesses) for res in cells]
-    x = np.fromiter(chain.from_iterable(res.pattern.witnesses for res in cells), float)
-    a, b = (np.repeat(np.array(col), sizes) for col in zip(*((res.a, res.b) for res in cells)))
-    vals = np.abs(np.asarray(cells[0].form(x, a, b), dtype=float))
+    settled = [res.closed for res in passing if res.closed is not None]
+    sampled = iter(_sign_patterns([poly for poly, _ in settled], [0.0] * len(settled),
+                                  [flag for _, flag in settled]))
+    witnessed = [(res, (next(sampled) if res.closed is not None else res.pattern).witnesses)
+                 for res in passing]
+    cells = [(res, w) for res, w in witnessed if w]
+    if not cells:
+        return verdict
+    sizes = [len(w) for _, w in cells]
+    x = np.fromiter(chain.from_iterable(w for _, w in cells), float)
+    a, b = (np.repeat(np.array(col), sizes) for col in zip(*((res.a, res.b) for res, _ in cells)))
+    vals = np.abs(np.asarray(cells[0][0].form(x, a, b), dtype=float))
     # each cell's least |V|, then the least from inf: a NaN cell changes nothing
     worst = min([math.inf] + np.minimum.reduceat(vals, np.cumsum([0] + sizes[:-1])).tolist())
     return verdict if worst == math.inf else replace(verdict, worst_margin=worst)
@@ -819,11 +871,11 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     its closed form unless that cannot be built without losing a term;
     cells with b < 0 take the sampled scan.  Both forms' closed cells of a
     batch are built in one term table (_closed_cells) and read by one pass
-    of the coefficient-sign rule (exppoly._sign_rule), which also gives the
-    root-free flags their sampling reads.  A closed cell passes on
-    the signs of the chosen form where they fix the pattern, or else, where
-    that form is closed too, on its partner's, and carries its signs alone;
-    only the other closed cells become ExpPoly objects and are sampled
+    of the coefficient-sign rule (_settle), which also gives the root-free
+    flags their sampling reads.  A closed cell passes on the signs of the
+    chosen form where they settle it (they prove it root-free or fix its
+    pattern), or else, where that form is closed too, on its partner's, and
+    carries its signs alone; only the other closed cells are sampled
     (_sign_patterns, once per batch and form), the chosen form first.
     """
     if form not in _PARTNER_FORM:
@@ -835,22 +887,15 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     def evaluate(cells):
         closed = _closed_cells(pair, cells)
         n = len(cells)
+        # the first form whose coefficient signs settle it settles the cell,
+        # the partner only where the chosen form is closed
+        signs, free = _settle(closed, ALLOWED_IFR)
         out = [None] * n
-        free = [False] * (2 * n)
-        if _CLOSED in closed.kind:
-            # the first form whose coefficient signs fix its pattern decides
-            # the cell, the partner only where the chosen form is closed;
-            # every pattern they fix is admissible
-            decided, head, tail, free = _sign_rule(closed.terms)
-            free = free.tolist()
-            shut = closed.terms.live[:, -1]  # a closed row's last entry is live
-            first = shut[:n] & decided[:n]
-            second = shut[:n] & ~decided[:n] & shut[n:] & decided[n:]
-            heads, tails = head.tolist(), tail.tolist()
-            for i in np.flatnonzero(first | second).tolist():
-                row = i if first[i] else n + i
-                h, t = "+" if heads[row] else "-", "+" if tails[row] else "-"
-                out[i] = _CellResult(*cells[i], (t,) if h == t else (h, t), pair[row // n])
+        for i, (kind, own, other) in enumerate(zip(closed.kind[:n], signs[:n], signs[n:])):
+            if own is not None:
+                out[i] = _CellResult(*cells[i], own, pair[0])
+            elif other is not None and kind == _CLOSED:
+                out[i] = _CellResult(*cells[i], other, pair[1])
 
         def evaluate_form(f, idx):
             return _evaluate_cells(pair[f], [cells[i] for i in idx], closed.outcomes(f, idx),

@@ -29,7 +29,7 @@ from tailorder import ageing, exppoly, ordering
 from tailorder.casebook import _BP_GRID_S1, _BP_GRID_S2
 from tailorder.errors import IndeterminateFunction
 from tailorder.iteration import IteratedTail, iterate
-from tailorder.patterns import ALLOWED_IFR, SAMPLED, ScanConfig
+from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, SAMPLED, ScanConfig
 from tailorder.signscan import scan
 from test_exppoly import _reference_root_free, _reference_rule, _rules, _table
 
@@ -257,19 +257,21 @@ class TestClosedCriterionH:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_newcrit_isolates_few_cells(self, monkeypatch, s):
-        # the 12 x 4 grid of the certified benchmark workload: 12 star-shape
-        # cells, then the criterion-h cells whose coefficient signs do not
-        # fix a pattern in either form (before the rule: 78 isolations)
+        # the 12 x 4 grid of the certified benchmark workload: the
+        # star-shape and criterion-h cells whose coefficient signs settle
+        # them in neither form (before the rule: 78 isolations)
         calls = _count_sampled_cells(monkeypatch)
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
         v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
         assert v.supported and v.cells_scanned == 60
-        assert calls[0] <= 16
+        assert calls[0] <= (8, 2, 2, 1)[s - 1]
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_sweeps_hand_the_root_free_flags_sampling_would_compute(self, monkeypatch, s):
         # the flags the sweeps read off their tables are those _sample
-        # computes from the terms when given none
+        # computes from the terms when given none; a supported star-shape
+        # sweep hands them for the cells it samples, and its margin for the
+        # cells settled from their signs
         handed = []
         inner = ordering._sign_patterns
 
@@ -279,7 +281,7 @@ class TestClosedCriterionH:
 
         monkeypatch.setattr(ordering, "_sign_patterns", spy)
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
-        assert newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid).supported
+        assert compare_ifra(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid).supported
         assert handed and all(free is not None for *_, free in handed)
         flags = [(p, flag) for polys, starts, free in handed
                  for p, start, flag in zip(polys, starts, free) if start == 0.0]
@@ -288,9 +290,9 @@ class TestClosedCriterionH:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_newcrit_isolates_few_roots(self, monkeypatch, s):
-        # the certified workload's grid: of the closed cells that are
-        # sampled (16 at s = 1, 13 above), all but 8 and 2 are root-free by
-        # their signs and skip isolation
+        # the certified workload's grid: every closed cell that the rule
+        # proves root-free is settled, so only the cells it leaves open are
+        # sampled (8 at s = 1, at most 2 above), and each is isolated
         counts = {}
         for name in ("isolate_roots", "dominance_horizon"):
             inner = getattr(ExpPoly, name)
@@ -321,22 +323,29 @@ class TestClosedCriterionH:
 
     def test_one_batched_evaluation_per_call(self, monkeypatch):
         # every _evaluate_cells call with closed cells samples them all in
-        # one _sign_patterns call, which evaluates their regions at once
+        # one _sign_patterns call, which evaluates their regions at once, and
+        # so does _with_worst_margin with the cells settled from their signs
         batches = []
-        inner = ordering._evaluate_cells
-
-        def spy(form, cells, closed, free):
-            before = len(evaluations)
-            out = inner(form, cells, closed, free)
-            batches.append((sum(isinstance(c, ExpPoly) for c in closed),
-                            len(evaluations) - before))
-            return out
-
         evaluations = []
         values = exppoly._region_values
         monkeypatch.setattr(exppoly, "_region_values",
                             lambda rows, xs: evaluations.append(len(rows)) or values(rows, xs))
-        monkeypatch.setattr(ordering, "_evaluate_cells", spy)
+
+        def count(name, sampled):
+            inner = getattr(ordering, name)
+
+            def spy(*args):
+                before = len(evaluations)
+                out = inner(*args)
+                batches.append((sampled(*args), len(evaluations) - before))
+                return out
+
+            monkeypatch.setattr(ordering, name, spy)
+
+        count("_evaluate_cells",
+              lambda form, cells, closed, free: sum(isinstance(c, ExpPoly) for c in closed))
+        count("_with_worst_margin",
+              lambda verdict, passing: sum(res.closed is not None for res in passing))
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(-1.0, 8.0, 6)))
         assert compare_ifr(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid).supported
         criterion_h(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid, form="hs")
@@ -702,13 +711,19 @@ class TestMargins:
         v = check(X, Y, s, grid)
         assert v.supported and len(batches) >= 2
         (_, passing), = measured
-        witnessed = [res for res in passing if res.pattern.witnesses]
+        # a cell settled from its signs is measured at the witnesses that
+        # sampling its closed form alone gives
+        settled = [res for res in passing if res.closed is not None]
+        assert bool(settled) == isinstance(X, MaxExp)
+        witnessed = [(res, res.closed[0].sign_pattern_exact(0.0).witnesses
+                      if res.closed is not None else res.pattern.witnesses) for res in passing]
+        witnessed = [(res, w) for res, w in witnessed if w]
         assert len(witnessed) > v.cells_scanned // 2
         # one evaluation over the witnesses of every batch
-        assert evaluations == [sum(len(res.pattern.witnesses) for res in witnessed)]
+        assert evaluations == [sum(len(w) for _, w in witnessed)]
         margins = []
-        for res in witnessed:
-            vals = res.form(np.asarray(res.pattern.witnesses), res.a, res.b)
+        for res, w in witnessed:
+            vals = res.form(np.asarray(w), res.a, res.b)
             margins.append(float(np.min(np.abs(vals))))
         assert v.worst_margin.hex() == min(margins).hex()
 
@@ -733,6 +748,74 @@ class TestMargins:
         v = criterion_h(Weibull(2.0), Gamma(2.0), 1, SMALL_POS)
         assert v.supported and v.worst_margin is None
         assert measured == [] and evaluations == []
+
+
+def _settling_pairs():
+    """Seeded pairs of the paper's family: Exp(1) and MaxExp(1, mu) against
+    MaxExp(1, lam), in both orientations."""
+    rng = np.random.default_rng(2323)
+    lam, mu = rng.uniform(1.05, 6.0, 4), rng.uniform(1.05, 6.0, 2)
+    pairs = [(Exponential(1.0), MaxExp(1.0, lam[0])), (Exponential(1.0), MaxExp(1.0, lam[1])),
+             (MaxExp(1.0, mu[0]), MaxExp(1.0, lam[2])), (MaxExp(1.0, mu[1]), MaxExp(1.0, lam[3]))]
+    return pairs + [(Y, X) for X, Y in pairs]
+
+
+class TestSettledCells:
+    """A closed cell at b >= 0 whose coefficient signs prove it root-free,
+    or fix an admissible pattern, is settled without sampling (_settle):
+    its signs are those certified root isolation reads, and no verdict
+    document moves."""
+
+    PAIRS = _settling_pairs()
+    GRIDS = {"column": GridSpec(tuple(np.geomspace(0.05, 20.0, 64)), (0.0,)),
+             "negative": GridSpec(tuple(np.geomspace(0.1, 10.0, 16)), (-1.0, -0.1, 0.0, 2.0))}
+
+    @pytest.mark.parametrize("grid", ["column", "negative"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_settled_signs_are_the_certified_ones(self, grid, s):
+        grid = self.GRIDS[grid]
+        cells = [(a, b) for a in grid.a_values for b in grid.b_values]
+        n = len(cells)
+        settled = open_below = 0
+        for X, Y in self.PAIRS:
+            v = ordering._v_form(iterate(X, s), iterate(Y, s), None)
+            for forms in ((v,), tuple(ordering._h_forms(X, Y, s, None).values())):
+                closed = ordering._closed_cells(forms, cells)
+                signs, free = ordering._settle(closed, ALLOWED_IFR)
+                star, _ = ordering._settle(closed, ALLOWED_IFRA)
+                for f in range(len(forms)):
+                    rows = range(f * n, (f + 1) * n)
+                    for (a, b), row, poly in zip(cells, rows, closed.outcomes(f, range(n))):
+                        # the star-shape admissible set settles a subset
+                        assert star[row] in (None, signs[row]) and star[row] != ("+", "-")
+                        if b < 0:
+                            assert signs[row] is None, (a, b)
+                            open_below += isinstance(poly, ExpPoly)
+                        if signs[row] is None:
+                            continue
+                        # sampling reads the same signs, none of them uncertain
+                        pattern = poly.sign_pattern_exact(0.0)
+                        assert pattern.signs == signs[row] and not pattern.uncertain, (a, b)
+                        settled += 1
+        assert settled > n * len(self.PAIRS) // 2
+        assert (open_below > 0) == (min(grid.b_values) < 0)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_settling_moves_no_document(self, monkeypatch, s):
+        # with no row settled, every closed cell is sampled in the sweep,
+        # and every document is the same, worst margins to the last bit
+        grid = self.GRIDS["negative"]
+        checks = [(check, X, Y) for X, Y in self.PAIRS for check in (compare_ifr, compare_ifra,
+                                                                     newcrit)]
+        settled = [check(X, Y, s, grid) for check, X, Y in checks]
+        nothing = lambda table: (np.zeros(len(table.coefs), dtype=bool),) * 4  # noqa: E731
+        monkeypatch.setattr(ordering, "_sign_rule", nothing)
+        for (check, X, Y), v in zip(checks, settled):
+            sampled = check(X, Y, s, grid)
+            assert v.to_dict() == sampled.to_dict(), (check.__name__, X, Y)
+            if v.worst_margin is not None:
+                assert v.worst_margin.hex() == sampled.worst_margin.hex()
+        assert any(v.worst_margin for v in settled)
 
 
 def _reference_closed_cell(form, a, b):
