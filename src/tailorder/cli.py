@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -214,6 +215,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_roots(args) -> int:
     poly = parse_exppoly(args.exppoly)
+    for name, end in (("--lo", args.lo), ("--hi", args.hi)):
+        if end is not None and not math.isfinite(end):
+            raise ValueError(f"{name} must be finite, got {end}")
     lo = 1e-9 if args.lo is None else args.lo
     hi = poly.dominance_horizon(lo) + 1.0 if args.hi is None else args.hi
     report = poly.isolate_roots(lo, hi)

@@ -201,12 +201,15 @@ class ExpPoly:
         raise ResidualUncertainty("could not certify a dominance horizon")
 
     def isolate_roots(self, lo: float, hi: float) -> "RootReport":
-        """Certified isolation of the real roots in [lo, hi] (to ROOT_WIDTH).
+        """Certified isolation of the real roots in [lo, hi], both ends
+        finite, to ROOT_WIDTH.
 
         Recursion: after factoring out the slowest exponential the derivative
         has one term fewer, so between consecutive critical points the
         function is strictly monotone and plain bisection is certified.
         """
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("domain ends must be finite")
         if not lo < hi:
             raise ValueError("domain must be a nondegenerate interval")
         brackets, q, uncertain = _isolate(list(self.coefficients), list(self.rates),

@@ -80,14 +80,14 @@ def iterated_moment(d: Distribution, s: int) -> float:
 
 
 def residual_partial_moment(d: Distribution, k: int, x: float) -> float:
-    """E (X - x)_+^k = integral of f(t) (t - x)^k over t >= x, by adaptive
-    quadrature."""
+    """E (X - x)_+^k = integral of f(t) (t - x)^k over t >= x, x >= 0 (0
+    at x = inf), by adaptive quadrature."""
     from scipy import integrate
 
     if k < 0 or k != int(k):
         raise ValueError("k must be a nonnegative integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not x >= 0:
+        raise ValueError("x must be nonnegative (not NaN)")
     k = int(k)
     moment = d.raw_moment(k)  # rejects divergent moments up front
     x = float(x)

@@ -16,22 +16,23 @@ means no violation was found at the configured resolution (the grid is part
 of the verdict so runs are reproducible), Refuted carries a re-checkable
 witness, and Inconclusive reports unresolved evidence.
 
-Where both sides of a comparison function are exponential polynomials, the
-sweeps evaluate a batch of cells through one term table of their closed
-forms (_closed_cells), built from side tables per distinct slope and
-intercept, and settle the cells at b >= 0 whose coefficient signs fix an
-admissible pattern from that table with one pass of the coefficient-sign
-rule (_settle): criterion_h in both of its forms, the sweeps of V in one.
-Only the other closed cells are sampled in the sweep; a supported sweep of
-V samples its settled cells for their witnesses when it measures its worst
-margin.
+Every sweep evaluates its batches of cells through one evaluator
+(_evaluator), over V alone or over criterion_h's chosen form and its
+partner.  Where both sides of a form are exponential polynomials, a batch's
+cells are one term table of their closed forms (_closed_cells), built from
+side tables per distinct slope and intercept, and the cells at b >= 0 whose
+coefficient signs fix an admissible pattern are settled from that table
+with one pass of the coefficient-sign rule (_settle).  Only the other
+closed cells are built into polynomials and sampled in the sweep; a
+supported sweep of V builds and samples its settled cells for their
+witnesses when it measures its worst margin.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -133,9 +134,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Affine-parameter grid: strictly positive slopes a, intercepts b, and
-    the scan configuration of the sampled cells (x_max, when absent,
-    resolved per cell)."""
+    """Affine-parameter grid: finite, strictly positive slopes a, finite
+    intercepts b, and the scan configuration of the sampled cells (x_max,
+    when absent, resolved per cell)."""
 
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
@@ -146,6 +147,8 @@ class GridSpec:
             raise ValueError("slopes a must be strictly positive")
         if not self.b_values:
             raise ValueError("at least one intercept b is required")
+        if not all(map(math.isfinite, chain(self.a_values, self.b_values))):
+            raise ValueError("slopes a and intercepts b must be finite")
         # sorted and deduplicated so cell order is truly lexicographic and
         # the first-refutation rule is stable
         object.__setattr__(self, "a_values",
@@ -357,17 +360,19 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
 
 @dataclass(frozen=True)
 class _CellResult:
-    """One evaluated cell.  form is the function whose pattern was taken,
-    so a disallowed pattern can be re-verified, and a passing one of a
-    supported sweep of V measured (_with_worst_margin), at its witnesses.
-    A degenerate cell (form zero within the deadband: X and Y
+    """One evaluated cell (_evaluator).  form is the function whose pattern
+    was taken, so a disallowed pattern can be re-verified, and a passing one
+    of a supported sweep of V measured (_with_worst_margin), at its
+    witnesses.  A degenerate cell (form zero within the deadband: X and Y
     indistinguishable there) passes, and makes the sweep's worst margin 0.
 
     A closed cell settled from its coefficient signs (_settle) carries its
     sign tuple alone as its pattern: it is admissible, so it is never
-    re-verified.  A settled cell of V also carries closed, its closed form
-    and root-free flag, from which _with_worst_margin samples its witnesses
-    when it measures; criterion_h measures no margins."""
+    re-verified.  It also carries closed, its batch's term table, its row
+    there and the row's root-free flag, from which _with_worst_margin builds
+    its closed form and samples its witnesses when it measures; no
+    polynomial is built for it before then, and criterion_h measures no
+    margins."""
 
     a: float
     b: float
@@ -375,7 +380,7 @@ class _CellResult:
     form: _Form | None = None
     degenerate: bool = False
     uncertain: bool = False
-    closed: tuple[ExpPoly, bool] | None = None
+    closed: tuple[_Terms, int, bool] | None = None
 
 
 def _degenerate(a: float, b: float) -> _CellResult:
@@ -388,8 +393,7 @@ def _degenerate(a: float, b: float) -> _CellResult:
 _SAMPLED, _CLOSED, _DEGENERATE, _LEFT = range(4)
 
 
-@dataclass(frozen=True)
-class _Closed:
+class _Closed(NamedTuple):
     """The closed cells of a sweep batch in one or more forms: row
     f * len(cells) + i is form f at cell i, kind says what became of it,
     and terms (None when no form has exponential-polynomial sides) is the
@@ -401,28 +405,17 @@ class _Closed:
     kind: list
     terms: _Terms | None
 
-    def outcomes(self, f: int, idx) -> list[ExpPoly | _CellResult | None]:
-        """Form f at each cell i of idx as an exponential polynomial, a
-        decided cell, or None for the sampled scan."""
-        rows = [f * len(self.cells) + i for i in idx]
-        closed = [row for row in rows if self.kind[row] == _CLOSED]
-        terms = dict(zip(closed, self.terms.rows(closed))) if closed else {}
-        out = []
-        for i, row in zip(idx, rows):
-            kind = self.kind[row]
-            a, b = self.cells[i]
-            if kind == _CLOSED:
-                poly = object.__new__(ExpPoly)
-                object.__setattr__(poly, "terms", terms[row])
-                out.append(poly)
-            elif kind == _DEGENERATE:
-                out.append(_degenerate(a, b))
-            elif kind == _LEFT:
-                out.append(_CellResult(a, b, SignPattern((self.forms[f].left,), (-b / a / 2.0,),
-                                                         (), EXACT), self.forms[f]))
-            else:
-                out.append(None)
-        return out
+
+def _polys(terms: _Terms, rows) -> list[ExpPoly]:
+    """The closed forms of the _CLOSED rows of a batch's term table, from
+    one _Terms.rows call: the rows are merged and pruned already, so no
+    ExpPoly step runs again."""
+    polys = []
+    for row in terms.rows(rows):
+        poly = object.__new__(ExpPoly)
+        object.__setattr__(poly, "terms", row)
+        polys.append(poly)
+    return polys
 
 
 def _closed_cells(forms, cells) -> _Closed:
@@ -671,19 +664,31 @@ def _settle(closed: _Closed, allowed) -> tuple[list, list]:
     return signs, free.tolist()
 
 
-def _evaluate_cells(form: _Form, cells, closed, free) -> list[_CellResult]:
-    """The cells (a, b) of cells, given closed, each cell's outcome in a
-    term table (_Closed.outcomes), and free, their rows' root-free flags
-    there (exppoly._sign_rule): one _sign_patterns call for the closed
-    forms, each from max(0, -b/a), where at b < 0 the pattern begins with
-    the left sign, and one _scan_row call for the cells left to sampling."""
-    out = list(closed)
-    exact = [i for i, c in enumerate(closed) if isinstance(c, ExpPoly)]
-    rest = [i for i, c in enumerate(closed) if c is None]
+def _evaluate_cells(closed: _Closed, f: int, idx, free) -> list[_CellResult]:
+    """Form f of a batch (closed) at each cell i of idx, given free, the
+    root-free flags of the batch's rows (_settle), as the row's kind says:
+    degenerate, or of the form's left sign on (0, -b/a] at b < 0; one
+    _sign_patterns call for the _CLOSED rows, each from max(0, -b/a), where
+    at b < 0 the pattern begins with the left sign; and one _scan_row call
+    for the cells left to sampling."""
+    form, cells, n = closed.forms[f], closed.cells, len(closed.cells)
+    out = {}
+    exact, rest = [], []
+    for i in idx:
+        kind, (a, b) = closed.kind[f * n + i], cells[i]
+        if kind == _CLOSED:
+            exact.append(i)
+        elif kind == _SAMPLED:
+            rest.append(i)
+        elif kind == _DEGENERATE:
+            out[i] = _degenerate(a, b)
+        else:
+            out[i] = _CellResult(a, b, SignPattern((form.left,), (-b / a / 2.0,), (), EXACT), form)
     if exact:
+        rows = [f * n + i for i in exact]
         starts = [max(0.0, -b / a) for a, b in (cells[i] for i in exact)]
-        flags = [free[i] for i in exact]
-        for i, pat in zip(exact, _sign_patterns([closed[i] for i in exact], starts, flags)):
+        patterns = _sign_patterns(_polys(closed.terms, rows), starts, [free[row] for row in rows])
+        for i, pat in zip(exact, patterns):
             out[i] = _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
     if rest:
         a, b = (np.array(col) for col in zip(*(cells[i] for i in rest)))
@@ -694,7 +699,48 @@ def _evaluate_cells(form: _Form, cells, closed, free) -> list[_CellResult]:
             # a cell zero within the deadband scans as IndeterminateFunction
             out[i] = _degenerate(*cells[i]) if isinstance(pat, IndeterminateFunction) \
                 else _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
-    return out
+    return [out[i] for i in idx]
+
+
+def _evaluator(forms, allowed):
+    """evaluate(cells), the _CellResult of each cell (a, b) of a batch, for
+    forms: V alone, or criterion_h's chosen form and then its partner.  The
+    batch is one term table (_closed_cells) read by one pass of the
+    coefficient-sign rule (_settle).  A cell takes the signs of the first
+    form that settles it, a later form's only where every earlier form's
+    row is _CLOSED (a degenerate one keeps the cell degenerate).  The rest
+    are evaluated form by form (_evaluate_cells), a later form only on the
+    cells where every earlier one showed a certain inadmissible pattern,
+    and its result is kept only where it passes: degenerate, or certain
+    and admissible."""
+    def passes(res):
+        return res.degenerate or (not res.uncertain and matches(res.pattern, allowed))
+
+    def evaluate(cells):
+        closed = _closed_cells(forms, cells)
+        signs, free = _settle(closed, allowed)
+        n = len(cells)
+        out = [None] * n
+        for i, cell in enumerate(cells):
+            for f, form in enumerate(forms):
+                row = f * n + i
+                if signs[row] is not None:
+                    out[i] = _CellResult(*cell, signs[row], form,
+                                         closed=(closed.terms, row, free[row]))
+                if signs[row] is not None or closed.kind[row] != _CLOSED:
+                    break
+        rest = [i for i, res in enumerate(out) if res is None]
+        for f in range(len(forms)):
+            results = _evaluate_cells(closed, f, rest, free)
+            for i, res in zip(rest, results):
+                if f == 0 or passes(res):
+                    out[i] = res
+            if f + 1 < len(forms):
+                rest = [i for i, res in zip(rest, results)
+                        if not (res.uncertain or passes(res))]
+        return out
+
+    return evaluate
 
 
 def _witness(res: _CellResult) -> RefutationWitness | None:
@@ -721,10 +767,10 @@ def _witness(res: _CellResult) -> RefutationWitness | None:
 _BATCH_CELLS = 128
 
 
-def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> tuple[Verdict, list]:
-    """The verdict of the grid, and the cells that passed with a pattern:
-    evaluate the grid in batches of whole rows, evaluate(cells) giving the
-    cells of a list of (a, b) pairs, and read the cells one at a time in
+def _sweep(grid: GridSpec, forms, allowed, criterion: str, s) -> tuple[Verdict, list]:
+    """The verdict of the grid for forms (see _evaluator), and the cells
+    that passed with a pattern: evaluate the grid in batches of whole rows,
+    through the one evaluator of forms, and read the cells one at a time in
     (a, b) lexicographic order.  The batches are the fewest that hold at
     most _BATCH_CELLS cells (or one row) each, with the rows dealt out
     evenly among them, so a grid of up to _BATCH_CELLS cells is one
@@ -745,7 +791,7 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> tuple[Verdic
     passing = []
     first_uncertain = None
     scanned = 0
-    for res in chain.from_iterable(map(evaluate, batches)):
+    for res in chain.from_iterable(map(_evaluator(forms, allowed), batches)):
         scanned += 1
         if res.degenerate:
             degenerate = True
@@ -770,35 +816,16 @@ def _sweep(grid: GridSpec, evaluate, allowed, criterion: str, s) -> tuple[Verdic
 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[Verdict, list]:
-    """Sweep V over the grid (see _sweep), without margins: where both
-    tails are exponential polynomials, a batch's closed cells whose
-    coefficient signs settle them (_settle) carry their signs, and the
-    other closed cells take certified patterns; one _scan_row call for the
-    cells left to sampling."""
-    form = _v_form(TX, TY, grid.scan)
-
-    def evaluate(cells):
-        closed = _closed_cells((form,), cells)
-        signs, free = _settle(closed, allowed)
-        outcomes = closed.outcomes(0, range(len(cells)))
-        out = [None if sg is None else
-               _CellResult(*cell, sg, form, closed=(poly, flag))
-               for cell, sg, poly, flag in zip(cells, signs, outcomes, free)]
-        rest = [i for i, res in enumerate(out) if res is None]
-        for i, res in zip(rest, _evaluate_cells(form, [cells[i] for i in rest],
-                                                [outcomes[i] for i in rest],
-                                                [free[i] for i in rest])):
-            out[i] = res
-        return out
-
-    return _sweep(grid, evaluate, allowed, criterion, s)
+    """Sweep V over the grid (see _sweep), without margins."""
+    return _sweep(grid, (_v_form(TX, TY, grid.scan),), allowed, criterion, s)
 
 
 def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
     """The verdict of a sweep of V, given with its passing cells (_sweep),
     with its worst margin when it is supported without a degenerate cell:
-    the smallest |V| at the witnesses of the passing cells.  The witnesses
-    of the cells settled from their signs are sampled here, in one
+    the smallest |V| at the witnesses of the passing cells.  The closed
+    forms of the cells settled from their signs are built here, one
+    _Terms.rows call per batch table, and their witnesses sampled in one
     _sign_patterns call, as the sweep would have sampled them.  V is
     evaluated once, on flat arrays of every witness's x, a and b; it is
     evaluated point by point, so each value is the one its cell alone would
@@ -806,8 +833,12 @@ def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
     if not (verdict.supported and verdict.worst_margin is None and passing):
         return verdict
     settled = [res.closed for res in passing if res.closed is not None]
-    sampled = iter(_sign_patterns([poly for poly, _ in settled], [0.0] * len(settled),
-                                  [flag for _, flag in settled]))
+    polys = []
+    # a batch's cells are adjacent in passing
+    for _, batch in groupby(settled, key=lambda closed: id(closed[0])):
+        batch = list(batch)
+        polys += _polys(batch[0][0], [row for _, row, _ in batch])
+    sampled = iter(_sign_patterns(polys, [0.0] * len(polys), [flag for *_, flag in settled]))
     witnessed = [(res, (next(sampled) if res.closed is not None else res.pattern).witnesses)
                  for res in passing]
     cells = [(res, w) for res, w in witnessed if w]
@@ -869,51 +900,16 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     When both tails are exponential polynomials (Exponential, MaxExp,
     ExpPolyTail), every cell of "hs" and "hs1" with b >= 0 is certified on
     its closed form unless that cannot be built without losing a term;
-    cells with b < 0 take the sampled scan.  Both forms' closed cells of a
-    batch are built in one term table (_closed_cells) and read by one pass
-    of the coefficient-sign rule (_settle), which also gives the root-free
-    flags their sampling reads.  A closed cell passes on the signs of the
-    chosen form where they settle it (they prove it root-free or fix its
-    pattern), or else, where that form is closed too, on its partner's, and
-    carries its signs alone; only the other closed cells are sampled
-    (_sign_patterns, once per batch and form), the chosen form first.
+    cells with b < 0 take the sampled scan.  The chosen form and then its
+    partner go through the evaluator every sweep shares (_evaluator), which
+    settles a closed cell from the coefficient signs where it can.
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
     forms = _h_forms(X, Y, s, grid.scan)
     pair = (forms[form], forms[_PARTNER_FORM[form]])
-
-    def evaluate(cells):
-        closed = _closed_cells(pair, cells)
-        n = len(cells)
-        # the first form whose coefficient signs settle it settles the cell,
-        # the partner only where the chosen form is closed
-        signs, free = _settle(closed, ALLOWED_IFR)
-        out = [None] * n
-        for i, (kind, own, other) in enumerate(zip(closed.kind[:n], signs[:n], signs[n:])):
-            if own is not None:
-                out[i] = _CellResult(*cells[i], own, pair[0])
-            elif other is not None and kind == _CLOSED:
-                out[i] = _CellResult(*cells[i], other, pair[1])
-
-        def evaluate_form(f, idx):
-            return _evaluate_cells(pair[f], [cells[i] for i in idx], closed.outcomes(f, idx),
-                                   [free[f * n + i] for i in idx])
-
-        rest = [i for i, res in enumerate(out) if res is None]
-        for i, res in zip(rest, evaluate_form(0, rest)):
-            out[i] = res
-        failed = [i for i in rest if not (
-            out[i].degenerate or out[i].uncertain or matches(out[i].pattern, ALLOWED_IFR))]
-        if failed:
-            for i, other in zip(failed, evaluate_form(1, failed)):
-                if other.degenerate or (not other.uncertain
-                                        and matches(other.pattern, ALLOWED_IFR)):
-                    out[i] = other
-        return out
-
-    verdict, _ = _sweep(grid, evaluate, ALLOWED_IFR, "criterion-h", s)
+    verdict, _ = _sweep(grid, pair, ALLOWED_IFR, "criterion-h", s)
     if verdict.refuted:
         return replace(verdict, reason="criterion pattern inadmissible; order undecided")
     return verdict

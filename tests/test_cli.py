@@ -214,6 +214,17 @@ class TestExecution:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [["--lo", "0", "--hi", "inf"], ["--lo", "nan"],
+                                        ["--hi", "nan"], ["--lo=-inf"]])
+    def test_roots_on_a_non_finite_window_exit_usage(self, tmp_path, capsys, window):
+        # --hi inf once failed only when writing the JSON document, and --lo
+        # nan on the dominance horizon; neither writes a document now
+        out = tmp_path / "roots.json"
+        code = main(["--json", str(out), "roots", "--exppoly", "1*e(-1)+(-2)*e(-2)", *window])
+        assert code == EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "horizon" not in err
+
     def test_overflowing_moment_exits_usage(self, capsys):
         # E X^9 of weibull(0.05, 1) is about 1e320, past the largest float
         code = main(["compare", "--x", "weibull(0.05,1)", "--y", "exp(1)", "--s", "12",

@@ -150,6 +150,14 @@ class TestIsolateRoots:
         assert lo <= 0.0 <= hi
         assert not rep.residual_uncertainty
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0), (0.0, math.nan)])
+    def test_window_ends_must_be_finite(self, lo, hi):
+        # (0, inf) once reported no roots, uncertain, for a polynomial with one
+        p = ExpPoly(((1.0, 1.0), (-2.0, 2.0)))
+        with pytest.raises(ValueError, match="finite"):
+            p.isolate_roots(lo, hi)
+
     def test_slope_numerator_of_parallel_system(self):
         # numerator controlling the rate monotonicity at s = 2, lam = 2:
         # at most one real root

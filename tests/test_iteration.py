@@ -172,6 +172,19 @@ class TestResidualPartialMoments:
                     lhs = residual_partial_moment(d, s - 1, x) / d.raw_moment(s - 1)
                     assert lhs == pytest.approx(it.eval_tail(x), abs=1e-8)
 
+    def test_nan_point_is_rejected(self):
+        # NaN passed the x < 0 check, and gave NaN after two IntegrationWarnings
+        # (holder_bounds an all-NaN report); x = inf has no mass beyond it
+        from tailorder import holder_bounds
+        d = Gamma(2.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonnegative"):
+                residual_partial_moment(d, 2, math.nan)
+            with pytest.raises(ValueError, match="nonnegative"):
+                holder_bounds(d, 5, math.nan)
+            assert residual_partial_moment(d, 2, math.inf) == 0.0
+
     def test_divergent_moment_rejected(self):
         with pytest.raises(InfiniteMoment):
             residual_partial_moment(BranchedPareto(5.0, 10.0), 2, 1.0)

@@ -201,10 +201,55 @@ class TestCriterionH:
             criterion_h(Gamma(2.0, 1.0), Gamma(1.0, 1.0), 1, SMALL_POS, form="ps")
 
 
+def _outcomes(closed, f):
+    """Form f of a batch (ordering._Closed) at each of its cells as its term
+    table makes it: an ExpPoly, a decided cell, or None for the sampled
+    scan."""
+    n = len(closed.cells)
+    kinds = closed.kind[f * n:(f + 1) * n]
+    exact = [i for i, kind in enumerate(kinds) if kind == ordering._CLOSED]
+    decided = [i for i, kind in enumerate(kinds)
+               if kind in (ordering._DEGENERATE, ordering._LEFT)]
+    free = [False] * len(closed.kind)
+    out = dict(zip(decided, ordering._evaluate_cells(closed, f, decided, free)))
+    if exact:
+        out.update(zip(exact, ordering._polys(closed.terms, [f * n + i for i in exact])))
+    return [out.get(i) for i in range(n)]
+
+
 def _closed(form, a, b):
     """form at cell (a, b) as its batch term table makes it: an ExpPoly, a
     decided cell, or None for the sampled scan."""
-    return ordering._closed_cells((form,), [(a, b)]).outcomes(0, [0])[0]
+    return _outcomes(ordering._closed_cells((form,), [(a, b)]), 0)[0]
+
+
+def _settled_poly(res):
+    """The closed form of a cell settled from its signs, from its row of its
+    batch's term table."""
+    table, row, _ = res.closed
+    return ordering._polys(table, [row])[0]
+
+
+def _count_built_rows(monkeypatch, inside=None):
+    """The rows of term tables built into polynomials (exppoly._Terms.rows)
+    and the polynomials sampled (_sign_patterns), in call order, as
+    ("built" or "sampled", count, inside[0]) with inside, when given, a
+    one-entry list that says whether the call came from a margin."""
+    events = []
+    flag = inside or [None]
+    rows, patterns = exppoly._Terms.rows, ordering._sign_patterns
+
+    def rows_spy(self, ks):
+        events.append(("built", len(ks), flag[0]))
+        return rows(self, ks)
+
+    def patterns_spy(polys, starts, free=None):
+        events.append(("sampled", len(polys), flag[0]))
+        return patterns(polys, starts, free)
+
+    monkeypatch.setattr(exppoly._Terms, "rows", rows_spy)
+    monkeypatch.setattr(ordering, "_sign_patterns", patterns_spy)
+    return events
 
 
 def _all_sampled(forms, cells):
@@ -265,6 +310,19 @@ class TestClosedCriterionH:
         v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
         assert v.supported and v.cells_scanned == 60
         assert calls[0] <= (8, 2, 2, 1)[s - 1]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_newcrit_builds_only_the_rows_it_samples(self, monkeypatch, s):
+        # the certified workload's grid: the star-shape step and criterion_h
+        # build a closed table row into a polynomial only to sample it, never
+        # for a cell settled from its signs
+        events = _count_built_rows(monkeypatch)
+        grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+        v = newcrit(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), s, grid)
+        assert v.supported and v.cells_scanned == 60
+        built = [n for kind, n, _ in events if kind == "built"]
+        assert built and all(built)
+        assert events == [(kind, n, None) for n in built for kind in ("built", "sampled")]
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_sweeps_hand_the_root_free_flags_sampling_would_compute(self, monkeypatch, s):
@@ -343,7 +401,8 @@ class TestClosedCriterionH:
             monkeypatch.setattr(ordering, name, spy)
 
         count("_evaluate_cells",
-              lambda form, cells, closed, free: sum(isinstance(c, ExpPoly) for c in closed))
+              lambda closed, f, idx, free: sum(closed.kind[f * len(closed.cells) + i]
+                                               == ordering._CLOSED for i in idx))
         count("_with_worst_margin",
               lambda verdict, passing: sum(res.closed is not None for res in passing))
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(-1.0, 8.0, 6)))
@@ -512,7 +571,9 @@ class TestQuadratureNoiseAtOrderOne:
         assert iterate(self.NUMERIC, 1).kind == "quadrature"
         hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
         assert hs1.config.deadband_abs == ordering._QUAD_DEADBAND
-        (res,) = ordering._evaluate_cells(hs1, [(1.0, 0.0)], [None], [False])
+        closed = ordering._closed_cells((hs1,), [(1.0, 0.0)])
+        assert closed.kind == [ordering._SAMPLED]
+        (res,) = ordering._evaluate_cells(closed, 0, [0], [False])
         assert res.degenerate
 
 
@@ -590,7 +651,8 @@ class TestBatchSizes:
         (5, 29, [58, 87]),             # 4 rows fit; 2 and 3 rows, not 4 and 1
         (3, 300, [300, 300, 300]),     # a row larger than the cap is a batch
     ])
-    def test_rows_are_dealt_out_evenly_over_the_fewest_batches(self, na, nb, sizes):
+    def test_rows_are_dealt_out_evenly_over_the_fewest_batches(self, monkeypatch, na, nb,
+                                                               sizes):
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, na)), tuple(np.linspace(0.0, 1.0, nb)))
         seen = []
 
@@ -598,7 +660,8 @@ class TestBatchSizes:
             seen.append(len(cells))
             return [ordering._degenerate(a, b) for a, b in cells]
 
-        v, _ = ordering._sweep(grid, evaluate, ALLOWED_IFR, "test", 1)
+        monkeypatch.setattr(ordering, "_evaluator", lambda forms, allowed: evaluate)
+        v, _ = ordering._sweep(grid, (), ALLOWED_IFR, "test", 1)
         assert v.supported and v.cells_scanned == na * nb
         assert seen == sizes
 
@@ -703,9 +766,9 @@ class TestMargins:
         batches = []
         inner = ordering._evaluate_cells
 
-        def spy(form, cells, closed, free):
-            batches.append(len(cells))
-            return inner(form, cells, closed, free)
+        def spy(closed, f, idx, free):
+            batches.append(len(closed.cells))
+            return inner(closed, f, idx, free)
 
         monkeypatch.setattr(ordering, "_evaluate_cells", spy)
         v = check(X, Y, s, grid)
@@ -715,7 +778,7 @@ class TestMargins:
         # sampling its closed form alone gives
         settled = [res for res in passing if res.closed is not None]
         assert bool(settled) == isinstance(X, MaxExp)
-        witnessed = [(res, res.closed[0].sign_pattern_exact(0.0).witnesses
+        witnessed = [(res, _settled_poly(res).sign_pattern_exact(0.0).witnesses
                       if res.closed is not None else res.pattern.witnesses) for res in passing]
         witnessed = [(res, w) for res, w in witnessed if w]
         assert len(witnessed) > v.cells_scanned // 2
@@ -726,6 +789,37 @@ class TestMargins:
             vals = res.form(np.asarray(w), res.a, res.b)
             margins.append(float(np.min(np.abs(vals))))
         assert v.worst_margin.hex() == min(margins).hex()
+
+    @pytest.mark.parametrize("s,long", [(1, False), (2, False), (3, False), (4, False),
+                                        (3, True)])
+    def test_settled_rows_are_built_only_for_the_margin(self, monkeypatch, s, long):
+        # a supported star-shape sweep builds, in the sweep, only the closed
+        # rows it samples; the rows of its settled cells are built when its
+        # margin is measured, one _Terms.rows call per batch table
+        inside, settled = [False], []
+        events = _count_built_rows(monkeypatch, inside)
+        inner = ordering._with_worst_margin
+
+        def spy(verdict, passing):
+            settled.append(sum(res.closed is not None for res in passing))
+            inside[0] = True
+            try:
+                return inner(verdict, passing)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ordering, "_with_worst_margin", spy)
+        # the long column is two batches, the certified workload's one
+        grid = self.LONG_COLUMN if long else TestBatchInvariance.CERTIFIED_GRID
+        v = compare_ifra(MaxExp(1.0, 1.0), MaxExp(1.0, 4.0 if long else 2.0), s, grid)
+        assert v.supported and v.worst_margin > 0.0
+        sweep = [(kind, n) for kind, n, in_margin in events if not in_margin]
+        assert sweep == [(kind, n) for _, n in sweep[::2] for kind in ("built", "sampled")]
+        (count,) = settled
+        margin = [(kind, n) for kind, n, in_margin in events if in_margin]
+        assert count > 0 and len(margin) == (3 if long else 2)
+        assert sum(n for kind, n in margin if kind == "built") == count
+        assert margin[-1] == ("sampled", count)
 
     def test_refuting_sweep_measures_no_margin(self, monkeypatch):
         X, Y = Gamma(2.0), Weibull(2.0)
@@ -785,7 +879,7 @@ class TestSettledCells:
                 star, _ = ordering._settle(closed, ALLOWED_IFRA)
                 for f in range(len(forms)):
                     rows = range(f * n, (f + 1) * n)
-                    for (a, b), row, poly in zip(cells, rows, closed.outcomes(f, range(n))):
+                    for (a, b), row, poly in zip(cells, rows, _outcomes(closed, f)):
                         # the star-shape admissible set settles a subset
                         assert star[row] in (None, signs[row]) and star[row] != ("+", "-")
                         if b < 0:
@@ -882,7 +976,7 @@ class TestClosedCell:
             rules, free = _rules(closed.terms), exppoly._root_free(closed.terms)
         kinds = []
         for f, form in enumerate(forms):
-            outcomes = closed.outcomes(f, range(len(cells)))
+            outcomes = _outcomes(closed, f)
             for i, (a, b) in enumerate(cells):
                 row = f * len(cells) + i
                 got, want = outcomes[i], _reference_closed_cell(form, a, b)
@@ -1190,6 +1284,18 @@ class TestGridSpec:
     def test_slopes_must_be_positive(self):
         with pytest.raises(ValueError):
             GridSpec((0.0, 1.0), (0.0,))
+
+    @pytest.mark.parametrize("check, a_values, b_values", [
+        (compare_ifra, (math.nan, 1.0), (0.0,)),    # once ZeroDivisionError
+        (newcrit, (1.0, math.inf), (0.0,)),         # once supported, margin 0.0
+        (compare_ifr, (1.0,), (math.inf,)),         # once supported, margin 1.0
+        (compare_ifr, (1.0,), (-math.inf, math.nan)),
+    ], ids=["nan-slope", "inf-slope", "inf-intercept", "-inf-nan-intercepts"])
+    def test_non_finite_values_are_rejected(self, check, a_values, b_values):
+        X, Y = ((MaxExp(1.0, 1.0), MaxExp(1.0, 2.0)) if check is compare_ifra
+                else (Exponential(1.0), Gamma(2.0, 1.0)))
+        with pytest.raises(ValueError, match="finite"):
+            check(X, Y, 2 if check is compare_ifra else 1, GridSpec(a_values, b_values))
 
     def test_default_contains_zero_intercept(self):
         g = GridSpec.default(Exponential(1.0), Exponential(1.0))
