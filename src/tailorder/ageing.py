@@ -13,6 +13,7 @@ the classifier scans.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,8 @@ def dfr_onset(d: MaxExp, s_max: int = 64) -> int | None:
     """
     if not isinstance(d, MaxExp) or len(d.rates) != 2:
         raise ValueError("dfr_onset expects a two-component parallel system")
+    if not isinstance(s_max, numbers.Integral) or s_max < 1:
+        raise ValueError("s_max must be a positive integer")
     if s_max > 64:
         raise ValueError("s_max is capped at 64")
     lam = d.rates[1] / d.rates[0]

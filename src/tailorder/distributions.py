@@ -44,6 +44,14 @@ def _maybe_scalar(values, x):
     return values
 
 
+def _require_positive(**params):
+    """Raise ValueError naming the first of params that is not a finite
+    positive number; the check is a negated comparison, so NaN fails it."""
+    for name, value in params.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _closed_form(moment):
     """A closed-form _raw_moment that raises InfiniteMoment where E X^k
     overflows a float: a power of the scale, or a gamma function, past the
@@ -91,7 +99,7 @@ class Distribution:
     def tail_inverse(self, p):
         """x with tail(x) = p, for p in (0, 1]."""
         pa = _as_array(p)
-        if np.any((pa <= 0) | (pa > 1)):
+        if not np.all((pa > 0) & (pa <= 1)):
             raise ValueError("tail_inverse requires p in (0, 1]")
         return _maybe_scalar(self._tail_inverse(pa), p)
 
@@ -105,8 +113,7 @@ class Distribution:
 
     def quantile_horizon(self, eps: float = 1e-12) -> float:
         """x with tail(x) <= eps; used to bound scan and integration windows."""
-        out = np.asarray(self._tail_inverse(np.asarray(eps if eps < 1 else 1.0)))
-        return float(out.reshape(-1)[0])
+        return self.tail_inverse(min(eps, 1.0))
 
     # hooks -------------------------------------------------------------
 
@@ -151,8 +158,7 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        _require_positive(rate=self.rate)
 
     def _density(self, x):
         return self.rate * np.exp(-self.rate * x)
@@ -177,8 +183,7 @@ class Gamma(Distribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
 
     def _density(self, x):
         z = x / self.scale
@@ -212,8 +217,7 @@ class Weibull(Distribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
 
     def _density(self, x):
         z = x / self.scale
@@ -255,8 +259,7 @@ class BranchedPareto(Distribution):
     c2: float
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError("c1 and c2 must be positive")
+        _require_positive(c1=self.c1, c2=self.c2)
 
     def _density(self, x):
         left = 2.0 * self.c1 ** 2 / (x + self.c1) ** 3
@@ -282,9 +285,6 @@ class BranchedPareto(Distribution):
     def breakpoints(self):
         return (self.c1,)
 
-    def quantile_hint(self):
-        return 100.0 * (self.c1 + self.c2)
-
 
 @dataclass(frozen=True)
 class PolyExpExample(Distribution):
@@ -297,8 +297,7 @@ class PolyExpExample(Distribution):
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        _require_positive(c=self.c)
 
     def _density(self, x):
         return (x ** 2 + self.c) * np.exp(-x) / (self.c + 2.0)
@@ -400,8 +399,7 @@ class NumericDensity(Distribution):
     """
 
     def __init__(self, density: Callable, x_max: float, breakpoints: Sequence[float] = ()):
-        if not x_max > 0:
-            raise ValueError("x_max must be positive")
+        _require_positive(x_max=x_max)
         self._f = density
         self._x_max = float(x_max)
         self._breaks = tuple(sorted(float(b) for b in breakpoints))

@@ -137,9 +137,6 @@ class ExpPoly:
     def rates(self) -> tuple[float, ...]:
         return tuple(r for _, r in self.terms)
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def eval(self, x):
         """Evaluate with compensated (Kahan) summation over terms."""
         xa = np.asarray(x, dtype=float)

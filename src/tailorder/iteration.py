@@ -135,9 +135,6 @@ class IteratedTail:
         vals = np.where(xa < 0, 1.0, vals)
         return float(vals) if xa.ndim == 0 else vals
 
-    def __call__(self, x):
-        return self.eval_tail(x)
-
     def log_tail(self, x):
         """log tail_s(x), computed stably near 0 for exponential-polynomial
         representations (where the complement is an expm1 sum)."""
@@ -159,7 +156,7 @@ class IteratedTail:
 
     def tail_inverse(self, p):
         pa = np.asarray(p, dtype=float)
-        if np.any((pa <= 0) | (pa > 1)):
+        if not np.all((pa > 0) & (pa <= 1)):
             raise ValueError("tail_inverse requires p in (0, 1]")
         if self._tail_inverse is not None:
             out = self._tail_inverse(pa)
@@ -168,9 +165,6 @@ class IteratedTail:
         if pa.ndim == 0:
             return float(np.asarray(out).reshape(-1)[0])
         return out
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.base.breakpoints()
 
     def quantile_horizon(self, eps: float = 1e-10) -> float:
         return float(self.tail_inverse(np.asarray(min(eps, 1.0))))

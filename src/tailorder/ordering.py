@@ -30,6 +30,7 @@ witnesses when it measures its worst margin.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, groupby, product
@@ -134,13 +135,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Affine-parameter grid: finite, strictly positive slopes a, finite
-    intercepts b, and the scan configuration of the sampled cells (x_max,
-    when absent, resolved per cell)."""
+    """Affine-parameter grid: finite, strictly positive slopes a and finite
+    intercepts b.  A sampled cell's scan window is resolved per cell
+    (_windows)."""
 
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
-    scan: ScanConfig | None = None
 
     def __post_init__(self):
         if not self.a_values or any(a <= 0 for a in self.a_values):
@@ -164,6 +164,8 @@ class GridSpec:
         negatives down to -5 E X: a third of them, at least 4, but always
         leaving b = 0 on the grid."""
         for name, n in (("na", na), ("nb", nb)):
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
             if n < 1:
                 raise ValueError(f"{name} must be at least 1, got {n}")
         a_vals = tuple(np.geomspace(0.05, 20.0, na))
@@ -180,19 +182,10 @@ class GridSpec:
 
     def restricted_nonnegative_b(self) -> "GridSpec":
         kept = tuple(b for b in self.b_values if b >= 0.0) or (0.0,)
-        return GridSpec(self.a_values, kept, self.scan)
+        return GridSpec(self.a_values, kept)
 
     def to_dict(self) -> dict:
-        doc = {"a_values": list(self.a_values), "b_values": list(self.b_values)}
-        if self.scan is not None:
-            doc["scan"] = {
-                "x_max": self.scan.x_max,
-                "initial_grid": self.scan.initial_grid,
-                "deadband": self.scan.deadband,
-                "max_refinement_depth": self.scan.max_refinement_depth,
-                "deadband_abs": self.scan.deadband_abs,
-            }
-        return doc
+        return {"a_values": list(self.a_values), "b_values": list(self.b_values)}
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +230,8 @@ def _density(d: Distribution):
 
 def _breakpoints(X, Y):
     """(a, b) -> the kinks of each cell (a and b arrays of one length)
-    comparing the X side (distribution or iterated tail) at a x + b with
-    the Y side at x, one sorted list per cell, or None when no cell has
-    any."""
+    comparing distribution X at a x + b with distribution Y at x, one
+    sorted list per cell, or None when no cell has any."""
     ys, xs = list(Y.breakpoints()), X.breakpoints()
 
     def bps(a, b):
@@ -264,18 +256,15 @@ def _horizon(side) -> float:
     return side.quantile_horizon(1e-10)
 
 
-def _windows(x_side, y_side, X: Distribution, Y: Distribution, template: ScanConfig | None):
+def _windows(x_side, y_side, X: Distribution, Y: Distribution):
     """(a, b) -> the scan window x_max of each cell (a and b arrays of one
     length) of a sweep comparing the X side at a x + b with the Y side at
     x.  x_side and y_side (distributions or iterated tails) supply the
-    tail-mass horizons, memoized by _horizon and read on first use; a
-    template's x_max, when set, is every cell's window."""
+    tail-mass horizons, memoized by _horizon and read on first use."""
     horizons = None
 
     def window(a, b):
         nonlocal horizons
-        if template is not None and template.x_max is not None:
-            return np.full(a.shape, template.x_max)
         if horizons is None:
             horizons = (_horizon(x_side), _horizon(y_side), 1e4 * (1.0 + X.mean() + Y.mean()))
         hx, hy, cap = horizons
@@ -286,15 +275,13 @@ def _windows(x_side, y_side, X: Distribution, Y: Distribution, template: ScanCon
     return window
 
 
-def _batch_config(template: ScanConfig | None, *tails: IteratedTail) -> ScanConfig:
-    """The scan configuration every sampled cell of a sweep shares (its
-    x_max unread: the windows are per cell), with the absolute deadband
-    _QUAD_DEADBAND where one of the form's tails is computed by quadrature
-    (a NumericDensity's, at every s)."""
-    dead_abs = _QUAD_DEADBAND if any(t.kind == "quadrature" for t in tails) else 0.0
-    if template is None:
-        return ScanConfig(deadband_abs=dead_abs)
-    return replace(template, deadband_abs=max(template.deadband_abs, dead_abs))
+def _batch_config(*tails: IteratedTail) -> ScanConfig:
+    """The scan configuration every sampled cell of a form shares (its x_max
+    unread: the windows are per cell): the default, with the absolute
+    deadband _QUAD_DEADBAND where one of the form's tails is computed by
+    quadrature (a NumericDensity's, at every s)."""
+    quadrature = any(t.kind == "quadrature" for t in tails)
+    return ScanConfig(deadband_abs=_QUAD_DEADBAND if quadrature else 0.0)
 
 
 @dataclass(frozen=True)
@@ -329,16 +316,15 @@ class _Form:
         return self.F(x, a, b, a ** self.k)
 
 
-def _v_form(TX: IteratedTail, TY: IteratedTail, template: ScanConfig | None) -> _Form:
+def _v_form(TX: IteratedTail, TY: IteratedTail) -> _Form:
     """V(x) = tail_{Y,s}(x) - tail_{X,s}(a x + b)."""
     sides = None if TX.poly is None or TY.poly is None else (TY.poly, TX.poly)
     return _Form(_difference(TY.eval_tail, TX.eval_tail, 1.0, 1.0), TY.eval_tail, 0, 1.0,
-                 sides, "-", _windows(TX, TY, TX.base, TY.base, template),
-                 _batch_config(template, TX, TY), _breakpoints(TX.base, TY.base))
+                 sides, "-", _windows(TX, TY, TX.base, TY.base),
+                 _batch_config(TX, TY), _breakpoints(TX.base, TY.base))
 
 
-def _h_forms(X: Distribution, Y: Distribution, s: int,
-             template: ScanConfig | None) -> dict[str, _Form]:
+def _h_forms(X: Distribution, Y: Distribution, s: int) -> dict[str, _Form]:
     """The density form "hs", H_s(x) = f_Y(x)/E Y^{s-1} - a^s f_X(a x + b)
     /E X^{s-1}, and the survival form "hs1", the same with tails and
     a^{s-1}; their sides are f_Y, f_X and tail_Y, tail_X, exponential
@@ -346,15 +332,15 @@ def _h_forms(X: Distribution, Y: Distribution, s: int,
     ex, ey = X.raw_moment(s - 1), Y.raw_moment(s - 1)
     px, py = X.exp_poly_tail(), Y.exp_poly_tail()
     closed = px is not None and py is not None
-    window, bps = _windows(X, Y, X, Y, template), _breakpoints(X, Y)
+    window, bps = _windows(X, Y, X, Y), _breakpoints(X, Y)
     fy = _density(Y)
     return {
         "hs": _Form(_difference(fy, _density(X), ey, ex), fy, s, ex,
                     (py.differentiate(1).scaled(-1.0 / ey), px.differentiate(1).scaled(-1.0))
-                    if closed else None, None, window, _batch_config(template), bps),
+                    if closed else None, None, window, _batch_config(), bps),
         "hs1": _Form(_difference(Y.tail, X.tail, ey, ex), Y.tail, s - 1, ex,
                      (py.scaled(1.0 / ey), px) if closed else None, None, window,
-                     _batch_config(template, iterate(X, 1), iterate(Y, 1)), bps),
+                     _batch_config(iterate(X, 1), iterate(Y, 1)), bps),
     }
 
 
@@ -396,9 +382,9 @@ _SAMPLED, _CLOSED, _DEGENERATE, _LEFT = range(4)
 class _Closed(NamedTuple):
     """The closed cells of a sweep batch in one or more forms: row
     f * len(cells) + i is form f at cell i, kind says what became of it,
-    and terms (None when no form has exponential-polynomial sides) is the
-    term table whose live entries in the _CLOSED rows are the cells' closed
-    forms."""
+    and terms (None when the forms have no exponential-polynomial sides)
+    is the term table whose live entries in the _CLOSED rows are the
+    cells' closed forms."""
 
     forms: tuple
     cells: list
@@ -443,7 +429,9 @@ def _closed_cells(forms, cells) -> _Closed:
     dropped, and the rows are compacted only where one was dropped or
     merged or a row did not close."""
     n, nf = len(cells), len(forms)
-    if not cells or all(form.sides is None for form in forms):
+    # a batch's forms all have sides or none do: V is alone, and _h_forms
+    # gives both of its forms sides or neither
+    if forms[0].sides is None:
         return _Closed(tuple(forms), cells, [_SAMPLED] * (nf * n), None)
     apos: dict = {}
     bpos: dict = {}
@@ -542,9 +530,8 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     b_vals, each value by the operations a _Form and ExpPoly steps apply to
     it; the exponentials come from math.exp, once per group and slope or
     intercept."""
-    na, nb = len(a_vals), len(b_vals)
-    ny, nx = (max(len(form.sides[k].terms) for form in forms if form.sides is not None)
-              for k in (0, 1))
+    na = len(a_vals)
+    ny, nx = (max(len(form.sides[k].terms) for form in forms) for k in (0, 1))
     slopes, inf = np.array(a_vals), math.inf
     groups: dict = {}
     group, yrate, columns, eb = [], [], [], []
@@ -553,16 +540,6 @@ def _side_tables(forms, a_vals, b_vals) -> _Sides:
     for form in forms:
         live = np.zeros((na, nx), dtype=bool)
         xlive.append(live)
-        if form.sides is None:
-            group.append(groups.setdefault(None, len(groups)))
-            if group[-1] == len(yrate):
-                yrate.append([-inf] * ny)
-                columns.append(np.full((na, ny + nx), -inf))
-            ys.append([0.0] * ny)
-            xb += [0.0] * (nx * nb)
-            ok_b += [False] * nb
-            scale += [0.0] * na
-            continue
         hy, hx = form.sides
         (cy, ry), (cx, rx) = zip(*hy.terms), zip(*hx.terms)
         py, px = ny - len(ry), nx - len(rx)
@@ -817,7 +794,7 @@ def _sweep(grid: GridSpec, forms, allowed, criterion: str, s) -> tuple[Verdict, 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[Verdict, list]:
     """Sweep V over the grid (see _sweep), without margins."""
-    return _sweep(grid, (_v_form(TX, TY, grid.scan),), allowed, criterion, s)
+    return _sweep(grid, (_v_form(TX, TY),), allowed, criterion, s)
 
 
 def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
@@ -876,7 +853,7 @@ def compare_ifra(X: Distribution, Y: Distribution, s: int,
     """Star-shape order check (b = 0): V(x) = tail_{Y,s}(x) - tail_{X,s}(a x)
     may change sign at most once, in the order "-,+"."""
     grid = grid or GridSpec.default(X, Y, negative_b=False)
-    grid = GridSpec(grid.a_values, (0.0,), grid.scan)
+    grid = GridSpec(grid.a_values, (0.0,))
     return _with_worst_margin(*_pattern_sweep(iterate(X, s), iterate(Y, s), s, grid,
                                               ALLOWED_IFRA, "pattern-ifra"))
 
@@ -906,8 +883,10 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
+    if s < 1 or s != int(s):
+        raise ValueError("s must be a positive integer")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
-    forms = _h_forms(X, Y, s, grid.scan)
+    forms = _h_forms(X, Y, s)
     pair = (forms[form], forms[_PARTNER_FORM[form]])
     verdict, _ = _sweep(grid, pair, ALLOWED_IFR, "criterion-h", s)
     if verdict.refuted:
@@ -929,7 +908,7 @@ def newcrit(X: Distribution, Y: Distribution, s: int,
     grid = grid or GridSpec.default(X, Y, negative_b=False)
     TX, TY = iterate(X, s), iterate(Y, s)
     # the star-shape step of compare_ifra, whose margin no verdict here reports
-    step1, _ = _pattern_sweep(TX, TY, s, GridSpec(grid.a_values, (0.0,), grid.scan),
+    step1, _ = _pattern_sweep(TX, TY, s, GridSpec(grid.a_values, (0.0,)),
                               ALLOWED_IFRA, "pattern-ifra")
     if not step1.supported:
         return Verdict(step1.outcome, "newcrit", s,

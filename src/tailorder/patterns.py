@@ -9,6 +9,7 @@ intervals for each sign change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -55,9 +56,9 @@ def _normalize(seq: Iterable[str]) -> tuple[str, ...]:
 class ScanConfig:
     """Controls for adaptive sign scanning on (0, x_max].
 
-    x_max None leaves the window to the caller: the order sweeps resolve it
-    per cell from tail-mass horizons, the ageing classifiers from the
-    distribution's own window, and everything else uses DEFAULT_X_MAX.
+    x_max None leaves the window to the caller: the ageing classifiers
+    fill it in from the distribution's own window, and scan uses
+    DEFAULT_X_MAX.  initial_grid and max_refinement_depth are integers.
     deadband is relative to the largest sampled |f|; samples inside the
     deadband carry no sign evidence.  deadband_abs adds an absolute floor
     for functions whose evaluation noise is not tied to their magnitude
@@ -71,6 +72,9 @@ class ScanConfig:
     deadband_abs: float = 0.0
 
     def __post_init__(self):
+        for name in ("initial_grid", "max_refinement_depth"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         # each check is a negated comparison, so NaN fails it too
         if self.x_max is not None and not (0 < self.x_max < math.inf):
             raise ValueError("x_max must be positive and finite")

@@ -178,6 +178,12 @@ class TestDfrOnset:
         with pytest.raises(ValueError):
             dfr_onset(MaxExp(1.0, 1.0))
 
+    @pytest.mark.parametrize("s_max", [0, -2, 2.5])
+    def test_s_max_must_be_a_positive_integer(self, s_max):
+        # an s_max below 1 would check no order and report no onset
+        with pytest.raises(ValueError, match="^s_max must be a positive integer"):
+            dfr_onset(MaxExp(1.0, 2.0), s_max=s_max)
+
     def test_onset_is_beyond_two(self):
         for lam in (1.5, 2.0, 3.0, 5.0):
             s0 = dfr_onset(MaxExp(1.0, lam), s_max=32)

@@ -234,6 +234,19 @@ class TestExecution:
         assert err.startswith("error: ") and "overflows a float" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--x", "gamma(inf,1)", "--y", "exp(1)", "--s", "1", "--criterion", "ifra",
+         "--a-grid", "4"],
+        ["compare", "--x", "weibull(inf,1)", "--y", "exp(1)", "--s", "1", "--criterion", "ifra",
+         "--a-grid", "4"],
+        ["analyze", "--dist", "polyexp(inf)"],
+    ], ids=["gamma", "weibull", "polyexp"])
+    def test_infinite_parameter_exits_usage(self, argv, capsys):
+        # rejected where the distribution is made, before a moment or scan
+        # can overflow or decide
+        assert main(argv) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
     def test_casebook_unknown_id(self):
         assert main(["casebook", "--id", "NOPE"]) == EXIT_USAGE
 

@@ -20,6 +20,7 @@ from tailorder import (
     NumericDensity,
     PolyExpExample,
     Weibull,
+    iterate,
     parse_distribution,
 )
 
@@ -212,6 +213,17 @@ class TestTailInverse:
         with pytest.raises(ValueError):
             Exponential(1.0).tail_inverse(1.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: Gamma(2.0).tail_inverse(math.nan),
+        lambda: Gamma(2.0).tail_inverse(np.array([0.5, math.nan])),
+        lambda: iterate(Gamma(2.0), 2).tail_inverse(math.nan),
+        lambda: Gamma(2.0).quantile_horizon(math.nan),
+    ], ids=["distribution", "array", "iterate", "horizon"])
+    def test_nan_probability_rejected(self, call):
+        # a NaN fails every comparison, so (p <= 0) | (p > 1) would pass it
+        with pytest.raises(ValueError, match="p in"):
+            call()
+
 
 class TestBreakpoints:
     def test_branched_pareto(self):
@@ -241,6 +253,25 @@ class TestParameterValidation:
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: Exponential(v), "rate"),
+        (lambda v: Gamma(v, 1.0), "shape"),
+        (lambda v: Gamma(2.0, v), "scale"),
+        (lambda v: Weibull(v, 1.0), "shape"),
+        (lambda v: Weibull(2.0, v), "scale"),
+        (lambda v: BranchedPareto(v, 10.0), "c1"),
+        (lambda v: BranchedPareto(5.0, v), "c2"),
+        (lambda v: PolyExpExample(v), "c"),
+        (lambda v: NumericDensity(lambda x: np.exp(-np.asarray(x, dtype=float)), x_max=v),
+         "x_max"),
+    ], ids=["exp-rate", "gamma-shape", "gamma-scale", "weibull-shape", "weibull-scale",
+            "bpareto-c1", "bpareto-c2", "polyexp-c", "numeric-x_max"])
+    def test_non_finite_parameter_rejected(self, build, name, value):
+        # inf passes `not x > 0`; Gamma(inf) would have a NaN mean
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build(value)
 
     def test_maxexp_rates_sorted(self):
         assert MaxExp(3.0, 1.0, 2.0).rates == (1.0, 2.0, 3.0)

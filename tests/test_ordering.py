@@ -9,6 +9,7 @@ from tailorder import (
     BranchedPareto,
     Distribution,
     ExpPoly,
+    ExpPolyTail,
     Exponential,
     Gamma,
     GridSpec,
@@ -199,6 +200,13 @@ class TestCriterionH:
             criterion_h(Exponential(1.0), Exponential(1.0), 1, SMALL_POS, form="zs")
         with pytest.raises(ValueError):
             criterion_h(Gamma(2.0, 1.0), Gamma(1.0, 1.0), 1, SMALL_POS, form="ps")
+
+    @pytest.mark.parametrize("s", [0, 1.5])
+    @pytest.mark.parametrize("check", [compare_ifr, compare_ifra, criterion_h, newcrit])
+    def test_order_must_be_a_positive_integer(self, check, s):
+        # criterion_h checks s before it reads the moment E X^{s-1}
+        with pytest.raises(ValueError, match="^s must be a positive integer"):
+            check(Exponential(1.0), MaxExp(1.0, 2.0), s, SMALL_POS)
 
 
 def _outcomes(closed, f):
@@ -428,7 +436,7 @@ class TestClosedCriterionH:
 
     def test_partner_signs_pass_a_cell_the_chosen_form_must_isolate(self, monkeypatch):
         X, Y, s, a, b = MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, 0.05, 8.0 / 3.0
-        forms = ordering._h_forms(X, Y, s, None)
+        forms = ordering._h_forms(X, Y, s)
         hs, hs1 = _closed(forms["hs"], a, b), _closed(forms["hs1"], a, b)
         assert _rules(_table([hs, hs1])) == [None, ("+", "-")]
         assert hs.sign_pattern_exact(0.0).signs == ("-", "+", "-")
@@ -457,7 +465,7 @@ class TestClosedCriterionH:
     @pytest.mark.parametrize("form", ["hs", "hs1"])
     def test_closed_form_agrees_with_direct_form(self, form, s):
         X, Y = MaxExp(1.0, 3.0), MaxExp(0.5, 2.0)
-        h = ordering._h_forms(X, Y, s, None)[form]
+        h = ordering._h_forms(X, Y, s)[form]
         xs = np.geomspace(0.01, 12.0, 15)
         for a, b in ((0.7, 0.0), (2.5, 0.2), (1.3, 3.0)):
             closed = _closed(h, a, b)
@@ -506,11 +514,11 @@ class TestClosedCriterionH:
         # b = -40 is the mirror case: the Y term is pruned against
         # e^{40} e^{-x}, yet V > 0 beyond x = 80
         X, Y, Y2 = Exponential(1.0), Exponential(10.0), Exponential(0.5)
-        cases = [(ordering._h_forms(X, Y, 1, None)["hs1"], 0.05, 40.0, 10.0,
+        cases = [(ordering._h_forms(X, Y, 1)["hs1"], 0.05, 40.0, 10.0,
                   lambda g: criterion_h(X, Y, 1, g, form="hs1")),
-                 (ordering._v_form(iterate(X, 1), iterate(Y, 1), None), 0.05, 40.0, 10.0,
+                 (ordering._v_form(iterate(X, 1), iterate(Y, 1)), 0.05, 40.0, 10.0,
                   lambda g: compare_ifr(X, Y, 1, g)),
-                 (ordering._v_form(iterate(X, 1), iterate(Y2, 1), None), 1.0, -40.0, 100.0,
+                 (ordering._v_form(iterate(X, 1), iterate(Y2, 1)), 1.0, -40.0, 100.0,
                   lambda g: compare_ifr(X, Y2, 1, g))]
         calls = _count_scans(monkeypatch)
         for form, a, b, far, check in cases:
@@ -541,9 +549,27 @@ class TestNewcrit:
     def test_nan_deadband_cannot_turn_a_refutation_into_support(self):
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 12.0, 6)))
         assert newcrit(Gamma(2.0), Weibull(2.0), 1, grid).refuted
-        with pytest.raises(ValueError, match="deadband"):
-            GridSpec(grid.a_values, grid.b_values, scan=ScanConfig(deadband=float("nan")))
 
+
+class TestExpPolyTail:
+    """A general exponential-polynomial tail given a parallel system's
+    closed form is that system to every check: the same moments, iterates,
+    classes and verdicts, on the benchmark's certified grid."""
+
+    GRID = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(0.0, 8.0, 4)))
+
+    @pytest.mark.parametrize("lam", [2.0, 3.3])
+    def test_is_the_parallel_system(self, lam):
+        M, ref = MaxExp(1.0, lam), MaxExp(1.0, 1.0)
+        Z = ExpPolyTail(M.exp_poly_tail())
+        assert [Z.raw_moment(k) for k in range(1, 6)] == [M.raw_moment(k) for k in range(1, 6)]
+        for s in (1, 2, 3):
+            assert iterate(Z, s).poly.terms == iterate(M, s).poly.terms
+            assert classify_ifr(Z, s) == classify_ifr(M, s)
+            for check in (newcrit, compare_ifr):
+                for pair, twin in (((Z, ref), (M, ref)), ((ref, Z), (ref, M))):
+                    got, want = check(*pair, s, self.GRID), check(*twin, s, self.GRID)
+                    assert got.to_dict() == want.to_dict(), (check.__name__, pair, s)
 
 
 class TestQuadratureNoiseAtOrderOne:
@@ -569,7 +595,7 @@ class TestQuadratureNoiseAtOrderOne:
         if reverse:
             X, Y = Y, X
         assert iterate(self.NUMERIC, 1).kind == "quadrature"
-        hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
+        hs1 = ordering._h_forms(X, Y, 1)["hs1"]
         assert hs1.config.deadband_abs == ordering._QUAD_DEADBAND
         closed = ordering._closed_cells((hs1,), [(1.0, 0.0)])
         assert closed.kind == [ordering._SAMPLED]
@@ -872,8 +898,8 @@ class TestSettledCells:
         n = len(cells)
         settled = open_below = 0
         for X, Y in self.PAIRS:
-            v = ordering._v_form(iterate(X, s), iterate(Y, s), None)
-            for forms in ((v,), tuple(ordering._h_forms(X, Y, s, None).values())):
+            v = ordering._v_form(iterate(X, s), iterate(Y, s))
+            for forms in ((v,), tuple(ordering._h_forms(X, Y, s).values())):
                 closed = ordering._closed_cells(forms, cells)
                 signs, free = ordering._settle(closed, ALLOWED_IFR)
                 star, _ = ordering._settle(closed, ALLOWED_IFRA)
@@ -960,8 +986,8 @@ class TestClosedCell:
 
     @staticmethod
     def _forms(X, Y, s):
-        return [ordering._v_form(iterate(X, s), iterate(Y, s), None),
-                *ordering._h_forms(X, Y, s, None).values()]
+        return [ordering._v_form(iterate(X, s), iterate(Y, s)),
+                *ordering._h_forms(X, Y, s).values()]
 
     @staticmethod
     def _bits(terms):
@@ -1066,7 +1092,7 @@ class TestClosedCell:
     def test_pruned_overflowing_and_cancelling_cells(self):
         X, Y = Exponential(1.0), Exponential(10.0)
         # a = 0.05, b = 40: the X term falls below the prune threshold
-        hs1 = ordering._h_forms(X, Y, 1, None)["hs1"]
+        hs1 = ordering._h_forms(X, Y, 1)["hs1"]
         assert self._agree([hs1], [(0.05, 40.0)]) == ["pruned"]
         # b = -60 on rates up to 25: exp(-r b) overflows
         v = self._forms(MaxExp(12.0, 13.0), MaxExp(1.0, 2.0), 2)[0]
@@ -1080,7 +1106,7 @@ class TestClosedCell:
         # at b = 690 it survives composing (about 1e-300), but not the scale
         # a^4 / E X^3 of hs at s = 4, a = 1e-6; against a Y side slower than
         # the composed X side no pruning guard would catch the loss
-        hs = ordering._h_forms(X, Exponential(1e-7), 4, None)["hs"]
+        hs = ordering._h_forms(X, Exponential(1e-7), 4)["hs"]
         assert self._agree([hs], [(1e-6, 690.0)]) == ["scale"]
         # equal sides cancel at a = 1, b = 0, and only there
         same = self._forms(MaxExp(1.0, 2.0), MaxExp(1.0, 2.0), 2)[0]
@@ -1101,7 +1127,7 @@ class TestClosedCell:
         assert self._agree([form, v], cells)[0] == "closed"
 
     def test_forms_without_closed_sides_make_no_table(self):
-        forms = ordering._h_forms(Weibull(2.0), Gamma(2.0), 1, None)
+        forms = ordering._h_forms(Weibull(2.0), Gamma(2.0), 1)
         closed = ordering._closed_cells(tuple(forms.values()), [(1.0, 0.0), (2.0, 1.0)])
         assert closed.terms is None and set(closed.kind) == {ordering._SAMPLED}
 
@@ -1236,8 +1262,8 @@ def exponential_reference(X: Distribution, s: int,
     b_aug = tuple(sorted(set(base.b_values)
                          | {b for _, b in cells_extra} | {0.0}))
     grid_full = GridSpec(tuple(sorted(set(a_aug) | {a for a, _ in cells_extra})),
-                         b_aug, base.scan)
-    grid_star = GridSpec(a_aug, (0.0,), base.scan)
+                         b_aug)
+    grid_star = GridSpec(a_aug, (0.0,))
 
     below = compare_ifr(X, E, s, grid_full)
     above = compare_ifr(E, X, s, grid_full)
@@ -1325,6 +1351,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             GridSpec.default(Exponential(1.0), MaxExp(1.0, 2.0), **kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [({"na": 2.5}, "na"), ({"nb": 4.0}, "nb")])
+    def test_default_rejects_fractional_axes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            GridSpec.default(Exponential(1.0), MaxExp(1.0, 2.0), **kwargs)
+
     def test_nonnegative_restriction(self):
         g = SMALL.restricted_nonnegative_b()
         assert all(b >= 0 for b in g.b_values)
@@ -1364,10 +1395,10 @@ class TestRowScan:
         return out
 
     def _v_rows(self, X, Y, s, a_values, bs=BS):
-        return self._rows(ordering._v_form(iterate(X, s), iterate(Y, s), None), a_values, bs)
+        return self._rows(ordering._v_form(iterate(X, s), iterate(Y, s)), a_values, bs)
 
     def _h_rows(self, X, Y, s, form, a_values, bs=BS):
-        return self._rows(ordering._h_forms(X, Y, s, None)[form], a_values, bs)
+        return self._rows(ordering._h_forms(X, Y, s)[form], a_values, bs)
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("kind", ["V", "hs", "hs1"])
@@ -1397,12 +1428,12 @@ class TestRowScan:
 
 
 class TestScanWindow:
-    """A grid's scan template with x_max None is resolved per cell from the
-    tail-mass horizons; an explicit x_max, 50.0 included, is used as is."""
+    """A sampled cell's scan window is resolved per cell from the tail-mass
+    horizons."""
 
     CELLS = ((0.5, 2.0), (0.0, 1.0))
 
-    def _scanned_x_max(self, monkeypatch, check, template):
+    def _scanned_x_max(self, monkeypatch, check):
         seen = []
         inner = ordering._scan_row
 
@@ -1411,7 +1442,7 @@ class TestScanWindow:
             return inner(F, params, x_max, *args, **kwargs)
 
         monkeypatch.setattr(ordering, "_scan_row", spy)
-        check(GridSpec(*self.CELLS, scan=template))
+        check(GridSpec(*self.CELLS))
         assert seen
         return seen
 
@@ -1420,9 +1451,8 @@ class TestScanWindow:
         lambda g: criterion_h(Weibull(1.5, 1.0), Gamma(1.5, 1.0), 1, g, form="hs1"),
     ], ids=["compare_ifr", "criterion_h"])
     def test_explicit_fifty_is_honoured(self, monkeypatch, check):
-        explicit = self._scanned_x_max(monkeypatch, check, ScanConfig(x_max=50.0))
-        assert set(explicit) == {50.0}
-        resolved = self._scanned_x_max(monkeypatch, check, ScanConfig())
+        # no cell's window is scan's default 50.0, nor left unset
+        resolved = self._scanned_x_max(monkeypatch, check)
         assert None not in resolved and 50.0 not in resolved
 
     # a numeric density's own horizon is its declared truncation point,
@@ -1438,13 +1468,13 @@ class TestScanWindow:
 
     def test_numeric_density_v_window_ends_at_its_tail_horizon(self, monkeypatch):
         seen = self._scanned_x_max(
-            monkeypatch, lambda g: compare_ifr(self.NUMERIC, Exponential(1.0), 1, g), None)
+            monkeypatch, lambda g: compare_ifr(self.NUMERIC, Exponential(1.0), 1, g))
         assert sorted(seen) == pytest.approx(self._windows(np.log(1e10)), rel=1e-9)
 
     def test_numeric_density_h_window_ends_at_its_truncation_point(self, monkeypatch):
         seen = self._scanned_x_max(
             monkeypatch,
-            lambda g: criterion_h(self.NUMERIC, Exponential(1.0), 1, g, form="hs1"), None)
+            lambda g: criterion_h(self.NUMERIC, Exponential(1.0), 1, g, form="hs1"))
         assert sorted(seen) == pytest.approx(self._windows(60.0), rel=1e-9)
 
     def test_numeric_density_first_iterate_classifies_constant(self):

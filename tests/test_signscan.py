@@ -145,6 +145,7 @@ class TestScan:
         ("x_max", float("nan")), ("x_max", float("inf")), ("x_max", -1.0),
         ("deadband", float("nan")), ("deadband", float("inf")), ("deadband", 0.0),
         ("deadband_abs", float("nan")), ("deadband_abs", float("inf")), ("deadband_abs", -1e-9),
+        ("initial_grid", 100.0), ("max_refinement_depth", 2.5),
     ])
     def test_invalid_settings_are_rejected(self, field, value):
         # a NaN deadband would put every sample inside it, so every cell
