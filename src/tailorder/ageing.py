@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, MaxExp
+from .distributions import Distribution, MaxExp, _order
 from .errors import ClassifierDisagreement, TailUnderflow
 from .exppoly import ExpPoly
 from .iteration import iterate, residual_partial_moment
@@ -69,8 +69,7 @@ def _rate_parts(d: Distribution, s: int):
 
 def failure_rate(d: Distribution, s: int, x):
     """r_s(x); raises TailUnderflow past the evaluable horizon."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    s = _order(s, "s")
     num, upper, mu = _rate_parts(d, s)
     xa = np.asarray(x, dtype=float)
     den = mu * np.asarray(upper.eval_tail(xa), dtype=float)
@@ -149,8 +148,7 @@ def classify_ifr(d: Distribution, s: int, cfg: ScanConfig | None = None) -> Mono
     polynomial (exponential-type bases); sampled finite differences with
     step max(1e-8, 1e-6 x) otherwise.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    s = _order(s, "s")
     cfg = _default_cfg(d, s, cfg)
     if d.exp_poly_tail() is not None:
         closed = _rate_slope_poly(d, s)
@@ -171,8 +169,7 @@ def classify_ifr(d: Distribution, s: int, cfg: ScanConfig | None = None) -> Mono
 def classify_ifra(d: Distribution, s: int, cfg: ScanConfig | None = None) -> MonotoneClass:
     """Monotonicity class of the averaged rate (1/x) int_0^x r_s, computed
     as -log(tail_s(x)) / x."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    s = _order(s, "s")
     cfg = _default_cfg(d, s, cfg)
     upper = iterate(d, s)
 
@@ -247,7 +244,7 @@ class HolderBounds:
 
 def holder_bounds(d: Distribution, s: int, x: float) -> HolderBounds:
     """Compute the three residual partial moments and the bound margins."""
-    if s <= 3:
+    if _order(s, "s") <= 3:
         raise ValueError("the moment bounds require s > 3")
     m_low = residual_partial_moment(d, s - 3, x)
     m_mid = residual_partial_moment(d, s - 2, x)

@@ -8,6 +8,7 @@ by tail(x) = 1 for x < 0 and satisfies tail(0) = 1 exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,6 +36,18 @@ __all__ = [
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _order(value, name: str, least: int = 1) -> int:
+    """value as an iteration or moment order: a real integer of at least
+    least, 1 or (for a moment order) 0.  An order that is infinite, NaN,
+    fractional or below least raises a ValueError that names the
+    parameter."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value == int(value) and value >= least):
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def _maybe_scalar(values, x):
@@ -87,11 +100,10 @@ class Distribution:
     def raw_moment(self, k: int) -> float:
         """E X^k; raises InfiniteMoment when it diverges or, in closed
         form, overflows a float."""
-        if k < 0 or k != int(k):
-            raise ValueError("moment order must be a nonnegative integer")
-        if int(k) == 0:
+        k = _order(k, "k", 0)
+        if k == 0:
             return 1.0
-        return self._raw_moment(int(k))
+        return self._raw_moment(k)
 
     def mean(self) -> float:
         return self.raw_moment(1)
@@ -449,6 +461,9 @@ class NumericDensity(Distribution):
         return self._x_max
 
     def quantile_horizon(self, eps: float = 1e-12):
+        # the declared truncation point, for any eps the others accept
+        if not eps > 0:
+            raise ValueError("quantile_horizon requires eps > 0 (not NaN)")
         return self._x_max
 
 

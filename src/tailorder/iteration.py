@@ -35,6 +35,7 @@ from .distributions import (
     PolyExpExample,
     Weibull,
     _bisect_tail,
+    _order,
 )
 from .errors import InfiniteMoment
 from .exppoly import ExpPoly
@@ -74,8 +75,7 @@ def _de_nodes(level: int):
 
 def iterated_moment(d: Distribution, s: int) -> float:
     """Normalizing constant of the s-iterate: (1/s) E X^s / E X^{s-1}."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    s = _order(s, "s")
     return d.raw_moment(s) / (s * d.raw_moment(s - 1))
 
 
@@ -84,11 +84,9 @@ def residual_partial_moment(d: Distribution, k: int, x: float) -> float:
     at x = inf), by adaptive quadrature."""
     from scipy import integrate
 
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
+    k = _order(k, "k", 0)
     if not x >= 0:
         raise ValueError("x must be nonnegative (not NaN)")
-    k = int(k)
     moment = d.raw_moment(k)  # rejects divergent moments up front
     x = float(x)
 
@@ -400,6 +398,4 @@ def iterate(d: Distribution, s: int) -> IteratedTail:
     Results are cached per (distribution, order) so the normalization chain
     is computed once and shared by every evaluation.
     """
-    if s < 1 or s != int(s):
-        raise ValueError("s must be a positive integer")
-    return _iterate_cached(d, int(s))
+    return _iterate_cached(d, _order(s, "s"))

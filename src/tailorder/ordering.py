@@ -26,6 +26,15 @@ with one pass of the coefficient-sign rule (_settle).  Only the other
 closed cells are built into polynomials and sampled in the sweep; a
 supported sweep of V builds and samples its settled cells for their
 witnesses when it measures its worst margin.
+
+A batch is judged by masks over its cells (_Judged): passes, degenerate
+and uncertain.  A sampled cell's come from its first sign and sign count
+in the row scan's batch arrays, through one admissibility table per
+allowed set (patterns.admits); a settled cell's from the coefficient-sign
+rule; a closed cell's from its certified pattern.  The sweep visits, in
+(a, b) order, only the cells that do not pass, and builds a sampled
+cell's SignPattern only there, for its witness; a margin reads the
+sampled witnesses from the batch arrays.
 """
 from __future__ import annotations
 
@@ -33,20 +42,20 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, groupby, product
+from itertools import chain, product
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution
-from .errors import IndeterminateFunction
+from .distributions import Distribution, _order
 from .exppoly import (_EXP_LO, PRUNE_REL, RATE_MERGE_REL, ROOT_WIDTH, ExpPoly, _exp_or_inf,
                       _merge_rows, _prune_rows, _sign_patterns, _sign_rule, _Terms)
 from .iteration import IteratedTail, iterate
-from .patterns import ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, matches
+from .patterns import (ALLOWED_IFR, ALLOWED_IFRA, EXACT, ScanConfig, SignPattern, admits,
+                       matches)
 # the sweeps scan through _scan_row; ordering.scan stays bound because the
 # benchmark's tracer (perfbench/tracing.py) wraps and checks that binding
-from .signscan import _scan_row, scan  # noqa: F401
+from .signscan import _Batch, _scan_row, scan  # noqa: F401
 
 __all__ = [
     "Verdict",
@@ -344,35 +353,6 @@ def _h_forms(X: Distribution, Y: Distribution, s: int) -> dict[str, _Form]:
     }
 
 
-@dataclass(frozen=True)
-class _CellResult:
-    """One evaluated cell (_evaluator).  form is the function whose pattern
-    was taken, so a disallowed pattern can be re-verified, and a passing one
-    of a supported sweep of V measured (_with_worst_margin), at its
-    witnesses.  A degenerate cell (form zero within the deadband: X and Y
-    indistinguishable there) passes, and makes the sweep's worst margin 0.
-
-    A closed cell settled from its coefficient signs (_settle) carries its
-    sign tuple alone as its pattern: it is admissible, so it is never
-    re-verified.  It also carries closed, its batch's term table, its row
-    there and the row's root-free flag, from which _with_worst_margin builds
-    its closed form and samples its witnesses when it measures; no
-    polynomial is built for it before then, and criterion_h measures no
-    margins."""
-
-    a: float
-    b: float
-    pattern: SignPattern | tuple[str, ...] | None
-    form: _Form | None = None
-    degenerate: bool = False
-    uncertain: bool = False
-    closed: tuple[_Terms, int, bool] | None = None
-
-
-def _degenerate(a: float, b: float) -> _CellResult:
-    return _CellResult(a, b, None, degenerate=True)
-
-
 #: what a batch's term table makes of each (form, cell) row: left to the
 #: sampled scan, an exponential polynomial, degenerate, or of the form's
 #: left sign alone
@@ -381,14 +361,14 @@ _SAMPLED, _CLOSED, _DEGENERATE, _LEFT = range(4)
 
 class _Closed(NamedTuple):
     """The closed cells of a sweep batch in one or more forms: row
-    f * len(cells) + i is form f at cell i, kind says what became of it,
-    and terms (None when the forms have no exponential-polynomial sides)
-    is the term table whose live entries in the _CLOSED rows are the
-    cells' closed forms."""
+    f * len(cells) + i is form f at cell i, kind (an array) says what
+    became of it, and terms (None when the forms have no
+    exponential-polynomial sides) is the term table whose live entries in
+    the _CLOSED rows are the cells' closed forms."""
 
     forms: tuple
     cells: list
-    kind: list
+    kind: np.ndarray
     terms: _Terms | None
 
 
@@ -432,7 +412,7 @@ def _closed_cells(forms, cells) -> _Closed:
     # a batch's forms all have sides or none do: V is alone, and _h_forms
     # gives both of its forms sides or neither
     if forms[0].sides is None:
-        return _Closed(tuple(forms), cells, [_SAMPLED] * (nf * n), None)
+        return _Closed(tuple(forms), cells, np.full(nf * n, _SAMPLED), None)
     apos: dict = {}
     bpos: dict = {}
     ai = [apos.setdefault(a, len(apos)) for a, _ in cells]
@@ -482,9 +462,9 @@ def _closed_cells(forms, cells) -> _Closed:
     exps = side.exps[ga]
     if not (dropped or merged or np.count_nonzero(closed) < len(closed)):
         # every row closed, its live entries right-aligned already
-        return _Closed(tuple(forms), cells, kind.tolist(),
+        return _Closed(tuple(forms), cells, kind,
                        _Terms(coefs, rates, live, np.where(live, exps, 1.0)))
-    return _Closed(tuple(forms), cells, kind.tolist(), _compact(coefs, rates, live, exps))
+    return _Closed(tuple(forms), cells, kind, _compact(coefs, rates, live, exps))
 
 
 class _Sides(NamedTuple):
@@ -615,122 +595,188 @@ def _compact(coefs, rates, live, exps) -> _Terms:
                   np.where(live, exps, 1.0))
 
 
-def _settle(closed: _Closed, allowed) -> tuple[list, list]:
-    """(signs, root-free flags) of every row of a batch's term table, from
-    one pass of the coefficient-sign rule (exppoly._sign_rule).  A _CLOSED
-    row at b >= 0 (where its pattern is taken from 0) is settled when the
-    rule fixes its signs, or proves it root-free, so that it has the sign
-    of its slowest term throughout, and those signs match allowed: signs
-    holds them, else None.  The flags are those sampling reads
-    (_sign_patterns)."""
-    rows = len(closed.kind)
-    if _CLOSED not in closed.kind:
-        return [None] * rows, [False] * rows
+def _settle(closed: _Closed, allowed) -> tuple[np.ndarray, np.ndarray]:
+    """(settled, free) of every row of a batch's term table, from one pass
+    of the coefficient-sign rule (exppoly._sign_rule).  A _CLOSED row at
+    b >= 0 (where its pattern is taken from 0) is settled when the rule
+    fixes its signs, or proves it root-free, so that it has the sign of its
+    slowest term throughout, and those signs match allowed.  free holds the
+    root-free flags, which sampling reads (_sign_patterns)."""
+    if not (closed.kind == _CLOSED).any():
+        return (np.zeros(closed.kind.size, dtype=bool),) * 2
     decided, head, tail, free = _sign_rule(closed.terms)
     nonneg = np.array([b >= 0 for _, b in closed.cells] * len(closed.forms))
+    # the signs alternate from the head when they change, else are the tail's
+    two = decided & (head != tail)
+    first = np.where(two, head, tail) * 2 - 1
     # a closed row's last entry is live
-    candidates = closed.terms.live[:, -1] & nonneg & (decided | free)
-    decided, heads, tails = decided.tolist(), head.tolist(), tail.tolist()
-    admissible = {sg for sg in (("+",), ("-",), ("+", "-"), ("-", "+")) if matches(sg, allowed)}
-    signs = [None] * rows
-    for row in np.flatnonzero(candidates).tolist():
-        h, t = "+" if heads[row] else "-", "+" if tails[row] else "-"
-        sg = (h, t) if decided[row] and h != t else (t,)
-        if sg in admissible:
-            signs[row] = sg
-    return signs, free.tolist()
+    settled = closed.terms.live[:, -1] & nonneg & (decided | free) \
+        & admits(allowed, first, np.where(two, 2, 1))
+    return settled, free
 
 
-def _evaluate_cells(closed: _Closed, f: int, idx, free) -> list[_CellResult]:
-    """Form f of a batch (closed) at each cell i of idx, given free, the
-    root-free flags of the batch's rows (_settle), as the row's kind says:
-    degenerate, or of the form's left sign on (0, -b/a] at b < 0; one
-    _sign_patterns call for the _CLOSED rows, each from max(0, -b/a), where
-    at b < 0 the pattern begins with the left sign; and one _scan_row call
-    for the cells left to sampling."""
-    form, cells, n = closed.forms[f], closed.cells, len(closed.cells)
-    out = {}
-    exact, rest = [], []
-    for i in idx:
-        kind, (a, b) = closed.kind[f * n + i], cells[i]
+class _Read(NamedTuple):
+    """Form f of a batch at some of its cells (_evaluate_cells), as masks
+    over every cell of the batch, False at the cells not read: degenerate
+    (the form zero within the deadband: X and Y indistinguishable there),
+    passes (degenerate, or certain with an admissible pattern) and
+    uncertain (root isolation could not separate candidates).  kind holds
+    each cell's row kind, -1 where not read.  A cell's pattern is built
+    only where something reads it (pattern): a closed cell's is the one
+    sampling its closed form gave (exact), a sampled cell's comes from its
+    entry at[i] of the row scan's batch (signscan._Batch, scanned), and a
+    left cell's is the left sign alone, witnessed halfway to -b/a."""
+
+    form: _Form
+    cells: list
+    kind: np.ndarray
+    degenerate: np.ndarray
+    passes: np.ndarray
+    uncertain: np.ndarray
+    exact: dict
+    scanned: _Batch | None
+    at: np.ndarray | None
+
+    def pattern(self, i: int) -> SignPattern:
+        """The pattern of cell i, which is not degenerate."""
+        kind = self.kind[i]
         if kind == _CLOSED:
-            exact.append(i)
-        elif kind == _SAMPLED:
-            rest.append(i)
-        elif kind == _DEGENERATE:
-            out[i] = _degenerate(a, b)
-        else:
-            out[i] = _CellResult(a, b, SignPattern((form.left,), (-b / a / 2.0,), (), EXACT), form)
-    if exact:
-        rows = [f * n + i for i in exact]
-        starts = [max(0.0, -b / a) for a, b in (cells[i] for i in exact)]
-        patterns = _sign_patterns(_polys(closed.terms, rows), starts, [free[row] for row in rows])
-        for i, pat in zip(exact, patterns):
-            out[i] = _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
-    if rest:
-        a, b = (np.array(col) for col in zip(*(cells[i] for i in rest)))
+            return self.exact[i]
+        if kind == _LEFT:
+            a, b = self.cells[i]
+            return SignPattern((self.form.left,), (-b / a / 2.0,), (), EXACT)
+        return self.scanned.pattern(int(self.at[i]))
+
+    def witnesses(self, idx):
+        """(cells, x, sizes): the cells idx, none degenerate, sampled ones
+        first, their witnesses end to end in that order, and how many each
+        has.  The sampled cells' are read from the batch arrays."""
+        sampled = self.kind[idx] == _SAMPLED
+        own, rest = idx[sampled], idx[~sampled]
+        x, sizes = self.scanned.witnesses(self.at[own]) if own.size else \
+            (np.zeros(0), np.zeros(0, dtype=int))
+        if rest.size:
+            ws = [self.pattern(i).witnesses for i in rest.tolist()]
+            x = np.concatenate((x, np.fromiter(chain.from_iterable(ws), float)))
+            sizes = np.concatenate((sizes, [len(w) for w in ws]))
+        return np.concatenate((own, rest)), x, sizes
+
+
+def _evaluate_cells(closed: _Closed, f: int, idx, free, allowed) -> _Read:
+    """Form f of a batch (closed) at the cells idx (an int array), judged
+    against allowed, given free, the root-free flags of the batch's rows
+    (_settle), as each row's kind says: degenerate, or of the form's left
+    sign on (0, -b/a] at b < 0; one _sign_patterns call for the _CLOSED
+    rows, each from max(0, -b/a), where at b < 0 the pattern begins with
+    the left sign, each judged from its pattern; and one _scan_row call for
+    the cells left to sampling, each judged from its first sign and sign
+    count (patterns.admits), and degenerate where it has no sign (zero
+    within the deadband)."""
+    form, cells, n = closed.forms[f], closed.cells, len(closed.cells)
+    kind = np.full(n, -1)
+    kind[idx] = closed.kind[f * n + idx]
+    degenerate = kind == _DEGENERATE
+    passes = degenerate.copy()
+    uncertain = np.zeros(n, dtype=bool)
+    left = kind == _LEFT
+    if left.any():
+        passes[left] = matches((form.left,), allowed)
+    exact, scanned, at = {}, None, None
+    rows = np.flatnonzero(kind == _CLOSED)
+    if rows.size:
+        starts = [max(0.0, -b / a) for a, b in (cells[i] for i in rows.tolist())]
+        patterns = _sign_patterns(_polys(closed.terms, f * n + rows), starts,
+                                  free[f * n + rows].tolist())
+        exact = dict(zip(rows.tolist(), patterns))
+        for i, pat in exact.items():
+            uncertain[i] = pat.uncertain
+            passes[i] = not pat.uncertain and matches(pat, allowed)
+    rest = np.flatnonzero(kind == _SAMPLED)
+    if rest.size:
+        a, b = (np.array(col) for col in zip(*(cells[i] for i in rest.tolist())))
         coef = np.array([x ** form.k for x in a.tolist()])
         scanned = _scan_row(form.F, (a, b, coef), form.window(a, b), form.config,
                             form.bps(a, b), fy=form.fy)
-        for i, pat in zip(rest, scanned):
-            # a cell zero within the deadband scans as IndeterminateFunction
-            out[i] = _degenerate(*cells[i]) if isinstance(pat, IndeterminateFunction) \
-                else _CellResult(*cells[i], pat, form, uncertain=pat.uncertain)
-    return [out[i] for i in idx]
+        at = np.zeros(n, dtype=int)
+        at[rest] = np.arange(rest.size)
+        degenerate[rest] = scanned.count == 0
+        passes[rest] = admits(allowed, scanned.first, scanned.count)
+    return _Read(form, cells, kind, degenerate, passes, uncertain, exact, scanned, at)
+
+
+class _Judged(NamedTuple):
+    """A sweep batch as its evaluator judges it (_evaluator), by masks over
+    its cells: passes (degenerate, or certain with an admissible pattern),
+    degenerate and uncertain.  row holds the row of closed (f * n + i for
+    form f at cell i) whose result each cell keeps; settled marks the rows
+    settled from their coefficient signs and free holds every row's
+    root-free flag (_settle).  reads holds, form by form, the _Read of the
+    cells each form evaluated, up to the last form any cell reached."""
+
+    closed: _Closed
+    reads: list
+    row: np.ndarray
+    passes: np.ndarray
+    degenerate: np.ndarray
+    uncertain: np.ndarray
+    settled: np.ndarray
+    free: np.ndarray
 
 
 def _evaluator(forms, allowed):
-    """evaluate(cells), the _CellResult of each cell (a, b) of a batch, for
-    forms: V alone, or criterion_h's chosen form and then its partner.  The
-    batch is one term table (_closed_cells) read by one pass of the
+    """evaluate(cells), the _Judged of a batch of cells (a, b), for forms:
+    V alone, or criterion_h's chosen form and then its partner.  The batch
+    is one term table (_closed_cells) read by one pass of the
     coefficient-sign rule (_settle).  A cell takes the signs of the first
     form that settles it, a later form's only where every earlier form's
     row is _CLOSED (a degenerate one keeps the cell degenerate).  The rest
     are evaluated form by form (_evaluate_cells), a later form only on the
     cells where every earlier one showed a certain inadmissible pattern,
-    and its result is kept only where it passes: degenerate, or certain
-    and admissible."""
-    def passes(res):
-        return res.degenerate or (not res.uncertain and matches(res.pattern, allowed))
-
+    and its result is kept only where it passes."""
     def evaluate(cells):
         closed = _closed_cells(forms, cells)
-        signs, free = _settle(closed, allowed)
+        settled, free = _settle(closed, allowed)
         n = len(cells)
-        out = [None] * n
-        for i, cell in enumerate(cells):
-            for f, form in enumerate(forms):
-                row = f * n + i
-                if signs[row] is not None:
-                    out[i] = _CellResult(*cell, signs[row], form,
-                                         closed=(closed.terms, row, free[row]))
-                if signs[row] is not None or closed.kind[row] != _CLOSED:
-                    break
-        rest = [i for i, res in enumerate(out) if res is None]
+        kind = closed.kind.reshape(len(forms), n)
+        row = np.full(n, -1)
+        left = np.ones(n, dtype=bool)  # cells every earlier form leaves to this one
+        for f, mine in enumerate(settled.reshape(kind.shape)):
+            take = np.flatnonzero(left & mine)
+            row[take] = f * n + take
+            left &= (kind[f] == _CLOSED) & ~mine
+        passes = row >= 0
+        degenerate, uncertain = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        rest, reads = np.flatnonzero(~passes), []
         for f in range(len(forms)):
-            results = _evaluate_cells(closed, f, rest, free)
-            for i, res in zip(rest, results):
-                if f == 0 or passes(res):
-                    out[i] = res
-            if f + 1 < len(forms):
-                rest = [i for i, res in zip(rest, results)
-                        if not (res.uncertain or passes(res))]
-        return out
+            if not rest.size:
+                break
+            read = _evaluate_cells(closed, f, rest, free, allowed)
+            reads.append(read)
+            ok = read.passes[rest]
+            keep = rest if f == 0 else rest[ok]
+            row[keep] = f * n + keep
+            for mask, got in ((passes, read.passes), (degenerate, read.degenerate),
+                              (uncertain, read.uncertain)):
+                mask[keep] = got[keep]
+            rest = rest[~(ok | read.uncertain[rest])]
+        return _Judged(closed, reads, row, passes, degenerate, uncertain, settled, free)
 
     return evaluate
 
 
-def _witness(res: _CellResult) -> RefutationWitness | None:
-    """Witness of a disallowed cell pattern, or None unless evaluating the
-    form again at the pattern's witnesses shows every sign beyond the
-    deadband."""
-    pat = res.pattern
-    vals = np.asarray(res.form(np.asarray(pat.witnesses), res.a, res.b), dtype=float)
+def _witness(judged: _Judged, i: int) -> RefutationWitness | None:
+    """Witness of the disallowed pattern of a batch's cell i, or None unless
+    evaluating the form again at the pattern's witnesses shows every sign
+    beyond the deadband."""
+    read = judged.reads[judged.row[i] // len(judged.closed.cells)]
+    pat = read.pattern(i)
+    a, b = judged.closed.cells[i]
+    vals = np.asarray(read.form(np.asarray(pat.witnesses), a, b), dtype=float)
     dead = 1e-11 * float(np.max(np.abs(vals))) if len(vals) else 0.0
     for v, sg in zip(vals, pat.signs):
         if not (v > dead if sg == "+" else v < -dead):
             return None
-    return RefutationWitness(res.a, res.b, pat.signs, pat.witnesses, tuple(vals), dead)
+    return RefutationWitness(a, b, pat.signs, pat.witnesses, tuple(vals), dead)
 
 
 #: Most cells per evaluation of a sweep, at least one whole row.  Each
@@ -745,51 +791,47 @@ _BATCH_CELLS = 128
 
 
 def _sweep(grid: GridSpec, forms, allowed, criterion: str, s) -> tuple[Verdict, list]:
-    """The verdict of the grid for forms (see _evaluator), and the cells
-    that passed with a pattern: evaluate the grid in batches of whole rows,
-    through the one evaluator of forms, and read the cells one at a time in
-    (a, b) lexicographic order.  The batches are the fewest that hold at
-    most _BATCH_CELLS cells (or one row) each, with the rows dealt out
-    evenly among them, so a grid of up to _BATCH_CELLS cells is one
-    evaluation, with at most one row scan per form, and no batch is more
-    than a row larger than another.  The first disallowed pattern that
-    re-verifies refutes and ends the sweep, so at most the rest of its
-    batch is evaluated in vain; even batches keep that rest short (a 24 x
-    12 grid is three batches of 96 cells, not 120, 120 and 48).  A
-    disallowed pattern that does not re-verify counts as uncertain.  A
-    supported verdict's worst margin is 0 when a cell is degenerate, and
+    """The verdict of the grid for forms (see _evaluator), and its judged
+    batches (_Judged) up to the verdict: evaluate the grid in batches of
+    whole rows, through the one evaluator of forms, and visit, in (a, b)
+    lexicographic order, only the cells that do not pass.  The batches are
+    the fewest that hold at most _BATCH_CELLS cells (or one row) each, with
+    the rows dealt out evenly among them, so a grid of up to _BATCH_CELLS
+    cells is one evaluation, with at most one row scan per form, and no
+    batch is more than a row larger than another.  The first disallowed
+    pattern that re-verifies refutes and ends the sweep, so at most the
+    rest of its batch is evaluated in vain; even batches keep that rest
+    short (a 24 x 12 grid is three batches of 96 cells, not 120, 120 and
+    48).  A disallowed pattern that does not re-verify counts as uncertain,
+    and the first uncertain cell gives an inconclusive verdict its reason.
+    A supported verdict's worst margin is 0 when a cell is degenerate, and
     otherwise left to the caller (_with_worst_margin)."""
     cells = list(product(grid.a_values, grid.b_values))
     rows, nb = len(grid.a_values), len(grid.b_values)
     count = -(-rows // max(1, _BATCH_CELLS // nb))
     ends = [rows * i // count * nb for i in range(count + 1)]
-    batches = (cells[lo:hi] for lo, hi in zip(ends, ends[1:]))
-    degenerate = False
-    passing = []
+    judged = []
     first_uncertain = None
     scanned = 0
-    for res in chain.from_iterable(map(_evaluator(forms, allowed), batches)):
-        scanned += 1
-        if res.degenerate:
-            degenerate = True
-            continue
-        if not res.uncertain:
-            if matches(res.pattern, allowed):
-                passing.append(res)
-                continue
-            witness = _witness(res)
-            if witness is not None:
-                return Verdict(REFUTED, criterion, s, cells_scanned=scanned,
-                               witness=witness, grid=grid.to_dict()), passing
-        if first_uncertain is None:
-            first_uncertain = res
+    for batch in map(_evaluator(forms, allowed), (cells[lo:hi] for lo, hi in zip(ends, ends[1:]))):
+        for i in np.flatnonzero(~batch.passes).tolist():
+            if not batch.uncertain[i]:
+                witness = _witness(batch, i)
+                if witness is not None:
+                    return Verdict(REFUTED, criterion, s, cells_scanned=scanned + i + 1,
+                                   witness=witness, grid=grid.to_dict()), judged
+            if first_uncertain is None:
+                first_uncertain = batch.closed.cells[i]
+        scanned += len(batch.passes)
+        judged.append(batch)
     if first_uncertain is not None:
+        a, b = first_uncertain
         return Verdict(INCONCLUSIVE, criterion, s, cells_scanned=scanned,
-                       reason=f"unresolved scan at a={first_uncertain.a:.6g}, "
-                              f"b={first_uncertain.b:.6g}",
-                       grid=grid.to_dict()), passing
+                       reason=f"unresolved scan at a={a:.6g}, b={b:.6g}",
+                       grid=grid.to_dict()), judged
+    degenerate = any(batch.degenerate.any() for batch in judged)
     return Verdict(SUPPORTED, criterion, s, cells_scanned=scanned,
-                   worst_margin=0.0 if degenerate else None, grid=grid.to_dict()), passing
+                   worst_margin=0.0 if degenerate else None, grid=grid.to_dict()), judged
 
 
 def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[Verdict, list]:
@@ -797,36 +839,47 @@ def _pattern_sweep(TX, TY, s, grid: GridSpec, allowed, criterion: str) -> tuple[
     return _sweep(grid, (_v_form(TX, TY),), allowed, criterion, s)
 
 
-def _with_worst_margin(verdict: Verdict, passing: list[_CellResult]) -> Verdict:
-    """The verdict of a sweep of V, given with its passing cells (_sweep),
+def _with_worst_margin(verdict: Verdict, judged: list[_Judged]) -> Verdict:
+    """The verdict of a sweep of V, given with its judged batches (_sweep),
     with its worst margin when it is supported without a degenerate cell:
-    the smallest |V| at the witnesses of the passing cells.  The closed
-    forms of the cells settled from their signs are built here, one
-    _Terms.rows call per batch table, and their witnesses sampled in one
+    the smallest |V| at the witnesses of its cells, which all pass.  A
+    sampled cell's witnesses are read from its row scan's batch arrays.
+    The closed forms of the cells settled from their signs are built here,
+    one _Terms.rows call per batch table, and their witnesses sampled in one
     _sign_patterns call, as the sweep would have sampled them.  V is
     evaluated once, on flat arrays of every witness's x, a and b; it is
     evaluated point by point, so each value is the one its cell alone would
-    give."""
-    if not (verdict.supported and verdict.worst_margin is None and passing):
+    give, whatever the order of the cells."""
+    if not (verdict.supported and verdict.worst_margin is None and judged):
         return verdict
-    settled = [res.closed for res in passing if res.closed is not None]
-    polys = []
-    # a batch's cells are adjacent in passing
-    for _, batch in groupby(settled, key=lambda closed: id(closed[0])):
-        batch = list(batch)
-        polys += _polys(batch[0][0], [row for _, row, _ in batch])
-    sampled = iter(_sign_patterns(polys, [0.0] * len(polys), [flag for *_, flag in settled]))
-    witnessed = [(res, (next(sampled) if res.closed is not None else res.pattern).witnesses)
-                 for res in passing]
-    cells = [(res, w) for res, w in witnessed if w]
-    if not cells:
+    groups, polys, flags, owners = [], [], [], []
+    for batch in judged:
+        ab = np.array(batch.closed.cells)
+        cells = np.flatnonzero(batch.passes)
+        rows = batch.row[cells]
+        settled = batch.settled[rows]
+        if settled.any():
+            polys += _polys(batch.closed.terms, rows[settled])
+            flags += batch.free[rows[settled]].tolist()
+            owners.append(ab[cells[settled]])
+        for f, read in enumerate(batch.reads):
+            mine, x, sizes = read.witnesses(cells[~settled & (rows // len(ab) == f)])
+            groups.append((ab[mine], x, sizes))
+    if polys:
+        ws = [p.witnesses for p in _sign_patterns(polys, [0.0] * len(polys), flags)]
+        groups.append((np.concatenate(owners), np.fromiter(chain.from_iterable(ws), float),
+                       np.array([len(w) for w in ws])))
+    ab, x, sizes = (np.concatenate(col) for col in zip(*groups))
+    if not x.size:
         return verdict
-    sizes = [len(w) for _, w in cells]
-    x = np.fromiter(chain.from_iterable(w for _, w in cells), float)
-    a, b = (np.repeat(np.array(col), sizes) for col in zip(*((res.a, res.b) for res, _ in cells)))
-    vals = np.abs(np.asarray(cells[0][0].form(x, a, b), dtype=float))
-    # each cell's least |V|, then the least from inf: a NaN cell changes nothing
-    worst = min([math.inf] + np.minimum.reduceat(vals, np.cumsum([0] + sizes[:-1])).tolist())
+    # a sweep of V has one form
+    form = judged[0].closed.forms[0]
+    vals = np.abs(np.asarray(form(x, np.repeat(ab[:, 0], sizes), np.repeat(ab[:, 1], sizes)),
+                             dtype=float))
+    sizes = sizes[sizes > 0]
+    least = np.minimum.reduceat(vals, np.cumsum(sizes) - sizes)
+    # each cell's least |V|, then the least of those: a NaN cell changes nothing
+    worst = float(np.min(least, initial=math.inf, where=~np.isnan(least)))
     return verdict if worst == math.inf else replace(verdict, worst_margin=worst)
 
 
@@ -883,8 +936,7 @@ def criterion_h(X: Distribution, Y: Distribution, s: int,
     """
     if form not in _PARTNER_FORM:
         raise ValueError(f"form must be one of {tuple(_PARTNER_FORM)}")
-    if s < 1 or s != int(s):
-        raise ValueError("s must be a positive integer")
+    s = _order(s, "s")
     grid = grid or GridSpec.default(X, Y, negative_b=True)
     forms = _h_forms(X, Y, s)
     pair = (forms[form], forms[_PARTNER_FORM[form]])

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 PLUS = "+"
 MINUS = "-"
 
@@ -141,3 +143,32 @@ def matches(pattern: SignPattern | Sequence[str], allowed: Iterable[Sequence[str
     """
     signs = pattern.signs if isinstance(pattern, SignPattern) else _normalize(pattern)
     return not signs or signs in _final_parts(tuple(map(tuple, allowed)))
+
+
+def alternating(first: int, count: int) -> tuple[str, ...]:
+    """The pattern of count alternating signs that begins with first (+1 or
+    -1): a sign pattern alternates, so these two fix it."""
+    pair = (PLUS, MINUS) if first > 0 else (MINUS, PLUS)
+    return (pair * count)[:count]
+
+
+@lru_cache(maxsize=64)
+def _table(allowed: tuple[tuple[str, ...], ...]) -> np.ndarray:
+    """admits' table for allowed, built from matches: entry [1 + first,
+    count] for count up to one more than the longest allowed sequence,
+    which no pattern that long or longer matches."""
+    longest = max(map(len, allowed), default=0)
+    table = np.zeros((3, longest + 2), dtype=bool)
+    table[1, 0] = True  # no sign evidence
+    for first in (1, -1):
+        for count in range(1, longest + 2):
+            table[1 + first, count] = matches(alternating(first, count), allowed)
+    return table
+
+
+def admits(allowed: Iterable[Sequence[str]], first, count) -> np.ndarray:
+    """matches of the patterns alternating(first[i], count[i]), as a boolean
+    array, read from one table per allowed set; first is 0 where count is
+    (no sign evidence, which every set admits)."""
+    table = _table(tuple(map(tuple, allowed)))
+    return table[np.asarray(first) + 1, np.minimum(count, table.shape[1] - 1)]

@@ -5,11 +5,15 @@ deadband as carrying no sign evidence, and bisects every classification
 boundary to the configured depth.  A function that dips to zero without
 crossing produces no sign change.  Scanned functions must be vectorized
 (accept and return numpy arrays).  The order sweeps scan a batch of cells
-per function evaluation (_scan_row); scan is its one-cell case.  The cells
-of a batch share one configuration and each has its own window: the grids
-of the distinct windows come from one geomspace call, and cells whose
-grids have equal length are evaluated as the rows of one 2-D grid.  The
-first classification takes each sample's |value| once, for the deadband
+per function evaluation (_scan_row); scan is its one-cell case.  A batch
+comes back as arrays (_Batch), taken from the runs of equal sign: each
+cell's first sign and sign count, which fix its alternating pattern, and
+offsets into flat arrays of every run's witness and ends, checked once
+for the whole batch; a cell's SignPattern is built when it is read.  The
+cells of a batch share one configuration and each has its own window:
+the grids of the distinct windows come from one geomspace call, and cells
+whose grids have equal length are evaluated as the rows of one 2-D grid.
+The first classification takes each sample's |value| once, for the deadband
 scale and the runs alike.  Right after it each cell keeps, of every run
 of samples of equal class, only the first, the last and the first of
 largest |value|: every bracket, run end and witness is one of them.  A
@@ -25,11 +29,13 @@ sort on (cell, x), so ties keep their evaluation order.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import IndeterminateFunction, ResidualUncertainty
 from .exppoly import ExpPoly
-from .patterns import DEFAULT_X_MAX, SAMPLED, ScanConfig, SignPattern, matches
+from .patterns import DEFAULT_X_MAX, SAMPLED, ScanConfig, SignPattern, alternating, matches
 
 __all__ = ["scan", "check_integration_lemma"]
 
@@ -156,15 +162,16 @@ def scan(f, cfg: ScanConfig | None = None, breakpoints=(), *,
     leaves unseen are not samples.
     """
     cfg = (cfg or ScanConfig()).with_x_max(DEFAULT_X_MAX)
-    (result,) = _scan_row(f, (), np.array([cfg.x_max]), cfg, [breakpoints], lo=lo, trace=trace)
-    if isinstance(result, IndeterminateFunction):
-        raise result
+    result = _scan_row(f, (), np.array([cfg.x_max]), cfg, [breakpoints], lo=lo,
+                       trace=trace).pattern(0)
+    if result is None:
+        raise IndeterminateFunction(_NO_SIGN)
     return result
 
 
 def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
               lo: float | None = None,
-              trace: list | None = None) -> list[SignPattern | IndeterminateFunction]:
+              trace: list | None = None) -> _Batch:
     """scan, run on a batch of cells at once.
 
     Cell i scans x -> F(x, *(p[i] for p in params)) on (lo, x_max[i]]:
@@ -189,8 +196,10 @@ def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
 
     Unless a trace is wanted, the walks start from each cell's run ends
     and peaks alone (_run_ends).  The samples end sorted by (cell, x) with
-    ties in evaluation order, so each cell gets exactly the pattern, or
-    the IndeterminateFunction, that scanning it alone would give.
+    ties in evaluation order, so each cell gets exactly the pattern that
+    scanning it alone would give, or none where scan would raise
+    IndeterminateFunction.  Returns the batch as arrays (_Batch), read
+    from the runs of equal sign beyond the deadband.
     """
     x_max = np.asarray(x_max, dtype=float)
     params = [np.asarray(p, dtype=float) for p in params]
@@ -254,25 +263,57 @@ def _scan_row(F, params, x_max, cfg: ScanConfig, breakpoints=None, *, fy=None,
     # cell ends; each run's witness is its first sample of largest |value|
     det = signs != 0
     dx, dv, ds, dc = xs[det], vals[det], signs[det], cell[det]
-    if not ds.size:
-        return [IndeterminateFunction(_NO_SIGN) for _ in range(n)]
-    starts, ends, peaks = _runs(np.abs(dv), ds, np.flatnonzero(dc[1:] != dc[:-1]) + 1)
+    first, last, peaks = (_runs(np.abs(dv), ds, np.flatnonzero(dc[1:] != dc[:-1]) + 1)
+                          if ds.size else (np.zeros(0, dtype=int),) * 3)
+    run_cell, run_sign, witness = dc[first], ds[first], dx[peaks]
+    same = run_cell[1:] == run_cell[:-1]
+    if (same & (run_sign[1:] == run_sign[:-1])).any():
+        raise ValueError("adjacent signs must differ")
+    if (same & (witness[1:] < witness[:-1])).any():
+        raise ValueError("witnesses must be increasing")
+    count = np.bincount(run_cell, minlength=n)
+    at = np.concatenate(([0], np.cumsum(count)))
+    head = np.zeros(n, dtype=np.int8)
+    signed = count > 0
+    head[signed] = run_sign[at[:-1][signed]]
+    return _Batch(head, count, at, witness, dx[first], dx[last])
 
-    out_signs: list[list[str]] = [[] for _ in range(n)]
-    witnesses: list[list[float]] = [[] for _ in range(n)]
-    changes: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    prev, last = -1, 0.0
-    for c, sg, w, x0, x1 in zip(dc[starts].tolist(), ds[starts].tolist(), dx[peaks].tolist(),
-                                dx[starts].tolist(), dx[ends].tolist()):
-        if c == prev:
-            changes[c].append((last, x0))
-        out_signs[c].append("+" if sg > 0 else "-")
-        witnesses[c].append(w)
-        prev, last = c, x1
 
-    return [SignPattern(tuple(sg), tuple(w), tuple(ch), SAMPLED) if sg
-            else IndeterminateFunction(_NO_SIGN)
-            for sg, w, ch in zip(out_signs, witnesses, changes)]
+class _Batch(NamedTuple):
+    """The sign patterns of a batch of cells (_scan_row), as arrays.  Cell i
+    has count[i] signs, alternating from first[i] (+1 or -1; 0 when count[i]
+    is 0: every sample lies inside the deadband), and its runs are entries
+    at[i] to at[i + 1] of the flat run arrays: witness holds each run's
+    witness, lo and hi its first and last sample, so the cell's change
+    points are (hi[j], lo[j + 1]) for consecutive runs j, j + 1.  The
+    pattern invariants are checked when the batch is made."""
+
+    first: np.ndarray
+    count: np.ndarray
+    at: np.ndarray
+    witness: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def pattern(self, i: int) -> SignPattern | None:
+        """Cell i's pattern, as scanning the cell alone gives it, or None
+        where it has no sign evidence."""
+        c, j = int(self.count[i]), int(self.at[i])
+        if not c:
+            return None
+        return SignPattern(alternating(int(self.first[i]), c),
+                           tuple(self.witness[j:j + c].tolist()),
+                           tuple(zip(self.hi[j:j + c - 1].tolist(),
+                                     self.lo[j + 1:j + c].tolist())),
+                           SAMPLED)
+
+    def witnesses(self, cells):
+        """The witnesses of the cells (an int array) end to end, and how
+        many each cell has."""
+        count = self.count[cells]
+        flat = np.repeat(self.at[cells] - np.cumsum(count) + count, count) \
+            + np.arange(count.sum())
+        return self.witness[flat], count
 
 
 def _refine(F, params, initial, kept, scale, cfg: ScanConfig):

@@ -224,6 +224,17 @@ class TestTailInverse:
         with pytest.raises(ValueError, match="p in"):
             call()
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-10])
+    def test_numeric_density_horizon_rejects_bad_eps(self, eps):
+        # its horizon is its truncation point, but a NaN or nonpositive eps
+        # is refused as every other distribution refuses it
+        d = NumericDensity(lambda x: np.exp(-np.asarray(x, dtype=float)), 40.0)
+        assert d.quantile_horizon(1e-10) == 40.0
+        with pytest.raises(ValueError, match="eps > 0"):
+            d.quantile_horizon(eps)
+        with pytest.raises(ValueError, match="p in"):
+            Exponential(1.0).quantile_horizon(eps)
+
 
 class TestBreakpoints:
     def test_branched_pareto(self):

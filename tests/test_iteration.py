@@ -425,3 +425,32 @@ class TestColdStart:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+#: every entry point that takes an iteration or moment order: (name of the
+#: order, its least value, the call)
+_ORDER_TAKERS = {
+    "iterate": ("s", 1, lambda s: tailorder.iterate(tailorder.Gamma(2.0), s)),
+    "iterated_moment": ("s", 1, lambda s: tailorder.iterated_moment(tailorder.Gamma(2.0), s)),
+    "raw_moment": ("k", 0, lambda k: tailorder.Gamma(2.0).raw_moment(k)),
+    "residual_partial_moment": (
+        "k", 0, lambda k: tailorder.residual_partial_moment(tailorder.Gamma(2.0), k, 1.0)),
+    "criterion_h": ("s", 1, lambda s: tailorder.criterion_h(
+        tailorder.Exponential(1.0), tailorder.MaxExp(1.0, 2.0), s,
+        tailorder.GridSpec((1.0,), (0.0,)))),
+    "failure_rate": ("s", 1, lambda s: tailorder.failure_rate(tailorder.Gamma(2.0), s, 1.0)),
+    "classify_ifr": ("s", 1, lambda s: tailorder.classify_ifr(tailorder.Gamma(2.0), s)),
+    "classify_ifra": ("s", 1, lambda s: tailorder.classify_ifra(tailorder.Gamma(2.0), s)),
+    "holder_bounds": ("s", 1, lambda s: tailorder.holder_bounds(tailorder.Gamma(2.0), s, 1.0)),
+}
+
+
+@pytest.mark.parametrize("order", ["inf", "nan", "2.5", "below"])
+@pytest.mark.parametrize("entry", sorted(_ORDER_TAKERS))
+def test_bad_order_is_a_value_error_naming_it(entry, order):
+    # one check serves every entry point: an infinite order is no
+    # OverflowError, and a NaN one is refused by the check, not by accident
+    name, least, call = _ORDER_TAKERS[entry]
+    value = {"inf": math.inf, "nan": math.nan, "2.5": 2.5, "below": least - 1}[order]
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        call(value)

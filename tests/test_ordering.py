@@ -211,15 +211,16 @@ class TestCriterionH:
 
 def _outcomes(closed, f):
     """Form f of a batch (ordering._Closed) at each of its cells as its term
-    table makes it: an ExpPoly, a decided cell, or None for the sampled
-    scan."""
+    table makes it: an ExpPoly, "degenerate", the pattern of a cell of the
+    form's left sign, or None for the sampled scan."""
     n = len(closed.cells)
     kinds = closed.kind[f * n:(f + 1) * n]
     exact = [i for i, kind in enumerate(kinds) if kind == ordering._CLOSED]
     decided = [i for i, kind in enumerate(kinds)
                if kind in (ordering._DEGENERATE, ordering._LEFT)]
-    free = [False] * len(closed.kind)
-    out = dict(zip(decided, ordering._evaluate_cells(closed, f, decided, free)))
+    read = ordering._evaluate_cells(closed, f, np.array(decided, dtype=int),
+                                    np.zeros(len(closed.kind), dtype=bool), ALLOWED_IFR)
+    out = {i: "degenerate" if read.degenerate[i] else read.pattern(i) for i in decided}
     if exact:
         out.update(zip(exact, ordering._polys(closed.terms, [f * n + i for i in exact])))
     return [out.get(i) for i in range(n)]
@@ -231,11 +232,47 @@ def _closed(form, a, b):
     return _outcomes(ordering._closed_cells((form,), [(a, b)]), 0)[0]
 
 
-def _settled_poly(res):
-    """The closed form of a cell settled from its signs, from its row of its
-    batch's term table."""
-    table, row, _ = res.closed
-    return ordering._polys(table, [row])[0]
+def _batch_patterns(batch):
+    """The pattern of each cell of a row scan's batch (signscan._Batch),
+    None where the cell has no sign evidence."""
+    return [batch.pattern(i) for i in range(len(batch.count))]
+
+
+def _settled_signs(closed, allowed):
+    """The signs of every row of a batch that _settle settles, else None,
+    and the rows' root-free flags: the coefficient-sign rule's head then
+    tail sign where it fixes two different ones, else its tail sign."""
+    settled, free = ordering._settle(closed, allowed)
+    decided, head, tail, _ = exppoly._sign_rule(closed.terms)
+    sign = {True: "+", False: "-"}
+    return [((sign[h], sign[t]) if d and h != t else (sign[t],)) if ok else None
+            for ok, d, h, t in zip(settled.tolist(), decided.tolist(), head.tolist(),
+                                   tail.tolist())], free
+
+
+def _settled_count(judged):
+    """How many passing cells of a sweep's judged batches were settled from
+    their signs."""
+    return sum(int(np.count_nonzero(b.settled[b.row[b.passes]])) for b in judged)
+
+
+def _cell_witnesses(judged):
+    """(form, a, b, witnesses, settled) of every passing cell of a sweep's
+    judged batches: a settled cell's witnesses are those that sampling its
+    closed form alone gives, from its row of its batch's term table."""
+    out = []
+    for batch in judged:
+        n = len(batch.closed.cells)
+        for i in np.flatnonzero(batch.passes).tolist():
+            row = int(batch.row[i])
+            a, b = batch.closed.cells[i]
+            if batch.settled[row]:
+                poly = ordering._polys(batch.closed.terms, [row])[0]
+                w = poly.sign_pattern_exact(0.0).witnesses
+            else:
+                w = batch.reads[row // n].pattern(i).witnesses
+            out.append((batch.closed.forms[row // n], a, b, w, bool(batch.settled[row])))
+    return out
 
 
 def _count_built_rows(monkeypatch, inside=None):
@@ -262,8 +299,8 @@ def _count_built_rows(monkeypatch, inside=None):
 
 def _all_sampled(forms, cells):
     """A term table that leaves every cell to the sampled scan."""
-    return ordering._Closed(tuple(forms), cells, [ordering._SAMPLED] * (len(forms) * len(cells)),
-                            None)
+    return ordering._Closed(tuple(forms), cells,
+                            np.full(len(forms) * len(cells), ordering._SAMPLED), None)
 
 
 def _count_scans(monkeypatch):
@@ -273,7 +310,7 @@ def _count_scans(monkeypatch):
 
     def spy(F, params, *args, **kwargs):
         out = inner(F, params, *args, **kwargs)
-        calls.extend(zip(zip(*params), out))
+        calls.extend(zip(zip(*params), _batch_patterns(out)))
         return out
 
     monkeypatch.setattr(ordering, "_scan_row", spy)
@@ -409,10 +446,9 @@ class TestClosedCriterionH:
             monkeypatch.setattr(ordering, name, spy)
 
         count("_evaluate_cells",
-              lambda closed, f, idx, free: sum(closed.kind[f * len(closed.cells) + i]
-                                               == ordering._CLOSED for i in idx))
-        count("_with_worst_margin",
-              lambda verdict, passing: sum(res.closed is not None for res in passing))
+              lambda closed, f, idx, free, allowed: sum(closed.kind[f * len(closed.cells) + i]
+                                                        == ordering._CLOSED for i in idx))
+        count("_with_worst_margin", lambda verdict, judged: _settled_count(judged))
         grid = GridSpec(tuple(np.geomspace(0.05, 20.0, 12)), tuple(np.linspace(-1.0, 8.0, 6)))
         assert compare_ifr(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid).supported
         criterion_h(MaxExp(1.0, 1.0), MaxExp(1.0, 2.0), 2, grid, form="hs")
@@ -598,9 +634,10 @@ class TestQuadratureNoiseAtOrderOne:
         hs1 = ordering._h_forms(X, Y, 1)["hs1"]
         assert hs1.config.deadband_abs == ordering._QUAD_DEADBAND
         closed = ordering._closed_cells((hs1,), [(1.0, 0.0)])
-        assert closed.kind == [ordering._SAMPLED]
-        (res,) = ordering._evaluate_cells(closed, 0, [0], [False])
-        assert res.degenerate
+        assert np.array_equal(closed.kind, [ordering._SAMPLED])
+        read = ordering._evaluate_cells(closed, 0, np.array([0]), np.zeros(1, dtype=bool),
+                                        ALLOWED_IFR)
+        assert read.degenerate[0] and read.passes[0]
 
 
 #: Shaped like the benchmark's Weibull/Gamma grid.
@@ -684,7 +721,9 @@ class TestBatchSizes:
 
         def evaluate(cells):
             seen.append(len(cells))
-            return [ordering._degenerate(a, b) for a, b in cells]
+            n, every = len(cells), np.ones(len(cells), dtype=bool)
+            return ordering._Judged(ordering._Closed((), cells, None, None), [],
+                                    np.zeros(n, dtype=int), every, every, ~every, None, None)
 
         monkeypatch.setattr(ordering, "_evaluator", lambda forms, allowed: evaluate)
         v, _ = ordering._sweep(grid, (), ALLOWED_IFR, "test", 1)
@@ -790,29 +829,27 @@ class TestMargins:
                                                            X, Y, s, grid):
         measured, evaluations = self._spies(monkeypatch)
         batches = []
-        inner = ordering._evaluate_cells
+        inner = ordering._closed_cells
 
-        def spy(closed, f, idx, free):
-            batches.append(len(closed.cells))
-            return inner(closed, f, idx, free)
+        def spy(forms, cells):
+            batches.append(len(cells))
+            return inner(forms, cells)
 
-        monkeypatch.setattr(ordering, "_evaluate_cells", spy)
+        monkeypatch.setattr(ordering, "_closed_cells", spy)
         v = check(X, Y, s, grid)
         assert v.supported and len(batches) >= 2
-        (_, passing), = measured
+        (_, judged), = measured
         # a cell settled from its signs is measured at the witnesses that
         # sampling its closed form alone gives
-        settled = [res for res in passing if res.closed is not None]
-        assert bool(settled) == isinstance(X, MaxExp)
-        witnessed = [(res, _settled_poly(res).sign_pattern_exact(0.0).witnesses
-                      if res.closed is not None else res.pattern.witnesses) for res in passing]
-        witnessed = [(res, w) for res, w in witnessed if w]
+        witnessed = _cell_witnesses(judged)
+        assert any(settled for *_, settled in witnessed) == isinstance(X, MaxExp)
+        witnessed = [(form, a, b, w) for form, a, b, w, _ in witnessed if w]
         assert len(witnessed) > v.cells_scanned // 2
         # one evaluation over the witnesses of every batch
-        assert evaluations == [sum(len(w) for _, w in witnessed)]
+        assert evaluations == [sum(len(w) for *_, w in witnessed)]
         margins = []
-        for res, w in witnessed:
-            vals = res.form(np.asarray(w), res.a, res.b)
+        for form, a, b, w in witnessed:
+            vals = form(np.asarray(w), a, b)
             margins.append(float(np.min(np.abs(vals))))
         assert v.worst_margin.hex() == min(margins).hex()
 
@@ -826,11 +863,11 @@ class TestMargins:
         events = _count_built_rows(monkeypatch, inside)
         inner = ordering._with_worst_margin
 
-        def spy(verdict, passing):
-            settled.append(sum(res.closed is not None for res in passing))
+        def spy(verdict, judged):
+            settled.append(_settled_count(judged))
             inside[0] = True
             try:
-                return inner(verdict, passing)
+                return inner(verdict, judged)
             finally:
                 inside[0] = False
 
@@ -901,8 +938,8 @@ class TestSettledCells:
             v = ordering._v_form(iterate(X, s), iterate(Y, s))
             for forms in ((v,), tuple(ordering._h_forms(X, Y, s).values())):
                 closed = ordering._closed_cells(forms, cells)
-                signs, free = ordering._settle(closed, ALLOWED_IFR)
-                star, _ = ordering._settle(closed, ALLOWED_IFRA)
+                signs, free = _settled_signs(closed, ALLOWED_IFR)
+                star, _ = _settled_signs(closed, ALLOWED_IFRA)
                 for f in range(len(forms)):
                     rows = range(f * n, (f + 1) * n)
                     for (a, b), row, poly in zip(cells, rows, _outcomes(closed, f)):
@@ -1020,12 +1057,11 @@ class TestClosedCell:
                     if any(abs(r * a - q) <= tol for r in hx.rates for q in hy.rates):
                         kinds.append("critical")
                     continue
-                if want in ("degenerate", "left"):
-                    assert isinstance(got, ordering._CellResult), (a, b)
-                    assert got.degenerate == (want == "degenerate")
-                    if want == "left":
-                        assert got.pattern.signs == (form.left,)
-                        assert got.pattern.witnesses == (-b / a / 2.0,)
+                if want == "degenerate":
+                    assert got == "degenerate", (a, b)
+                elif want == "left":
+                    assert got.signs == (form.left,), (a, b)
+                    assert got.witnesses == (-b / a / 2.0,)
                 else:
                     assert got is None, (a, b, want)
                 assert rules is None or rules[row] is None
@@ -1141,7 +1177,7 @@ class TestClosedCell:
         kept = ordering._closed_cells(forms, cells)
         monkeypatch.setattr(ordering, "_side_tables", lambda *args: side(*args)._replace(x_kept=False))
         passes = ordering._closed_cells(forms, cells)
-        assert kept.kind == passes.kind and ordering._CLOSED in kept.kind
+        assert np.array_equal(kept.kind, passes.kind) and ordering._CLOSED in kept.kind
         rows = [k for k, kind in enumerate(kept.kind) if kind == ordering._CLOSED]
         assert ([self._bits(terms) for terms in kept.terms.rows(rows)]
                 == [self._bits(terms) for terms in passes.terms.rows(rows)])
@@ -1376,14 +1412,15 @@ class TestRowScan:
     def _same_as_alone(form, a, bs):
         a_col, b_col = np.full(len(bs), a), np.asarray(bs, dtype=float)
         x_max, bps = form.window(a_col, b_col), form.bps(a_col, b_col)
-        row = ordering._scan_row(form.F, (a_col, b_col, np.full(len(bs), a ** form.k)),
-                                 x_max, form.config, bps, fy=form.fy)
+        row = _batch_patterns(ordering._scan_row(
+            form.F, (a_col, b_col, np.full(len(bs), a ** form.k)), x_max, form.config, bps,
+            fy=form.fy))
         for i, (b, got) in enumerate(zip(bs, row)):
             try:
                 alone = scan(lambda x: form(x, a, b), replace(form.config, x_max=x_max[i]),
                              () if bps is None else bps[i])
             except IndeterminateFunction:
-                assert isinstance(got, IndeterminateFunction), (a, b)
+                assert got is None, (a, b)
                 continue
             assert got == alone, (a, b)
         return row
@@ -1417,7 +1454,7 @@ class TestRowScan:
         X = Weibull(2.0)
         for row in (self._v_rows(X, X, 2, (1.0,), (0.0, 0.5)),
                     self._h_rows(X, X, 2, "hs", (1.0,), (0.0, 0.5))):
-            assert isinstance(row[0], IndeterminateFunction)
+            assert row[0] is None
             assert row[1].signs
 
     def test_branched_pareto_breakpoints(self):

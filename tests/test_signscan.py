@@ -7,7 +7,8 @@ import pytest
 
 from tailorder import ExpPoly, IndeterminateFunction, ScanConfig, check_integration_lemma, scan
 from tailorder import signscan
-from tailorder.patterns import ALLOWED_IFR, ALLOWED_IFRA, DEFAULT_X_MAX, SignPattern, matches
+from tailorder.patterns import (ALLOWED_IFR, ALLOWED_IFRA, DEFAULT_X_MAX, SignPattern, admits,
+                                alternating, matches)
 from tailorder.signscan import _classify, _largest_finite, _run_starts, _scan_row
 
 
@@ -178,6 +179,19 @@ def _row(cells):
     return params, np.asarray([w for _, w, _ in cells], dtype=float), [b for _, _, b in cells]
 
 
+def _patterns(F, params, x_max, cfg, *args, **kwargs):
+    """The pattern of each cell of a _scan_row batch, None where the cell
+    has no sign evidence, after checking the batch's arrays: counts and
+    offsets agree, and first signs are +1 or -1 exactly where a cell has
+    signs."""
+    batch = _scan_row(F, params, x_max, cfg, *args, **kwargs)
+    assert batch.at[0] == 0 and np.array_equal(np.diff(batch.at), batch.count)
+    assert batch.witness.size == batch.lo.size == batch.hi.size == batch.at[-1]
+    assert np.array_equal(batch.first != 0, batch.count > 0)
+    assert set(np.abs(batch.first).tolist()) <= {0, 1}
+    return [batch.pattern(i) for i in range(len(batch.count))]
+
+
 def _alone(F, params, x_max, cfg, bps=(), trace=None):
     """scan of one cell of a batch, or None where it is zero within the
     deadband."""
@@ -201,9 +215,9 @@ class TestRowScan:
         params, x_max, bps = _row(cells)
         for cfg in (ScanConfig(), ScanConfig(initial_grid=64),
                     ScanConfig(max_refinement_depth=2), ScanConfig(deadband_abs=1e-3)):
-            row = _scan_row(F, params, x_max, cfg, bps)
+            row = _patterns(F, params, x_max, cfg, bps)
             # only an absolute deadband hides the cell of scale 1e-15
-            assert [isinstance(p, IndeterminateFunction) for p in row] == \
+            assert [p is None for p in row] == \
                 [False, cfg.deadband_abs > 0, False, True, False]
             for (cell, w, b), got in zip(cells, row):
                 alone = _alone(F, cell, w, cfg, b)
@@ -230,16 +244,16 @@ class TestRowScan:
         params, x_max, bps = _row(cells)
         cfg = ScanConfig()
         seen, trace = [], []
-        row = _scan_row(F, params, x_max, cfg, bps, fy=fy, trace=trace)
+        row = _patterns(F, params, x_max, cfg, bps, fy=fy, trace=trace)
         assert seen == [(2 * 512 + 1,)]
-        assert isinstance(row[3], IndeterminateFunction)
+        assert row[3] is None
         alone_trace = []
         for (params, w, bps), got in zip(cells, row):
             rows = []
             alone = _alone(F, params, w, cfg, bps, trace=rows)
             alone_trace += rows
             if alone is None:
-                assert isinstance(got, IndeterminateFunction)
+                assert got is None
             else:
                 assert (got.signs, got.witnesses, got.change_points) == \
                     (alone.signs, alone.witnesses, alone.change_points)
@@ -260,13 +274,13 @@ class TestRowScan:
         params, x_max, bps = _row(cells)
         cfg = ScanConfig()
         shapes = []
-        row = _scan_row(F, params, x_max, cfg, bps)
+        row = _patterns(F, params, x_max, cfg, bps)
         assert shapes[0] == ((3, 512), (3, 1), (3, 1))
         assert all(len(x) == 1 and x == c == r for x, c, r in shapes[1:]) and len(shapes) > 1
         assert row == [_alone(F, p, w, cfg) for p, w, _ in cells]
         shapes.clear()
         bps[1] = (1.0,)
-        assert _scan_row(F, params, x_max, cfg, bps)[0] == row[0]
+        assert _patterns(F, params, x_max, cfg, bps)[0] == row[0]
         assert shapes[0] == ((3 * 512 + 1,),) * 3
 
     def test_scan_calls_f_on_flat_arrays(self):
@@ -398,7 +412,7 @@ class TestRowRefinement:
 
         cells = [((r,), 10.0, ()) for r in (0.3, 1.2345, 2.5, 7.7)]
         trace = []
-        row = _scan_row(F, *_row(cells)[:2], ScanConfig(), trace=trace)
+        row = _patterns(F, *_row(cells)[:2], ScanConfig(), trace=trace)
         assert [p.signs for p in row] == [("-", "+")] * 4
         assert len(calls) == 4
         assert points[1:] == [15 * len(cells)] * 3
@@ -470,16 +484,16 @@ def _refined_both_ways(cells, cfg, F=_random_row, merges=None):
             if key:
                 counting(mp, key)
             trace = []
-            got = _scan_row(F, params, x_max, cfg, bps, trace=trace)
-        out.append(([repr(o) if isinstance(o, IndeterminateFunction) else o for o in got],
+            got = _patterns(F, params, x_max, cfg, bps, trace=trace)
+        out.append((got,
                     [repr(t) for t in trace], trace))
     (fast, fast_trace, trace), (ref, ref_trace, _) = out
     assert fast == ref, cells
     assert fast_trace == ref_trace, cells
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "compact")
-        compact = _scan_row(F, params, x_max, cfg, bps)
-    assert [repr(o) if isinstance(o, IndeterminateFunction) else o for o in compact] == fast, cells
+        compact = _patterns(F, params, x_max, cfg, bps)
+    assert compact == fast, cells
     return trace
 
 
@@ -493,11 +507,11 @@ class TestCompactedRows:
     @staticmethod
     def _same_as_alone(F, cells, cfg):
         params, x_max, bps = _row(cells)
-        row = _scan_row(F, params, x_max, cfg, bps)
+        row = _patterns(F, params, x_max, cfg, bps)
         for i, got in enumerate(row):
             alone = _alone(F, [p[i] for p in params], x_max[i], cfg, bps[i], trace=[])
             if alone is None:
-                assert isinstance(got, IndeterminateFunction), cells[i]
+                assert got is None, cells[i]
                 continue
             for field in ("signs", "witnesses", "change_points", "confidence", "uncertain"):
                 assert getattr(got, field) == getattr(alone, field), (field, cells[i])
@@ -514,7 +528,7 @@ class TestCompactedRows:
                 _random_row, [_random_cell(rng) for _ in range(rng.integers(1, 9))],
                 _random_config(rng))
             changes += sum(len(p.signs) > 1 for p in row if isinstance(p, SignPattern))
-            indeterminate += sum(isinstance(p, IndeterminateFunction) for p in row)
+            indeterminate += sum(p is None for p in row)
         assert changes > 300 and indeterminate > 10
 
     @pytest.mark.parametrize("depth", [8, 13])
@@ -599,6 +613,65 @@ class TestMatches:
             assert matches(pat, ALLOWED_IFRA), pat
         for pat in (("+", "-"), ("-", "+", "-"), ("+", "-", "+")):
             assert not matches(pat, ALLOWED_IFRA), pat
+
+
+class TestAdmitsTable:
+    """patterns.admits reads a pattern's admissibility from its first sign
+    and sign count, in one table per allowed set built from matches."""
+
+    @pytest.mark.parametrize("allowed", [ALLOWED_IFR, ALLOWED_IFRA,
+                                         [["-", "+", "-", "+"], [" + "]]],
+                             ids=["ifr", "ifra", "caller-built"])
+    def test_table_agrees_with_matches(self, allowed):
+        firsts, counts, want = [], [], []
+        for count in range(7):
+            for first in ((1, -1) if count else (0,)):
+                pattern = alternating(first, count)
+                assert len(pattern) == count
+                assert all(a != b for a, b in zip(pattern, pattern[1:]))
+                firsts.append(first)
+                counts.append(count)
+                want.append(matches(pattern, allowed))
+        got = admits(allowed, np.array(firsts), np.array(counts))
+        assert got.tolist() == want
+        # one cell at a time reads the same table
+        assert [bool(admits(allowed, f, c)) for f, c in zip(firsts, counts)] == want
+
+
+class TestBatchArrays:
+    """_scan_row gives its batch as arrays; each cell's pattern, built where
+    it is read, is the one scanning the cell alone gives, and satisfies
+    SignPattern's invariants, which are checked once for the batch."""
+
+    def test_patterns_are_those_of_lone_scans(self):
+        rng = np.random.default_rng(4242)
+        signed = 0
+        for _ in range(40):
+            cells = [_random_cell(rng) for _ in range(rng.integers(1, 7))]
+            params, x_max, bps = _row(cells)
+            cfg = _random_config(rng)
+            batch = _scan_row(_random_row, params, x_max, cfg, bps)
+            for i in range(len(cells)):
+                got = batch.pattern(i)
+                alone = _alone(_random_row, [p[i] for p in params], x_max[i], cfg, bps[i])
+                assert got == alone, cells[i]
+                if got is None:
+                    assert batch.count[i] == 0 and batch.first[i] == 0
+                    continue
+                signed += 1
+                # the invariants SignPattern checks, and the brackets
+                # between the witnesses
+                assert SignPattern(*map(tuple, (got.signs, got.witnesses,
+                                                got.change_points))) == got
+                assert got.signs[0] == ("+" if batch.first[i] > 0 else "-")
+                assert len(got.signs) == batch.count[i]
+                assert list(got.witnesses) == sorted(got.witnesses)
+                for (lo, hi), w0, w1 in zip(got.change_points, got.witnesses,
+                                            got.witnesses[1:]):
+                    assert w0 <= lo < hi <= w1
+                x, sizes = batch.witnesses(np.array([i]))
+                assert tuple(x.tolist()) == got.witnesses and sizes.tolist() == [batch.count[i]]
+        assert signed > 60
 
 
 class TestSignPatternInvariants:
